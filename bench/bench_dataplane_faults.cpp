@@ -59,7 +59,7 @@ grid::GridConfig fault_grid_config(const FaultPlan& plan) {
   for (std::size_t i = 0; i < cfg.computing_elements.size(); ++i)
     cfg.computing_elements[i].close_storage_element = kStorageElements[i % 3];
   cfg.remote_transfer_penalty = 3.0;
-  cfg.data_aware_matchmaking = true;
+  cfg.matchmaking_policy = "data-gravity";
   cfg.replica_loss_probability = plan.loss_probability;
   return cfg;
 }
@@ -92,7 +92,6 @@ FaultResult run_scenario(const FaultPlan& plan, bool recovery) {
 
   enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
   policy.cache = true;
-  policy.data_aware = true;
   policy.lineage_recovery = recovery;
   policy.failure_policy = enactor::FailurePolicy::kContinue;
   enactor::Enactor moteur(backend, registry, policy);

@@ -36,7 +36,7 @@ constexpr const char* kStorageElements[] = {"se-north", "se-south", "se-east"};
 // EGEE 2006 sites, each attached to one of three regional storage elements.
 // Fetching an input whose replica lives on another region's SE costs the
 // remote-transfer penalty, so placement matters.
-grid::GridConfig data_grid_config(bool data_aware) {
+grid::GridConfig data_grid_config(bool data_gravity) {
   grid::GridConfig cfg = grid::GridConfig::egee2006(kSeed);
   for (const char* name : kStorageElements) {
     grid::StorageElementConfig se;
@@ -48,7 +48,7 @@ grid::GridConfig data_grid_config(bool data_aware) {
   for (std::size_t i = 0; i < cfg.computing_elements.size(); ++i)
     cfg.computing_elements[i].close_storage_element = kStorageElements[i % 3];
   cfg.remote_transfer_penalty = 3.0;
-  cfg.data_aware_matchmaking = data_aware;
+  if (data_gravity) cfg.matchmaking_policy = "data-gravity";
   return cfg;
 }
 
@@ -64,7 +64,7 @@ struct ScenarioResult {
 
 ScenarioResult run_scenario(bool data_plane) {
   sim::Simulator simulator;
-  grid::Grid grid(simulator, data_grid_config(/*data_aware=*/data_plane));
+  grid::Grid grid(simulator, data_grid_config(/*data_gravity=*/data_plane));
   enactor::SimGridBackend backend(grid);
   data::ReplicaCatalog catalog;
   if (data_plane) backend.set_catalog(&catalog);
@@ -74,7 +74,6 @@ ScenarioResult run_scenario(bool data_plane) {
 
   enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
   policy.cache = data_plane;
-  policy.data_aware = data_plane;
   enactor::Enactor moteur(backend, registry, policy);
 
   ScenarioResult out;

@@ -53,15 +53,14 @@ int main() {
   enactor::SimGridBackend backend(grid);
 
   // 5. Enact with every optimization on: workflow + data + service
-  //    parallelism and job grouping. A progress listener streams events.
+  //    parallelism and job grouping. A subscriber streams progress events.
   enactor::Enactor moteur(backend, registry, enactor::EnactmentPolicy::sp_dp_jg());
-  moteur.add_event_subscriber(
-      enactor::progress_subscriber([](const enactor::ProgressEvent& event) {
-        if (event.kind == enactor::ProgressEvent::Kind::kProcessorFinished) {
-          std::printf("  [t=%6.0fs] %s finished (%zu invocations so far)\n", event.time,
-                      event.processor.c_str(), event.total_invocations);
-        }
-      }));
+  moteur.add_event_subscriber([](const obs::RunEvent& event) {
+    if (event.kind == obs::RunEvent::Kind::kProcessorFinished) {
+      std::printf("  [t=%6.0fs] %s finished (%zu invocations so far)\n", event.time,
+                  event.processor.c_str(), event.total_invocations);
+    }
+  });
   const enactor::EnactmentResult result = moteur.run({.workflow = wf, .inputs = inputs});
 
   std::printf("makespan:     %s (%.0f s)\n", format_duration(result.makespan()).c_str(),

@@ -10,57 +10,6 @@
 
 namespace moteur::enactor {
 
-EventSubscriber progress_subscriber(std::function<void(const ProgressEvent&)> listener) {
-  return [listener = std::move(listener)](const obs::RunEvent& e) {
-    ProgressEvent p;
-    switch (e.kind) {
-      case obs::RunEvent::Kind::kAttemptStarted:
-        p.kind = ProgressEvent::Kind::kSubmitted;
-        break;
-      case obs::RunEvent::Kind::kInvocationCompleted:
-        p.kind = ProgressEvent::Kind::kCompleted;
-        break;
-      case obs::RunEvent::Kind::kInvocationFailed:
-        p.kind = ProgressEvent::Kind::kFailed;
-        break;
-      case obs::RunEvent::Kind::kRetryScheduled:
-        p.kind = ProgressEvent::Kind::kRetried;
-        break;
-      case obs::RunEvent::Kind::kWatchdogFired:
-        p.kind = ProgressEvent::Kind::kTimedOut;
-        break;
-      case obs::RunEvent::Kind::kProcessorFinished:
-        p.kind = ProgressEvent::Kind::kProcessorFinished;
-        break;
-      case obs::RunEvent::Kind::kInvocationSkipped:
-        p.kind = ProgressEvent::Kind::kSkipped;
-        break;
-      default:
-        return;  // run/invocation/attempt lifecycle details stay internal
-    }
-    p.processor = e.processor;
-    p.tuples = e.tuples;
-    p.time = e.time;
-    p.attempt = e.attempt == 0 ? 1 : e.attempt;
-    p.total_invocations = e.total_invocations;
-    p.total_submissions = e.total_submissions;
-    listener(p);
-  };
-}
-
-const char* kind_name(ProgressEvent::Kind kind) {
-  switch (kind) {
-    case ProgressEvent::Kind::kSubmitted: return "Submitted";
-    case ProgressEvent::Kind::kCompleted: return "Completed";
-    case ProgressEvent::Kind::kFailed: return "Failed";
-    case ProgressEvent::Kind::kRetried: return "Retried";
-    case ProgressEvent::Kind::kTimedOut: return "TimedOut";
-    case ProgressEvent::Kind::kProcessorFinished: return "ProcessorFinished";
-    case ProgressEvent::Kind::kSkipped: return "Skipped";
-  }
-  return "?";
-}
-
 Enactor::Enactor(ExecutionBackend& backend, services::ServiceRegistry& registry,
                  EnactmentPolicy policy)
     : backend_(backend), registry_(registry), policy_(policy) {}

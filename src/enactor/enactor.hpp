@@ -1,7 +1,6 @@
 #pragma once
 
 #include <any>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -75,49 +74,6 @@ struct EnactmentResult {
   workflow::GroupingReport grouping;
 };
 
-/// Live notification of enactment progress (monitoring hooks: progress
-/// bars, dashboards, logs). Since the observability subsystem landed, this
-/// is a condensed view of the richer obs::RunEvent stream: the listener is
-/// registered as one subscriber whose adapter folds run events down to the
-/// historical kinds below.
-///
-/// Threading guarantees: events fire synchronously on the thread that called
-/// Enactor::run — backends deliver completions and timers only from within
-/// drive(), so listener invocations are strictly serialized and never
-/// concurrent, whatever the backend. Event times and counters are monotone.
-/// A listener that shares data with other threads must do its own locking;
-/// it must not call back into the Enactor.
-struct ProgressEvent {
-  enum class Kind {
-    kSubmitted,          // a (possibly batched) invocation went to the backend
-    kCompleted,          // an invocation returned successfully
-    kFailed,             // an invocation failed definitively (tuples lost)
-    kRetried,            // a transient failure is being resubmitted
-    kTimedOut,           // the watchdog raced a clone against a straggler
-    kProcessorFinished,  // a processor will produce nothing further
-    kSkipped,            // an invocation consumed a poisoned token
-  };
-  Kind kind = Kind::kSubmitted;
-  std::string processor;
-  std::size_t tuples = 0;         // data tuples carried by the invocation
-  double time = 0.0;              // backend time of the event
-  std::size_t attempt = 1;        // resubmission attempt number (1 = first)
-  std::size_t total_invocations = 0;  // logical invocations completed so far
-  std::size_t total_submissions = 0;  // backend executions so far
-};
-
-/// Stable display name of a ProgressEvent kind ("Submitted", "Completed",
-/// "Failed", "Retried", "TimedOut", "ProcessorFinished", "Skipped").
-const char* kind_name(ProgressEvent::Kind kind);
-
-/// Wrap a ProgressEvent listener as an event-stream subscriber: the adapter
-/// folds the structured obs::RunEvent stream down to the historical
-/// ProgressEvent vocabulary (one Submitted per attempt, one Completed/Failed
-/// per resolved invocation, Retried/TimedOut for the fault-tolerance path).
-/// Register the result with Enactor::add_event_subscriber or
-/// RunRequest::subscribers. The listener is captured by value.
-EventSubscriber progress_subscriber(std::function<void(const ProgressEvent&)> listener);
-
 /// MOTEUR: the optimized service-workflow enactor (paper §4.1). Drives a
 /// workflow over an input data set against an execution backend, applying
 /// the configured combination of workflow parallelism (always), data
@@ -140,10 +96,13 @@ class Enactor {
 
   const EnactmentPolicy& policy() const { return policy_; }
 
-  /// Raw access to the run's structured event stream (see obs/event.hpp).
-  /// Subscribers fire synchronously, in registration order, on the thread
-  /// driving the backend. Use progress_subscriber() to register a condensed
-  /// ProgressEvent listener. Subscribers persist across run() calls.
+  /// The run's structured event stream (see obs/event.hpp): progress
+  /// monitors, dashboards and logs subscribe here. Subscribers fire
+  /// synchronously, in registration order, on the thread driving the
+  /// backend — backends deliver completions and timers only from within
+  /// drive(), so invocations are serialized and event times and totals are
+  /// monotone. A subscriber must not call back into the Enactor.
+  /// Subscribers persist across run() calls.
   using EventSubscriber = enactor::EventSubscriber;
   void add_event_subscriber(EventSubscriber subscriber) {
     subscribers_.push_back(std::move(subscriber));

@@ -248,7 +248,7 @@ class Engine : public std::enable_shared_from_this<Engine> {
   PState& state_of(const std::string& name) { return states_.at(name); }
 
   // --- Observability: the structured event stream every consumer (span
-  // recorder, metrics, the legacy ProgressEvent adapter) subscribes to.
+  // recorder, metrics, progress monitors) subscribes to.
   // Events carry the running totals at emission time, so emission points sit
   // strictly after the corresponding stats_ updates.
   bool observing() const { return !subscribers_.empty(); }

@@ -2,11 +2,47 @@
 
 #include <memory>
 
+#include "enactor/options.hpp"
 #include "policy/registry.hpp"
 #include "util/error.hpp"
 #include "workflow/scufl.hpp"
 
 namespace moteur::enactor {
+
+namespace {
+
+/// Write `element`'s run options that differ from their defaults.
+void write_options(xml::Node& node, Element element, const RunManifest& manifest) {
+  for (const RunOption& option : run_options()) {
+    if (option.element != element) continue;
+    std::string value = option.get(manifest);
+    if (value != option.default_text ||
+        (option.written_at_default && option.written_at_default(manifest))) {
+      node.set_attribute(option.attribute, std::move(value));
+    }
+  }
+}
+
+/// Read `element`'s run options in table order; an attribute the table does
+/// not declare, or a required one missing, is an error.
+void read_options(const xml::Node& node, Element element, RunManifest& manifest) {
+  const std::string tag = std::string("<") + to_string(element) + ">";
+  for (const auto& [attribute, value] : node.attributes()) {
+    if (find_run_option(element, attribute) == nullptr) {
+      throw ParseError("unknown attribute '" + attribute + "' on " + tag);
+    }
+  }
+  for (const RunOption& option : run_options()) {
+    if (option.element != element) continue;
+    if (const auto value = node.attribute(option.attribute)) {
+      option.set(manifest, *value, tag + " attribute " + option.attribute);
+    } else if (option.required) {
+      throw ParseError(tag + " lacks the required attribute " + option.attribute);
+    }
+  }
+}
+
+}  // namespace
 
 grid::GridConfig RunManifest::make_grid_config() const {
   grid::GridConfig config;
@@ -21,166 +57,34 @@ grid::GridConfig RunManifest::make_grid_config() const {
                      "' (expected egee2006 | cluster | constant)");
   }
   config.orchestrator_bandwidth_mbps = orchestrator_bandwidth_mbps;
-  if (!policy.replication.empty()) config.replication_policy = policy.replication;
+  if (!policy.matchmaking.empty()) config.matchmaking_policy = policy.matchmaking;
+  config.replica_policy = replica_policy;
+  config.replication_policy = replication;
   return config;
 }
 
-void write_policy(xml::Node& node, const EnactmentPolicy& policy) {
-  node.set_attribute("config", policy.name());
-  if (policy.data_parallelism_cap != 0) {
-    node.set_attribute("cap", std::to_string(policy.data_parallelism_cap));
+bool needs_replica_catalog(const grid::GridConfig& grid, const EnactmentPolicy& policy) {
+  bool storage = grid.replica_loss_probability > 0.0 ||
+                 grid.replica_corruption_probability > 0.0 ||
+                 !grid.default_se_outages.empty() || grid.default_se_capacity_mb > 0.0;
+  for (const grid::StorageElementConfig& se : grid.storage_elements) {
+    storage = storage || !se.outages.empty() || se.replica_loss_probability > 0.0 ||
+              se.replica_corruption_probability > 0.0 || se.capacity_mb > 0.0;
   }
-  if (policy.batch_size != 1) {
-    node.set_attribute("batch", std::to_string(policy.batch_size));
-  }
-  if (policy.adaptive_batching) {
-    node.set_attribute("adaptiveBatching", "true");
-    node.set_attribute("overheadFractionTarget",
-                       std::to_string(policy.overhead_fraction_target));
-    node.set_attribute("maxBatch", std::to_string(policy.max_batch));
-  }
-  if (policy.retry.retries_enabled()) {
-    node.set_attribute("retryAttempts", std::to_string(policy.retry.max_attempts));
-    if (policy.retry.timeout_multiplier > 0.0) {
-      node.set_attribute("retryTimeoutMultiplier",
-                         std::to_string(policy.retry.timeout_multiplier));
-      node.set_attribute("retryTimeoutMinSamples",
-                         std::to_string(policy.retry.timeout_min_samples));
-    }
-    if (policy.retry.backoff_initial_seconds > 0.0) {
-      node.set_attribute("retryBackoffInitial",
-                         std::to_string(policy.retry.backoff_initial_seconds));
-      node.set_attribute("retryBackoffFactor",
-                         std::to_string(policy.retry.backoff_factor));
-    }
-  }
-  if (policy.failure_policy != FailurePolicy::kFailFast) {
-    node.set_attribute("failurePolicy", to_string(policy.failure_policy));
-  }
-  if (policy.breaker.enabled) {
-    node.set_attribute("breakerWindow", std::to_string(policy.breaker.window));
-    node.set_attribute("breakerThreshold", std::to_string(policy.breaker.threshold));
-    node.set_attribute("breakerCooldown", std::to_string(policy.breaker.cooldown_seconds));
-  }
-  if (policy.cache) node.set_attribute("cache", "true");
-  if (policy.data_aware) node.set_attribute("dataAware", "true");
-  if (!policy.matchmaking.empty()) node.set_attribute("matchmaking", policy.matchmaking);
-  if (!policy.placement.empty()) node.set_attribute("placement", policy.placement);
-  if (!policy.replica_policy.empty()) {
-    node.set_attribute("replicaPolicy", policy.replica_policy);
-  }
-  if (!policy.admission.empty()) node.set_attribute("admission", policy.admission);
-  if (!policy.replication.empty()) {
-    node.set_attribute("replication", policy.replication);
-  }
-}
-
-EnactmentPolicy read_policy(const xml::Node& node) {
-  EnactmentPolicy policy = EnactmentPolicy::parse(node.attribute("config").value_or("NOP"));
-  if (const auto cap = node.attribute("cap")) {
-    policy.data_parallelism_cap = static_cast<std::size_t>(std::stoul(*cap));
-  }
-  if (const auto batch = node.attribute("batch")) {
-    policy.batch_size = static_cast<std::size_t>(std::stoul(*batch));
-    MOTEUR_REQUIRE(policy.batch_size >= 1, ParseError, "batch must be >= 1");
-  }
-  if (const auto adaptive = node.attribute("adaptiveBatching")) {
-    policy.adaptive_batching = *adaptive == "true" || *adaptive == "1";
-  }
-  if (const auto fraction = node.attribute("overheadFractionTarget")) {
-    policy.overhead_fraction_target = std::stod(*fraction);
-  }
-  if (const auto max_batch = node.attribute("maxBatch")) {
-    policy.max_batch = static_cast<std::size_t>(std::stoul(*max_batch));
-  }
-  if (const auto attempts = node.attribute("retryAttempts")) {
-    policy.retry.max_attempts = static_cast<std::size_t>(std::stoul(*attempts));
-    MOTEUR_REQUIRE(policy.retry.max_attempts >= 1, ParseError,
-                   "retryAttempts must be >= 1");
-  }
-  if (const auto multiplier = node.attribute("retryTimeoutMultiplier")) {
-    policy.retry.timeout_multiplier = std::stod(*multiplier);
-  }
-  if (const auto samples = node.attribute("retryTimeoutMinSamples")) {
-    policy.retry.timeout_min_samples = static_cast<std::size_t>(std::stoul(*samples));
-  }
-  if (const auto initial = node.attribute("retryBackoffInitial")) {
-    policy.retry.backoff_initial_seconds = std::stod(*initial);
-  }
-  if (const auto factor = node.attribute("retryBackoffFactor")) {
-    policy.retry.backoff_factor = std::stod(*factor);
-  }
-  if (const auto failure = node.attribute("failurePolicy")) {
-    policy.failure_policy = parse_failure_policy(*failure);
-  }
-  if (const auto cache = node.attribute("cache")) {
-    policy.cache = *cache == "true" || *cache == "1";
-  }
-  if (const auto aware = node.attribute("dataAware")) {
-    policy.data_aware = *aware == "true" || *aware == "1";
-  }
-  const policy::PolicyRegistry& registry = policy::PolicyRegistry::instance();
-  if (const auto matchmaking = node.attribute("matchmaking")) {
-    policy.matchmaking =
-        registry.check_matchmaking(*matchmaking, "policy matchmaking attribute");
-  }
-  if (const auto placement = node.attribute("placement")) {
-    policy.placement = registry.check_placement(*placement, "policy placement attribute");
-  }
-  if (const auto replica = node.attribute("replicaPolicy")) {
-    policy.replica_policy =
-        registry.check_replica(*replica, "policy replicaPolicy attribute");
-  }
-  if (const auto admission = node.attribute("admission")) {
-    policy.admission =
-        registry.check_admission(*admission, "policy admission attribute");
-  }
-  if (const auto replication = node.attribute("replication")) {
-    policy.replication =
-        registry.check_replication(*replication, "policy replication attribute");
-  }
-  if (const auto window = node.attribute("breakerWindow")) {
-    policy.breaker.enabled = true;
-    policy.breaker.window = static_cast<std::size_t>(std::stoul(*window));
-    MOTEUR_REQUIRE(policy.breaker.window >= 1, ParseError, "breakerWindow must be >= 1");
-  }
-  if (const auto threshold = node.attribute("breakerThreshold")) {
-    policy.breaker.enabled = true;
-    policy.breaker.threshold = static_cast<std::size_t>(std::stoul(*threshold));
-    MOTEUR_REQUIRE(policy.breaker.threshold >= 1, ParseError,
-                   "breakerThreshold must be >= 1");
-  }
-  if (const auto cooldown = node.attribute("breakerCooldown")) {
-    policy.breaker.enabled = true;
-    policy.breaker.cooldown_seconds = std::stod(*cooldown);
-  }
-  return policy;
+  const std::string& matchmaking =
+      policy.matchmaking.empty() ? grid.matchmaking_policy : policy.matchmaking;
+  return policy.cache || storage ||
+         policy::PolicyRegistry::instance().matchmaking_wants_stage_in(matchmaking) ||
+         grid.replication_policy != policy::kDefaultReplication;
 }
 
 std::string RunManifest::to_xml() const {
   auto root = std::make_unique<xml::Node>("run");
-
-  auto& policy_node = root->add_child("policy");
-  write_policy(policy_node, policy);
-
-  auto& grid_node = root->add_child("grid");
-  grid_node.set_attribute("preset", grid_preset);
-  grid_node.set_attribute("seed", std::to_string(seed));
-  if (grid_preset == "constant") {
-    grid_node.set_attribute("overhead", std::to_string(constant_overhead_seconds));
-  }
-  if (grid_preset == "cluster") {
-    grid_node.set_attribute("nodes", std::to_string(cluster_nodes));
-  }
-  if (orchestrator_bandwidth_mbps > 0.0) {
-    grid_node.set_attribute("orchestratorBw", std::to_string(orchestrator_bandwidth_mbps));
-  }
-
-  if (shards != 1 || pin_policy != "hash") {
-    auto& service_node = root->add_child("service");
-    service_node.set_attribute("shards", std::to_string(shards));
-    service_node.set_attribute("pinPolicy", pin_policy);
-  }
+  write_options(root->add_child("policy"), Element::kPolicy, *this);
+  write_options(root->add_child("grid"), Element::kGrid, *this);
+  auto service = std::make_unique<xml::Node>("service");
+  write_options(*service, Element::kService, *this);
+  if (!service->attributes().empty()) root->adopt(std::move(service));
 
   // Embed the workflow and data-set documents (their roots become children).
   root->adopt(xml::parse(workflow::to_scufl(workflow)).take_root());
@@ -193,43 +97,15 @@ RunManifest RunManifest::from_xml(const std::string& text) {
   MOTEUR_REQUIRE(doc.root().name() == "run", ParseError,
                  "expected <run> root, got <" + doc.root().name() + ">");
   RunManifest manifest;
-  if (const xml::Node* policy_node = doc.root().child("policy")) {
-    manifest.policy = read_policy(*policy_node);
-  }
-  if (const xml::Node* grid_node = doc.root().child("grid")) {
-    manifest.grid_preset = grid_node->attribute("preset").value_or("egee2006");
-    if (const auto seed = grid_node->attribute("seed")) {
-      manifest.seed = std::stoull(*seed);
-    }
-    if (const auto overhead = grid_node->attribute("overhead")) {
-      manifest.constant_overhead_seconds = std::stod(*overhead);
-    }
-    if (const auto nodes = grid_node->attribute("nodes")) {
-      manifest.cluster_nodes = static_cast<std::size_t>(std::stoul(*nodes));
-    }
-    if (const auto bw = grid_node->attribute("orchestratorBw")) {
-      manifest.orchestrator_bandwidth_mbps = std::stod(*bw);
-      MOTEUR_REQUIRE(manifest.orchestrator_bandwidth_mbps >= 0.0, ParseError,
-                     "orchestratorBw must be >= 0");
-    }
-  }
-  if (const xml::Node* service_node = doc.root().child("service")) {
-    if (const auto shards = service_node->attribute("shards")) {
-      manifest.shards = static_cast<std::size_t>(std::stoul(*shards));
-      MOTEUR_REQUIRE(manifest.shards >= 1, ParseError, "shards must be >= 1");
-    }
-    if (const auto pin = service_node->attribute("pinPolicy")) {
-      MOTEUR_REQUIRE(*pin == "hash" || *pin == "least-loaded", ParseError,
-                     "pinPolicy must be hash | least-loaded");
-      manifest.pin_policy = *pin;
+  for (const Element element : {Element::kPolicy, Element::kGrid, Element::kService}) {
+    if (const xml::Node* node = doc.root().child(to_string(element))) {
+      read_options(*node, element, manifest);
     }
   }
   const xml::Node& wf_node = doc.root().required_child("workflow");
   manifest.workflow = workflow::from_scufl(wf_node.to_string());
   const xml::Node& ds_node = doc.root().required_child("dataset");
   manifest.inputs = data::InputDataSet::from_xml(ds_node.to_string());
-  // Validate the preset eagerly so malformed manifests fail at load time.
-  manifest.make_grid_config();
   return manifest;
 }
 

@@ -15,7 +15,8 @@ namespace moteur::enactor {
 /// input data set, policy and grid preset — the paper's motivation for its
 /// data-set format ("to be able to re-execute workflows on the same data
 /// set", §4.1) extended to the whole run. Serializes to a single XML
-/// document consumed by moteur_cli.
+/// document consumed by moteur_cli; its attributes are the run-option table
+/// (enactor/options.hpp).
 struct RunManifest {
   workflow::Workflow workflow{"empty"};
   data::InputDataSet inputs;
@@ -30,6 +31,9 @@ struct RunManifest {
   /// Finite orchestrator/UI link capacity every centralized stage shares
   /// (<grid orchestratorBw="..."/>); 0 keeps the link unlimited (bypassed).
   double orchestrator_bandwidth_mbps = 0.0;
+  /// Grid-wide ReplicaPolicy and ReplicationPolicy names (PolicyRegistry).
+  std::string replica_policy = "close-se";
+  std::string replication = "none";
 
   /// Enactment-core sharding for services replaying this manifest
   /// (<service shards=".." pinPolicy="hash|least-loaded"/>). Kept as plain
@@ -38,16 +42,18 @@ struct RunManifest {
   std::size_t shards = 1;
   std::string pin_policy = "hash";
 
-  /// Build the configured grid.
+  /// Build the configured grid, with the run's matchmaking (if set) as the
+  /// grid default.
   grid::GridConfig make_grid_config() const;
 
   std::string to_xml() const;
+  /// Throws ParseError naming any unknown attribute or malformed value.
   static RunManifest from_xml(const std::string& text);
 };
 
-/// Policy <-> XML element, e.g.
-/// <policy config="SP+DP" batch="1" adaptiveBatching="false" cap="0"/>.
-void write_policy(xml::Node& node, const EnactmentPolicy& policy);
-EnactmentPolicy read_policy(const xml::Node& node);
+/// Whether runs under `policy` on `grid` need a data::ReplicaCatalog: the
+/// cache, stage-in-aware matchmaking, SE→SE replication, storage faults and
+/// bounded SEs all work on replicas.
+bool needs_replica_catalog(const grid::GridConfig& grid, const EnactmentPolicy& policy);
 
 }  // namespace moteur::enactor

@@ -58,30 +58,15 @@ EnactmentPolicy EnactmentPolicy::nop() {
                          .job_grouping = false};
 }
 
-EnactmentPolicy EnactmentPolicy::jg() {
-  return EnactmentPolicy{.data_parallelism = false, .service_parallelism = false,
-                         .job_grouping = true};
-}
+EnactmentPolicy EnactmentPolicy::jg() { return parse("JG"); }
 
-EnactmentPolicy EnactmentPolicy::sp() {
-  return EnactmentPolicy{.data_parallelism = false, .service_parallelism = true,
-                         .job_grouping = false};
-}
+EnactmentPolicy EnactmentPolicy::sp() { return parse("SP"); }
 
-EnactmentPolicy EnactmentPolicy::dp() {
-  return EnactmentPolicy{.data_parallelism = true, .service_parallelism = false,
-                         .job_grouping = false};
-}
+EnactmentPolicy EnactmentPolicy::dp() { return parse("DP"); }
 
-EnactmentPolicy EnactmentPolicy::sp_dp() {
-  return EnactmentPolicy{.data_parallelism = true, .service_parallelism = true,
-                         .job_grouping = false};
-}
+EnactmentPolicy EnactmentPolicy::sp_dp() { return parse("SP+DP"); }
 
-EnactmentPolicy EnactmentPolicy::sp_dp_jg() {
-  return EnactmentPolicy{.data_parallelism = true, .service_parallelism = true,
-                         .job_grouping = true};
-}
+EnactmentPolicy EnactmentPolicy::sp_dp_jg() { return parse("SP+DP+JG"); }
 
 EnactmentPolicy EnactmentPolicy::parse(const std::string& text) {
   EnactmentPolicy policy = nop();

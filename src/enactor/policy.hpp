@@ -110,28 +110,15 @@ struct EnactmentPolicy {
   /// Off by default (bit-identical to the pre-data-plane enactor).
   bool cache = false;
 
-  /// Data-aware matchmaking: the broker ranks CEs by estimated stage-in
-  /// cost from the ReplicaCatalog on top of queue estimates. Consumed by
-  /// whoever builds the grid backend (the CLI / benches); the engine itself
-  /// ignores it. Off by default.
-  bool data_aware = false;
-
   /// Named decision policies from the PolicyRegistry; empty = inherit the
   /// next level's default (run > service > grid). `matchmaking` rides each
-  /// submission into the broker; `placement` steers retry/speculative-clone
-  /// targets inside the engine; `replica_policy` and `admission` are
-  /// consumed by whoever builds the grid backend / admission gate (the CLI,
-  /// RunService, benches).
+  /// submission into the broker (`data-gravity` ranks CEs on queue plus
+  /// stage-in cost); `placement` steers retry/speculative-clone targets
+  /// inside the engine; `admission` sets the run's share of the RunService
+  /// admission gate.
   std::string matchmaking;
   std::string placement;
-  std::string replica_policy;
   std::string admission;
-
-  /// Named ReplicationPolicy ("none", "push-to-consumer", "fanout-k"):
-  /// decides whether staging reads go SE→SE instead of through the
-  /// orchestrator, and which SE→SE transfers the grid triggers. Consumed by
-  /// whoever builds the grid backend; empty = the grid default ("none").
-  std::string replication;
 
   /// Lineage recovery: when a submission fails with kDataLost (no replica
   /// of a required input survives), walk the recorded lineage and re-fire

@@ -22,6 +22,8 @@ struct BreakerPolicy {
   std::size_t threshold = 4;
   /// Seconds an open breaker cools down before admitting a probe.
   double cooldown_seconds = 1800.0;
+
+  bool operator==(const BreakerPolicy&) const = default;
 };
 
 /// Breaker state of one computing element.

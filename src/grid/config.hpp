@@ -132,13 +132,11 @@ struct GridConfig {
   /// Megabyte multiplier for staging a file whose replicas all live on other
   /// SEs (the wide-area hop to pull it to the close SE first).
   double remote_transfer_penalty = 1.0;
-  /// Rank candidate CEs by estimated stage-in cost from the ReplicaCatalog
-  /// on top of their queue estimate (off = blind matchmaking, bit-identical
-  /// to the pre-data-plane broker).
-  bool data_aware_matchmaking = false;
   /// Grid-default MatchmakingPolicy name (PolicyRegistry). Jobs may override
   /// per submission via JobRequest::matchmaking. `queue-rank` is the
-  /// historical ranking and stays bit-identical to the pre-policy broker.
+  /// historical ranking and stays bit-identical to the pre-policy broker;
+  /// `data-gravity` adds each CE's estimated stage-in cost from the
+  /// ReplicaCatalog to its rank.
   std::string matchmaking_policy = "queue-rank";
   /// ReplicaPolicy name governing where fresh replicas are registered and
   /// which copy stage-in probes first. `close-se` is the historical

@@ -89,11 +89,9 @@ Grid::Grid(sim::Simulator& simulator, GridConfig config)
   }
   for (const auto& [se_name, se] : storage_by_name_) storage_names_.push_back(se_name);
   broker_.set_default_matchmaking(config_.matchmaking_policy);
-  replica_policy_ = policy::PolicyRegistry::instance().make_replica(
-      config_.replica_policy.empty() ? policy::kDefaultReplica : config_.replica_policy);
-  replication_ = policy::PolicyRegistry::instance().make_replication(
-      config_.replication_policy.empty() ? policy::kDefaultReplication
-                                         : config_.replication_policy);
+  const policy::PolicyRegistry& policies = policy::PolicyRegistry::instance();
+  replica_policy_ = policies.make_replica(config_.replica_policy);
+  replication_ = policies.make_replication(config_.replication_policy);
   decentralized_ = replication_->decentralized_reads();
   if (config_.orchestrator_bandwidth_mbps > 0.0) {
     ui_link_ = std::make_unique<sim::Resource>(simulator, 1);
@@ -153,8 +151,7 @@ void Grid::start_attempt(const std::shared_ptr<PendingJob>& job) {
       ui_.release();
       ResourceBroker::StageInEstimator stage_in;
       if (catalog_ != nullptr && !job->request.input_refs.empty() &&
-          (config_.data_aware_matchmaking ||
-           broker_.policy_wants_stage_in(job->request.matchmaking))) {
+          broker_.policy_wants_stage_in(job->request.matchmaking)) {
         stage_in = [this, job](const ComputingElement& ce) {
           return stage_in_estimate_seconds(job->request, ce.name());
         };

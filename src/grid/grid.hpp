@@ -72,11 +72,11 @@ class Grid {
   /// Attach (or detach, with nullptr) the replica catalog that turns the
   /// data plane on: jobs with input_refs stage each file through the chosen
   /// CE's close StorageElement (remote replicas pay the penalty), successful
-  /// jobs register their inputs as fresh replicas there, and — with
-  /// GridConfig::data_aware_matchmaking — the broker ranks CEs by estimated
-  /// stage-in cost. Not owned. Without a catalog the grid behaves
-  /// bit-identically to the pre-data-plane code. Attaching also installs
-  /// the configured SE capacities and eviction policy on the catalog.
+  /// jobs register their inputs as fresh replicas there, and — under a
+  /// stage-in-aware matchmaking policy such as `data-gravity` — the broker
+  /// ranks CEs by estimated stage-in cost. Not owned. Without a catalog the
+  /// grid behaves bit-identically to the pre-data-plane code. Attaching also
+  /// installs the configured SE capacities and eviction policy on the catalog.
   void set_catalog(data::ReplicaCatalog* catalog);
   data::ReplicaCatalog* catalog() const { return catalog_; }
 

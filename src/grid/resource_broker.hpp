@@ -67,7 +67,6 @@ class ResourceBroker {
 
   /// Grid-level default matchmaking policy (validated against the registry).
   void set_default_matchmaking(const std::string& name);
-  const std::string& default_matchmaking() const { return default_matchmaking_; }
 
   /// Whether the named policy (empty = default) ranks on stage-in estimates.
   bool policy_wants_stage_in(const std::string& name);

@@ -7,8 +7,8 @@
 namespace moteur::obs {
 
 /// One structured notification from an enactment run — the event stream
-/// every observability consumer (span recorder, metrics, the legacy
-/// ProgressEvent listener) subscribes to. Events fire synchronously on the
+/// every observability consumer (span recorder, metrics, progress
+/// monitors) subscribes to. Events fire synchronously on the
 /// thread driving the backend, in strictly serialized order, with monotone
 /// `time` and running totals.
 ///
@@ -81,7 +81,7 @@ struct RunEvent {
   double megabytes = 0.0;
   std::string trigger;  // "match" (broker push) or "fanout" (background)
 
-  // Running totals, mirrored into ProgressEvent for the legacy listener.
+  // Running totals at emission time.
   std::size_t total_invocations = 0;
   std::size_t total_submissions = 0;
   std::size_t tuples_in_flight = 0;

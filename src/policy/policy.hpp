@@ -25,7 +25,7 @@ class MatchmakingPolicy {
   virtual const std::string& name() const = 0;
 
   /// True when the policy ranks on stage-in estimates, so the grid builds an
-  /// estimator for it even without the global data-aware matchmaking flag.
+  /// estimator for it (only then do candidates carry stage-in seconds).
   virtual bool wants_stage_in() const { return false; }
 
   /// Pick the index of the winning candidate (candidates is never empty).

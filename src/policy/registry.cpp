@@ -49,8 +49,7 @@ class QueueRankPolicy : public MatchmakingPolicy {
 };
 
 /// Same combined ranking as queue-rank, but self-activates the stage-in
-/// estimator: the data-aware matchmaking previously gated behind
-/// GridConfig::data_aware_matchmaking, expressed as a selectable policy.
+/// estimator: data-aware matchmaking as a selectable policy.
 class DataGravityPolicy : public QueueRankPolicy {
  public:
   DataGravityPolicy() : QueueRankPolicy("data-gravity") {}
@@ -339,13 +338,30 @@ class LruEviction : public EvictionPolicy {
 
 // ---------------------------------------------------------------------------
 
-std::string known(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
+template <typename Factories>
+std::vector<std::string> names_of(const Factories& factories) {
+  std::vector<std::string> names;
+  names.reserve(factories.size());
+  for (const auto& [name, factory] : factories) names.push_back(name);
+  return names;
+}
+
+/// The factory registered under `name`, or a ParseError that starts with
+/// `label`, names the policy kind and lists the known names.
+template <typename Factories>
+const typename Factories::mapped_type& factory_of(const Factories& factories,
+                                                  const std::string& name,
+                                                  const std::string& label, const char* kind) {
+  const auto it = factories.find(name);
+  if (it == factories.end()) {
+    std::string known;
+    for (const auto& [known_name, factory] : factories) {
+      known += (known.empty() ? "" : ", ") + known_name;
+    }
+    throw ParseError(label + "unknown " + kind + " policy '" + name + "' (known: " + known +
+                     ")");
   }
-  return out;
+  return it->second;
 }
 
 }  // namespace
@@ -426,105 +442,43 @@ void PolicyRegistry::register_eviction(const std::string& name,
   eviction_[name] = std::move(factory);
 }
 
-std::unique_ptr<MatchmakingPolicy> PolicyRegistry::make_matchmaking(
-    const std::string& name, const Rng& base) const {
-  const auto it = matchmaking_.find(name);
-  MOTEUR_REQUIRE(it != matchmaking_.end(), ParseError,
-                 "unknown matchmaking policy '" + name +
-                     "' (known: " + known(matchmaking_names()) + ")");
-  return it->second(base);
+std::unique_ptr<MatchmakingPolicy> PolicyRegistry::make_matchmaking(const std::string& name,
+                                                                   const Rng& base) const {
+  return factory_of(matchmaking_, name, "", "matchmaking")(base);
 }
 
 std::unique_ptr<PlacementPolicy> PolicyRegistry::make_placement(
     const std::string& name) const {
-  const auto it = placement_.find(name);
-  MOTEUR_REQUIRE(it != placement_.end(), ParseError,
-                 "unknown placement policy '" + name +
-                     "' (known: " + known(placement_names()) + ")");
-  return it->second();
+  return factory_of(placement_, name, "", "placement")();
 }
 
-std::unique_ptr<ReplicaPolicy> PolicyRegistry::make_replica(
-    const std::string& name) const {
-  const auto it = replica_.find(name);
-  MOTEUR_REQUIRE(it != replica_.end(), ParseError,
-                 "unknown replica policy '" + name +
-                     "' (known: " + known(replica_names()) + ")");
-  return it->second();
+std::unique_ptr<ReplicaPolicy> PolicyRegistry::make_replica(const std::string& name) const {
+  return factory_of(replica_, name, "", "replica")();
 }
 
 std::unique_ptr<AdmissionPolicy> PolicyRegistry::make_admission(
     const std::string& name) const {
-  const auto it = admission_.find(name);
-  MOTEUR_REQUIRE(it != admission_.end(), ParseError,
-                 "unknown admission policy '" + name +
-                     "' (known: " + known(admission_names()) + ")");
-  return it->second();
+  return factory_of(admission_, name, "", "admission")();
 }
 
 std::unique_ptr<ReplicationPolicy> PolicyRegistry::make_replication(
     const std::string& name) const {
-  const auto it = replication_.find(name);
-  MOTEUR_REQUIRE(it != replication_.end(), ParseError,
-                 "unknown replication policy '" + name +
-                     "' (known: " + known(replication_names()) + ")");
-  return it->second();
+  return factory_of(replication_, name, "", "replication")();
 }
 
-std::unique_ptr<EvictionPolicy> PolicyRegistry::make_eviction(
-    const std::string& name) const {
-  const auto it = eviction_.find(name);
-  MOTEUR_REQUIRE(it != eviction_.end(), ParseError,
-                 "unknown eviction policy '" + name +
-                     "' (known: " + known(eviction_names()) + ")");
-  return it->second();
+std::unique_ptr<EvictionPolicy> PolicyRegistry::make_eviction(const std::string& name) const {
+  return factory_of(eviction_, name, "", "eviction")();
 }
 
 const std::string& PolicyRegistry::check_matchmaking(const std::string& name,
                                                      const std::string& flag) const {
-  MOTEUR_REQUIRE(matchmaking_.count(name) != 0, ParseError,
-                 flag + " names unknown matchmaking policy '" + name +
-                     "' (known: " + known(matchmaking_names()) + ")");
-  return name;
-}
-
-const std::string& PolicyRegistry::check_placement(const std::string& name,
-                                                   const std::string& flag) const {
-  MOTEUR_REQUIRE(placement_.count(name) != 0, ParseError,
-                 flag + " names unknown placement policy '" + name +
-                     "' (known: " + known(placement_names()) + ")");
-  return name;
-}
-
-const std::string& PolicyRegistry::check_replica(const std::string& name,
-                                                 const std::string& flag) const {
-  MOTEUR_REQUIRE(replica_.count(name) != 0, ParseError,
-                 flag + " names unknown replica policy '" + name +
-                     "' (known: " + known(replica_names()) + ")");
-  return name;
-}
-
-const std::string& PolicyRegistry::check_admission(const std::string& name,
-                                                   const std::string& flag) const {
-  MOTEUR_REQUIRE(admission_.count(name) != 0, ParseError,
-                 flag + " names unknown admission policy '" + name +
-                     "' (known: " + known(admission_names()) + ")");
-  return name;
-}
-
-const std::string& PolicyRegistry::check_replication(const std::string& name,
-                                                     const std::string& flag) const {
-  MOTEUR_REQUIRE(replication_.count(name) != 0, ParseError,
-                 flag + " names unknown replication policy '" + name +
-                     "' (known: " + known(replication_names()) + ")");
+  factory_of(matchmaking_, name, flag + " names ", "matchmaking");
   return name;
 }
 
 const std::string& PolicyRegistry::check_eviction(const std::string& name,
                                                   const std::string& flag) const {
-  MOTEUR_REQUIRE(eviction_.count(name) != 0, ParseError,
-                 flag + " names unknown eviction policy '" + name +
-                     "' (known: " + known(eviction_names()) + ")");
+  factory_of(eviction_, name, flag + " names ", "eviction");
   return name;
 }
 
@@ -533,50 +487,28 @@ bool PolicyRegistry::matchmaking_wants_stage_in(const std::string& name) const {
   return make_matchmaking(name, probe)->wants_stage_in();
 }
 
-bool PolicyRegistry::replication_is_decentralized(const std::string& name) const {
-  return make_replication(name)->decentralized_reads();
-}
-
 std::vector<std::string> PolicyRegistry::matchmaking_names() const {
-  std::vector<std::string> names;
-  names.reserve(matchmaking_.size());
-  for (const auto& [name, factory] : matchmaking_) names.push_back(name);
-  return names;
+  return names_of(matchmaking_);
 }
 
 std::vector<std::string> PolicyRegistry::placement_names() const {
-  std::vector<std::string> names;
-  names.reserve(placement_.size());
-  for (const auto& [name, factory] : placement_) names.push_back(name);
-  return names;
+  return names_of(placement_);
 }
 
 std::vector<std::string> PolicyRegistry::replica_names() const {
-  std::vector<std::string> names;
-  names.reserve(replica_.size());
-  for (const auto& [name, factory] : replica_) names.push_back(name);
-  return names;
+  return names_of(replica_);
 }
 
 std::vector<std::string> PolicyRegistry::admission_names() const {
-  std::vector<std::string> names;
-  names.reserve(admission_.size());
-  for (const auto& [name, factory] : admission_) names.push_back(name);
-  return names;
+  return names_of(admission_);
 }
 
 std::vector<std::string> PolicyRegistry::replication_names() const {
-  std::vector<std::string> names;
-  names.reserve(replication_.size());
-  for (const auto& [name, factory] : replication_) names.push_back(name);
-  return names;
+  return names_of(replication_);
 }
 
 std::vector<std::string> PolicyRegistry::eviction_names() const {
-  std::vector<std::string> names;
-  names.reserve(eviction_.size());
-  for (const auto& [name, factory] : eviction_) names.push_back(name);
-  return names;
+  return names_of(eviction_);
 }
 
 }  // namespace moteur::policy

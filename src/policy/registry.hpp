@@ -50,20 +50,8 @@ class PolicyRegistry {
   /// labels the error ("--matchmaking", "policy matchmaking attribute", ...).
   const std::string& check_matchmaking(const std::string& name,
                                        const std::string& flag) const;
-  const std::string& check_placement(const std::string& name,
-                                     const std::string& flag) const;
-  const std::string& check_replica(const std::string& name,
-                                   const std::string& flag) const;
-  const std::string& check_admission(const std::string& name,
-                                     const std::string& flag) const;
-  const std::string& check_replication(const std::string& name,
-                                       const std::string& flag) const;
   const std::string& check_eviction(const std::string& name,
                                     const std::string& flag) const;
-
-  /// Whether the named replication policy routes remote reads SE→SE (so
-  /// callers know to bring up the data plane before enactment).
-  bool replication_is_decentralized(const std::string& name) const;
 
   /// Whether the named matchmaking policy ranks on stage-in estimates (so
   /// callers know to bring up the data plane before enactment).

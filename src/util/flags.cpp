@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -10,13 +11,27 @@ namespace moteur {
 
 namespace {
 
+/// Finite reals only: strtod also reads "nan" and "inf", which would slip
+/// through every range check below.
 bool to_double(const std::string& text, double& out) {
   const std::string trimmed = trim(text);
   if (trimmed.empty()) return false;
   errno = 0;
   char* end = nullptr;
   out = std::strtod(trimmed.c_str(), &end);
-  return errno == 0 && end == trimmed.c_str() + trimmed.size();
+  return errno == 0 && end == trimmed.c_str() + trimmed.size() && std::isfinite(out);
+}
+
+/// `text` as a finite real that `in_range` accepts, or a ParseError saying
+/// what `flag` must be.
+template <typename InRange>
+double real(const std::string& text, const std::string& flag, InRange in_range,
+            const char* what) {
+  double value = 0.0;
+  if (!to_double(text, value) || !in_range(value)) {
+    throw ParseError(flag + " must be " + what + " (got '" + text + "')");
+  }
+  return value;
 }
 
 bool to_count(const std::string& text, std::size_t& out) {
@@ -49,36 +64,33 @@ std::size_t parse_count(const std::string& text, const std::string& flag) {
 }
 
 double parse_nonnegative_real(const std::string& text, const std::string& flag) {
-  double value = 0.0;
-  if (!to_double(text, value) || value < 0.0) {
-    throw ParseError(flag + " must be a non-negative number (got '" + text + "')");
-  }
-  return value;
+  return real(text, flag, [](double v) { return v >= 0.0; }, "a non-negative number");
 }
 
 double parse_probability(const std::string& text, const std::string& flag) {
-  double value = 0.0;
-  if (!to_double(text, value) || value < 0.0 || value > 1.0) {
-    throw ParseError(flag + " must be a probability in [0, 1] (got '" + text + "')");
-  }
-  return value;
+  return real(text, flag, [](double v) { return v >= 0.0 && v <= 1.0; },
+              "a probability in [0, 1]");
+}
+
+double parse_fraction(const std::string& text, const std::string& flag) {
+  return real(text, flag, [](double v) { return v > 0.0 && v <= 1.0; },
+              "a fraction in (0, 1]");
+}
+
+bool parse_bool(const std::string& text, const std::string& flag) {
+  const std::string trimmed = trim(text);
+  if (trimmed == "true" || trimmed == "1") return true;
+  if (trimmed == "false" || trimmed == "0") return false;
+  throw ParseError(flag + " must be true or false (got '" + text + "')");
 }
 
 double parse_positive_seconds(const std::string& text, const std::string& flag) {
-  double value = 0.0;
-  if (!to_double(text, value) || value <= 0.0) {
-    throw ParseError(flag + " must be a positive number of seconds (got '" + text + "')");
-  }
-  return value;
+  return real(text, flag, [](double v) { return v > 0.0; }, "a positive number of seconds");
 }
 
 double parse_nonnegative_seconds(const std::string& text, const std::string& flag) {
-  double value = 0.0;
-  if (!to_double(text, value) || value < 0.0) {
-    throw ParseError(flag + " must be a non-negative number of seconds (got '" + text +
-                     "')");
-  }
-  return value;
+  return real(text, flag, [](double v) { return v >= 0.0; },
+              "a non-negative number of seconds");
 }
 
 std::vector<SeOutageSpec> parse_se_outages(const std::string& text,

@@ -6,16 +6,23 @@
 
 namespace moteur {
 
-// Validated parsing for CLI flag values. Every parser names the offending
-// flag in its ParseError so the CLI surfaces "--retries must be a positive
-// integer (got 'x')" instead of a bare std::stoul exception, and exits
-// non-zero through the normal error path.
+// Validated parsing for CLI flag and manifest attribute values. Every parser
+// names the offending flag in its ParseError so the CLI surfaces "--retries
+// must be a positive integer (got 'x')" instead of a bare std::stoul
+// exception, and exits non-zero through the normal error path. Real-valued
+// parsers refuse non-finite input ("nan", "inf").
 
 /// Strictly positive integer (counts: --retries, --shards, --runs, ...).
 std::size_t parse_positive_count(const std::string& text, const std::string& flag);
 
 /// Probability in [0, 1] (--inject-failures, --se-loss, ...).
 double parse_probability(const std::string& text, const std::string& flag);
+
+/// Fraction in (0, 1] (--overhead-fraction).
+double parse_fraction(const std::string& text, const std::string& flag);
+
+/// "true" / "false" (also "1" / "0").
+bool parse_bool(const std::string& text, const std::string& flag);
 
 /// Strictly positive seconds (--telemetry-interval).
 double parse_positive_seconds(const std::string& text, const std::string& flag);

@@ -82,16 +82,18 @@ TEST(Catalog, RejectsMalformedDocuments) {
 // ---------------------------------------------------------------------------
 
 TEST(PolicyXml, RoundTrip) {
-  enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp_jg();
-  policy.data_parallelism_cap = 8;
-  policy.batch_size = 4;
-  policy.adaptive_batching = true;
-  policy.overhead_fraction_target = 0.25;
-  policy.max_batch = 32;
+  enactor::RunManifest manifest;
+  manifest.workflow = app::bronze_standard_workflow();
+  manifest.inputs = app::bronze_standard_dataset(1);
+  manifest.policy = enactor::EnactmentPolicy::sp_dp_jg();
+  manifest.policy.data_parallelism_cap = 8;
+  manifest.policy.batch_size = 4;
+  manifest.policy.adaptive_batching = true;
+  manifest.policy.overhead_fraction_target = 0.25;
+  manifest.policy.max_batch = 32;
 
-  xml::Node node("policy");
-  enactor::write_policy(node, policy);
-  const enactor::EnactmentPolicy parsed = enactor::read_policy(node);
+  const enactor::EnactmentPolicy parsed =
+      enactor::RunManifest::from_xml(manifest.to_xml()).policy;
   EXPECT_EQ(parsed.name(), "SP+DP+JG");
   EXPECT_EQ(parsed.data_parallelism_cap, 8u);
   EXPECT_EQ(parsed.batch_size, 4u);

@@ -489,7 +489,7 @@ grid::GridConfig two_site_grid() {
 
 TEST(DataAwareGrid, RoutesJobNextToItsReplica) {
   auto config = two_site_grid();
-  config.data_aware_matchmaking = true;
+  config.matchmaking_policy = "data-gravity";
   sim::Simulator sim;
   grid::Grid grid(sim, config);
   data::ReplicaCatalog catalog;
@@ -518,7 +518,7 @@ TEST(DataAwareGrid, RoutesJobNextToItsReplica) {
 
 TEST(DataAwareGrid, SuccessfulStageInRegistersAReplicaAtTheCloseSe) {
   auto config = two_site_grid();
-  config.data_aware_matchmaking = true;
+  config.matchmaking_policy = "data-gravity";
   sim::Simulator sim;
   grid::Grid grid(sim, config);
   data::ReplicaCatalog catalog;

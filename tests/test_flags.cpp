@@ -45,7 +45,7 @@ TEST(Flags, ProbabilityAcceptsTheClosedUnitInterval) {
 }
 
 TEST(Flags, ProbabilityRejectsOutOfRangeAndGarbage) {
-  for (const char* bad : {"-0.1", "1.5", "nope", "", "0.5x"}) {
+  for (const char* bad : {"-0.1", "1.5", "nope", "", "0.5x", "nan", "inf", "-inf"}) {
     const std::string what =
         parse_error_of([&] { parse_probability(bad, "--se-corrupt"); });
     EXPECT_NE(what.find("--se-corrupt"), std::string::npos) << bad;
@@ -55,13 +55,38 @@ TEST(Flags, ProbabilityRejectsOutOfRangeAndGarbage) {
 TEST(Flags, SecondsParsersEnforceTheirBounds) {
   EXPECT_DOUBLE_EQ(parse_positive_seconds("2.5", "--telemetry-interval"), 2.5);
   EXPECT_DOUBLE_EQ(parse_nonnegative_seconds("0", "--start"), 0.0);
-  for (const char* bad : {"0", "-3", "x", ""}) {
+  for (const char* bad : {"0", "-3", "x", "", "nan", "inf", "-inf"}) {
     const std::string what = parse_error_of(
         [&] { parse_positive_seconds(bad, "--telemetry-interval"); });
     EXPECT_NE(what.find("--telemetry-interval"), std::string::npos) << bad;
   }
-  for (const char* bad : {"-1", "y", ""}) {
+  for (const char* bad : {"-1", "y", "", "nan", "inf", "-inf"}) {
     EXPECT_THROW(parse_nonnegative_seconds(bad, "--start"), ParseError) << bad;
+  }
+}
+
+TEST(Flags, RealsAndFractionsRejectNonFiniteAndOutOfRange) {
+  EXPECT_DOUBLE_EQ(parse_nonnegative_real("4e-7", "--retry-timeout"), 4e-7);
+  EXPECT_DOUBLE_EQ(parse_fraction("1", "--overhead-fraction"), 1.0);
+  for (const char* bad : {"-1", "z", "", "nan", "inf", "-inf", "NaN", "INFINITY"}) {
+    const std::string what =
+        parse_error_of([&] { parse_nonnegative_real(bad, "--retry-timeout"); });
+    EXPECT_NE(what.find("--retry-timeout"), std::string::npos) << bad;
+    EXPECT_NE(what.find(bad), std::string::npos) << bad;
+  }
+  for (const char* bad : {"0", "1.5", "-0.5", "nan", "inf", "-inf"}) {
+    EXPECT_THROW(parse_fraction(bad, "--overhead-fraction"), ParseError) << bad;
+  }
+}
+
+TEST(Flags, BooleansAreTrueOrFalse) {
+  EXPECT_TRUE(parse_bool("true", "cache"));
+  EXPECT_TRUE(parse_bool("1", "cache"));
+  EXPECT_FALSE(parse_bool("false", "cache"));
+  EXPECT_FALSE(parse_bool(" 0 ", "cache"));
+  for (const char* bad : {"yes", "TRUE", "", "2"}) {
+    const std::string what = parse_error_of([&] { parse_bool(bad, "cache"); });
+    EXPECT_NE(what.find("cache"), std::string::npos) << bad;
   }
 }
 

@@ -400,27 +400,26 @@ TEST(RunRecorder, MetricsSnapshotCarriesPerCeHistograms) {
 }
 
 TEST(RunRecorder, EventStreamAndListenerAgree) {
-  // The legacy ProgressEvent listener is one subscriber of the same stream:
-  // its counts must line up with the recorder's metrics from the same run.
+  // A plain subscriber sees the same stream the recorder does: its counts
+  // must line up with the recorder's metrics from the same run.
   ObservedRig rig(/*failure_probability=*/0.3);
   enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
   policy.retry = enactor::RetryPolicy::resubmit(6);
 
-  std::map<enactor::ProgressEvent::Kind, std::size_t> counts;
+  std::map<RunEvent::Kind, std::size_t> counts;
   enactor::Enactor moteur(rig.backend, rig.registry, policy);
   moteur.set_recorder(&rig.recorder);
-  moteur.add_event_subscriber(enactor::progress_subscriber(
-      [&counts](const enactor::ProgressEvent& e) { ++counts[e.kind]; }));
+  moteur.add_event_subscriber([&counts](const RunEvent& e) { ++counts[e.kind]; });
   const auto result =
       moteur.run({.workflow = workflow::make_chain(2), .inputs = items(12)});
   ASSERT_EQ(result.failures(), 0u);
 
   EXPECT_DOUBLE_EQ(rig.counter("moteur_submissions_total"),
-                   counts[enactor::ProgressEvent::Kind::kSubmitted]);
+                   counts[RunEvent::Kind::kAttemptStarted]);
   EXPECT_DOUBLE_EQ(rig.counter("moteur_retries_total"),
-                   counts[enactor::ProgressEvent::Kind::kRetried]);
+                   counts[RunEvent::Kind::kRetryScheduled]);
   EXPECT_DOUBLE_EQ(rig.counter("moteur_invocations_total"),
-                   counts[enactor::ProgressEvent::Kind::kCompleted]);
+                   counts[RunEvent::Kind::kInvocationCompleted]);
 }
 
 // ---------------------------------------------------------------------------

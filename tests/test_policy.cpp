@@ -62,9 +62,9 @@ TEST(PolicyRegistry, CheckRejectsUnknownNamesWithTheFlagLabel) {
     EXPECT_NE(what.find("--matchmaking"), std::string::npos) << what;
     EXPECT_NE(what.find("queue-rank"), std::string::npos) << what;
   }
-  EXPECT_THROW(reg.check_placement("bogus", "--placement"), ParseError);
-  EXPECT_THROW(reg.check_replica("bogus", "--replica-policy"), ParseError);
-  EXPECT_THROW(reg.check_admission("bogus", "--admission-policy"), ParseError);
+  EXPECT_THROW(reg.make_placement("bogus"), ParseError);
+  EXPECT_THROW(reg.make_replica("bogus"), ParseError);
+  EXPECT_THROW(reg.make_admission("bogus"), ParseError);
   EXPECT_THROW(reg.make_matchmaking("bogus", Rng(1)), ParseError);
 }
 
@@ -95,8 +95,7 @@ TEST(MatchmakingPolicies, QueueRankPicksTheLowestRank) {
   const std::vector<policy::CeCandidate> pool = {
       {"ce-a", 30.0, 0.0}, {"ce-b", 10.0, 0.0}, {"ce-c", 20.0, 0.0}};
   EXPECT_EQ(policy->choose(pool, tie), 1u);
-  // With estimates present it sums them — the historical --data-aware path
-  // goes through the very same policy.
+  // With estimates present it sums them — the ranking data-gravity reuses.
   Rng tie2 = base.fork("ties");
   EXPECT_EQ(policy->choose(candidates(), tie2), 2u);  // ce-c: 20 + 1
 }
@@ -207,13 +206,17 @@ TEST(PolicyManifest, RoundTripsTheFourPolicyNames) {
   enactor::RunManifest manifest = bronze_manifest();
   manifest.policy.matchmaking = "data-gravity";
   manifest.policy.placement = "spread";
-  manifest.policy.replica_policy = "broadcast";
+  manifest.replica_policy = "broadcast";
   manifest.policy.admission = "round-robin";
   const auto parsed = enactor::RunManifest::from_xml(manifest.to_xml());
   EXPECT_EQ(parsed.policy.matchmaking, "data-gravity");
   EXPECT_EQ(parsed.policy.placement, "spread");
-  EXPECT_EQ(parsed.policy.replica_policy, "broadcast");
+  EXPECT_EQ(parsed.replica_policy, "broadcast");
   EXPECT_EQ(parsed.policy.admission, "round-robin");
+  // The grid-wide names reach the grid configuration with the matchmaking.
+  const grid::GridConfig config = parsed.make_grid_config();
+  EXPECT_EQ(config.matchmaking_policy, "data-gravity");
+  EXPECT_EQ(config.replica_policy, "broadcast");
 }
 
 TEST(PolicyManifest, OmitsAttributesWhenUnsetAndRejectsUnknownNames) {
@@ -245,20 +248,13 @@ RunArtifacts enact(const enactor::RunManifest& manifest) {
   services::load_catalog(read_file(std::string(kDataDir) + "/bronze_services.xml"),
                          registry);
   sim::Simulator simulator;
-  grid::GridConfig grid_config = manifest.make_grid_config();
-  if (!manifest.policy.matchmaking.empty()) {
-    grid_config.matchmaking_policy = manifest.policy.matchmaking;
-  }
-  if (!manifest.policy.replica_policy.empty()) {
-    grid_config.replica_policy = manifest.policy.replica_policy;
-  }
-  const bool stage_in =
-      !manifest.policy.matchmaking.empty() &&
-      PolicyRegistry::instance().matchmaking_wants_stage_in(manifest.policy.matchmaking);
+  const grid::GridConfig grid_config = manifest.make_grid_config();
   grid::Grid grid(simulator, grid_config);
   enactor::SimGridBackend backend(grid);
   data::ReplicaCatalog catalog;
-  if (stage_in) backend.set_catalog(&catalog);
+  if (enactor::needs_replica_catalog(grid_config, manifest.policy)) {
+    backend.set_catalog(&catalog);
+  }
   enactor::Enactor moteur(backend, registry, manifest.policy);
   enactor::RunRequest request;
   request.workflow = manifest.workflow;

@@ -1,6 +1,7 @@
-// Progress-listener API: every invocation produces a Submitted and a
-// Completed/Failed event, every service a ProcessorFinished, counters are
-// monotone, and the listener never changes the run's outcome.
+// Progress monitoring through the event stream: every attempt produces an
+// AttemptStarted and every invocation an InvocationCompleted/Failed, every
+// service a ProcessorFinished, counters are monotone, and a subscriber never
+// changes the run's outcome.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -16,6 +17,8 @@
 
 namespace moteur::enactor {
 namespace {
+
+using Kind = obs::RunEvent::Kind;
 
 data::InputDataSet items(std::size_t count) {
   data::InputDataSet ds;
@@ -33,21 +36,20 @@ TEST(Progress, EventsCoverTheWholeRun) {
                                                   {"out"}, services::JobProfile{5.0}));
   }
 
-  std::vector<ProgressEvent> events;
+  std::vector<obs::RunEvent> events;
   Enactor moteur(backend, registry, EnactmentPolicy::sp_dp());
-  moteur.add_event_subscriber(enactor::progress_subscriber(
-      [&events](const ProgressEvent& e) { events.push_back(e); }));
+  moteur.add_event_subscriber([&events](const obs::RunEvent& e) { events.push_back(e); });
   const auto result =
       moteur.run({.workflow = workflow::make_chain(2), .inputs = items(4)});
 
-  std::map<ProgressEvent::Kind, std::size_t> counts;
+  std::map<Kind, std::size_t> counts;
   std::size_t tuples_submitted = 0, tuples_completed = 0;
   double last_time = 0.0;
   std::size_t last_invocations = 0, last_submissions = 0;
   for (const auto& e : events) {
     ++counts[e.kind];
-    if (e.kind == ProgressEvent::Kind::kSubmitted) tuples_submitted += e.tuples;
-    if (e.kind == ProgressEvent::Kind::kCompleted) tuples_completed += e.tuples;
+    if (e.kind == Kind::kAttemptStarted) tuples_submitted += e.tuples;
+    if (e.kind == Kind::kInvocationCompleted) tuples_completed += e.tuples;
     EXPECT_GE(e.time, last_time);  // event times are monotone
     last_time = e.time;
     EXPECT_GE(e.total_invocations, last_invocations);  // counters are monotone
@@ -55,21 +57,21 @@ TEST(Progress, EventsCoverTheWholeRun) {
     EXPECT_GE(e.total_submissions, last_submissions);
     last_submissions = e.total_submissions;
   }
-  EXPECT_EQ(counts[ProgressEvent::Kind::kSubmitted], result.submissions());
-  EXPECT_EQ(counts[ProgressEvent::Kind::kCompleted], result.submissions());
-  EXPECT_EQ(counts[ProgressEvent::Kind::kFailed], 0u);
-  EXPECT_EQ(counts[ProgressEvent::Kind::kProcessorFinished], 2u);
+  EXPECT_EQ(counts[Kind::kAttemptStarted], result.submissions());
+  EXPECT_EQ(counts[Kind::kInvocationCompleted], result.submissions());
+  EXPECT_EQ(counts[Kind::kInvocationFailed], 0u);
+  EXPECT_EQ(counts[Kind::kProcessorFinished], 2u);
   EXPECT_EQ(tuples_submitted, 8u);
   EXPECT_EQ(tuples_completed, 8u);
 }
 
 TEST(Progress, KindNamesAreStable) {
-  EXPECT_STREQ(kind_name(ProgressEvent::Kind::kSubmitted), "Submitted");
-  EXPECT_STREQ(kind_name(ProgressEvent::Kind::kCompleted), "Completed");
-  EXPECT_STREQ(kind_name(ProgressEvent::Kind::kFailed), "Failed");
-  EXPECT_STREQ(kind_name(ProgressEvent::Kind::kRetried), "Retried");
-  EXPECT_STREQ(kind_name(ProgressEvent::Kind::kTimedOut), "TimedOut");
-  EXPECT_STREQ(kind_name(ProgressEvent::Kind::kProcessorFinished), "ProcessorFinished");
+  EXPECT_STREQ(obs::to_string(Kind::kAttemptStarted), "AttemptStarted");
+  EXPECT_STREQ(obs::to_string(Kind::kInvocationCompleted), "InvocationCompleted");
+  EXPECT_STREQ(obs::to_string(Kind::kInvocationFailed), "InvocationFailed");
+  EXPECT_STREQ(obs::to_string(Kind::kRetryScheduled), "RetryScheduled");
+  EXPECT_STREQ(obs::to_string(Kind::kWatchdogFired), "WatchdogFired");
+  EXPECT_STREQ(obs::to_string(Kind::kProcessorFinished), "ProcessorFinished");
 }
 
 TEST(Progress, FailureEventsFire) {
@@ -85,10 +87,9 @@ TEST(Progress, FailureEventsFire) {
                                                 services::JobProfile{5.0}));
   std::size_t failed_events = 0;
   Enactor moteur(backend, registry, EnactmentPolicy::sp_dp());
-  moteur.add_event_subscriber(
-      enactor::progress_subscriber([&failed_events](const ProgressEvent& e) {
-        if (e.kind == ProgressEvent::Kind::kFailed) ++failed_events;
-      }));
+  moteur.add_event_subscriber([&failed_events](const obs::RunEvent& e) {
+    if (e.kind == Kind::kInvocationFailed) ++failed_events;
+  });
   const auto result =
       moteur.run({.workflow = workflow::make_chain(1), .inputs = items(3)});
   EXPECT_EQ(result.failures(), 3u);
@@ -104,9 +105,7 @@ TEST(Progress, NoListenerMeansNoOverheadOrChange) {
     registry.add(services::make_simulated_service("P0", {"in"}, {"out"},
                                                   services::JobProfile{5.0}));
     Enactor moteur(backend, registry, EnactmentPolicy::sp_dp());
-    if (with_listener) {
-      moteur.add_event_subscriber(enactor::progress_subscriber([](const ProgressEvent&) {}));
-    }
+    if (with_listener) moteur.add_event_subscriber([](const obs::RunEvent&) {});
     return moteur.run({.workflow = workflow::make_chain(1), .inputs = items(5)})
         .makespan();
   };

@@ -318,18 +318,18 @@ TEST(Retry, ProgressEventsCarryAttemptNumbers) {
   policy.retry = RetryPolicy::resubmit(5);
 
   Enactor enactor(rig.backend, rig.registry, policy);
-  std::map<ProgressEvent::Kind, std::size_t> counts;
+  std::map<obs::RunEvent::Kind, std::size_t> counts;
   std::size_t max_attempt = 0;
-  enactor.add_event_subscriber(progress_subscriber([&](const ProgressEvent& event) {
+  enactor.add_event_subscriber([&](const obs::RunEvent& event) {
     ++counts[event.kind];
     max_attempt = std::max(max_attempt, event.attempt);
-  }));
+  });
   const auto result = enactor.run({.workflow = chain2(), .inputs = items("src", kItems)});
 
   EXPECT_EQ(result.failures(), 0u);
-  EXPECT_EQ(counts[ProgressEvent::Kind::kSubmitted], result.submissions());
-  EXPECT_EQ(counts[ProgressEvent::Kind::kRetried], result.retries());
-  EXPECT_EQ(counts[ProgressEvent::Kind::kTimedOut], result.timeouts());
+  EXPECT_EQ(counts[obs::RunEvent::Kind::kAttemptStarted], result.submissions());
+  EXPECT_EQ(counts[obs::RunEvent::Kind::kRetryScheduled], result.retries());
+  EXPECT_EQ(counts[obs::RunEvent::Kind::kWatchdogFired], result.timeouts());
   EXPECT_GT(result.retries(), 0u);
   EXPECT_GT(max_attempt, 1u);  // some event observed a resubmission
 }

@@ -217,10 +217,9 @@ TEST(ReplicaEviction, UnboundedSeNeverEvicts) {
 
 TEST(PolicyRegistryTransfer, UnknownNamesAreRejectedWithTheKnownList) {
   const policy::PolicyRegistry& registry = policy::PolicyRegistry::instance();
-  EXPECT_THROW(registry.check_replication("gossip", "--replication-policy"),
-               ParseError);
+  EXPECT_THROW(registry.make_replication("gossip"), ParseError);
   EXPECT_THROW(registry.check_eviction("random", "--eviction-policy"), ParseError);
-  EXPECT_EQ(registry.check_replication("push-to-consumer", "x"), "push-to-consumer");
+  EXPECT_NE(registry.make_replication("push-to-consumer"), nullptr);
   EXPECT_EQ(registry.check_eviction("pin-sources", "x"), "pin-sources");
   EXPECT_NE(registry.make_replication("fanout-k"), nullptr);
   EXPECT_NE(registry.make_eviction("lru"), nullptr);

@@ -1,21 +1,24 @@
 // moteur_cli — drive the MOTEUR enactor from XML documents, no code needed.
 //
-//   moteur_cli run --workflow wf.xml --data ds.xml --services catalog.xml
-//              [--policy SP+DP] [--grid egee2006|cluster|constant]
-//              [--seed N] [--overhead SECONDS] [--batch K] [--adaptive]
-//              [--provenance out.xml] [--trace] [--diagram SECONDS_PER_COL]
+//   moteur_cli run --workflow wf.xml --data ds.xml --services catalog.xml [...]
 //   moteur_cli run --manifest run.xml [--services catalog.xml] [...]
-//   moteur_cli save-manifest --workflow wf.xml --data ds.xml [--policy ...]
-//              --out run.xml
+//   moteur_cli save-manifest --workflow wf.xml --data ds.xml [...] --out run.xml
 //   moteur_cli validate --workflow wf.xml        structural + static analysis
 //   moteur_cli model --nw N --nd M [--t SECONDS]  §3.5 predictions
+//   moteur_cli export-bronze --dir DIR [--pairs N]
+//
+// Run it without arguments for every flag. The run options — the knobs a run
+// manifest records — come from the run-option table (enactor/options.hpp);
+// each command declares its other flags in commands(). An undeclared flag is
+// a usage error. --runs, --manifests and the telemetry flags enact through a
+// RunService on one shared grid; per-run outputs then get a .run<K> suffix.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on run failures.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -30,6 +33,7 @@
 #include "enactor/diagram.hpp"
 #include "enactor/enactor.hpp"
 #include "enactor/manifest.hpp"
+#include "enactor/options.hpp"
 #include "enactor/sim_backend.hpp"
 #include "enactor/timeline_csv.hpp"
 #include "grid/grid.hpp"
@@ -54,51 +58,61 @@ namespace {
 
 using namespace moteur;
 
+class Args;
+
+/// A flag outside the run-option table; a null `value` marks a switch.
+struct Flag {
+  const char* name;
+  const char* value;
+};
+
+/// One subcommand: its own flags, and whether it also takes the run options.
+struct Command {
+  const char* name;
+  bool run_options;
+  std::vector<Flag> flags;
+  int (*run)(const Args&);
+};
+
+const std::vector<Command>& commands();
+
+bool is_switch(const enactor::RunOption& option) {
+  return option.type == enactor::RunOption::Type::kSwitch;
+}
+
+/// Print every command and flag, or just `message` and a pointer to them.
 [[noreturn]] void usage(const std::string& message = "") {
-  if (!message.empty()) std::fprintf(stderr, "error: %s\n\n", message.c_str());
-  std::fputs(
-      "usage:\n"
-      "  moteur_cli run --workflow WF.xml --data DS.xml --services CAT.xml\n"
-      "             [--policy NOP|JG|SP|DP|SP+DP|SP+DP+JG] [--grid PRESET]\n"
-      "             [--seed N] [--overhead S] [--batch K] [--adaptive]\n"
-      "             [--retries N] [--retry-timeout MULT] [--retry-backoff S]\n"
-      "             [--inject-failures P] [--inject-stuck P] [--grid-attempts N]\n"
-      "             [--se-outage SE:START:DUR[,...]] [--se-loss P] [--se-corrupt P]\n"
-      "             [--no-recovery] [--recovery-depth N]\n"
-      "             [--failure-policy failfast|continue] [--failure-report OUT.json]\n"
-      "             [--breaker-window N] [--breaker-threshold N] [--breaker-cooldown S]\n"
-      "             [--cache] [--data-aware] [--cache-stats-out STATS.json]\n"
-      "             [--matchmaking queue-rank|data-gravity|locality-first|k-choices]\n"
-      "             [--placement rematch|avoid-previous|spread]\n"
-      "             [--replica-policy close-se|broadcast]\n"
-      "             [--admission-policy weighted|round-robin]\n"
-      "             [--replication-policy none|push-to-consumer|fanout-k]\n"
-      "             [--orchestrator-bw MBPS] [--se-capacity MB]\n"
-      "             [--eviction-policy lru|pin-sources]\n"
-      "             [--provenance OUT.xml] [--csv OUT.csv] [--trace]\n"
-      "             [--diagram COLSECONDS] [--trace-out TRACE.json]\n"
-      "             [--metrics-out METRICS.prom] [--obs-summary]\n"
-      "  moteur_cli run --manifest RUN.xml [--services CAT.xml] [...]\n"
-      "  moteur_cli run ... [--runs N] [--manifests A.xml,B.xml,...]\n"
-      "             [--max-active N] [--max-inflight N]\n"
-      "             [--shards N] [--pin-policy hash|least-loaded]\n"
-      "             (multi-tenant: N copies and/or one run per listed manifest\n"
-      "              enacted concurrently on one shared grid; per-run outputs\n"
-      "              get a .run<K> suffix, e.g. out.csv -> out.run1.csv)\n"
-      "  moteur_cli run ... [--telemetry-out FRAMES.jsonl] [--telemetry-port P]\n"
-      "             [--telemetry-interval S] [--telemetry-linger S]\n"
-      "             [--flight-recorder PREFIX] [--critical-path OUT.json]\n"
-      "             (live telemetry: JSONL frames each interval, Prometheus\n"
-      "              scrape endpoint on 127.0.0.1:P (0 = ephemeral, the bound\n"
-      "              port is printed), flight-recorder dumps to\n"
-      "              PREFIX<run-id>.json on failure/cancellation, and a\n"
-      "              per-run critical-path report)\n"
-      "  moteur_cli save-manifest --workflow WF.xml --data DS.xml --out RUN.xml\n"
-      "             [--policy P] [--grid PRESET] [--seed N] [--overhead S]\n"
-      "  moteur_cli validate --workflow WF.xml\n"
-      "  moteur_cli model --nw N --nd M [--t SECONDS]\n"
-      "  moteur_cli export-bronze --dir DIR [--pairs N]\n",
-      stderr);
+  if (!message.empty()) {
+    std::fprintf(stderr, "error: %s\nrun moteur_cli without arguments for every flag\n",
+                 message.c_str());
+    std::exit(1);
+  }
+  std::string text = "usage:\n";
+  for (const Command& command : commands()) {
+    std::string line = "  moteur_cli " + std::string(command.name);
+    const auto add = [&](const std::string& item) {
+      if (line.size() + item.size() >= 80) {
+        text += line + "\n";
+        line = std::string(13, ' ');
+      }
+      line += " " + item;
+    };
+    for (const Flag& flag : command.flags) {
+      add(std::string("[--") + flag.name + (flag.value ? std::string(" ") + flag.value : "") +
+          "]");
+    }
+    if (command.run_options) add("[run options]");
+    text += line + "\n";
+  }
+  text += "\nrun options (each is also a run-manifest attribute, see docs/formats.md):\n";
+  for (const enactor::RunOption& option : enactor::run_options()) {
+    const char* value = std::array{" N", " X", "", " NAME"}[static_cast<int>(option.type)];
+    const std::string domain = !is_switch(option) ? " [" + option.domain + "]"
+                               : option.flag_sets ? ""
+                                                  : " (the flag turns it off)";
+    text += pad_right("  --" + option.flag + value, 28) + option.help + domain + "\n";
+  }
+  std::fputs(text.c_str(), stderr);
   std::exit(1);
 }
 
@@ -116,19 +130,19 @@ void write_file(const std::string& path, const std::string& content) {
   output << content;
 }
 
-/// Minimal flag parser: --key value (or boolean --key).
+/// The flags of one command line, checked against what the command
+/// declares: an undeclared flag is a usage error, a switch takes no value
+/// and every other flag exactly one.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) usage("unexpected argument '" + key + "'");
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
+  Args(const Command& command, int argc, char** argv) {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const std::optional<bool> valued =
+          arg.rfind("--", 0) == 0 ? takes_value(command, arg.substr(2)) : std::nullopt;
+      if (!valued) usage(std::string(command.name) + " does not accept '" + arg + "'");
+      if (*valued && i + 1 == argc) usage(arg + " needs a value");
+      values_[arg.substr(2)] = *valued ? argv[++i] : "";
     }
   }
 
@@ -142,11 +156,47 @@ class Args {
     return *value;
   }
   bool has(const std::string& key) const { return values_.count(key) != 0; }
+  /// The value of --`key` through `parse` (whose errors name the flag), or
+  /// `fallback` when the flag is absent.
+  template <typename T>
+  T parsed(const std::string& key, T (*parse)(const std::string&, const std::string&),
+           T fallback) const {
+    const auto value = get(key);
+    return value ? parse(*value, "--" + key) : fallback;
+  }
 
  private:
+  /// Whether `command` accepts flag `key` with a value, without one, or not
+  /// at all (nullopt).
+  static std::optional<bool> takes_value(const Command& command, const std::string& key) {
+    for (const Flag& flag : command.flags) {
+      if (key == flag.name) return flag.value != nullptr;
+    }
+    if (command.run_options) {
+      for (const enactor::RunOption& option : enactor::run_options()) {
+        if (key == option.flag) return !is_switch(option);
+      }
+    }
+    return std::nullopt;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
+/// Apply every run option given on the command line on top of `manifest`.
+void apply_run_options(const Args& args, enactor::RunManifest& manifest) {
+  for (const enactor::RunOption& option : enactor::run_options()) {
+    const auto value = args.get(option.flag);
+    if (!value) continue;
+    const std::string text = !is_switch(option) ? *value
+                             : option.flag_sets ? "true"
+                                                : "false";
+    option.set(manifest, text, "--" + option.flag);
+  }
+}
+
+/// The run --manifest (or --workflow with --data) describes, with the run
+/// options on the command line applied on top.
 enactor::RunManifest manifest_from_args(const Args& args) {
   enactor::RunManifest manifest;
   if (const auto path = args.get("manifest")) {
@@ -155,92 +205,15 @@ enactor::RunManifest manifest_from_args(const Args& args) {
     manifest.workflow = workflow::from_scufl(read_file(args.require("workflow")));
     manifest.inputs = data::InputDataSet::from_xml(read_file(args.require("data")));
   }
-  if (const auto policy = args.get("policy")) {
-    manifest.policy = enactor::EnactmentPolicy::parse(*policy);
-  }
-  if (const auto preset = args.get("grid")) manifest.grid_preset = *preset;
-  if (const auto seed = args.get("seed")) manifest.seed = std::stoull(*seed);
-  if (const auto overhead = args.get("overhead")) {
-    manifest.constant_overhead_seconds = std::stod(*overhead);
-  }
-  if (const auto batch = args.get("batch")) {
-    manifest.policy.batch_size = parse_positive_count(*batch, "--batch");
-  }
-  if (args.has("adaptive")) manifest.policy.adaptive_batching = true;
-  if (const auto retries = args.get("retries")) {
-    manifest.policy.retry.max_attempts = parse_positive_count(*retries, "--retries");
-  }
-  if (const auto multiplier = args.get("retry-timeout")) {
-    manifest.policy.retry.timeout_multiplier =
-        parse_nonnegative_real(*multiplier, "--retry-timeout");
-  }
-  if (const auto backoff = args.get("retry-backoff")) {
-    manifest.policy.retry.backoff_initial_seconds =
-        parse_nonnegative_seconds(*backoff, "--retry-backoff");
-  }
-  if (const auto failure = args.get("failure-policy")) {
-    manifest.policy.failure_policy = enactor::parse_failure_policy(*failure);
-  }
-  // Any breaker knob switches the circuit breakers on.
-  if (const auto window = args.get("breaker-window")) {
-    manifest.policy.breaker.enabled = true;
-    manifest.policy.breaker.window = parse_positive_count(*window, "--breaker-window");
-  }
-  if (const auto threshold = args.get("breaker-threshold")) {
-    manifest.policy.breaker.enabled = true;
-    manifest.policy.breaker.threshold =
-        parse_positive_count(*threshold, "--breaker-threshold");
-  }
-  if (const auto cooldown = args.get("breaker-cooldown")) {
-    manifest.policy.breaker.enabled = true;
-    manifest.policy.breaker.cooldown_seconds =
-        parse_positive_seconds(*cooldown, "--breaker-cooldown");
-  }
-  if (args.has("breaker")) manifest.policy.breaker.enabled = true;
-  // Data plane: memoize invocations / rank CEs by stage-in cost.
-  if (args.has("cache")) manifest.policy.cache = true;
-  if (args.has("data-aware")) manifest.policy.data_aware = true;
-  // Pluggable decision policies; names are validated against the registry
-  // here so a typo fails before the grid is even built.
-  const policy::PolicyRegistry& policies = policy::PolicyRegistry::instance();
-  if (const auto name = args.get("matchmaking")) {
-    manifest.policy.matchmaking = policies.check_matchmaking(*name, "--matchmaking");
-  }
-  if (const auto name = args.get("placement")) {
-    manifest.policy.placement = policies.check_placement(*name, "--placement");
-  }
-  if (const auto name = args.get("replica-policy")) {
-    manifest.policy.replica_policy = policies.check_replica(*name, "--replica-policy");
-  }
-  if (const auto name = args.get("admission-policy")) {
-    manifest.policy.admission = policies.check_admission(*name, "--admission-policy");
-  }
-  // Decentralized data flow: a named ReplicationPolicy routes staging SE→SE,
-  // and a finite orchestrator link makes centralized staging contend.
-  if (const auto name = args.get("replication-policy")) {
-    manifest.policy.replication =
-        policies.check_replication(*name, "--replication-policy");
-  }
-  if (const auto bw = args.get("orchestrator-bw")) {
-    manifest.orchestrator_bandwidth_mbps =
-        parse_nonnegative_real(*bw, "--orchestrator-bw");
-  }
-  // Data-plane fault tolerance: lineage recovery is on by default (it is only
-  // reachable under SE fault injection); --no-recovery disables it for
-  // recovery-off baselines.
-  if (args.has("no-recovery")) manifest.policy.lineage_recovery = false;
-  if (const auto depth = args.get("recovery-depth")) {
-    manifest.policy.max_recovery_depth = parse_positive_count(*depth, "--recovery-depth");
-  }
-  // Enactment-core sharding (multi-tenant runs; round-trips via the manifest).
-  if (const auto shards = args.get("shards")) {
-    manifest.shards = parse_positive_count(*shards, "--shards");
-  }
-  if (const auto pin = args.get("pin-policy")) {
-    service::parse_pin_policy(*pin);  // validate early; stored as text
-    manifest.pin_policy = *pin;
-  }
+  apply_run_options(args, manifest);
   return manifest;
+}
+
+void load_services(const Args& args, services::ServiceRegistry& registry) {
+  if (const auto catalog = args.get("services")) {
+    const std::size_t count = services::load_catalog(read_file(*catalog), registry);
+    std::printf("loaded %zu services from %s\n", count, catalog->c_str());
+  }
 }
 
 /// --cache-stats-out payload: totals, catalog entry count, per-run counters.
@@ -268,26 +241,42 @@ std::string cache_stats_json(const data::InvocationCache* cache) {
   return os.str();
 }
 
+/// The observability exports both run paths share: --trace-out,
+/// --metrics-out, --cache-stats-out and --obs-summary.
+void write_observability(const Args& args, const obs::RunRecorder& recorder,
+                         const data::InvocationCache* cache) {
+  if (const auto out = args.get("trace-out")) {
+    write_file(*out, obs::chrome_trace_json(recorder.tracer()));
+    std::printf("trace written to %s (open in chrome://tracing)\n", out->c_str());
+  }
+  if (const auto out = args.get("metrics-out")) {
+    write_file(*out, obs::prometheus_text(recorder.metrics()));
+    std::printf("metrics written to %s\n", out->c_str());
+  }
+  if (const auto out = args.get("cache-stats-out")) {
+    write_file(*out, cache_stats_json(cache));
+    std::printf("cache stats written to %s\n", out->c_str());
+  }
+  if (args.has("obs-summary")) {
+    std::fputs(obs::obs_summary(recorder.tracer(), recorder.metrics()).c_str(), stdout);
+  }
+}
+
 /// Fault-injection flags shared by both run paths: per-attempt CE faults
 /// (--inject-*) and the storage plane (--se-outage/--se-loss/--se-corrupt).
 /// SE names in --se-outage are checked against the configuration: "se0"
 /// addresses the implicit default SE, anything else must be declared.
 void apply_fault_flags(const Args& args, grid::GridConfig& config) {
-  if (const auto p = args.get("inject-failures")) {
-    config.failure_probability = parse_probability(*p, "--inject-failures");
-  }
-  if (const auto p = args.get("inject-stuck")) {
-    config.stuck_job_probability = parse_probability(*p, "--inject-stuck");
-  }
-  if (const auto n = args.get("grid-attempts")) {
-    config.max_attempts = static_cast<int>(parse_positive_count(*n, "--grid-attempts"));
-  }
-  if (const auto p = args.get("se-loss")) {
-    config.replica_loss_probability = parse_probability(*p, "--se-loss");
-  }
-  if (const auto p = args.get("se-corrupt")) {
-    config.replica_corruption_probability = parse_probability(*p, "--se-corrupt");
-  }
+  config.failure_probability =
+      args.parsed("inject-failures", parse_probability, config.failure_probability);
+  config.stuck_job_probability =
+      args.parsed("inject-stuck", parse_probability, config.stuck_job_probability);
+  config.max_attempts = static_cast<int>(args.parsed(
+      "grid-attempts", parse_positive_count, static_cast<std::size_t>(config.max_attempts)));
+  config.replica_loss_probability =
+      args.parsed("se-loss", parse_probability, config.replica_loss_probability);
+  config.replica_corruption_probability =
+      args.parsed("se-corrupt", parse_probability, config.replica_corruption_probability);
   if (const auto spec = args.get("se-outage")) {
     for (const auto& outage : parse_se_outages(*spec, "--se-outage")) {
       const grid::StorageOutageWindow window{outage.start_seconds,
@@ -309,9 +298,8 @@ void apply_fault_flags(const Args& args, grid::GridConfig& config) {
   }
   // Capacity-bounded storage: a finite default-SE budget makes the catalog
   // evict, under the named EvictionPolicy.
-  if (const auto cap = args.get("se-capacity")) {
-    config.default_se_capacity_mb = parse_nonnegative_real(*cap, "--se-capacity");
-  }
+  config.default_se_capacity_mb =
+      args.parsed("se-capacity", parse_nonnegative_real, config.default_se_capacity_mb);
   if (const auto name = args.get("eviction-policy")) {
     config.replica_eviction_policy =
         policy::PolicyRegistry::instance().check_eviction(*name, "--eviction-policy");
@@ -331,53 +319,32 @@ std::string suffixed(const std::string& path, std::size_t k) {
 
 /// Multi-tenant mode: enact several runs concurrently on ONE shared simulated
 /// grid through a RunService. The run set is the cross product of the listed
-/// manifests (or the single --manifest/--workflow spec) and --runs copies.
+/// manifests (or the single --manifest/--workflow spec) and --runs copies;
+/// the run options on the command line apply to every listed manifest.
 int cmd_run_multi(const Args& args) {
   std::vector<enactor::RunManifest> manifests;
   if (const auto list = args.get("manifests")) {
     for (const auto& path : split(*list, ',')) {
       manifests.push_back(enactor::RunManifest::from_xml(read_file(path)));
+      apply_run_options(args, manifests.back());
     }
     if (manifests.empty()) usage("--manifests names no files");
   } else {
     manifests.push_back(manifest_from_args(args));
   }
-  const std::size_t copies =
-      args.get("runs") ? parse_positive_count(args.require("runs"), "--runs") : 1;
+  const std::size_t copies = args.parsed("runs", parse_positive_count, std::size_t{1});
 
   services::ServiceRegistry registry;
-  if (const auto catalog = args.get("services")) {
-    const std::size_t count = services::load_catalog(read_file(*catalog), registry);
-    std::printf("loaded %zu services from %s\n", count, catalog->c_str());
-  }
+  load_services(args, registry);
 
-  // One grid for every tenant: the first manifest decides its shape.
+  // One grid for every tenant: the first manifest decides its shape and its
+  // grid-wide policies; each run's matchmaking still rides its JobRequests.
   sim::Simulator simulator;
   grid::GridConfig grid_config = manifests.front().make_grid_config();
   apply_fault_flags(args, grid_config);
-  const bool storage_faults = grid_config.replica_loss_probability > 0.0 ||
-                              grid_config.replica_corruption_probability > 0.0 ||
-                              !grid_config.default_se_outages.empty() ||
-                              args.has("se-outage");
-  // The first manifest decides the grid's own policy knobs (replica
-  // placement is a grid-wide concern); matchmaking stays per-run through
-  // JobRequest, so here it only decides whether the data plane comes up.
-  if (!manifests.front().policy.matchmaking.empty()) {
-    grid_config.matchmaking_policy = manifests.front().policy.matchmaking;
-  }
-  if (!manifests.front().policy.replica_policy.empty()) {
-    grid_config.replica_policy = manifests.front().policy.replica_policy;
-  }
-  const policy::PolicyRegistry& policies = policy::PolicyRegistry::instance();
-  bool data_plane = storage_faults || grid_config.default_se_capacity_mb > 0.0;
-  for (auto& manifest : manifests) {
-    if (manifest.policy.data_aware) grid_config.data_aware_matchmaking = true;
-    data_plane = data_plane || manifest.policy.cache || manifest.policy.data_aware ||
-                 (!manifest.policy.matchmaking.empty() &&
-                  policies.matchmaking_wants_stage_in(manifest.policy.matchmaking)) ||
-                 (!manifest.policy.replication.empty() &&
-                  manifest.policy.replication != policy::kDefaultReplication);
-    if (args.has("no-recovery")) manifest.policy.lineage_recovery = false;
+  bool data_plane = false;
+  for (const auto& manifest : manifests) {
+    data_plane = data_plane || enactor::needs_replica_catalog(grid_config, manifest.policy);
   }
   grid::Grid grid(simulator, grid_config);
   enactor::SimGridBackend backend(grid);
@@ -387,40 +354,34 @@ int cmd_run_multi(const Args& args) {
   if (data_plane) backend.set_catalog(&catalog);
 
   service::RunServiceConfig config;
-  if (const auto n = args.get("max-active")) {
-    config.admission.max_active = parse_positive_count(*n, "--max-active");
-  }
-  if (const auto n = args.get("max-inflight")) {
-    // 0 is meaningful here: an unbounded gate.
-    config.admission.max_inflight = parse_count(*n, "--max-inflight");
-  }
+  config.admission.max_active =
+      args.parsed("max-active", parse_positive_count, config.admission.max_active);
+  // 0 is meaningful here: an unbounded gate.
+  config.admission.max_inflight =
+      args.parsed("max-inflight", parse_count, config.admission.max_inflight);
   if (!manifests.front().policy.admission.empty()) {
     config.admission.policy = manifests.front().policy.admission;
   }
-  // The first manifest decides the sharding, like the grid; explicit flags win.
+  // The first manifest decides the sharding, like the grid.
   config.sharding.shards = manifests.front().shards;
   config.sharding.pin = service::parse_pin_policy(manifests.front().pin_policy);
-  if (const auto n = args.get("shards")) {
-    config.sharding.shards = parse_positive_count(*n, "--shards");
-  }
-  if (const auto pin = args.get("pin-policy")) {
-    config.sharding.pin = service::parse_pin_policy(*pin);
-  }
   config.defaults.policy = manifests.front().policy;
   // Live telemetry plane: streaming frames, the scrape endpoint, and the
   // crash flight recorder all hang off the service config.
   if (const auto out = args.get("telemetry-out")) config.telemetry.jsonl_path = *out;
   if (const auto port = args.get("telemetry-port")) {
-    config.telemetry.scrape_port = std::stoi(*port);
-    if (config.telemetry.scrape_port < 0) usage("--telemetry-port must be >= 0");
+    const std::size_t value = parse_count(*port, "--telemetry-port");
+    if (value > 65535) {
+      throw ParseError("--telemetry-port must be at most 65535 (got '" + *port + "')");
+    }
+    config.telemetry.scrape_port = static_cast<int>(value);
   }
-  if (const auto interval = args.get("telemetry-interval")) {
-    config.telemetry.interval_seconds =
-        parse_positive_seconds(*interval, "--telemetry-interval");
-  }
+  config.telemetry.interval_seconds = args.parsed("telemetry-interval", parse_positive_seconds,
+                                                  config.telemetry.interval_seconds);
   if (const auto prefix = args.get("flight-recorder")) {
     config.telemetry.flight_recorder_path = *prefix;
   }
+  const double linger = args.parsed("telemetry-linger", parse_nonnegative_seconds, 0.0);
   // Declared before the service: the telemetry hub samples the recorder until
   // RunService::shutdown(), so the recorder must outlive the service.
   obs::RunRecorder recorder;
@@ -518,84 +479,37 @@ int cmd_run_multi(const Args& args) {
       }
     });
   }
-  if (const auto out = args.get("trace-out")) {
-    write_file(*out, obs::chrome_trace_json(recorder.tracer()));
-    std::printf("trace written to %s (one pid lane per run)\n", out->c_str());
-  }
-  if (const auto out = args.get("metrics-out")) {
-    write_file(*out, obs::prometheus_text(recorder.metrics()));
-    std::printf("metrics written to %s\n", out->c_str());
-  }
-  if (const auto out = args.get("cache-stats-out")) {
-    write_file(*out, cache_stats_json(runs.invocation_cache()));
-    std::printf("cache stats written to %s\n", out->c_str());
-  }
-  if (args.has("obs-summary")) {
-    std::fputs(obs::obs_summary(recorder.tracer(), recorder.metrics()).c_str(), stdout);
-  }
+  write_observability(args, recorder, runs.invocation_cache());
   // Keep the service (and its scrape endpoint) alive so external scrapers can
   // fetch /metrics after a fast simulated run finishes.
-  if (const auto linger = args.get("telemetry-linger")) {
-    const double seconds = std::stod(*linger);
-    if (seconds < 0.0) usage("--telemetry-linger must be >= 0");
-    if (seconds > 0.0 && runs.telemetry() != nullptr) {
-      std::printf("lingering %.3g s for telemetry scrapes\n", seconds);
-      std::fflush(stdout);
-      std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    }
+  if (linger > 0.0 && runs.telemetry() != nullptr) {
+    std::printf("lingering %.3g s for telemetry scrapes\n", linger);
+    std::fflush(stdout);
+    std::this_thread::sleep_for(std::chrono::duration<double>(linger));
   }
   return hard_failure ? 2 : 0;
 }
 
 int cmd_run(const Args& args) {
-  const bool telemetry_flags = args.has("telemetry-out") || args.has("telemetry-port") ||
-                               args.has("telemetry-interval") ||
-                               args.has("telemetry-linger") || args.has("flight-recorder") ||
-                               args.has("critical-path");
-  if (args.has("runs") || args.has("manifests") || telemetry_flags) {
-    return cmd_run_multi(args);
+  for (const char* flag : {"runs", "manifests", "telemetry-out", "telemetry-port",
+                           "telemetry-interval", "telemetry-linger", "flight-recorder",
+                           "critical-path"}) {
+    if (args.has(flag)) return cmd_run_multi(args);
   }
   const enactor::RunManifest manifest = manifest_from_args(args);
+  const double diagram_column_seconds =
+      args.parsed("diagram", parse_nonnegative_seconds, 0.0);  // 0 = auto width
 
   services::ServiceRegistry registry;
-  if (const auto catalog = args.get("services")) {
-    const std::size_t count = services::load_catalog(read_file(*catalog), registry);
-    std::printf("loaded %zu services from %s\n", count, catalog->c_str());
-  }
+  load_services(args, registry);
 
   sim::Simulator simulator;
   grid::GridConfig grid_config = manifest.make_grid_config();
   // Fault-injection knobs: surface failures to the enactor's retry policy.
   apply_fault_flags(args, grid_config);
-  if (manifest.policy.data_aware) grid_config.data_aware_matchmaking = true;
-  if (!manifest.policy.matchmaking.empty()) {
-    grid_config.matchmaking_policy = manifest.policy.matchmaking;
-  }
-  if (!manifest.policy.replica_policy.empty()) {
-    grid_config.replica_policy = manifest.policy.replica_policy;
-  }
-  // A stage-in-aware matchmaking policy needs the replica catalog attached,
-  // exactly like --data-aware.
-  const bool stage_in_matchmaking =
-      !manifest.policy.matchmaking.empty() &&
-      policy::PolicyRegistry::instance().matchmaking_wants_stage_in(
-          manifest.policy.matchmaking);
   grid::Grid grid(simulator, grid_config);
   enactor::SimGridBackend backend(grid);
-  // Either data-plane feature needs the replica catalog: the cache records
-  // produced replicas, the broker ranks CEs by stage-in cost against it —
-  // and storage fault injection needs one to have replicas to lose.
-  const bool storage_faults = grid_config.replica_loss_probability > 0.0 ||
-                              grid_config.replica_corruption_probability > 0.0 ||
-                              !grid_config.default_se_outages.empty() ||
-                              args.has("se-outage");
-  // A live replication policy needs per-file staging plans to route SE→SE,
-  // and capacity bounds need replicas to evict: both bring the catalog up.
-  const bool replication_on = !manifest.policy.replication.empty() &&
-                              manifest.policy.replication != policy::kDefaultReplication;
-  const bool data_plane = manifest.policy.cache || manifest.policy.data_aware ||
-                          storage_faults || stage_in_matchmaking || replication_on ||
-                          grid_config.default_se_capacity_mb > 0.0;
+  const bool data_plane = enactor::needs_replica_catalog(grid_config, manifest.policy);
   data::ReplicaCatalog catalog;
   if (data_plane) backend.set_catalog(&catalog);
   enactor::Enactor moteur(backend, registry, manifest.policy);
@@ -641,9 +555,9 @@ int cmd_run(const Args& args) {
   if (args.has("trace")) {
     std::fputs(enactor::render_trace_table(result.timeline).c_str(), stdout);
   }
-  if (const auto per_column = args.get("diagram")) {
+  if (args.has("diagram")) {
     enactor::DiagramOptions options;
-    options.seconds_per_column = per_column->empty() ? 0.0 : std::stod(*per_column);
+    options.seconds_per_column = diagram_column_seconds;
     std::vector<std::string> rows;
     for (const auto& proc : result.executed_workflow.processors()) {
       if (proc.kind == workflow::ProcessorKind::kService) rows.push_back(proc.name);
@@ -659,21 +573,7 @@ int cmd_run(const Args& args) {
     write_file(*out, enactor::timeline_to_csv(result.timeline, data_plane));
     std::printf("timeline written to %s\n", out->c_str());
   }
-  if (const auto out = args.get("cache-stats-out")) {
-    write_file(*out, cache_stats_json(moteur.invocation_cache()));
-    std::printf("cache stats written to %s\n", out->c_str());
-  }
-  if (const auto out = args.get("trace-out")) {
-    write_file(*out, obs::chrome_trace_json(recorder.tracer()));
-    std::printf("trace written to %s (open in chrome://tracing)\n", out->c_str());
-  }
-  if (const auto out = args.get("metrics-out")) {
-    write_file(*out, obs::prometheus_text(recorder.metrics()));
-    std::printf("metrics written to %s\n", out->c_str());
-  }
-  if (args.has("obs-summary")) {
-    std::fputs(obs::obs_summary(recorder.tracer(), recorder.metrics()).c_str(), stdout);
-  }
+  write_observability(args, recorder, moteur.invocation_cache());
   if (const auto out = args.get("failure-report")) {
     write_file(*out, result.failure_report.to_json() + "\n");
     std::printf("failure report written to %s\n", out->c_str());
@@ -685,9 +585,8 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_save_manifest(const Args& args) {
-  const enactor::RunManifest manifest = manifest_from_args(args);
   const std::string out = args.require("out");
-  write_file(out, manifest.to_xml());
+  write_file(out, manifest_from_args(args).to_xml());
   std::printf("manifest written to %s\n", out.c_str());
   return 0;
 }
@@ -724,6 +623,7 @@ int cmd_validate(const Args& args) {
 
   // With a catalog and a data-set size, predict makespans per policy.
   if (args.get("services") && args.get("nd")) {
+    const std::size_t n_d = parse_positive_count(args.require("nd"), "--nd");
     services::ServiceRegistry registry;
     services::load_catalog(read_file(args.require("services")), registry);
     std::map<std::string, double> times;
@@ -731,7 +631,6 @@ int cmd_validate(const Args& args) {
       times[proc->name] =
           registry.resolve(*proc)->job_profile(services::Inputs{}).compute_seconds;
     }
-    const auto n_d = static_cast<std::size_t>(std::stoul(args.require("nd")));
     try {
       const auto predicted = model::predict_dag_makespan(wf, times, n_d);
       std::printf("  DAG-model predictions for nD = %zu (compute only, no grid"
@@ -748,9 +647,9 @@ int cmd_validate(const Args& args) {
 }
 
 int cmd_model(const Args& args) {
-  const auto n_w = static_cast<std::size_t>(std::stoul(args.require("nw")));
-  const auto n_d = static_cast<std::size_t>(std::stoul(args.require("nd")));
-  const double t = args.get("t") ? std::stod(*args.get("t")) : 1.0;
+  const std::size_t n_w = parse_positive_count(args.require("nw"), "--nw");
+  const std::size_t n_d = parse_positive_count(args.require("nd"), "--nd");
+  const double t = args.parsed("t", parse_nonnegative_seconds, 1.0);
   const model::TimeMatrix times = model::constant_times(n_w, n_d, t);
   std::printf("§3.5 predictions for nW=%zu, nD=%zu, T=%.1f s:\n", n_w, n_d, t);
   std::printf("  Sigma     (sequential) = %.1f s\n", model::sigma_sequential(times));
@@ -765,8 +664,7 @@ int cmd_model(const Args& args) {
 
 int cmd_export_bronze(const Args& args) {
   const std::string dir = args.require("dir");
-  const std::size_t pairs =
-      args.get("pairs") ? static_cast<std::size_t>(std::stoul(*args.get("pairs"))) : 12;
+  const std::size_t pairs = args.parsed("pairs", parse_positive_count, std::size_t{12});
 
   write_file(dir + "/bronze_workflow.xml",
              workflow::to_scufl(app::bronze_standard_workflow()));
@@ -779,7 +677,6 @@ int cmd_export_bronze(const Args& args) {
   manifest.workflow = app::bronze_standard_workflow();
   manifest.inputs = app::bronze_standard_dataset(pairs);
   manifest.policy = enactor::EnactmentPolicy::sp_dp_jg();
-  manifest.grid_preset = "egee2006";
   write_file(dir + "/bronze_run.xml", manifest.to_xml());
 
   std::printf("wrote bronze_workflow.xml, bronze_dataset.xml (%zu pairs),\n"
@@ -791,22 +688,46 @@ int cmd_export_bronze(const Args& args) {
   return 0;
 }
 
+const std::vector<Command>& commands() {
+  static const std::vector<Command> list = {
+      {"run", true,
+       {{"manifest", "RUN.xml"}, {"workflow", "WF.xml"}, {"data", "DS.xml"},
+        {"services", "CAT.xml"}, {"runs", "N"}, {"manifests", "A.xml,B.xml"},
+        {"max-active", "N"}, {"max-inflight", "N"}, {"inject-failures", "P"},
+        {"inject-stuck", "P"}, {"grid-attempts", "N"}, {"se-outage", "SE:START:DUR[,...]"},
+        {"se-loss", "P"}, {"se-corrupt", "P"}, {"se-capacity", "MB"},
+        {"eviction-policy", "lru|pin-sources"}, {"provenance", "OUT.xml"},
+        {"csv", "OUT.csv"}, {"trace", nullptr}, {"diagram", "COLSECONDS"},
+        {"failure-report", "OUT.json"}, {"cache-stats-out", "STATS.json"},
+        {"trace-out", "TRACE.json"}, {"metrics-out", "METRICS.prom"},
+        {"obs-summary", nullptr}, {"telemetry-out", "FRAMES.jsonl"},
+        {"telemetry-port", "P"}, {"telemetry-interval", "S"}, {"telemetry-linger", "S"},
+        {"flight-recorder", "PREFIX"}, {"critical-path", "OUT.json"}},
+       cmd_run},
+      {"save-manifest", true,
+       {{"manifest", "RUN.xml"}, {"workflow", "WF.xml"}, {"data", "DS.xml"},
+        {"out", "RUN.xml"}},
+       cmd_save_manifest},
+      {"validate", false,
+       {{"workflow", "WF.xml"}, {"services", "CAT.xml"}, {"nd", "N"}, {"dot", "OUT.dot"}},
+       cmd_validate},
+      {"model", false, {{"nw", "N"}, {"nd", "M"}, {"t", "SECONDS"}}, cmd_model},
+      {"export-bronze", false, {{"dir", "DIR"}, {"pairs", "N"}}, cmd_export_bronze},
+  };
+  return list;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
-  const std::string command = argv[1];
+  const std::string name = argv[1];
+  const auto& list = commands();
+  const auto command = std::find_if(list.begin(), list.end(),
+                                    [&](const Command& c) { return name == c.name; });
+  if (command == list.end()) usage("unknown command '" + name + "'");
   try {
-    const Args args(argc, argv, 2);
-    if (command == "run") return cmd_run(args);
-    if (command == "save-manifest") return cmd_save_manifest(args);
-    if (command == "validate") return cmd_validate(args);
-    if (command == "model") return cmd_model(args);
-    if (command == "export-bronze") return cmd_export_bronze(args);
-    usage("unknown command '" + command + "'");
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
+    return command->run(Args(*command, argc, argv));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

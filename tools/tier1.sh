@@ -320,19 +320,6 @@ else
 fi
 echo "scale smoke OK"
 
-# The flat RunServiceConfig fields were replaced by the nested
-# admission/sharding/defaults groups; the deprecated accessor aliases have
-# been deleted outright, so nothing in the repo may mention them at all.
-echo "== deprecated-alias guard: no in-repo use of flat RunServiceConfig fields =="
-if grep -rnE 'max_active_runs|max_inflight_submissions|default_policy' \
-    --include='*.cpp' --include='*.hpp' --include='*.md' \
-    --exclude-dir=build --exclude-dir=build-tsan --exclude-dir=build-asan \
-    src tools tests bench docs examples; then
-  echo "deprecated RunServiceConfig aliases used in-repo (see matches above)" >&2
-  exit 1
-fi
-echo "deprecated-alias guard OK"
-
 # Policy smoke: every built-in matchmaking policy must enact the Bronze
 # Standard cleanly; the default queue-rank timeline must stay byte-identical
 # to the pre-policy-engine golden; the randomized k-choices policy must be
