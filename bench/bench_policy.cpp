@@ -27,7 +27,6 @@
 #include "enactor/run_request.hpp"
 #include "enactor/sim_backend.hpp"
 #include "grid/grid.hpp"
-#include "policy/registry.hpp"
 #include "service/run_service.hpp"
 #include "sim/simulator.hpp"
 
@@ -114,7 +113,7 @@ struct AdmissionResult {
 // differs between scenarios, so any heavy/light asymmetry is its doing.
 AdmissionResult run_admission(const std::string& name) {
   sim::Simulator simulator;
-  grid::Grid grid(simulator, skewed_grid_config(policy::kDefaultMatchmaking));
+  grid::Grid grid(simulator, skewed_grid_config("queue-rank"));
   enactor::SimGridBackend backend(grid);
 
   services::ServiceRegistry registry;

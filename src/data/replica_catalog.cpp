@@ -66,7 +66,6 @@ bool ReplicaCatalog::erase_location_locked(const std::string& lfn,
 
 void ReplicaCatalog::evict_for_locked(const std::string& incoming_lfn,
                                       const std::string& storage_element) {
-  if (eviction_ == nullptr) return;
   const auto cap = se_capacity_mb_.find(storage_element);
   if (cap == se_capacity_mb_.end() || cap->second <= 0.0) return;
   const double used = se_used_mb_[storage_element];
@@ -81,8 +80,8 @@ void ReplicaCatalog::evict_for_locked(const std::string& incoming_lfn,
     if (std::find(locs.begin(), locs.end(), storage_element) == locs.end()) continue;
     resident.push_back({lfn, entry.size_mb, entry.pinned, entry.last_use});
   }
-  const std::vector<std::string> victims =
-      eviction_->victims(resident, used - cap->second);
+  const std::vector<std::string> victims = policy::lru_victims(
+      resident, used - cap->second, eviction_ == policy::Eviction::kPinSources);
   for (const std::string& victim : victims) {
     if (erase_location_locked(victim, storage_element)) ++evictions_;
   }
@@ -123,10 +122,9 @@ void ReplicaCatalog::set_se_capacity(const std::string& storage_element,
   se_capacity_mb_[storage_element] = capacity_mb;
 }
 
-void ReplicaCatalog::set_eviction_policy(
-    std::shared_ptr<policy::EvictionPolicy> policy) {
+void ReplicaCatalog::set_eviction_policy(policy::Eviction eviction) {
   std::lock_guard<std::mutex> lock(mutex_);
-  eviction_ = std::move(policy);
+  eviction_ = eviction;
 }
 
 double ReplicaCatalog::used_mb(const std::string& storage_element) const {

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -18,11 +17,11 @@ namespace moteur::data {
 /// other copy pays the remote penalty) and registers freshly produced
 /// outputs so later jobs can be placed next to their data.
 ///
-/// Data layer: depends only on the policy interfaces (for eviction), so
-/// data/, grid/, and enactor/ can all link against it without a cycle.
+/// Data layer: depends only on policy/ (for eviction victims), so data/,
+/// grid/, and enactor/ can all link against it without a cycle.
 ///
 /// SEs may be capacity-bounded (`set_se_capacity`): registrations that
-/// overflow the bound consult the installed EvictionPolicy for victims.
+/// overflow the bound evict victims under the installed eviction policy.
 /// The cap is soft — when the policy cannot free enough (everything
 /// pinned), the incoming replica still registers and the SE over-commits.
 class ReplicaCatalog {
@@ -65,8 +64,9 @@ class ReplicaCatalog {
   /// Bound `storage_element` to `capacity_mb` of replicas (0 = unbounded).
   void set_se_capacity(const std::string& storage_element, double capacity_mb);
 
-  /// Install the eviction policy consulted when a bounded SE overflows.
-  void set_eviction_policy(std::shared_ptr<policy::EvictionPolicy> policy);
+  /// Install the eviction policy consulted when a bounded SE overflows
+  /// (default `lru`).
+  void set_eviction_policy(policy::Eviction eviction);
 
   /// Megabytes of replicas currently registered on `storage_element`.
   double used_mb(const std::string& storage_element) const;
@@ -97,7 +97,7 @@ class ReplicaCatalog {
   std::map<std::string, bool> se_available_;
   std::map<std::string, double> se_capacity_mb_;
   std::map<std::string, double> se_used_mb_;
-  std::shared_ptr<policy::EvictionPolicy> eviction_;
+  policy::Eviction eviction_ = policy::Eviction::kLru;
   std::uint64_t clock_ = 0;
   std::size_t invalidations_ = 0;
   std::size_t evictions_ = 0;

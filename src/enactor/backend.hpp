@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "grid/job.hpp"
+#include "policy/policy.hpp"
 #include "services/service.hpp"
 
 namespace moteur::data {
@@ -79,14 +80,14 @@ struct Outcome {
 };
 
 /// Per-execution policy hints attached by the enactor: which matchmaking
-/// policy should rank CEs for this unit of work, which placement policy
-/// produced the avoid set (for decision accounting), and the CE names the
-/// placement policy wants this attempt steered away from. All advisory —
-/// backends without routing freedom ignore them, and the default execute()
-/// overload drops them entirely.
+/// policy should rank CEs for this unit of work (unset = the backend's
+/// default), which placement policy produced the avoid set (for decision
+/// accounting), and the CE names the placement policy wants this attempt
+/// steered away from. All advisory — backends without routing freedom
+/// ignore them, and the default execute() overload drops them entirely.
 struct ExecOptions {
-  std::string matchmaking;
-  std::string placement;
+  std::optional<policy::Matchmaking> matchmaking;
+  std::optional<policy::Placement> placement;
   std::vector<std::string> avoid_ces;
 };
 

@@ -42,15 +42,15 @@ EnactmentResult Enactor::run(const RunRequest& request) {
     options.cache = cache_.get();
   }
 
-  // Engines hold shared ownership internally: every callback handed to the
-  // backend guards a weak_ptr, so stragglers completing after this run
-  // cannot touch a dead engine (see engine.hpp).
-  auto engine = std::make_shared<Engine>(
-      backend_, registry_, effective, request.resolver, std::move(subscribers),
-      request.workflow, request.inputs, std::move(options));
-  engine->start();
-
+  std::shared_ptr<Engine> engine;
   try {
+    // Engines hold shared ownership internally: every callback handed to the
+    // backend guards a weak_ptr, so stragglers completing after this run
+    // cannot touch a dead engine (see engine.hpp).
+    engine = std::make_shared<Engine>(backend_, registry_, effective, request.resolver,
+                                      std::move(subscribers), request.workflow,
+                                      request.inputs, std::move(options));
+    engine->start();
     while (!engine->finished()) {
       const bool reached = backend_.drive([&engine] { return engine->finished(); });
       if (reached) break;

@@ -117,8 +117,9 @@ class Enactor {
   /// optionally rewritten by the grouping optimizer, and driven until every
   /// processor finishes. Request fields that are unset (policy, resolver)
   /// fall back to this enactor's defaults; `weight` and `labels` are
-  /// RunService concerns and are ignored here. Throws EnactmentError on
-  /// deadlock or missing bindings.
+  /// RunService concerns and are ignored here. Throws ParseError on an
+  /// unknown policy name, before anything is submitted, and EnactmentError
+  /// on deadlock or missing bindings.
   EnactmentResult run(const RunRequest& request);
 
   /// The invocation memoization cache shared by every run of this enactor,

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "data/replica_catalog.hpp"
-#include "policy/registry.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "workflow/analysis.hpp"
@@ -33,13 +32,18 @@ Engine::Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
       run_id_(options.run_id.empty() ? workflow.name() : std::move(options.run_id)),
       shared_health_(options.shared_health),
       cache_(options.cache) {
+  if (!policy_.matchmaking.empty()) {
+    matchmaking_ =
+        policy::parse<policy::Matchmaking>(policy_.matchmaking, "run matchmaking policy");
+  }
+  if (!policy_.placement.empty()) {
+    placement_ =
+        policy::parse<policy::Placement>(policy_.placement, "run placement policy");
+  }
   workflow.validate();
   workflow_ = policy_.job_grouping
                   ? workflow::group_sequential_processors(workflow, &result_.grouping)
                   : workflow;
-  if (!policy_.placement.empty() && policy_.placement != policy::kDefaultPlacement) {
-    placement_ = policy::PolicyRegistry::instance().make_placement(policy_.placement);
-  }
   result_.run_id = run_id_;
 }
 
@@ -538,13 +542,10 @@ void Engine::start_attempt(const std::shared_ptr<Submission>& sub) {
                       ? std::move(sub->bindings)
                       : sub->bindings;
   ExecOptions exec_options;
-  exec_options.matchmaking = policy_.matchmaking;
-  if (placement_ != nullptr && attempt > 1) {
-    policy::PlacementContext ctx;
-    ctx.attempt = attempt;
-    ctx.tried_ces = &sub->tried_ces;
-    exec_options.avoid_ces = placement_->avoid(ctx);
-    exec_options.placement = placement_->name();
+  exec_options.matchmaking = matchmaking_;
+  if (placement_ != policy::Placement::kRematch && attempt > 1) {
+    exec_options.avoid_ces = policy::avoid(placement_, sub->tried_ces);
+    exec_options.placement = placement_;
   }
   backend_.execute(sub->state->service, std::move(bindings), std::move(exec_options),
                    [weak = weak_from_this(), sub, attempt](Outcome outcome) {
@@ -752,7 +753,7 @@ void Engine::start_recovery(const std::shared_ptr<Recovery>& rec) {
   std::vector<services::Inputs> bindings;
   bindings.push_back(std::move(binding));
   ExecOptions exec_options;
-  exec_options.matchmaking = policy_.matchmaking;
+  exec_options.matchmaking = matchmaking_;
   backend_.execute(state.service, std::move(bindings), std::move(exec_options),
                    [weak = weak_from_this(), rec](Outcome outcome) {
                      if (auto self = weak.lock()) {
@@ -934,7 +935,8 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
 
   // Remember where the attempt landed so the placement policy can steer
   // later attempts of the same submission elsewhere.
-  if (placement_ != nullptr && outcome.job && !outcome.job->computing_element.empty()) {
+  if (placement_ != policy::Placement::kRematch && outcome.job &&
+      !outcome.job->computing_element.empty()) {
     sub->tried_ces.push_back(outcome.job->computing_element);
   }
 
@@ -998,10 +1000,12 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
       const auto& tuple = sub->tuples[i];
       // Content chain: output digest = H(service, port, (input port, input
       // digest) pairs). Any undigested input breaks the chain (digest 0).
-      const std::vector<std::string>& in_ports = state.buffer->ports();
       std::vector<data::PortDigest> input_digests;
       bool digested = digesting;
       if (digested) {
+        // Digesting implies an iteration buffer: synchronization
+        // processors, which have none, are never cacheable.
+        const std::vector<std::string>& in_ports = state.buffer->ports();
         input_digests.reserve(tuple.tokens.size());
         for (std::size_t t = 0; t < tuple.tokens.size(); ++t) {
           if (tuple.tokens[t].digest() == 0) {

@@ -56,8 +56,10 @@ class Engine : public std::enable_shared_from_this<Engine> {
     data::InvocationCache* cache = nullptr;
   };
 
-  /// Validates `workflow` and applies the grouping rewrite per `policy`.
-  /// Throws EnactmentError on an invalid workflow or binding mismatch.
+  /// Parses the policy's matchmaking and placement names, validates
+  /// `workflow` and applies the grouping rewrite per `policy`. Throws
+  /// ParseError on an unknown policy name, EnactmentError on an invalid
+  /// workflow or binding mismatch.
   Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
          EnactmentPolicy policy, PayloadResolver resolver,
          std::vector<EventSubscriber> subscribers,
@@ -291,9 +293,11 @@ class Engine : public std::enable_shared_from_this<Engine> {
   std::vector<std::weak_ptr<Submission>> outstanding_;
   std::uint64_t next_submission_id_ = 1;
   std::size_t tuples_in_flight_ = 0;  // across all unresolved submissions
-  /// Retry/clone placement policy, constructed from policy_.placement when
-  /// named (null = `rematch`: no avoidance, the historical behavior).
-  std::unique_ptr<policy::PlacementPolicy> placement_;
+  /// policy_.matchmaking and policy_.placement, parsed at construction.
+  /// Unset matchmaking = the backend's default; `rematch` placement = no
+  /// avoidance, the historical behavior.
+  std::optional<policy::Matchmaking> matchmaking_;
+  policy::Placement placement_ = policy::Placement::kRematch;
   /// Lineage ledger: logical file name -> producer record, populated as
   /// ref-carrying outputs are delivered (recovery enabled only).
   std::map<std::string, Lineage> lineage_;

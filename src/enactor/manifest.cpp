@@ -3,7 +3,7 @@
 #include <memory>
 
 #include "enactor/options.hpp"
-#include "policy/registry.hpp"
+#include "policy/policy.hpp"
 #include "util/error.hpp"
 #include "workflow/scufl.hpp"
 
@@ -71,11 +71,16 @@ bool needs_replica_catalog(const grid::GridConfig& grid, const EnactmentPolicy& 
     storage = storage || !se.outages.empty() || se.replica_loss_probability > 0.0 ||
               se.replica_corruption_probability > 0.0 || se.capacity_mb > 0.0;
   }
-  const std::string& matchmaking =
-      policy.matchmaking.empty() ? grid.matchmaking_policy : policy.matchmaking;
-  return policy.cache || storage ||
-         policy::PolicyRegistry::instance().matchmaking_wants_stage_in(matchmaking) ||
-         grid.replication_policy != policy::kDefaultReplication;
+  const policy::Matchmaking matchmaking =
+      policy.matchmaking.empty()
+          ? policy::parse<policy::Matchmaking>(grid.matchmaking_policy,
+                                               "grid matchmaking policy")
+          : policy::parse<policy::Matchmaking>(policy.matchmaking,
+                                               "run matchmaking policy");
+  return policy.cache || storage || policy::wants_stage_in(matchmaking) ||
+         policy::parse<policy::Replication>(grid.replication_policy,
+                                            "grid replication policy") !=
+             policy::Replication::kNone;
 }
 
 std::string RunManifest::to_xml() const {

@@ -31,7 +31,7 @@ struct RunManifest {
   /// Finite orchestrator/UI link capacity every centralized stage shares
   /// (<grid orchestratorBw="..."/>); 0 keeps the link unlimited (bypassed).
   double orchestrator_bandwidth_mbps = 0.0;
-  /// Grid-wide ReplicaPolicy and ReplicationPolicy names (PolicyRegistry).
+  /// Grid-wide replica and replication policy names (src/policy/).
   std::string replica_policy = "close-se";
   std::string replication = "none";
 
@@ -53,7 +53,8 @@ struct RunManifest {
 
 /// Whether runs under `policy` on `grid` need a data::ReplicaCatalog: the
 /// cache, stage-in-aware matchmaking, SE→SE replication, storage faults and
-/// bounded SEs all work on replicas.
+/// bounded SEs all work on replicas. Throws ParseError on an unknown
+/// matchmaking or replication name.
 bool needs_replica_catalog(const grid::GridConfig& grid, const EnactmentPolicy& policy);
 
 }  // namespace moteur::enactor

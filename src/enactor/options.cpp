@@ -5,7 +5,7 @@
 #include <type_traits>
 
 #include "enactor/manifest.hpp"
-#include "policy/registry.hpp"
+#include "policy/policy.hpp"
 #include "util/error.hpp"
 #include "util/flags.hpp"
 #include "util/strings.hpp"
@@ -59,8 +59,6 @@ const std::string& one_of(const Names& names, const std::string& value,
   return value;
 }
 
-const policy::PolicyRegistry& registry() { return policy::PolicyRegistry::instance(); }
-
 RunOption row(Element element, const char* attribute, const char* flag, Type type,
               std::string domain, const char* help, Setter set, Getter get) {
   return {.element = element, .attribute = attribute, .flag = flag, .type = type,
@@ -94,15 +92,15 @@ RunOption toggle(Element element, const char* attribute, const char* flag, bool 
 }
 
 /// A name from `choices`.
-RunOption name(Element element, const char* attribute, const char* flag, Names (*choices)(),
+RunOption name(Element element, const char* attribute, const char* flag, Names choices,
                const char* help, Field<std::string> field) {
   RunOption option = row(
-      element, attribute, flag, Type::kName, join(choices(), ", "), help,
+      element, attribute, flag, Type::kName, join(choices, ", "), help,
       [choices, field](RunManifest& m, const std::string& value, const std::string& label) {
-        field(m) = one_of(choices(), value, label);
+        field(m) = one_of(choices, value, label);
       },
       [field](const RunManifest& m) { return read(field, m); });
-  option.choices = choices;
+  option.choices = std::move(choices);
   return option;
 }
 
@@ -163,7 +161,7 @@ std::vector<RunOption> build_table() {
             parse_failure_policy(one_of(failure_policies(), value, label));
       },
       [](const RunManifest& m) { return std::string(to_string(m.policy.failure_policy)); });
-  failure_policy.choices = failure_policies;
+  failure_policy.choices = failure_policies();
   // Read after its parameters, so that breaker="false" wins over their
   // switching it on, and recorded whenever they are.
   RunOption breaker = toggle(kPolicy, "breaker", "breaker", true,
@@ -215,13 +213,11 @@ std::vector<RunOption> build_table() {
       toggle(kPolicy, "cache", "cache", true,
              "serve content-identical invocations from the memoization cache",
              FIELD(policy.cache)),
-      name(kPolicy, "matchmaking", "matchmaking",
-           [] { return registry().matchmaking_names(); },
+      name(kPolicy, "matchmaking", "matchmaking", policy::names<policy::Matchmaking>(),
            "CE ranking for this run's jobs; unset = the grid's", FIELD(policy.matchmaking)),
-      name(kPolicy, "placement", "placement", [] { return registry().placement_names(); },
+      name(kPolicy, "placement", "placement", policy::names<policy::Placement>(),
            "where retries and clones go; unset = rematch", FIELD(policy.placement)),
-      name(kPolicy, "admission", "admission-policy",
-           [] { return registry().admission_names(); },
+      name(kPolicy, "admission", "admission-policy", policy::names<policy::Admission>(),
            "this run's share of the admission gate; unset = the service's",
            FIELD(policy.admission)),
       toggle(kPolicy, "lineageRecovery", "no-recovery", false,
@@ -231,7 +227,7 @@ std::vector<RunOption> build_table() {
              "recovery rounds per submission and re-derivation depth",
              FIELD(policy.max_recovery_depth)),
 
-      always_written(name(kGrid, "preset", "grid", presets, "simulated infrastructure",
+      always_written(name(kGrid, "preset", "grid", presets(), "simulated infrastructure",
                           FIELD(grid_preset))),
       always_written(number(kGrid, "seed", "seed", kCount,
                             "seed of every random stream of the grid", FIELD(seed))),
@@ -242,18 +238,18 @@ std::vector<RunOption> build_table() {
       number(kGrid, "orchestratorBw", "orchestrator-bw", kNonNegative,
              "MB/s of the orchestrator link centralized staging shares; 0 = unlimited",
              FIELD(orchestrator_bandwidth_mbps)),
-      name(kGrid, "replicaPolicy", "replica-policy", [] { return registry().replica_names(); },
+      name(kGrid, "replicaPolicy", "replica-policy", policy::names<policy::Replica>(),
            "where fresh replicas register and which copy stage-in probes first",
            FIELD(replica_policy)),
       name(kGrid, "replication", "replication-policy",
-           [] { return registry().replication_names(); },
+           policy::names<policy::Replication>(),
            "SE-to-SE transfers instead of staging through the orchestrator",
            FIELD(replication)),
 
       number(kService, "shards", "shards", kPositiveCount,
              "engine shards of a RunService replaying the manifest", FIELD(shards)),
-      name(kService, "pinPolicy", "pin-policy", pin_policies, "how runs are pinned to shards",
-           FIELD(pin_policy)),
+      name(kService, "pinPolicy", "pin-policy", pin_policies(),
+           "how runs are pinned to shards", FIELD(pin_policy)),
   };
   const RunManifest defaults;
   for (RunOption& option : table) option.default_text = option.get(defaults);

@@ -39,9 +39,9 @@ struct RunOption {
   std::function<std::string(const RunManifest&)> get;
   /// Whether a manifest records the value even at its default; unset = never.
   std::function<bool(const RunManifest&)> written_at_default;
-  /// kName: the accepted names, read live (the PolicyRegistry may grow);
-  /// unset for `config`, which EnactmentPolicy::parse checks.
-  std::function<std::vector<std::string>()> choices;
+  /// kName: the accepted names; empty for `config`, which
+  /// EnactmentPolicy::parse checks.
+  std::vector<std::string> choices;
 };
 
 /// Every run knob, in manifest attribute order.

@@ -110,12 +110,12 @@ struct EnactmentPolicy {
   /// Off by default (bit-identical to the pre-data-plane enactor).
   bool cache = false;
 
-  /// Named decision policies from the PolicyRegistry; empty = inherit the
-  /// next level's default (run > service > grid). `matchmaking` rides each
-  /// submission into the broker (`data-gravity` ranks CEs on queue plus
-  /// stage-in cost); `placement` steers retry/speculative-clone targets
-  /// inside the engine; `admission` sets the run's share of the RunService
-  /// admission gate.
+  /// Decision policy names (src/policy/); empty = inherit the next level's
+  /// default (run > service > grid). The engine parses them when it is
+  /// built. `matchmaking` rides each submission into the broker
+  /// (`data-gravity` ranks CEs on queue plus stage-in cost); `placement`
+  /// steers retry/speculative-clone targets inside the engine; `admission`
+  /// sets the run's share of the RunService admission gate.
   std::string matchmaking;
   std::string placement;
   std::string admission;

@@ -94,14 +94,14 @@ void SimGridBackend::execute(std::shared_ptr<services::Service> service,
   if (bindings.size() > 1) {
     request.name += "[x" + std::to_string(bindings.size()) + "]";
   }
-  request.matchmaking = std::move(options.matchmaking);
+  request.matchmaking = options.matchmaking;
   request.avoid_ces = std::move(options.avoid_ces);
-  if (metrics_ != nullptr && !options.placement.empty() &&
-      !request.avoid_ces.empty()) {
+  if (metrics_ != nullptr && options.placement && !request.avoid_ces.empty()) {
     metrics_
         ->counter("moteur_policy_decisions_total",
                   "Policy decisions by policy name and decision kind",
-                  {{"policy", options.placement}, {"kind", "placement"}})
+                  {{"policy", policy::to_string(*options.placement)},
+                   {"kind", "placement"}})
         .inc();
   }
 
@@ -164,8 +164,8 @@ void SimGridBackend::execute(std::shared_ptr<services::Service> service,
               for (const std::string& se : targets) {
                 catalog_->register_replica(lfn, se, mb_per_output);
               }
-              // Background replication: the ReplicationPolicy may fan the
-              // fresh output out to further SEs via SE→SE transfers.
+              // Background replication: `fanout-k` copies the fresh
+              // output to further SEs via SE→SE transfers.
               grid_.note_replica_registered(
                   lfn, grid_.close_storage_name(record.computing_element),
                   mb_per_output);

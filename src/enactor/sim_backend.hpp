@@ -24,8 +24,8 @@ class SimGridBackend : public ExecutionBackend {
   void execute(std::shared_ptr<services::Service> service,
                std::vector<services::Inputs> bindings, Callback on_complete) override;
 
-  /// Policy-hinted overload: the matchmaking name and avoid set ride the
-  /// JobRequest into the broker; the placement name feeds the decision
+  /// Policy-hinted overload: the matchmaking policy and avoid set ride the
+  /// JobRequest into the broker; the placement policy feeds the decision
   /// counters.
   void execute(std::shared_ptr<services::Service> service,
                std::vector<services::Inputs> bindings, ExecOptions options,

@@ -132,15 +132,15 @@ struct GridConfig {
   /// Megabyte multiplier for staging a file whose replicas all live on other
   /// SEs (the wide-area hop to pull it to the close SE first).
   double remote_transfer_penalty = 1.0;
-  /// Grid-default MatchmakingPolicy name (PolicyRegistry). Jobs may override
-  /// per submission via JobRequest::matchmaking. `queue-rank` is the
-  /// historical ranking and stays bit-identical to the pre-policy broker;
-  /// `data-gravity` adds each CE's estimated stage-in cost from the
+  /// Grid-default matchmaking policy name (policy::Matchmaking). Jobs may
+  /// override per submission via JobRequest::matchmaking. `queue-rank` is
+  /// the historical ranking and stays bit-identical to the pre-policy
+  /// broker; `data-gravity` adds each CE's estimated stage-in cost from the
   /// ReplicaCatalog to its rank.
   std::string matchmaking_policy = "queue-rank";
-  /// ReplicaPolicy name governing where fresh replicas are registered and
-  /// which copy stage-in probes first. `close-se` is the historical
-  /// behavior (register and probe at the producing CE's close SE).
+  /// Replica policy name (policy::Replica) governing where fresh replicas
+  /// are registered. `close-se` is the historical behavior (register at the
+  /// producing CE's close SE). Stage-in probes the close SE's copy first.
   std::string replica_policy = "close-se";
 
   /// Orchestrator/UI link bandwidth in MB/s; every centralized stage-in or
@@ -148,12 +148,13 @@ struct GridConfig {
   /// FCFS behind concurrent stagings. 0 = unlimited (the link model is
   /// bypassed entirely, bit-identical to the pre-decentralization path).
   double orchestrator_bandwidth_mbps = 0.0;
-  /// ReplicationPolicy name (PolicyRegistry) governing SE→SE third-party
-  /// transfers. `none` keeps every remote byte on the orchestrator path;
-  /// `push-to-consumer` and `fanout-k` route reads peer-to-peer and start
-  /// proactive transfers at match / registration time.
+  /// Replication policy name (policy::Replication) governing SE→SE
+  /// third-party transfers. `none` keeps every remote byte on the
+  /// orchestrator path; `push-to-consumer` and `fanout-k` route reads
+  /// peer-to-peer and start proactive transfers at match / registration
+  /// time.
   std::string replication_policy = "none";
-  /// EvictionPolicy name (PolicyRegistry) consulted by the ReplicaCatalog
+  /// Eviction policy name (policy::Eviction) consulted by the ReplicaCatalog
   /// when a capacity-bounded SE overflows. `lru` evicts least-recently
   /// used; `pin-sources` refuses to evict workflow source files.
   std::string replica_eviction_policy = "lru";

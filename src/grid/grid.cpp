@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "policy/registry.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -26,12 +25,20 @@ const char* to_string(JobState s) {
 Grid::Grid(sim::Simulator& simulator, GridConfig config)
     : simulator_(simulator),
       config_(std::move(config)),
+      replica_(
+          policy::parse<policy::Replica>(config_.replica_policy, "grid replica policy")),
+      replication_(policy::parse<policy::Replication>(config_.replication_policy,
+                                                      "grid replication policy")),
+      eviction_(policy::parse<policy::Eviction>(config_.replica_eviction_policy,
+                                                "grid eviction policy")),
       rng_(config_.seed),
       overhead_(config_, rng_),
       ui_(simulator, 1),
       ui_rng_(rng_.fork("ui")),
       broker_(simulator, overhead_, config_.broker_concurrency,
-              config_.broker_occupancy_fraction, rng_),
+              config_.broker_occupancy_fraction, rng_,
+              policy::parse<policy::Matchmaking>(config_.matchmaking_policy,
+                                                 "grid matchmaking policy")),
       storage_(simulator, "se0", config_.transfer_latency_seconds,
                config_.transfer_bandwidth_mb_per_s),
       se_rng_(rng_.fork("se.faults")) {
@@ -88,11 +95,6 @@ Grid::Grid(sim::Simulator& simulator, GridConfig config)
     }
   }
   for (const auto& [se_name, se] : storage_by_name_) storage_names_.push_back(se_name);
-  broker_.set_default_matchmaking(config_.matchmaking_policy);
-  const policy::PolicyRegistry& policies = policy::PolicyRegistry::instance();
-  replica_policy_ = policies.make_replica(config_.replica_policy);
-  replication_ = policies.make_replication(config_.replication_policy);
-  decentralized_ = replication_->decentralized_reads();
   if (config_.orchestrator_bandwidth_mbps > 0.0) {
     ui_link_ = std::make_unique<sim::Resource>(simulator, 1);
   }
@@ -151,7 +153,8 @@ void Grid::start_attempt(const std::shared_ptr<PendingJob>& job) {
       ui_.release();
       ResourceBroker::StageInEstimator stage_in;
       if (catalog_ != nullptr && !job->request.input_refs.empty() &&
-          broker_.policy_wants_stage_in(job->request.matchmaking)) {
+          policy::wants_stage_in(
+              job->request.matchmaking.value_or(broker_.default_matchmaking()))) {
         stage_in = [this, job](const ComputingElement& ce) {
           return stage_in_estimate_seconds(job->request, ce.name());
         };
@@ -161,7 +164,7 @@ void Grid::start_attempt(const std::shared_ptr<PendingJob>& job) {
             job->record.match_time = simulator_.now();
             job->record.state = JobState::kScheduled;
             job->record.computing_element = ce.name();
-            if (replication_->push_on_match()) {
+            if (replication_ == policy::Replication::kPushToConsumer) {
               // Start copying missing inputs toward the matched CE's close
               // SE now, overlapping the transfer with the queueing delay.
               maybe_push_for_match(job->request, ce.name());
@@ -182,22 +185,15 @@ void Grid::set_metrics(obs::MetricsRegistry* metrics) {
 void Grid::set_catalog(data::ReplicaCatalog* catalog) {
   catalog_ = catalog;
   if (catalog_ == nullptr) return;
-  bool bounded = false;
   if (config_.default_se_capacity_mb > 0.0) {
     catalog_->set_se_capacity(storage_.name(), config_.default_se_capacity_mb);
-    bounded = true;
   }
   for (const auto& se_config : config_.storage_elements) {
     if (se_config.capacity_mb > 0.0) {
       catalog_->set_se_capacity(se_config.name, se_config.capacity_mb);
-      bounded = true;
     }
   }
-  if (bounded) {
-    catalog_->set_eviction_policy(policy::PolicyRegistry::instance().make_eviction(
-        config_.replica_eviction_policy.empty() ? policy::kDefaultEviction
-                                                : config_.replica_eviction_policy));
-  }
+  catalog_->set_eviction_policy(eviction_);
 }
 
 void Grid::emit_transfer(const TransferEvent& event) {
@@ -356,16 +352,20 @@ void Grid::maybe_push_for_match(const JobRequest& request, const std::string& ce
 
 void Grid::note_replica_registered(const std::string& lfn, const std::string& se_name,
                                    double megabytes) {
-  if (catalog_ == nullptr) return;
-  for (const std::string& target :
-       replication_->fanout_targets(se_name, storage_names_)) {
+  if (catalog_ == nullptr || replication_ != policy::Replication::kFanoutK) return;
+  // fanout-k: copy to the first two other SEs, in deterministic order.
+  std::size_t copies = 0;
+  for (const std::string& target : storage_names_) {
+    if (copies == 2) break;
+    if (target == se_name) continue;
     start_transfer(lfn, megabytes, se_name, target, "fanout");
+    ++copies;
   }
 }
 
 std::vector<std::string> Grid::replica_targets(const std::string& ce_name) {
-  return replica_policy_->placement_targets(close_storage_name(ce_name),
-                                            storage_names_);
+  if (replica_ == policy::Replica::kBroadcast) return storage_names_;
+  return {close_storage_name(ce_name)};
 }
 
 StorageElement& Grid::close_storage(const std::string& ce_name) {
@@ -435,18 +435,18 @@ Grid::StageResolution Grid::resolve_stage_in(const JobRequest& request,
       catalog_->touch(ref.logical_name);
       continue;
     }
-    // Candidate replicas in the ReplicaPolicy's preference order (default
-    // `close-se`: the close SE's copy first, then the rest in registration
-    // order). Each candidate is probed in turn — down SEs are skipped, lost
-    // and corrupt copies are invalidated — until one survives or the file
-    // is declared lost.
+    // Candidate replicas, the close SE's copy first, then the rest in
+    // registration order. Each candidate is probed in turn — down SEs are
+    // skipped, lost and corrupt copies are invalidated — until one survives
+    // or the file is declared lost.
     std::vector<std::string> candidates = catalog_->locate(ref.logical_name);
-    replica_policy_->probe_order(candidates, se_name);
-    if (decentralized_ && candidates.size() > 1) {
+    const auto close = std::find(candidates.begin(), candidates.end(), se_name);
+    if (close != candidates.end()) std::rotate(candidates.begin(), close, close + 1);
+    if (decentralized_reads() && candidates.size() > 1) {
       // Peer pulls probe the cheapest live copy first: order failover
       // candidates by pairwise transfer cost onto the close SE (the local
-      // copy costs nothing and stays in front). Stable, so the replica
-      // policy's order still breaks exact cost ties.
+      // copy costs nothing and stays in front). Stable, so the close-first
+      // registration order still breaks exact cost ties.
       auto dest_it = storage_by_name_.find(se_name);
       if (dest_it != storage_by_name_.end()) {
         StorageElement& dest = *dest_it->second;
@@ -618,7 +618,7 @@ void Grid::run_in_slot(const std::shared_ptr<PendingJob>& job, ComputingElement&
   // Which bytes round-trip through the orchestrator: under a decentralized
   // replication policy reads come off the SE fabric (remote ones as peer
   // pulls), otherwise every staged byte crosses the UI link.
-  const bool peer_routed = decentralized_ && catalog_ != nullptr;
+  const bool peer_routed = decentralized_reads() && catalog_ != nullptr;
   const double ui_in_mb = peer_routed ? 0.0 : resolution.effective_megabytes;
   const double peer_in_mb = peer_routed ? resolution.remote_megabytes : 0.0;
 
@@ -698,7 +698,7 @@ void Grid::finish(const std::shared_ptr<PendingJob>& job, JobState final_state) 
     stats_.total_seconds.add(job->record.total_seconds());
     if (catalog_ != nullptr && !job->request.input_refs.empty()) {
       // After a successful stage-in the staging SE holds a copy of every
-      // input file: register replicas on the ReplicaPolicy's targets (the
+      // input file: register replicas on the replica policy's targets (the
       // close SE by default) so later jobs can be placed next to them.
       for (const std::string& se_name : replica_targets(job->record.computing_element)) {
         for (const auto& ref : job->request.input_refs) {
@@ -709,7 +709,7 @@ void Grid::finish(const std::shared_ptr<PendingJob>& job, JobState final_state) 
         metrics_
             ->counter("moteur_policy_decisions_total",
                       "Policy decisions by policy name and decision kind",
-                      {{"policy", replica_policy_->name()}, {"kind", "replica"}})
+                      {{"policy", policy::to_string(replica_)}, {"kind", "replica"}})
             .inc();
       }
     }

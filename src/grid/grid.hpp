@@ -86,7 +86,7 @@ class Grid {
   void set_metrics(obs::MetricsRegistry* metrics);
 
   /// SEs a fresh replica produced on `ce_name` should be registered on,
-  /// per the grid's ReplicaPolicy (default `close-se`: the CE's close SE).
+  /// per the grid's replica policy (default `close-se`: the CE's close SE).
   std::vector<std::string> replica_targets(const std::string& ce_name);
 
   /// The StorageElement a CE stages through (the default SE when the site
@@ -112,13 +112,13 @@ class Grid {
                       const std::string& trigger);
 
   /// Hook for the execution backend: a fresh replica of `lfn` registered on
-  /// `se_name`. Feeds the ReplicationPolicy's background fanout.
+  /// `se_name`. Feeds `fanout-k` replication's background copies.
   void note_replica_registered(const std::string& lfn, const std::string& se_name,
                                double megabytes);
 
-  /// Does the active ReplicationPolicy route remote reads SE→SE (peer
-  /// pulls) instead of through the orchestrator?
-  bool decentralized_reads() const { return decentralized_; }
+  /// Does the replication policy route remote reads SE→SE (peer pulls)
+  /// instead of through the orchestrator?
+  bool decentralized_reads() const { return replication_ != policy::Replication::kNone; }
 
   /// Cumulative busy time of the finite orchestrator link (0 when the
   /// bandwidth is unlimited and the link model is bypassed).
@@ -200,6 +200,10 @@ class Grid {
 
   sim::Simulator& simulator_;
   GridConfig config_;
+  /// The configured policy names, parsed before anything else is built.
+  policy::Replica replica_;
+  policy::Replication replication_;
+  policy::Eviction eviction_;
   Rng rng_;
   OverheadModel overhead_;
   /// The user-interface host: submission commands run one at a time.
@@ -219,9 +223,6 @@ class Grid {
   std::map<std::string, StorageElement*> close_storage_;  // CE name -> SE
   /// Every SE name in deterministic (map) order, for replica placement.
   std::vector<std::string> storage_names_;
-  std::unique_ptr<policy::ReplicaPolicy> replica_policy_;
-  std::unique_ptr<policy::ReplicationPolicy> replication_;
-  bool decentralized_ = false;
   /// The finite orchestrator/UI data link (null = unlimited bandwidth,
   /// the historical free-staging behavior).
   std::unique_ptr<sim::Resource> ui_link_;

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "policy/policy.hpp"
 #include "sim/simulator.hpp"
 
 namespace moteur::grid {
@@ -44,8 +46,8 @@ struct JobRequest {
   double output_megabytes = 0.0;
   /// Per-file stage-in plan (data plane; empty = charge input_megabytes).
   std::vector<DataStageRef> input_refs;
-  /// Matchmaking policy name for this job; empty = the grid's default.
-  std::string matchmaking;
+  /// Matchmaking policy for this job; unset = the grid's default.
+  std::optional<policy::Matchmaking> matchmaking;
   /// CE names a placement policy wants this job steered away from
   /// (advisory — the broker ignores it rather than strand the job).
   std::vector<std::string> avoid_ces;

@@ -5,21 +5,20 @@
 #include "grid/ce_health.hpp"
 #include "grid/overhead_model.hpp"
 #include "obs/metrics.hpp"
-#include "policy/registry.hpp"
 #include "util/error.hpp"
 
 namespace moteur::grid {
 
 ResourceBroker::ResourceBroker(sim::Simulator& simulator, OverheadModel& overhead,
                                std::size_t concurrency, double occupancy_fraction,
-                               const Rng& base)
+                               const Rng& base, policy::Matchmaking default_matchmaking)
     : simulator_(simulator),
       overhead_(overhead),
       occupancy_fraction_(occupancy_fraction),
       pipeline_(simulator, concurrency),
       tie_rng_(base.fork("broker.ties")),
-      policy_rng_base_(base.fork("broker.policies")),
-      default_matchmaking_(policy::kDefaultMatchmaking) {}
+      k_choices_rng_(base.fork("broker.policies").fork("k-choices")),
+      default_matchmaking_(default_matchmaking) {}
 
 void ResourceBroker::add_computing_element(std::unique_ptr<ComputingElement> ce) {
   ces_.push_back(std::move(ce));
@@ -27,27 +26,6 @@ void ResourceBroker::add_computing_element(std::unique_ptr<ComputingElement> ce)
 
 void ResourceBroker::remove_health(CeHealth* health) {
   health_.erase(std::remove(health_.begin(), health_.end(), health), health_.end());
-}
-
-void ResourceBroker::set_default_matchmaking(const std::string& name) {
-  default_matchmaking_ =
-      policy::PolicyRegistry::instance().check_matchmaking(name, "matchmaking policy");
-}
-
-policy::MatchmakingPolicy& ResourceBroker::policy_for(const std::string& name) {
-  const std::string& key = name.empty() ? default_matchmaking_ : name;
-  auto it = policies_.find(key);
-  if (it == policies_.end()) {
-    it = policies_
-             .emplace(key, policy::PolicyRegistry::instance().make_matchmaking(
-                               key, policy_rng_base_))
-             .first;
-  }
-  return *it->second;
-}
-
-bool ResourceBroker::policy_wants_stage_in(const std::string& name) {
-  return policy_for(name).wants_stage_in();
 }
 
 ComputingElement& ResourceBroker::match(const StageInEstimator& stage_in,
@@ -93,16 +71,14 @@ ComputingElement& ResourceBroker::match(const StageInEstimator& stage_in,
     candidates.push_back(
         {ce->name(), ce->rank_estimate(), stage_in ? stage_in(*ce) : 0.0});
   }
-  policy::MatchmakingPolicy& policy = policy_for(context.policy);
-  const std::size_t pick = policy.choose(candidates, tie_rng_);
-  MOTEUR_REQUIRE(pick < pool.size(), InternalError,
-                 "matchmaking policy '" + policy.name() + "' chose out of range");
-  ComputingElement* chosen = pool[pick];
+  const policy::Matchmaking matchmaking = context.policy.value_or(default_matchmaking_);
+  ComputingElement* chosen =
+      pool[policy::choose(matchmaking, candidates, tie_rng_, k_choices_rng_)];
   if (metrics_ != nullptr) {
     metrics_
         ->counter("moteur_policy_decisions_total",
                   "Policy decisions by policy name and decision kind",
-                  {{"policy", policy.name()}, {"kind", "matchmaking"}})
+                  {{"policy", policy::to_string(matchmaking)}, {"kind", "matchmaking"}})
         .inc();
   }
   for (CeHealth* h : health_) {

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,14 +23,14 @@ class OverheadModel;
 
 /// The LCG2-style central Resource Broker: all submissions funnel through it.
 /// It serializes matchmaking through a bounded pipeline (so middleware load
-/// grows overhead, as observed in the paper) and delegates CE ranking to a
-/// named MatchmakingPolicy from the PolicyRegistry (default `queue-rank`:
-/// estimated response time at match instant, bit-identical to the
-/// pre-policy-engine broker).
+/// grows overhead, as observed in the paper) and ranks CEs under a
+/// matchmaking policy (default `queue-rank`: estimated response time at
+/// match instant, bit-identical to the pre-policy-engine broker).
 class ResourceBroker {
  public:
   ResourceBroker(sim::Simulator& simulator, OverheadModel& overhead,
-                 std::size_t concurrency, double occupancy_fraction, const Rng& base);
+                 std::size_t concurrency, double occupancy_fraction, const Rng& base,
+                 policy::Matchmaking default_matchmaking);
 
   /// Extra per-CE cost (seconds) added to the queue-based rank during
   /// matchmaking — the data-aware hook: the grid estimates stage-in time
@@ -38,11 +38,11 @@ class ResourceBroker {
   /// and identical tie-break RNG draws to the pre-data-plane broker).
   using StageInEstimator = std::function<double(const ComputingElement&)>;
 
-  /// Per-submission matchmaking knobs. `policy` empty = broker default;
+  /// Per-submission matchmaking knobs. `policy` unset = broker default;
   /// `avoid` lists CE names a placement policy wants this attempt steered
   /// away from (advisory — ignored when it would strand the submission).
   struct MatchContext {
-    std::string policy;
+    std::optional<policy::Matchmaking> policy;
     std::vector<std::string> avoid;
   };
 
@@ -65,11 +65,8 @@ class ResourceBroker {
   ComputingElement& match(const StageInEstimator& stage_in = nullptr,
                           const MatchContext& context = {});
 
-  /// Grid-level default matchmaking policy (validated against the registry).
-  void set_default_matchmaking(const std::string& name);
-
-  /// Whether the named policy (empty = default) ranks on stage-in estimates.
-  bool policy_wants_stage_in(const std::string& name);
+  /// Grid-level default matchmaking policy.
+  policy::Matchmaking default_matchmaking() const { return default_matchmaking_; }
 
   /// Per-policy decision counters land here when attached. Not owned.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
@@ -94,16 +91,14 @@ class ResourceBroker {
   void remove_health(CeHealth* health);
 
  private:
-  policy::MatchmakingPolicy& policy_for(const std::string& name);
-
   sim::Simulator& simulator_;
   OverheadModel& overhead_;
   double occupancy_fraction_;
   sim::Resource pipeline_;
   Rng tie_rng_;
-  Rng policy_rng_base_;
-  std::string default_matchmaking_;
-  std::map<std::string, std::unique_ptr<policy::MatchmakingPolicy>> policies_;
+  /// k-choices' private substream, so it never draws from `tie_rng_`.
+  Rng k_choices_rng_;
+  policy::Matchmaking default_matchmaking_;
   obs::MetricsRegistry* metrics_ = nullptr;  // not owned
   std::vector<std::unique_ptr<ComputingElement>> ces_;
   std::vector<CeHealth*> health_;  // not owned

@@ -7,25 +7,14 @@
 
 namespace moteur::service {
 
-policy::AdmissionPolicy& AdmissionGate::policy_for(const std::string& name) {
-  const std::string& key = name.empty() ? config_.policy : name;
-  auto it = policies_.find(key);
-  if (it == policies_.end()) {
-    it = policies_.emplace(key, policy::PolicyRegistry::instance().make_admission(key))
-             .first;
-  }
-  return *it->second;
-}
-
 void AdmissionGate::register_run(const std::string& run_id, std::size_t weight,
-                                 const std::string& policy_override) {
+                                 std::optional<policy::Admission> admission) {
   MOTEUR_REQUIRE(runs_.find(run_id) == runs_.end(), InternalError,
                  "admission gate: run '" + run_id + "' registered twice");
   RunQueue rq;
-  policy::AdmissionPolicy& policy = policy_for(policy_override);
-  rq.policy = policy.name();
-  const std::size_t effective = policy.weight(run_id, weight);
-  rq.weight = effective == 0 ? 1 : effective;
+  rq.policy = admission.value_or(default_policy_);
+  rq.weight =
+      rq.policy == policy::Admission::kRoundRobin ? 1 : std::max<std::size_t>(1, weight);
   runs_.emplace(run_id, std::move(rq));
   order_.push_back(run_id);
 }

@@ -5,12 +5,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "enactor/backend.hpp"
 #include "policy/policy.hpp"
-#include "policy/registry.hpp"
 
 namespace moteur::service {
 
@@ -40,20 +40,25 @@ class AdmissionGate : public std::enable_shared_from_this<AdmissionGate> {
     /// Concurrent backend executions across all runs; 0 = unbounded (the
     /// gate then only orders submissions, it never queues them).
     std::size_t max_inflight = 8;
-    /// Default AdmissionPolicy name mapping requested run weights onto
-    /// effective WRR shares (`weighted` = take them as-is, the historical
-    /// behavior; `round-robin` = one grant per visit for every run).
-    std::string policy = policy::kDefaultAdmission;
+    /// Default admission policy name (policy::Admission) mapping requested
+    /// run weights onto effective WRR shares (`weighted` = take them as-is,
+    /// the historical behavior; `round-robin` = one grant per visit for
+    /// every run).
+    std::string policy = "weighted";
   };
 
+  /// Throws ParseError when `config.policy` names no admission policy.
   AdmissionGate(enactor::ExecutionBackend& backend, Config config)
-      : backend_(backend), config_(std::move(config)) {}
+      : backend_(backend),
+        max_inflight_(config.max_inflight),
+        default_policy_(policy::parse<policy::Admission>(config.policy,
+                                                         "service admission policy")) {}
 
-  /// Add `run_id` to the WRR visit list with the share the AdmissionPolicy
-  /// derives from `weight` (0 clamped to 1). `policy_override` names a
-  /// per-run AdmissionPolicy; empty uses the gate default.
+  /// Add `run_id` to the WRR visit list with the share its admission
+  /// policy derives from `weight` (0 clamped to 1). `admission` unset uses
+  /// the gate default.
   void register_run(const std::string& run_id, std::size_t weight,
-                    const std::string& policy_override = "");
+                    std::optional<policy::Admission> admission = std::nullopt);
 
   /// Drop `run_id` from the visit list. Its queue must already be empty
   /// (the run finished or was cancelled).
@@ -78,10 +83,10 @@ class AdmissionGate : public std::enable_shared_from_this<AdmissionGate> {
 
   /// Observer invoked at each grant with the backend-time the submission
   /// spent queued in the gate (0 for immediate launches) and the granting
-  /// run's effective AdmissionPolicy name — feeds the service's
-  /// admission-wait histogram and the policy decision counters.
+  /// run's effective admission policy — feeds the service's admission-wait
+  /// histogram and the policy decision counters.
   void set_grant_observer(
-      std::function<void(double wait_seconds, const std::string& policy)> observer) {
+      std::function<void(double wait_seconds, policy::Admission policy)> observer) {
     on_grant_ = std::move(observer);
   }
 
@@ -92,36 +97,32 @@ class AdmissionGate : public std::enable_shared_from_this<AdmissionGate> {
     enactor::ExecOptions options;
     enactor::ExecutionBackend::Callback on_complete;
     double enqueued_at = 0.0;
-    /// Effective AdmissionPolicy name of the submitting run (grant label).
-    std::string policy;
+    /// Effective admission policy of the submitting run (grant label).
+    policy::Admission policy = policy::Admission::kWeighted;
   };
   struct RunQueue {
     std::size_t weight = 1;
     bool cancelled = false;
-    std::string policy = policy::kDefaultAdmission;
+    policy::Admission policy = policy::Admission::kWeighted;
     std::deque<Pending> queue;
   };
 
-  policy::AdmissionPolicy& policy_for(const std::string& name);
-
-  bool has_capacity() const {
-    return config_.max_inflight == 0 || inflight_ < config_.max_inflight;
-  }
+  bool has_capacity() const { return max_inflight_ == 0 || inflight_ < max_inflight_; }
   /// Grant queued submissions (WRR order) while capacity lasts.
   void pump();
   void launch(Pending pending);
   void fail_cancelled(Pending pending);
 
   enactor::ExecutionBackend& backend_;
-  Config config_;
+  std::size_t max_inflight_;
+  policy::Admission default_policy_;
   std::map<std::string, RunQueue> runs_;
   std::vector<std::string> order_;  // registration order = WRR visit order
   std::size_t cursor_ = 0;          // current visit position in order_
   std::size_t grants_this_visit_ = 0;
   std::size_t inflight_ = 0;
   std::size_t total_queued_ = 0;
-  std::map<std::string, std::unique_ptr<policy::AdmissionPolicy>> policies_;
-  std::function<void(double, const std::string&)> on_grant_;
+  std::function<void(double, policy::Admission)> on_grant_;
 };
 
 }  // namespace moteur::service

@@ -114,9 +114,10 @@ struct RunServiceConfig {
     /// Concurrent backend executions across all active runs (the admission
     /// gates' cap); 0 = unbounded.
     std::size_t max_inflight = 8;
-    /// Default AdmissionPolicy name (PolicyRegistry) mapping requested run
-    /// weights onto WRR shares; runs may override via their
+    /// Default admission policy name (policy::Admission) mapping requested
+    /// run weights onto WRR shares; runs may override via their
     /// EnactmentPolicy::admission. `weighted` is the historical behavior.
+    /// An unknown name makes the RunService constructor throw ParseError.
     std::string policy = "weighted";
   };
 
@@ -199,6 +200,7 @@ struct ShardStats {
 /// outlive the service.
 class RunService {
  public:
+  /// Throws ParseError when `config` names an unknown admission policy.
   RunService(enactor::ExecutionBackend& backend, services::ServiceRegistry& registry,
              RunServiceConfig config = {});
   ~RunService();
@@ -207,7 +209,9 @@ class RunService {
   RunService& operator=(const RunService&) = delete;
 
   /// Enqueue one run. The request's `name` becomes the run id when it is
-  /// non-empty and unused; otherwise an id "run-<n>" is generated.
+  /// non-empty and unused; otherwise an id "run-<n>" is generated. A run
+  /// that cannot start (an unknown policy name, an invalid workflow) ends
+  /// kFailed with the reason in its handle's error(); other runs go on.
   RunHandle submit(enactor::RunRequest request);
 
   /// Enqueue a batch atomically: all runs enter their shards' queues before

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -179,14 +180,14 @@ EngineShard::EngineShard(std::size_t index, ServiceCore& core,
       total_inflight == 0 ? 0 : std::max<std::size_t>(1, total_inflight / std::max<std::size_t>(1, shards));
   gate_config.policy = core_.config.admission.policy;
   gate_ = std::make_shared<AdmissionGate>(backend(), gate_config);
-  gate_->set_grant_observer([this](double waited, const std::string& policy_name) {
+  gate_->set_grant_observer([this](double waited, policy::Admission admission) {
     if (core_.recorder == nullptr) return;
     std::lock_guard<std::mutex> lock(core_.obs_mu);
     if (core_.gate_wait != nullptr) core_.gate_wait->observe(waited);
     core_.recorder->metrics()
         .counter("moteur_policy_decisions_total",
                  "Policy decisions by policy name and decision kind",
-                 {{"policy", policy_name}, {"kind", "admission"}})
+                 {{"policy", policy::to_string(admission)}, {"kind", "admission"}})
         .inc();
   });
   batch_.reserve(obs_batch_);
@@ -369,9 +370,6 @@ bool EngineShard::admit(const RunRecordPtr& rec) {
     std::lock_guard<std::mutex> lock(rec->mu);
     rec->admission_wait = waited;
   }
-  gate_->register_run(rec->id, rec->request.weight, policy.admission);
-  rec->gated = std::make_unique<GatedBackend>(backend(), gate_, rec->id);
-
   std::vector<enactor::EventSubscriber> subs;
   // The flight recorder needs the event stream even with no recorder or
   // subscriber attached (deliver_events is then a cheap no-op per batch).
@@ -383,14 +381,22 @@ bool EngineShard::admit(const RunRecordPtr& rec) {
   options.shared_health = health;
   if (policy.cache) options.cache = cache;
   try {
+    std::optional<policy::Admission> admission;
+    if (!policy.admission.empty()) {
+      admission =
+          policy::parse<policy::Admission>(policy.admission, "run admission policy");
+    }
+    gate_->register_run(rec->id, rec->request.weight, admission);
+    rec->gated = std::make_unique<GatedBackend>(backend(), gate_, rec->id);
     rec->engine = std::make_shared<enactor::Engine>(
         *rec->gated, core_.registry, policy, rec->request.resolver, std::move(subs),
         rec->request.workflow, rec->request.inputs, std::move(options));
     rec->engine->start();
   } catch (const Error& e) {
-    // Construction/start failures (invalid workflow, binding mismatch).
-    // start() may have pushed submissions into the gate already: flush
-    // them (the engine's weak-guarded callbacks discard the deliveries).
+    // Construction/start failures (unknown policy name, invalid workflow,
+    // binding mismatch). start() may have pushed submissions into the gate
+    // already: flush them (the engine's weak-guarded callbacks discard the
+    // deliveries).
     rec->engine.reset();
     gate_->cancel_run(rec->id);
     gate_->deregister_run(rec->id);

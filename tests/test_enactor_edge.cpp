@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "data/dataset.hpp"
 #include "enactor/enactor.hpp"
@@ -12,6 +13,7 @@
 #include "grid/grid.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
+#include "util/error.hpp"
 #include "workflow/patterns.hpp"
 
 namespace moteur::enactor {
@@ -352,6 +354,31 @@ TEST(EnactorEdge, StragglerFromPreviousRunCannotCorruptNextRun) {
   EXPECT_EQ(second.invocations(), 6u);
   EXPECT_EQ(second.failures(), 0u);
   EXPECT_EQ(second.timeouts(), 0u);
+}
+
+TEST(EnactorEdge, UnknownPolicyNamesThrowBeforeAnyJobIsSubmitted) {
+  SimRig rig(10.0);
+  rig.registry.add(services::make_simulated_service("P0", {"in"}, {"out"},
+                                                    JobProfile{5.0}));
+  for (const auto& [field, name] : {std::pair{"matchmaking", &EnactmentPolicy::matchmaking},
+                                    std::pair{"placement", &EnactmentPolicy::placement}}) {
+    EnactmentPolicy policy = EnactmentPolicy::sp_dp();
+    policy.*name = "bogus";
+    Enactor moteur(rig.backend, rig.registry, policy);
+    try {
+      moteur.run({.workflow = workflow::make_chain(1), .inputs = items("src", 3)});
+      FAIL() << "expected ParseError for " << field;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("run ") + field + " policy"), std::string::npos) << what;
+      EXPECT_NE(what.find("'bogus'"), std::string::npos) << what;
+    }
+    EXPECT_EQ(rig.backend.jobs_submitted(), 0u) << field;
+    EXPECT_EQ(rig.grid.stats().submitted, 0u) << field;
+  }
+  // The backend is left clean for the next run.
+  EXPECT_EQ(rig.run(workflow::make_chain(1), items("src", 3)).sink_outputs.at("sink").size(),
+            3u);
 }
 
 TEST(EnactorEdge, RerunningEnactorReusesBackendCleanly) {

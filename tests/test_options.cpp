@@ -49,8 +49,9 @@ std::string random_value(const RunOption& option, Rng& rng) {
     case Type::kName: {
       // `config` has no closed list: EnactmentPolicy::parse takes any order.
       const std::vector<std::string> names =
-          option.choices ? option.choices()
-                         : std::vector<std::string>{"NOP", "JG", "DP+SP", "SP + DP + JG"};
+          option.choices.empty()
+              ? std::vector<std::string>{"NOP", "JG", "DP+SP", "SP + DP + JG"}
+              : option.choices;
       return names[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(names.size()) - 1))];
     }
@@ -182,10 +183,8 @@ TEST(RunOptions, EachRowSetsItsOwnField) {
     for (const char* candidate : {"7", "0.25", "2", "true", "false", "NOP"}) {
       if (accepts(option, candidate) && candidate != option.default_text) value = candidate;
     }
-    if (option.choices) {
-      for (const std::string& name : option.choices()) {
-        if (name != option.default_text) value = name;
-      }
+    for (const std::string& name : option.choices) {
+      if (name != option.default_text) value = name;
     }
     ASSERT_FALSE(value.empty()) << option.attribute;
     RunManifest manifest;

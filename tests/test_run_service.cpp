@@ -12,6 +12,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -342,6 +343,62 @@ TEST(RunService, QueuedRunCancelledBeforeStart) {
   EXPECT_EQ(handles[1].result().invocations(), 0u);
   EXPECT_TRUE(handles[1].result().sink_outputs.empty());
   service.wait_idle();
+}
+
+TEST(RunService, UnknownRunPolicyNamesFailOnlyTheirRun) {
+  ServiceRig rig(grid::GridConfig::constant(0.0));
+  for (const char* prefix : {"good", "admission", "matchmaking", "placement", "later"}) {
+    rig.add_prefixed_chain(prefix, 1, 1.0);
+  }
+  RunServiceConfig config;
+  config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
+  RunService service(rig.backend, rig.registry, config);
+
+  std::vector<enactor::RunRequest> requests;
+  requests.push_back(make_request("good", prefixed_chain("good", 1), 3));
+  // Each bad run is named after the field it misspells.
+  for (const auto& [field, name] :
+       {std::pair{"admission", &enactor::EnactmentPolicy::admission},
+        std::pair{"matchmaking", &enactor::EnactmentPolicy::matchmaking},
+        std::pair{"placement", &enactor::EnactmentPolicy::placement}}) {
+    enactor::RunRequest request = make_request(field, prefixed_chain(field, 1), 3);
+    enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
+    policy.*name = "bogus";
+    request.policy = policy;
+    requests.push_back(std::move(request));
+  }
+  auto handles = service.submit_all(std::move(requests));
+  for (std::size_t i = 1; i < handles.size(); ++i) {
+    EXPECT_EQ(handles[i].wait(), RunState::kFailed) << handles[i].id();
+    const std::string& error = handles[i].error();
+    EXPECT_NE(error.find("run " + handles[i].id() + " policy"), std::string::npos) << error;
+    EXPECT_NE(error.find("'bogus'"), std::string::npos) << error;
+  }
+  EXPECT_EQ(handles[0].wait(), RunState::kFinished);
+  EXPECT_EQ(handles[0].result().sink_outputs.at("sink").size(), 3u);
+  // The shard that refused them keeps serving.
+  RunHandle later = service.submit(make_request("later", prefixed_chain("later", 1), 2));
+  EXPECT_EQ(later.wait(), RunState::kFinished);
+  service.wait_idle();
+}
+
+TEST(RunService, UnknownServiceAdmissionPolicyThrowsFromTheConstructor) {
+  RunServiceConfig config;
+  config.admission.policy = "bogus";
+  ServiceRig rig(grid::GridConfig::constant(0.0));
+  try {
+    RunService service(rig.backend, rig.registry, config);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("service admission policy"), std::string::npos) << what;
+    EXPECT_NE(what.find("'bogus'"), std::string::npos) << what;
+  }
+  // Sharded: the shards built before the refusal are torn down cleanly.
+  enactor::ThreadedBackend backend(2);
+  services::ServiceRegistry registry;
+  config.sharding.shards = 2;
+  EXPECT_THROW(RunService(backend, registry, config), ParseError);
 }
 
 TEST(RunService, RejectsSubmissionsAfterShutdown) {

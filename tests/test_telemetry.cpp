@@ -307,6 +307,19 @@ TEST(RunServiceTelemetry, SnapshotIsEmptyWithoutARecorder) {
 
 TEST(RunServiceTelemetry, AdmissionWaitIsExposedOnTheHandle) {
   SimRig rig;
+  // alpha's first stage blocks on a latch, so alpha cannot finish (and beta
+  // cannot be admitted) until the still-queued reads below are done.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  rig.registry.add(std::make_shared<FunctionalService>(
+      "alpha-p0", std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
+      FunctionalService::InvokeFn{}, [released](const Inputs&) {
+        released.wait();
+        grid::JobRequest profile;
+        profile.name = "alpha-p0";
+        profile.compute_seconds = 10.0;
+        return profile;
+      }));
   service::RunServiceConfig config;
   config.admission.max_active = 1;  // the second run must wait in line
   config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
@@ -316,7 +329,9 @@ TEST(RunServiceTelemetry, AdmissionWaitIsExposedOnTheHandle) {
   requests.push_back(chain_request("alpha", 4));
   requests.push_back(chain_request("beta", 4));
   auto handles = service.submit_all(std::move(requests));
+  EXPECT_EQ(handles[1].poll(), service::RunState::kQueued);
   EXPECT_DOUBLE_EQ(handles[1].admission_wait(), 0.0);  // still queued: 0
+  release.set_value();
   service.wait_idle();
 
   EXPECT_EQ(handles[0].poll(), service::RunState::kFinished);

@@ -41,7 +41,7 @@
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
 #include "obs/telemetry.hpp"
-#include "policy/registry.hpp"
+#include "policy/policy.hpp"
 #include "service/run_service.hpp"
 #include "model/dag.hpp"
 #include "model/makespan.hpp"
@@ -297,12 +297,12 @@ void apply_fault_flags(const Args& args, grid::GridConfig& config) {
     }
   }
   // Capacity-bounded storage: a finite default-SE budget makes the catalog
-  // evict, under the named EvictionPolicy.
+  // evict, under the named eviction policy.
   config.default_se_capacity_mb =
       args.parsed("se-capacity", parse_nonnegative_real, config.default_se_capacity_mb);
   if (const auto name = args.get("eviction-policy")) {
-    config.replica_eviction_policy =
-        policy::PolicyRegistry::instance().check_eviction(*name, "--eviction-policy");
+    policy::parse<policy::Eviction>(*name, "--eviction-policy");
+    config.replica_eviction_policy = *name;
   }
 }
 

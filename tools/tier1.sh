@@ -5,9 +5,9 @@
 #   tools/tier1.sh --tsan   additionally rebuild the enactor-labelled tests
 #                           under -fsanitize=thread and run them
 #                           (ThreadedBackend races surface here)
-#   tools/tier1.sh --asan   additionally rebuild the fault-labelled tests
-#                           under -fsanitize=address,undefined and run them
-#                           (retry/breaker/poisoned-token paths)
+#   tools/tier1.sh --asan   additionally rebuild everything under
+#                           -fsanitize=address,undefined (undefined
+#                           behaviour fatal) and run the whole suite
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -427,8 +427,10 @@ if [ "${1:-}" = "--tsan" ]; then
 fi
 
 if [ "${1:-}" = "--asan" ]; then
-  echo "== ASan stage: fault-containment tests under -fsanitize=address,undefined =="
+  echo "== ASan stage: the whole suite under -fsanitize=address,undefined =="
   cmake -B build-asan -S . -DMOTEUR_ASAN=ON >/dev/null
-  cmake --build build-asan -j --target test_retry test_robustness test_datastore
-  (cd build-asan && ctest --output-on-failure -L fault)
+  # One compiler per core: sanitized compiles of every target at once can
+  # exhaust memory.
+  cmake --build build-asan -j "$(nproc)"
+  (cd build-asan && ctest --output-on-failure -j)
 fi
