@@ -11,9 +11,6 @@
 
 namespace moteur::enactor {
 
-ThreadedBackend::ThreadedBackend(std::size_t threads)
-    : pool_(threads), epoch_(std::chrono::steady_clock::now()) {}
-
 double ThreadedBackend::now() const {
   const auto elapsed = std::chrono::steady_clock::now() - epoch_;
   return std::chrono::duration<double>(elapsed).count();
@@ -133,114 +130,7 @@ Outcome ThreadedBackend::run_payload(const std::shared_ptr<services::Service>& s
     record.completion_time = outcome.end_time;
     outcome.job = std::move(record);
   }
-  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
   return outcome;
-}
-
-void ThreadedBackend::execute(std::shared_ptr<services::Service> service,
-                              std::vector<services::Inputs> bindings,
-                              Callback on_complete) {
-  MOTEUR_REQUIRE(!bindings.empty(), InternalError, "execute with no bindings");
-  Routed routed = route_submission();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++in_flight_;
-  }
-  const double submit_time = now();
-  pool_.post([this, service = std::move(service), bindings = std::move(bindings),
-              on_complete = std::move(on_complete), submit_time,
-              routed = std::move(routed)]() mutable {
-    Outcome outcome =
-        run_payload(service, bindings, submit_time, routed.host, routed.inject_fault);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      completed_.push_back(Done{std::move(outcome), std::move(on_complete)});
-      --in_flight_;
-    }
-    cv_.notify_all();
-  });
-}
-
-ExecutionBackend::TimerId ThreadedBackend::schedule(double delay_seconds,
-                                                    std::function<void()> fn) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(std::max(0.0, delay_seconds)));
-  TimerId id;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    id = next_timer_++;
-    timers_.emplace(id, Timer{deadline, std::move(fn)});
-  }
-  cv_.notify_all();
-  return id;
-}
-
-void ThreadedBackend::cancel(TimerId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  timers_.erase(id);
-}
-
-void ThreadedBackend::notify() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    wake_ = true;
-  }
-  cv_.notify_all();
-}
-
-bool ThreadedBackend::drive(const std::function<bool()>& done) {
-  while (!done()) {
-    Done next;
-    std::function<void()> due_timer;
-    bool woke = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      for (;;) {
-        // An external notify() means the caller's done() predicate may have
-        // changed: surface it before waiting on backend work.
-        if (wake_) {
-          wake_ = false;
-          woke = true;
-          break;
-        }
-        if (!completed_.empty()) break;
-        // Earliest timer deadline bounds the wait; a due timer fires here,
-        // on the drive thread, like a completion.
-        auto earliest = timers_.end();
-        for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-          if (earliest == timers_.end() || it->second.deadline < earliest->second.deadline) {
-            earliest = it;
-          }
-        }
-        if (earliest != timers_.end() &&
-            earliest->second.deadline <= std::chrono::steady_clock::now()) {
-          due_timer = std::move(earliest->second.fn);
-          timers_.erase(earliest);
-          break;
-        }
-        if (in_flight_ == 0 && earliest == timers_.end()) return false;  // stall
-        if (earliest != timers_.end()) {
-          cv_.wait_until(lock, earliest->second.deadline);
-        } else {
-          cv_.wait(lock,
-                   [this] { return wake_ || !completed_.empty() || in_flight_ == 0; });
-        }
-      }
-      if (!woke && !due_timer && !completed_.empty()) {
-        next = std::move(completed_.front());
-        completed_.pop_front();
-      }
-    }
-    if (woke) continue;  // re-evaluate done()
-    if (due_timer) {
-      due_timer();
-    } else {
-      record_metrics(next.outcome);
-      next.callback(std::move(next.outcome));
-    }
-  }
-  return true;
 }
 
 void ThreadedBackend::record_metrics(const Outcome& outcome) {
@@ -258,12 +148,25 @@ void ThreadedBackend::record_metrics(const Outcome& outcome) {
       .observe(std::max(0.0, outcome.start_time - outcome.submit_time));
 }
 
-/// One independent completion lane over the parent's worker pool. The
-/// consumer (one engine shard) calls execute/schedule/cancel/drive from a
-/// single thread; producers are pool workers pushing completions into the
-/// MPSC queue, plus any thread calling notify(). Timers and the outstanding
-/// count are consumer-private — no lock — because every mutation happens on
-/// the shard thread.
+/// One completion lane over the parent's worker pool: the backend's own or
+/// an engine shard's. The consumer calls execute/schedule/cancel/drive from
+/// a single thread; producers are pool workers pushing completions into the
+/// MPSC queue, plus any thread calling notify(). Staged tasks, timers and the
+/// outstanding count are consumer-private — no lock — because every mutation
+/// happens on the consumer thread.
+///
+/// execute() only stages the task (routing, the fault draw and the submit
+/// time are still taken there, in call order). drive() hands everything
+/// staged to the pool under one lock, with one wake-up, once it has
+/// dispatched the completions it drained — before it drains again or blocks —
+/// and before it returns, so one drive turn's submissions travel as one
+/// batch; under light load a batch is a single task.
+///
+/// The completion queue is shared with every task posted to it, so it
+/// outlives the lane: a straggler that finishes after its lane was destroyed
+/// (a shard shut down while a superseded attempt still ran) pushes into the
+/// orphaned queue, and its completion is dropped with the last task holding
+/// the queue. Its callback holds only weak pointers to the engine and gate.
 class ThreadedBackend::Channel final : public ExecutionBackend {
  public:
   explicit Channel(ThreadedBackend& parent) : parent_(parent) {}
@@ -274,13 +177,12 @@ class ThreadedBackend::Channel final : public ExecutionBackend {
     Routed routed = parent_.route_submission();
     ++outstanding_;
     const double submit_time = parent_.now();
-    parent_.pool_.post([this, service = std::move(service),
-                        bindings = std::move(bindings),
-                        on_complete = std::move(on_complete), submit_time,
-                        routed = std::move(routed)]() mutable {
-      Outcome outcome = parent_.run_payload(service, bindings, submit_time, routed.host,
-                                            routed.inject_fault);
-      queue_.push(Done{std::move(outcome), std::move(on_complete)});
+    staged_.push_back([&parent = parent_, queue = queue_, service = std::move(service),
+                       bindings = std::move(bindings), on_complete = std::move(on_complete),
+                       submit_time, routed = std::move(routed)]() mutable {
+      Outcome outcome =
+          parent.run_payload(service, bindings, submit_time, routed.host, routed.inject_fault);
+      queue->push(Done{std::move(outcome), std::move(on_complete)});
     });
   }
 
@@ -325,14 +227,18 @@ class ThreadedBackend::Channel final : public ExecutionBackend {
         next.callback(std::move(next.outcome));
         continue;
       }
-      if (queue_.drain(ready_) > 0) continue;
+      // The drained batch is dispatched: hand what it submitted to the
+      // workers before draining again or blocking.
+      parent_.pool_.post_all(staged_);
+      if (queue_->drain(ready_) > 0) continue;
       if (outstanding_ == 0 && timers_.empty()) return false;  // stall
       std::optional<std::chrono::steady_clock::time_point> deadline;
       if (earliest != timers_.end()) deadline = earliest->second.deadline;
       // Woken by an item or a notify(): loop to re-evaluate done(). Deadline
       // expiry loops back to fire the due timer.
-      queue_.wait(deadline);
+      queue_->wait(deadline);
     }
+    parent_.pool_.post_all(staged_);
     return true;
   }
 
@@ -341,17 +247,32 @@ class ThreadedBackend::Channel final : public ExecutionBackend {
   void add_health(grid::CeHealth* health) override { parent_.add_health(health); }
   void remove_health(grid::CeHealth* health) override { parent_.remove_health(health); }
 
-  void notify() override { queue_.notify(); }
+  void notify() override { queue_->notify(); }
 
  private:
+  struct Done {
+    Outcome outcome;
+    Callback callback;
+  };
+  struct Timer {
+    std::chrono::steady_clock::time_point deadline;
+    std::function<void()> fn;
+  };
+
   ThreadedBackend& parent_;
-  MpscQueue<Done> queue_;
+  std::shared_ptr<MpscQueue<Done>> queue_ = std::make_shared<MpscQueue<Done>>();
+  std::vector<std::function<void()>> staged_;  // executions awaiting the next hand-off
   std::vector<Done> ready_;     // drained batch awaiting dispatch
   std::size_t next_ready_ = 0;  // dispatch cursor into ready_
   std::map<TimerId, Timer> timers_;
   TimerId next_timer_ = 1;
   std::size_t outstanding_ = 0;  // submissions not yet dispatched back
 };
+
+ThreadedBackend::ThreadedBackend(std::size_t threads)
+    : epoch_(std::chrono::steady_clock::now()),
+      lane_(std::make_unique<Channel>(*this)),
+      pool_(threads) {}
 
 std::unique_ptr<ExecutionBackend> ThreadedBackend::make_channel() {
   return std::make_unique<Channel>(*this);

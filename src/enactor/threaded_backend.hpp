@@ -1,15 +1,14 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "enactor/backend.hpp"
@@ -28,12 +27,15 @@ namespace moteur::enactor {
 /// locking. Timers (retry watchdogs, backoff delays) are kept in a deadline
 /// queue and also fire on the drive() thread.
 ///
-/// make_channel() opens additional, independently driven completion lanes
-/// over the same worker pool: each channel owns an MPSC completion queue and
-/// timer wheel of its own, so N engine shards can each run a private event
-/// loop while sharing the workers, the host-routing state (now guarded by a
-/// routing mutex), and the clock. Without channels the backend behaves
-/// exactly as before — one drive() thread, no contention.
+/// Every execution goes through a completion lane: the backend's own, to
+/// which execute/schedule/cancel/drive/notify forward, or one opened by
+/// make_channel() for an engine shard. execute() stages the task on its
+/// lane; drive() hands the staged tasks to the worker pool as one batch,
+/// with one wake-up, after each batch of completions it dispatches and
+/// before it returns. Each lane owns an MPSC completion queue and a timer
+/// wheel, so N engine shards can each run a private event loop while sharing
+/// the workers, the host-routing state (guarded by a routing mutex), and the
+/// clock.
 ///
 /// A service exception is reported as a kTransient outcome: the enactor's
 /// RetryPolicy decides whether to re-invoke (default: no retries, so the
@@ -44,15 +46,19 @@ class ThreadedBackend : public ExecutionBackend {
   explicit ThreadedBackend(std::size_t threads = 0);
 
   void execute(std::shared_ptr<services::Service> service,
-               std::vector<services::Inputs> bindings, Callback on_complete) override;
+               std::vector<services::Inputs> bindings, Callback on_complete) override {
+    lane_->execute(std::move(service), std::move(bindings), std::move(on_complete));
+  }
 
   /// Wall-clock seconds since construction.
   double now() const override;
 
-  TimerId schedule(double delay_seconds, std::function<void()> fn) override;
-  void cancel(TimerId id) override;
+  TimerId schedule(double delay_seconds, std::function<void()> fn) override {
+    return lane_->schedule(delay_seconds, std::move(fn));
+  }
+  void cancel(TimerId id) override { lane_->cancel(id); }
 
-  bool drive(const std::function<bool()>& done) override;
+  bool drive(const std::function<bool()>& done) override { return lane_->drive(done); }
 
   /// Feeds worker-pool tallies and queue-wait histograms into `metrics`.
   /// Recording happens on drive() threads at completion delivery, never on
@@ -81,27 +87,16 @@ class ThreadedBackend : public ExecutionBackend {
 
   /// Thread-safe: wakes a drive() blocked on the completion queue so its
   /// done() predicate is re-evaluated (RunService pushes commands this way).
-  void notify() override;
+  void notify() override { lane_->notify(); }
 
   /// Open an independent completion lane for one engine shard (see
   /// ExecutionBackend::make_channel). The channel must not outlive this
   /// backend.
   std::unique_ptr<ExecutionBackend> make_channel() override;
 
-  std::size_t tasks_executed() const { return tasks_executed_.load(); }
-
  private:
   class Channel;
-  friend class Channel;
 
-  struct Done {
-    Outcome outcome;
-    Callback callback;
-  };
-  struct Timer {
-    std::chrono::steady_clock::time_point deadline;
-    std::function<void()> fn;
-  };
   /// One routing decision, taken on the submitting thread under route_mu_ so
   /// host assignment and fault draws stay deterministic per submission order.
   struct Routed {
@@ -110,8 +105,7 @@ class ThreadedBackend : public ExecutionBackend {
   };
 
   Routed route_submission();
-  /// Run the payload on a worker thread; shared by the backend's own lane
-  /// and every channel. Increments tasks_executed_.
+  /// Run the payload on a worker thread; shared by every lane.
   Outcome run_payload(const std::shared_ptr<services::Service>& service,
                       const std::vector<services::Inputs>& bindings, double submit_time,
                       const std::string& host, bool inject_fault);
@@ -120,7 +114,6 @@ class ThreadedBackend : public ExecutionBackend {
   /// plain round-robin when every breaker is open.
   const std::string& pick_host();
 
-  ThreadPool pool_;
   obs::MetricsRegistry* metrics_ = nullptr;  // set before enacting
   std::mutex metrics_mu_;                    // serializes recording across drive threads
   std::mutex route_mu_;                      // guards hosts_/health_/fault state
@@ -133,14 +126,10 @@ class ThreadedBackend : public ExecutionBackend {
   std::unique_ptr<Rng> fault_rng_;  // drawn in route_submission(), under route_mu_
   std::size_t next_host_ = 0;
   std::chrono::steady_clock::time_point epoch_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Done> completed_;
-  std::map<TimerId, Timer> timers_;  // few enough that a flat scan is fine
-  TimerId next_timer_ = 1;
-  std::size_t in_flight_ = 0;
-  std::atomic<std::size_t> tasks_executed_{0};
-  bool wake_ = false;  // set by notify(); consumed inside drive()
+  std::unique_ptr<ExecutionBackend> lane_;  // the backend's own completion lane
+  /// Declared last, so destroyed first: the pool runs every queued task and
+  /// joins its workers while the lane and the routing state are still alive.
+  ThreadPool pool_;
 };
 
 }  // namespace moteur::enactor

@@ -1,9 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -14,7 +15,7 @@ namespace moteur {
 /// Multi-producer single-consumer queue: the conduit carrying backend
 /// completions from worker threads into one engine shard's event loop.
 /// Producers push from any thread; the single consumer drains in batches
-/// (one lock acquisition moves every queued item out) and can block with an
+/// (one lock acquisition swaps every queued item out) and can block with an
 /// optional deadline so the shard's timer wheel keeps firing while the queue
 /// is idle.
 ///
@@ -44,16 +45,22 @@ class MpscQueue {
     cv_.notify_one();
   }
 
-  /// Consumer side: move every queued item into `out` (appended), returning
-  /// how many arrived. Never blocks.
+  /// Consumer side: move every queued item to the end of `out`, in queue
+  /// order, returning how many arrived. Never blocks. An empty `out` is
+  /// swapped with the queue's storage, so a consumer that drains into a
+  /// cleared vector hands its capacity back to the producers and neither
+  /// side allocates once both buffers have grown; a non-empty `out` is
+  /// appended to.
   std::size_t drain(std::vector<T>& out) {
-    std::deque<T> grabbed;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      grabbed.swap(items_);
+    std::lock_guard<std::mutex> lock(mu_);
+    const std::size_t n = items_.size();
+    if (out.empty()) {
+      out.swap(items_);
+    } else {
+      std::move(items_.begin(), items_.end(), std::back_inserter(out));
+      items_.clear();
     }
-    for (T& item : grabbed) out.push_back(std::move(item));
-    return grabbed.size();
+    return n;
   }
 
   /// Consumer side: block until an item or a notify() arrives, or until
@@ -83,7 +90,7 @@ class MpscQueue {
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<T> items_;
+  std::vector<T> items_;
   bool wake_ = false;
 };
 

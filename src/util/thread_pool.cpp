@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <stdexcept>
 
 namespace moteur {
 
@@ -23,13 +25,21 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::post(std::function<void()> fn) {
+void ThreadPool::post_all(std::vector<std::function<void()>>& tasks) {
+  const std::size_t n = tasks.size();
+  if (n == 0) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) throw std::runtime_error("ThreadPool: post after shutdown");
-    queue_.push_back(std::move(fn));
+    std::move(tasks.begin(), tasks.end(), std::back_inserter(queue_));
   }
-  cv_.notify_one();
+  tasks.clear();
+  // One task needs one worker; a batch may keep every idle worker busy.
+  if (n == 1) {
+    cv_.notify_one();
+  } else {
+    cv_.notify_all();
+  }
 }
 
 void ThreadPool::worker_loop() {

@@ -41,10 +41,13 @@ class ThreadPool {
     return future;
   }
 
-  /// Enqueue fire-and-forget work: no future, no packaged_task allocation.
-  /// The hot path for backends that deliver results through their own
-  /// completion queues. `fn` must not throw.
-  void post(std::function<void()> fn);
+  /// Enqueue a batch of fire-and-forget tasks under one lock with one
+  /// wake-up: no futures, no packaged_task allocations. The hot path for
+  /// backends that deliver results through their own completion queues.
+  /// Tasks are dequeued in `tasks` order; `tasks` is left empty (its
+  /// capacity kept for the next batch), and an empty batch is a no-op.
+  /// Tasks must not throw.
+  void post_all(std::vector<std::function<void()>>& tasks);
 
   std::size_t thread_count() const { return workers_.size(); }
 

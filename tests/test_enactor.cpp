@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "enactor/diagram.hpp"
@@ -398,6 +404,99 @@ TEST(ThreadedBackendTest, ServiceExceptionBecomesCountedFailure) {
       enactor.run({.workflow = chain_workflow(1), .inputs = items("src", 3)});
   EXPECT_EQ(result.failures(), 1u);
   EXPECT_EQ(result.sink_outputs.at("sink").size(), 2u);
+}
+
+/// Records the input of every execution in the order the engine submits it.
+class RecordingThreadedBackend final : public ThreadedBackend {
+ public:
+  using ThreadedBackend::ThreadedBackend;
+
+  void execute(std::shared_ptr<services::Service> service,
+               std::vector<services::Inputs> bindings, Callback on_complete) override {
+    submitted.push_back(bindings.front().at("in").repr());
+    ThreadedBackend::execute(std::move(service), std::move(bindings), std::move(on_complete));
+  }
+
+  std::vector<std::string> submitted;  // drive thread only
+};
+
+std::shared_ptr<services::Service> noop_service() {
+  return std::make_shared<FunctionalService>(
+      "noop", std::vector<std::string>{}, std::vector<std::string>{},
+      [](const Inputs&) { return Result{}; });
+}
+
+TEST(ThreadedBackendTest, OneWorkerStartsBodiesInSubmissionOrder) {
+  std::vector<std::string> started;  // appended by the single worker
+  services::ServiceRegistry registry;
+  registry.add(std::make_shared<FunctionalService>(
+      "P0", std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
+      [&started](const Inputs& in) {
+        started.push_back(in.at("in").repr());
+        Result r;
+        r.outputs["out"].payload = 0;
+        r.outputs["out"].repr = in.at("in").repr();
+        return r;
+      }));
+  RecordingThreadedBackend backend(1);
+  Enactor enactor(backend, registry, EnactmentPolicy::sp_dp());
+  const auto result =
+      enactor.run({.workflow = chain_workflow(1), .inputs = items("src", 16)});
+  EXPECT_EQ(result.sink_outputs.at("sink").size(), 16u);
+  EXPECT_EQ(backend.submitted.size(), 16u);
+  EXPECT_EQ(started, backend.submitted);
+}
+
+TEST(ThreadedBackendTest, ExecuteThenDriveDeliversTheCompletion) {
+  ThreadedBackend backend(1);
+  std::optional<Outcome> delivered;
+  backend.execute(noop_service(), {Inputs{}},
+                  [&delivered](Outcome outcome) { delivered = std::move(outcome); });
+  EXPECT_TRUE(backend.drive([&delivered] { return delivered.has_value(); }));
+  ASSERT_TRUE(delivered.has_value());
+  EXPECT_TRUE(delivered->ok());
+  EXPECT_EQ(delivered->results.size(), 1u);
+
+  // A drive() whose predicate already holds still hands the staged task to
+  // the worker before returning: the body runs without another drive turn.
+  std::promise<void> ran;
+  std::future<void> body_ran = ran.get_future();
+  bool second = false;
+  backend.execute(std::make_shared<FunctionalService>(
+                      "signal", std::vector<std::string>{}, std::vector<std::string>{},
+                      [&ran](const Inputs&) {
+                        ran.set_value();
+                        return Result{};
+                      }),
+                  {Inputs{}}, [&second](Outcome) { second = true; });
+  EXPECT_TRUE(backend.drive([] { return true; }));
+  EXPECT_EQ(body_ran.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  EXPECT_TRUE(backend.drive([&second] { return second; }));
+}
+
+TEST(ThreadedBackendTest, DriveStallsOnlyWithNothingStagedInFlightOrArmed) {
+  ThreadedBackend backend(1);
+  const auto never = [] { return false; };
+  EXPECT_FALSE(backend.drive(never));  // no work at all: an immediate stall
+
+  // Work staged before drive() and work staged by a timer inside drive()
+  // are both handed to the worker and delivered before drive() gives up.
+  const auto service = noop_service();
+  int delivered = 0;
+  backend.execute(service, {Inputs{}}, [&delivered](Outcome) { ++delivered; });
+  backend.schedule(0.0, [&] {
+    backend.execute(service, {Inputs{}}, [&delivered](Outcome) { ++delivered; });
+  });
+  EXPECT_FALSE(backend.drive(never));
+  EXPECT_EQ(delivered, 2);
+
+  // An armed timer keeps drive() waiting until it fires; a cancelled one
+  // does not.
+  bool fired = false;
+  backend.cancel(backend.schedule(3600.0, [] {}));
+  backend.schedule(0.001, [&fired] { fired = true; });
+  EXPECT_FALSE(backend.drive(never));
+  EXPECT_TRUE(fired);
 }
 
 // ---------------------------------------------------------------------------

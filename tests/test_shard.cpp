@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -49,12 +50,21 @@ struct Item {
 TEST(MpscQueue, ManyProducersPreservePerProducerOrder) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kPerProducer = 5000;
+  constexpr std::size_t kChunk = 500;
   MpscQueue<Item> queue;
+  std::atomic<std::size_t> drains{0};  // drain() calls that returned items
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (std::size_t i = 0; i < kPerProducer; ++i) queue.push(Item{p, i});
+    producers.emplace_back([&queue, &drains, p] {
+      for (std::size_t i = 0; i < kPerProducer; ++i) {
+        queue.push(Item{p, i});
+        // After each chunk, hold back until the consumer has drained once per
+        // chunk so far, so every run sees many drain rounds.
+        if ((i + 1) % kChunk == 0) {
+          while (drains.load() < (i + 1) / kChunk) std::this_thread::yield();
+        }
+      }
     });
   }
 
@@ -62,20 +72,32 @@ TEST(MpscQueue, ManyProducersPreservePerProducerOrder) {
   std::size_t received = 0;
   std::vector<Item> batch;
   while (received < kProducers * kPerProducer) {
-    batch.clear();
-    if (queue.drain(batch) == 0) {
+    // Alternate drains go into an empty vector (the swap path) and into one
+    // still holding the previous drain's items, which must stay in front.
+    if (drains.load() % 2 == 0) batch.clear();
+    const std::vector<Item> held = batch;
+    const std::size_t arrived = queue.drain(batch);
+    ASSERT_EQ(batch.size(), held.size() + arrived);
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      EXPECT_EQ(batch[i].producer, held[i].producer);
+      EXPECT_EQ(batch[i].seq, held[i].seq);
+    }
+    if (arrived == 0) {
       queue.wait(std::nullopt);
       continue;
     }
-    for (const Item& item : batch) {
+    for (std::size_t i = held.size(); i < batch.size(); ++i) {
+      const Item& item = batch[i];
       ASSERT_LT(item.producer, kProducers);
       EXPECT_EQ(item.seq, next_seq[item.producer]) << "producer " << item.producer;
       ++next_seq[item.producer];
     }
-    received += batch.size();
+    received += arrived;
+    drains.fetch_add(1);
   }
   for (auto& t : producers) t.join();
   EXPECT_TRUE(queue.empty());
+  EXPECT_GE(drains.load(), kPerProducer / kChunk);
   for (std::size_t p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kPerProducer);
 }
 
@@ -432,6 +454,58 @@ TEST(ShardedRunService, WaitPrimitives) {
   for (auto& handle : handles) {
     EXPECT_EQ(handle.wait_for(std::chrono::seconds(60)), RunState::kFinished);
     EXPECT_NE(handle.try_result(), nullptr);
+  }
+}
+
+TEST(ShardedRunService, StragglerAfterShutdownIsDropped) {
+  // A watchdog clone settles item0 and finishes the run while item0's first
+  // attempt still runs on a worker. Shutting the service down destroys the
+  // shards and, with two of them, their completion lanes; the straggler then
+  // completes into a lane that is gone. Its completion must be dropped
+  // without touching freed memory (the asan preset catches a push into a
+  // destroyed queue), and shutdown must not wait for it.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::atomic<bool> blocked{false};
+    auto backend = std::make_unique<enactor::ThreadedBackend>(2);
+    services::ServiceRegistry registry;
+    registry.add(std::make_shared<FunctionalService>(
+        "p0", std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
+        [&blocked, released](const Inputs& in) {
+          // The first attempt to reach item0 blocks; the racing one passes.
+          if (in.at("in").repr() == "item0" && !blocked.exchange(true)) released.wait();
+          Result result;
+          result.outputs["out"].payload = 0;
+          result.outputs["out"].repr = "out:" + in.at("in").repr();
+          return result;
+        }));
+
+    RunServiceConfig config;
+    config.sharding.shards = shards;
+    config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
+    config.defaults.policy.retry.max_attempts = 2;
+    config.defaults.policy.retry.timeout_multiplier = 2;
+    config.defaults.policy.retry.timeout_min_samples = 3;
+    auto service = std::make_unique<RunService>(*backend, registry, config);
+    EXPECT_EQ(service->shards(), shards);
+
+    enactor::RunRequest request;
+    request.name = "straggler";
+    request.workflow = chain(1);
+    request.inputs = items(4);
+    RunHandle handle = service->submit(std::move(request));
+    // No ASSERT before the latch opens: an early return would leave the
+    // straggler blocked and the backend's destructor joining it forever.
+    EXPECT_EQ(handle.wait(), RunState::kFinished) << handle.error();
+    EXPECT_EQ(handle.result().invocations(), 4u);
+    EXPECT_EQ(handle.result().failures(), 0u);
+    EXPECT_EQ(handle.result().timeouts(), 1u);
+
+    service.reset();      // joins the shards and destroys their lanes
+    release.set_value();  // the straggler completes after its lane is gone
+    backend.reset();      // joins the workers
   }
 }
 

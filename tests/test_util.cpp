@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -231,6 +233,17 @@ TEST(ThreadPool, WaitIdleDrains) {
   }
   pool.wait_idle();
   EXPECT_EQ(done.load(), 16);
+}
+
+TEST(ThreadPool, PostAllRunsTheBatchInOrderAndEmptiesIt) {
+  ThreadPool pool(1);
+  std::vector<int> order;  // appended by the single worker only
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 8; ++i) tasks.push_back([&order, i] { order.push_back(i); });
+  pool.post_all(tasks);
+  EXPECT_TRUE(tasks.empty());
+  pool.wait_idle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 }  // namespace
