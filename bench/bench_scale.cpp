@@ -35,6 +35,8 @@
 #include "service/run_service.hpp"
 #include "services/functional_service.hpp"
 #include "services/registry.hpp"
+#include "util/error.hpp"
+#include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "workflow/graph.hpp"
@@ -231,33 +233,37 @@ void write_json(const Options& opt, const std::vector<Scenario>& scenarios) {
   out << "\n  ]\n}\n";
 }
 
+/// The flags on the command line; a usage error, an unknown flag or a value
+/// the util/flags parser refuses exits 1 with its message.
 Options parse_args(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", key.c_str());
-        std::exit(1);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string key = argv[i];
+      const auto next = [&]() -> std::string {
+        if (i + 1 >= argc) throw ParseError("missing value for " + key);
+        return argv[++i];
+      };
+      const auto count = [&] { return parse_positive_count(next(), key); };
+      if (key == "--runs") opt.runs = count();
+      else if (key == "--items") opt.items = count();
+      else if (key == "--stages") opt.stages = count();
+      else if (key == "--threads") opt.threads = count();
+      else if (key == "--max-active") opt.max_active = count();
+      else if (key == "--out") opt.out = next();
+      else if (key == "--assert-speedup") opt.assert_speedup = true;
+      else if (key == "--shards") {
+        opt.shard_counts.clear();
+        for (const auto& part : split(next(), ',')) {
+          opt.shard_counts.push_back(parse_positive_count(part, key));
+        }
+      } else {
+        throw ParseError("unknown flag " + key);
       }
-      return argv[++i];
-    };
-    if (key == "--runs") opt.runs = std::stoul(next());
-    else if (key == "--items") opt.items = std::stoul(next());
-    else if (key == "--stages") opt.stages = std::stoul(next());
-    else if (key == "--threads") opt.threads = std::stoul(next());
-    else if (key == "--max-active") opt.max_active = std::stoul(next());
-    else if (key == "--out") opt.out = next();
-    else if (key == "--assert-speedup") opt.assert_speedup = true;
-    else if (key == "--shards") {
-      opt.shard_counts.clear();
-      for (const auto& part : split(next(), ',')) {
-        opt.shard_counts.push_back(std::stoul(part));
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", key.c_str());
-      std::exit(1);
     }
+  } catch (const ParseError& e) {
+    std::fprintf(stderr, "bench_scale: %s\n", e.what());
+    std::exit(1);
   }
   return opt;
 }

@@ -1,10 +1,12 @@
 #include "enactor/manifest.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "enactor/options.hpp"
 #include "policy/policy.hpp"
 #include "util/error.hpp"
+#include "util/flags.hpp"
 #include "workflow/scufl.hpp"
 
 namespace moteur::enactor {
@@ -60,6 +62,30 @@ grid::GridConfig RunManifest::make_grid_config() const {
   if (!policy.matchmaking.empty()) config.matchmaking_policy = policy.matchmaking;
   config.replica_policy = replica_policy;
   config.replication_policy = replication;
+
+  if (failure_probability) config.failure_probability = *failure_probability;
+  config.stuck_job_probability = stuck_probability;
+  if (grid_attempts) config.max_attempts = static_cast<int>(*grid_attempts);
+  config.replica_loss_probability = replica_loss;
+  config.replica_corruption_probability = replica_corruption;
+  config.default_se_capacity_mb = se_capacity_mb;
+  config.replica_eviction_policy = eviction;
+  if (se_outages.empty()) return config;
+  // "se0" is the implicit default SE; any other name must be declared.
+  for (const SeOutageSpec& outage : parse_se_outages(se_outages, "seOutages")) {
+    const grid::StorageOutageWindow window{outage.start_seconds, outage.duration_seconds};
+    const std::string& name = outage.storage_element;
+    const auto se = std::find_if(
+        config.storage_elements.begin(), config.storage_elements.end(),
+        [&](const grid::StorageElementConfig& e) { return e.name == name; });
+    if (se != config.storage_elements.end()) {
+      se->outages.push_back(window);
+    } else if (name == "se0") {
+      config.default_se_outages.push_back(window);
+    } else {
+      throw ParseError("seOutages names unknown storage element '" + name + "'");
+    }
+  }
   return config;
 }
 

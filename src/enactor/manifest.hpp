@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "data/dataset.hpp"
@@ -35,15 +36,31 @@ struct RunManifest {
   std::string replica_policy = "close-se";
   std::string replication = "none";
 
-  /// Enactment-core sharding for services replaying this manifest
-  /// (<service shards=".." pinPolicy="hash|least-loaded"/>). Kept as plain
-  /// data here — the service layer (which sits above the enactor) parses
-  /// pin_policy into its PinPolicy enum.
+  /// Injected faults and storage limits. Unset failure_probability and
+  /// grid_attempts keep the preset's values (egee2006: 0.04 and 5).
+  std::optional<double> failure_probability;
+  double stuck_probability = 0.0;
+  std::optional<std::size_t> grid_attempts;
+  double replica_loss = 0.0;
+  double replica_corruption = 0.0;
+  /// "SE:START:DUR[,...]" (util/flags parse_se_outages); empty = none.
+  std::string se_outages;
+  double se_capacity_mb = 0.0;  // default SE; 0 = unbounded
+  std::string eviction = "lru";
+
+  /// Enactment-core sharding and admission for services replaying this
+  /// manifest (<service shards=".." pinPolicy="hash|least-loaded"
+  /// maxActive=".." maxInflight=".."/>). Kept as plain data here — the
+  /// service layer (which sits above the enactor) parses pin_policy into its
+  /// PinPolicy enum. max_inflight 0 leaves the admission gate open.
   std::size_t shards = 1;
   std::string pin_policy = "hash";
+  std::size_t max_active = 4;
+  std::size_t max_inflight = 0;
 
   /// Build the configured grid, with the run's matchmaking (if set) as the
-  /// grid default.
+  /// grid default and the fault and storage knobs applied. Throws ParseError
+  /// when se_outages names an SE other than se0 or a declared one.
   grid::GridConfig make_grid_config() const;
 
   std::string to_xml() const;

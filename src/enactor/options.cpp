@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <optional>
 #include <type_traits>
 
 #include "enactor/manifest.hpp"
@@ -34,6 +35,7 @@ constexpr Rule<double> kNonNegative{parse_nonnegative_real, "number >= 0"};
 constexpr Rule<double> kSeconds{parse_nonnegative_seconds, "seconds >= 0"};
 constexpr Rule<double> kPositiveSeconds{parse_positive_seconds, "seconds > 0"};
 constexpr Rule<double> kFraction{parse_fraction, "fraction in (0, 1]"};
+constexpr Rule<double> kProbability{parse_probability, "probability in [0, 1]"};
 
 /// Reading through a field accessor never writes; it only borrows the
 /// reference the mutable accessor hands out.
@@ -48,6 +50,12 @@ template <typename T>
 std::string text(T value) {
   char buffer[32];
   return std::string(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+}
+
+/// An unset value reads as the empty text.
+template <typename T>
+std::string text(const std::optional<T>& value) {
+  return value ? text(*value) : std::string();
 }
 
 const std::string& one_of(const Names& names, const std::string& value,
@@ -66,12 +74,14 @@ RunOption row(Element element, const char* attribute, const char* flag, Type typ
           .get = std::move(get)};
 }
 
-/// A count or a real, validated by `rule`.
+/// A count or a real, validated by `rule`; an optional field stays unset
+/// until given.
 template <typename T, typename Parsed>
 RunOption number(Element element, const char* attribute, const char* flag, Rule<Parsed> rule,
                  const char* help, Field<T> field) {
   return row(
-      element, attribute, flag, std::is_floating_point_v<T> ? Type::kReal : Type::kCount,
+      element, attribute, flag,
+      std::is_floating_point_v<Parsed> ? Type::kReal : Type::kCount,
       rule.domain, help,
       [rule, field](RunManifest& m, const std::string& value, const std::string& label) {
         field(m) = static_cast<T>(rule.parse(value, label));
@@ -245,11 +255,41 @@ std::vector<RunOption> build_table() {
            policy::names<policy::Replication>(),
            "SE-to-SE transfers instead of staging through the orchestrator",
            FIELD(replication)),
+      number(kGrid, "failureProbability", "inject-failures", kProbability,
+             "chance that a grid attempt fails; unset = the preset's (egee2006: 0.04)",
+             FIELD(failure_probability)),
+      number(kGrid, "stuckProbability", "inject-stuck", kProbability,
+             "chance that a grid attempt runs 25 times longer than sampled",
+             FIELD(stuck_probability)),
+      number(kGrid, "attempts", "grid-attempts", kPositiveCount,
+             "grid-level tries per job; unset = the preset's (egee2006: 5)",
+             FIELD(grid_attempts)),
+      number(kGrid, "replicaLoss", "se-loss", kProbability,
+             "chance that a replica is gone at stage-in", FIELD(replica_loss)),
+      number(kGrid, "replicaCorruption", "se-corrupt", kProbability,
+             "chance that a replica is corrupt at stage-in", FIELD(replica_corruption)),
+      row(kGrid, "seOutages", "se-outage", Type::kText, "SE:START:DUR[,...]",
+          "storage-element downtime windows; SE is se0 or a declared SE",
+          [](RunManifest& m, const std::string& value, const std::string& label) {
+            parse_se_outages(value, label);
+            m.se_outages = value;
+          },
+          [](const RunManifest& m) { return m.se_outages; }),
+      number(kGrid, "seCapacity", "se-capacity", kNonNegative,
+             "MB the default SE holds before it evicts; 0 = unbounded",
+             FIELD(se_capacity_mb)),
+      name(kGrid, "eviction", "eviction-policy", policy::names<policy::Eviction>(),
+           "which replicas a full SE evicts first", FIELD(eviction)),
 
       number(kService, "shards", "shards", kPositiveCount,
              "engine shards of a RunService replaying the manifest", FIELD(shards)),
       name(kService, "pinPolicy", "pin-policy", pin_policies(),
            "how runs are pinned to shards", FIELD(pin_policy)),
+      number(kService, "maxActive", "max-active", kPositiveCount,
+             "runs enacted at once; further runs wait in the queue", FIELD(max_active)),
+      number(kService, "maxInflight", "max-inflight", kCount,
+             "backend executions at once across all runs; 0 = no admission gate",
+             FIELD(max_inflight)),
   };
   const RunManifest defaults;
   for (RunOption& option : table) option.default_text = option.get(defaults);

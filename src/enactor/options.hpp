@@ -19,13 +19,14 @@ const char* to_string(Element element);
 /// moteur_cli, and the manifest table in docs/formats.md. A knob's default
 /// is whatever a default-constructed RunManifest holds.
 struct RunOption {
-  enum class Type { kCount, kReal, kSwitch, kName };
+  /// kText: structured text its parser checks, e.g. outage windows.
+  enum class Type { kCount, kReal, kSwitch, kName, kText };
 
   Element element = Element::kPolicy;
   std::string attribute;  // on the `element` element of a manifest
   std::string flag;       // moteur_cli flag, without the leading "--"
   Type type = Type::kCount;
-  std::string domain;     // accepted values, e.g. "integer >= 1"
+  std::string domain;     // accepted values, e.g. "integer >= 1"; kText: the syntax
   std::string help;
   bool flag_sets = true;     // kSwitch: what the bare flag sets
   bool required = false;     // a manifest's `element` must carry it

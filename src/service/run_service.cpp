@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <set>
 #include <utility>
 
 #include "obs/export.hpp"
@@ -111,12 +110,9 @@ struct RunService::Impl {
   std::unique_ptr<obs::TelemetryHub> hub;
   PinPolicy pin;
 
-  // Submission-side bookkeeping (id allocation, shutdown flag).
-  std::mutex submit_mu;
+  // Guarded by core.live_mu.
   bool stop = false;
-  std::vector<std::shared_ptr<RunRecord>> all;  // every record, for shutdown
-  std::size_t next_run = 1;
-  std::set<std::string> used_ids;
+  std::size_t next_run = 1;  // the <n> of the next generated "run-<n>"
 
   std::mutex join_mu;
 
@@ -160,12 +156,13 @@ struct RunService::Impl {
     }
   }
 
-  /// Requires submit_mu. Picks the request's name when free, else generates.
+  /// Requires core.live_mu. The request's name when no live run holds it,
+  /// else a generated id.
   std::string make_id(const std::string& name) {
-    if (!name.empty() && used_ids.insert(name).second) return name;
+    if (!name.empty() && core.live.count(name) == 0) return name;
     for (;;) {
       std::string id = "run-" + std::to_string(next_run++);
-      if (used_ids.insert(id).second) return id;
+      if (core.live.count(id) == 0) return id;
     }
   }
 
@@ -262,7 +259,8 @@ std::vector<RunHandle> RunService::submit_all(std::vector<enactor::RunRequest> r
   std::vector<std::vector<std::shared_ptr<RunRecord>>> per_shard(n);
   std::vector<std::size_t> tentative(n, 0);
   {
-    std::lock_guard<std::mutex> lock(im.submit_mu);
+    // Live before any shard can retire a member of the batch.
+    std::lock_guard<std::mutex> lock(im.core.live_mu);
     MOTEUR_REQUIRE(!im.stop, ExecutionError, "RunService is shut down");
     for (auto& request : requests) {
       auto rec = std::make_shared<RunRecord>();
@@ -274,15 +272,10 @@ std::vector<RunHandle> RunService::submit_all(std::vector<enactor::RunRequest> r
       rec->shard = shard;
       EngineShard* owner = im.shards[shard].get();
       rec->poke = [owner] { owner->wake(); };
-      per_shard[shard].push_back(rec);
-      im.all.push_back(rec);
+      im.core.live.emplace(rec->id, rec);
       handles.push_back(RunHandle(rec));
+      per_shard[shard].push_back(std::move(rec));
     }
-  }
-  // Count the batch live before any shard can retire a member of it.
-  {
-    std::lock_guard<std::mutex> lock(im.core.live_mu);
-    im.core.live += handles.size();
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (!per_shard[i].empty()) im.shards[i]->enqueue(std::move(per_shard[i]));
@@ -335,7 +328,7 @@ std::vector<ShardStats> RunService::shard_stats() const {
 void RunService::wait_idle() {
   Impl& im = *impl_;
   std::unique_lock<std::mutex> lock(im.core.live_mu);
-  im.core.idle_cv.wait(lock, [&] { return im.core.live == 0; });
+  im.core.idle_cv.wait(lock, [&] { return im.core.live.empty(); });
 }
 
 std::size_t RunService::wait_any(std::span<const RunHandle> handles) {
@@ -365,9 +358,9 @@ void RunService::shutdown() {
   Impl& im = *impl_;
   std::vector<std::shared_ptr<RunRecord>> records;
   {
-    std::lock_guard<std::mutex> lock(im.submit_mu);
+    std::lock_guard<std::mutex> lock(im.core.live_mu);
     im.stop = true;
-    records = im.all;
+    for (const auto& [id, rec] : im.core.live) records.push_back(rec);
   }
   for (const auto& rec : records) {
     std::lock_guard<std::mutex> lock(rec->mu);
@@ -388,7 +381,8 @@ void RunService::shutdown() {
     im.hub->stop();
     im.hub.reset();
   }
-  // The workers are gone; make sure no handle can poke a dead service.
+  // The workers are gone; make sure no handle can poke a dead service (a
+  // retired run's poke is already cleared).
   for (const auto& rec : records) {
     std::lock_guard<std::mutex> lock(rec->mu);
     rec->poke = nullptr;

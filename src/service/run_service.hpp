@@ -183,8 +183,10 @@ struct ShardStats {
 /// a shard at submission (RunServiceConfig::Sharding). One service-owned
 /// CeHealth ledger gives all tenants a common view of grid health — per-run
 /// breaker ledgers would deadlock in half-open, since another tenant's job
-/// may be the probe. The default single shard drives the backend directly
-/// and behaves exactly like the historical single-worker service.
+/// may be the probe. Each of its transitions lands in the timeline of every
+/// run admitted at the time, as an engine-owned ledger's would. The default
+/// single shard drives the backend directly and behaves exactly like the
+/// historical single-worker service.
 ///
 /// Observability: subscribers and the recorder see every run's events, told
 /// apart by RunEvent::run_id; service-scope events (shared-breaker
@@ -209,9 +211,11 @@ class RunService {
   RunService& operator=(const RunService&) = delete;
 
   /// Enqueue one run. The request's `name` becomes the run id when it is
-  /// non-empty and unused; otherwise an id "run-<n>" is generated. A run
-  /// that cannot start (an unknown policy name, an invalid workflow) ends
-  /// kFailed with the reason in its handle's error(); other runs go on.
+  /// non-empty and no live run holds it; otherwise an id "run-<n>" is
+  /// generated. A run that cannot start (an unknown policy name, an invalid
+  /// workflow) ends kFailed with the reason in its handle's error(); other
+  /// runs go on. The service lets go of a run when it retires: its result
+  /// lives on in the handles, and dies with the last of them.
   RunHandle submit(enactor::RunRequest request);
 
   /// Enqueue a batch atomically: all runs enter their shards' queues before

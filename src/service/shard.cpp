@@ -48,6 +48,7 @@ class GatedBackend final : public enactor::ExecutionBackend {
   void add_health(grid::CeHealth* health) override { inner_.add_health(health); }
   void remove_health(grid::CeHealth* health) override { inner_.remove_health(health); }
   void notify() override { inner_.notify(); }
+  data::ReplicaCatalog* catalog() const override { return inner_.catalog(); }
 
  private:
   enactor::ExecutionBackend& inner_;
@@ -122,6 +123,16 @@ void ServiceCore::emit_service_event(const obs::RunEvent& event) {
 }
 
 void ServiceCore::on_breaker_transition(const grid::CeHealth::Transition& t) {
+  {
+    std::lock_guard<std::mutex> lock(live_mu);
+    for (const auto& [id, rec] : live) {
+      std::lock_guard<std::mutex> rec_lock(rec->mu);
+      if (rec->state == RunState::kRunning) {
+        rec->breaker_transitions.push_back(enactor::BreakerTransitionTrace{
+            t.time, t.computing_element, t.from, t.to, t.failures_in_window});
+      }
+    }
+  }
   obs::RunEvent event;
   event.time = t.time;
   event.computing_element = t.computing_element;
@@ -144,10 +155,11 @@ void ServiceCore::count_terminal(RunState state) {
       .inc();
 }
 
-void ServiceCore::run_finished() {
+void ServiceCore::run_finished(std::shared_ptr<RunRecord> rec) {
   {
     std::lock_guard<std::mutex> lock(live_mu);
-    --live;
+    live.erase(rec->id);
+    rec.reset();  // under the lock: freed before wait_idle can return
   }
   idle_cv.notify_all();
   terminal_cv.notify_all();
@@ -298,9 +310,10 @@ void EngineShard::update_gauges(std::size_t active, std::size_t queued) {
   if (shard_queue_ != nullptr) shard_queue_->set(static_cast<double>(queued));
 }
 
-void EngineShard::finish_record(const RunRecordPtr& rec, RunState state,
+void EngineShard::finish_record(RunRecordPtr rec, RunState state,
                                 enactor::EnactmentResult result, std::string error) {
   obs_flush();  // the run's remaining events must precede its terminal state
+  rec->request = {};
   // Dump for every abnormal outcome: explicit failure/cancellation, and runs
   // that retired kFinished but recorded failed invocations (failfast stops the
   // enactment yet the engine still completes, so the state alone misses them).
@@ -342,10 +355,10 @@ void EngineShard::finish_record(const RunRecordPtr& rec, RunState state,
     }
   }
   load_.fetch_sub(1, std::memory_order_relaxed);
-  core_.run_finished();
+  core_.run_finished(std::move(rec));
 }
 
-bool EngineShard::admit(const RunRecordPtr& rec) {
+bool EngineShard::admit(RunRecordPtr& rec) {
   if (core_.recorder != nullptr) {
     std::lock_guard<std::mutex> lock(core_.obs_mu);
     core_.ensure_instruments();
@@ -369,6 +382,9 @@ bool EngineShard::admit(const RunRecordPtr& rec) {
   {
     std::lock_guard<std::mutex> lock(rec->mu);
     rec->admission_wait = waited;
+    // Running from here: the shared-ledger transitions its start causes are
+    // its own.
+    rec->state = RunState::kRunning;
   }
   std::vector<enactor::EventSubscriber> subs;
   // The flight recorder needs the event stream even with no recorder or
@@ -401,29 +417,31 @@ bool EngineShard::admit(const RunRecordPtr& rec) {
     gate_->cancel_run(rec->id);
     gate_->deregister_run(rec->id);
     rec->gated.reset();
-    finish_record(rec, RunState::kFailed, {}, e.what());
+    finish_record(std::move(rec), RunState::kFailed, {}, e.what());
     return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(rec->mu);
-    rec->state = RunState::kRunning;
   }
   MOTEUR_LOG(kInfo, "service") << "run '" << rec->id << "' started (workflow '"
                                << rec->request.workflow.name() << "') on shard " << index_;
   return true;
 }
 
-void EngineShard::retire(const RunRecordPtr& rec, RunState state, std::string error) {
+void EngineShard::retire(RunRecordPtr rec, RunState state, std::string error) {
   enactor::EnactmentResult result = rec->engine->finish();
   rec->engine.reset();
   gate_->cancel_run(rec->id);  // flush any leftovers (no-op when drained)
   gate_->deregister_run(rec->id);
   rec->gated.reset();
+  {
+    std::lock_guard<std::mutex> lock(rec->mu);
+    for (auto& transition : rec->breaker_transitions) {
+      result.timeline.add_breaker(std::move(transition));
+    }
+  }
   MOTEUR_LOG(kInfo, "service") << "run '" << rec->id << "' " << to_string(state)
                                << " makespan=" << result.makespan()
                                << "s invocations=" << result.invocations()
                                << " failures=" << result.failures();
-  finish_record(rec, state, std::move(result), std::move(error));
+  finish_record(std::move(rec), state, std::move(result), std::move(error));
 }
 
 void EngineShard::run_worker() {
@@ -453,12 +471,12 @@ void EngineShard::run_worker() {
         cancelled = rec->cancel_requested;
       }
       if (cancelled) {
-        finish_record(rec, RunState::kCancelled, {}, "cancelled before start");
+        finish_record(std::move(rec), RunState::kCancelled, {}, "cancelled before start");
       } else if (active.size() < max_active_) {
-        if (admit(rec)) active.push_back(rec);
+        if (admit(rec)) active.push_back(std::move(rec));
       } else {
         if (rec->queued_backend_at < 0.0) rec->queued_backend_at = backend().now();
-        keep.push_back(rec);
+        keep.push_back(std::move(rec));
       }
     }
     std::size_t queued_count = 0;
@@ -501,13 +519,14 @@ void EngineShard::run_worker() {
     }
     const bool harvested = !done.empty();
     if (harvested) update_gauges(active.size(), queued_count);
-    for (const auto& rec : done) {
+    for (auto& rec : done) {
       bool was_cancelled = false;
       {
         std::lock_guard<std::mutex> lock(rec->mu);
         was_cancelled = rec->cancel_requested;
       }
-      retire(rec, was_cancelled ? RunState::kCancelled : RunState::kFinished, "");
+      retire(std::move(rec), was_cancelled ? RunState::kCancelled : RunState::kFinished,
+             "");
     }
 
     // --- Deliver cancellations into still-active runs exactly once.
@@ -535,9 +554,9 @@ void EngineShard::run_worker() {
         // deadlocked (its event loop has no pending work for any of them).
         // Same ordering rule as the harvest: gauges first, then retire.
         update_gauges(0, queued_count);
-        for (const auto& rec : active) {
+        for (auto& rec : active) {
           const std::string stuck = rec->engine->stuck_processors();
-          retire(rec, RunState::kFailed,
+          retire(std::move(rec), RunState::kFailed,
                  "workflow deadlocked; unfinished processors: " + stuck);
         }
         active.clear();

@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,10 +33,10 @@ namespace moteur::service {
 
 namespace detail {
 
-/// Shared state of one run: the handle holds one reference, the service
-/// another. The caller-visible fields live behind `mu`; the worker-side
-/// fields (request, engine, gated backend) are touched only by the owning
-/// shard's thread and never through a handle.
+/// Shared state of one run: each handle holds a reference, and the service
+/// holds one until the run retires. The caller-visible fields live behind
+/// `mu`; the worker-side fields (request, engine, gated backend) are touched
+/// only by the owning shard's thread and never through a handle.
 struct RunRecord {
   // Immutable after submit.
   std::string id;
@@ -57,7 +56,11 @@ struct RunRecord {
   /// at shutdown so handles outliving the service stay safe.
   std::function<void()> poke;
 
-  // Shard-side only.
+  /// Guarded by mu too, though no handle reads it: the shared-ledger
+  /// transitions seen while kRunning, merged into the timeline at retirement.
+  std::vector<enactor::BreakerTransitionTrace> breaker_transitions;
+
+  // Shard-side only; the request is dropped when the run is terminal.
   enactor::RunRequest request;
   std::unique_ptr<enactor::ExecutionBackend> gated;
   std::shared_ptr<enactor::Engine> engine;
@@ -67,7 +70,7 @@ struct RunRecord {
 
 /// Everything the engine shards share: the root backend, the registry, the
 /// (nested) config, the lazily created service-owned resources, the obs sink
-/// serialization, and the live-run bookkeeping behind wait_idle/wait_any.
+/// serialization, and the live runs behind wait_idle/wait_any.
 /// Shards hold a reference; the RunService::Impl owns it.
 struct ServiceCore {
   enactor::ExecutionBackend& backend;
@@ -107,12 +110,15 @@ struct ServiceCore {
   std::atomic<long> queued_total{0};
   std::atomic<long> gate_depth_total{0};
 
-  // Live-run bookkeeping: wait_idle blocks on idle_cv, wait_any on
-  // terminal_cv; every terminal transition notifies both.
+  // Every submitted run not yet retired, by id: the service holds memory
+  // for live work only. wait_idle blocks on idle_cv until the map is empty,
+  // wait_any on terminal_cv; every retirement notifies both. Lock order: the
+  // shared ledger, then live_mu, then a record's mu; nothing calls into the
+  // ledger while holding either of the other two.
   std::mutex live_mu;
   std::condition_variable idle_cv;
   std::condition_variable terminal_cv;
-  std::size_t live = 0;
+  std::map<std::string, std::shared_ptr<RunRecord>> live;
 
   ServiceCore(enactor::ExecutionBackend& backend_in, services::ServiceRegistry& registry_in,
               RunServiceConfig config_in)
@@ -138,13 +144,16 @@ struct ServiceCore {
   /// run_id and bypass batching: grid health belongs to the shared
   /// infrastructure, not to any single tenant.
   void emit_service_event(const obs::RunEvent& event);
+  /// A shared-ledger transition, called under the ledger's lock: recorded
+  /// for every running run, then emitted as a service event.
   void on_breaker_transition(const grid::CeHealth::Transition& t);
 
   /// Count one terminal run (moteur_service_runs_total{state=...}).
   void count_terminal(RunState state);
 
-  /// One run left the live set: wake wait_idle/wait_any waiters.
-  void run_finished();
+  /// Terminal `rec` leaves the live runs, taking the caller's reference
+  /// with it; wakes wait_idle/wait_any waiters.
+  void run_finished(std::shared_ptr<RunRecord> rec);
 };
 
 }  // namespace detail
@@ -207,11 +216,14 @@ class EngineShard {
  private:
   using RunRecordPtr = std::shared_ptr<detail::RunRecord>;
 
+  // The worker's reference to a run travels down to run_finished, so a run
+  // no handle holds is freed before wait_idle can return.
   void run_worker();
-  bool admit(const RunRecordPtr& rec);
-  void retire(const RunRecordPtr& rec, RunState state, std::string error);
-  void finish_record(const RunRecordPtr& rec, RunState state,
-                     enactor::EnactmentResult result, std::string error);
+  /// Start `rec`, or retire it kFailed, release `rec` and return false.
+  bool admit(RunRecordPtr& rec);
+  void retire(RunRecordPtr rec, RunState state, std::string error);
+  void finish_record(RunRecordPtr rec, RunState state, enactor::EnactmentResult result,
+                     std::string error);
 
   /// Engine event sink: buffer, flush at the batch threshold.
   void obs_emit(const obs::RunEvent& event);

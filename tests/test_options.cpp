@@ -65,6 +65,9 @@ std::string random_value(const RunOption& option, Rng& rng) {
       }
       break;
     }
+    case Type::kText:  // the one text knob: outage windows
+      return "se0:" + std::to_string(rng.uniform_int(0, 100000)) + ":" +
+             std::to_string(rng.uniform_int(1, 100000));
   }
   ADD_FAILURE() << "no valid value for " << option.attribute;
   return {};
@@ -151,6 +154,7 @@ TEST(RunOptions, MalformedValuesNameTheAttributeAndTheValue) {
       case Type::kReal: bad = {"abc", "nan", "-inf", "-2"}; break;
       case Type::kSwitch: bad = {"maybe"}; break;
       case Type::kName: bad = {"no-such-name"}; break;
+      case Type::kText: bad = {"se0", "se0:1", ":1:2"}; break;
     }
     for (const std::string& value : bad) {
       const std::string what =
@@ -180,7 +184,7 @@ TEST(RunOptions, UnknownAttributesAreRejected) {
 TEST(RunOptions, EachRowSetsItsOwnField) {
   for (const RunOption& option : run_options()) {
     std::string value;
-    for (const char* candidate : {"7", "0.25", "2", "true", "false", "NOP"}) {
+    for (const char* candidate : {"7", "0.25", "2", "true", "false", "NOP", "se0:1:2"}) {
       if (accepts(option, candidate) && candidate != option.default_text) value = candidate;
     }
     for (const std::string& name : option.choices) {
@@ -229,6 +233,46 @@ TEST(RunOptions, PolicyConfigIsRequiredAndParsedInAnyOrder) {
         with_attribute(small_manifest(), Element::kPolicy, "config", spelling));
     EXPECT_TRUE(parsed.policy.data_parallelism) << spelling;
     EXPECT_TRUE(parsed.policy.service_parallelism) << spelling;
+  }
+}
+
+TEST(RunOptions, GridKnobsReachTheGridConfig) {
+  RunManifest manifest = small_manifest();
+  // Unset, the fault knobs keep the preset's values.
+  const grid::GridConfig preset = manifest.make_grid_config();
+  EXPECT_EQ(preset.failure_probability, 0.04);
+  EXPECT_EQ(preset.max_attempts, 5);
+
+  for (const auto& [attribute, value] : std::vector<std::pair<std::string, std::string>>{
+           {"failureProbability", "0"},
+           {"stuckProbability", "0.5"},
+           {"attempts", "1"},
+           {"replicaLoss", "0.25"},
+           {"replicaCorruption", "0.125"},
+           {"seOutages", "se0:10:20,se0:40:5"},
+           {"seCapacity", "300"},
+           {"eviction", "pin-sources"}}) {
+    find_run_option(Element::kGrid, attribute)->set(manifest, value, attribute);
+  }
+  const grid::GridConfig config = manifest.make_grid_config();
+  EXPECT_EQ(config.failure_probability, 0.0);
+  EXPECT_EQ(config.stuck_job_probability, 0.5);
+  EXPECT_EQ(config.max_attempts, 1);
+  EXPECT_EQ(config.replica_loss_probability, 0.25);
+  EXPECT_EQ(config.replica_corruption_probability, 0.125);
+  ASSERT_EQ(config.default_se_outages.size(), 2u);
+  EXPECT_EQ(config.default_se_outages[1].start_seconds, 40.0);
+  EXPECT_EQ(config.default_se_outages[1].duration_seconds, 5.0);
+  EXPECT_EQ(config.default_se_capacity_mb, 300.0);
+  EXPECT_EQ(config.replica_eviction_policy, "pin-sources");
+
+  // se0 is the implicit default SE; no preset declares another.
+  manifest.se_outages = "se0:1:2,se-north:3:4";
+  try {
+    manifest.make_grid_config();
+    ADD_FAILURE() << "an undeclared SE was accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("'se-north'"), std::string::npos) << e.what();
   }
 }
 

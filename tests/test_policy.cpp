@@ -350,7 +350,8 @@ struct RunArtifacts {
   std::string provenance;
 };
 
-/// Enact the bronze manifest in-process, mirroring the CLI's run path.
+/// Enact the bronze manifest in-process through an Enactor (the CLI enacts it
+/// through a RunService; cli_run_matches_golden checks that path).
 RunArtifacts enact(const enactor::RunManifest& manifest) {
   services::ServiceRegistry registry;
   services::load_catalog(read_file(std::string(kDataDir) + "/bronze_services.xml"),

@@ -4,6 +4,7 @@
 // tsan-enactor preset).
 #include <gtest/gtest.h>
 
+#include <any>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -15,8 +16,12 @@
 #include <utility>
 #include <vector>
 
+#include "app/bronze_standard.hpp"
 #include "data/dataset.hpp"
+#include "data/provenance_xml.hpp"
+#include "data/replica_catalog.hpp"
 #include "enactor/enactor.hpp"
+#include "enactor/manifest.hpp"
 #include "enactor/run_request.hpp"
 #include "enactor/sim_backend.hpp"
 #include "enactor/threaded_backend.hpp"
@@ -410,6 +415,76 @@ TEST(RunService, RejectsSubmissionsAfterShutdown) {
                ExecutionError);
 }
 
+/// One Bronze Standard run on a fresh `config` grid, enacted alone through
+/// an Enactor (whose engine owns any breaker ledger) and through a one-shard
+/// service with the gate off (whose ledger is shared): both results.
+std::pair<enactor::EnactmentResult, enactor::EnactmentResult> bronze_alone_and_in_service(
+    const grid::GridConfig& config, const enactor::EnactmentPolicy& policy) {
+  enactor::RunRequest request;
+  request.name = "bronze";
+  request.workflow = app::bronze_standard_workflow();
+  request.inputs = app::bronze_standard_dataset(12);
+  const bool data_plane = enactor::needs_replica_catalog(config, policy);
+
+  ServiceRig alone(config);
+  app::register_simulated_services(alone.registry);
+  data::ReplicaCatalog alone_catalog;
+  if (data_plane) alone.backend.set_catalog(&alone_catalog);
+  enactor::EnactmentResult expected =
+      enactor::Enactor(alone.backend, alone.registry, policy).run(request);
+
+  ServiceRig shared(config);
+  app::register_simulated_services(shared.registry);
+  data::ReplicaCatalog shared_catalog;
+  if (data_plane) shared.backend.set_catalog(&shared_catalog);
+  RunServiceConfig service_config;
+  service_config.admission.max_inflight = 0;
+  service_config.defaults.policy = policy;
+  RunService service(shared.backend, shared.registry, service_config);
+  const RunHandle handle = service.submit(std::move(request));
+  EXPECT_EQ(handle.wait(), RunState::kFinished);
+  return {std::move(expected), handle.result()};
+}
+
+TEST(RunService, SharedBreakerTransitionsReachTheRunTimeline) {
+  enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp_jg();
+  policy.retry.max_attempts = 2;
+  policy.failure_policy = enactor::FailurePolicy::kContinue;
+  policy.breaker = grid::BreakerPolicy{true, 6, 3, 3600.0};
+  grid::GridConfig config = grid::GridConfig::egee2006();
+  config.failure_probability = 0.35;
+  config.max_attempts = 1;
+  const auto [alone, in_service] = bronze_alone_and_in_service(config, policy);
+
+  const auto& want = alone.timeline.breaker_transitions();
+  const auto& got = in_service.timeline.breaker_transitions();
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << i;
+    EXPECT_EQ(got[i].computing_element, want[i].computing_element) << i;
+    EXPECT_EQ(got[i].from, want[i].from) << i;
+    EXPECT_EQ(got[i].to, want[i].to) << i;
+    EXPECT_EQ(got[i].failures_in_window, want[i].failures_in_window) << i;
+  }
+}
+
+TEST(RunService, LineageRecoveryReachesTheReplicaCatalog) {
+  // Replica loss plus an se0 outage: lineage recovery re-derives the lost
+  // files, inside the service as alone.
+  grid::GridConfig config = grid::GridConfig::egee2006();
+  config.replica_loss_probability = 0.1;
+  config.default_se_outages.push_back({2000.0, 1500.0});
+  const auto [alone, in_service] =
+      bronze_alone_and_in_service(config, enactor::EnactmentPolicy::sp_dp_jg());
+  ASSERT_GT(alone.rederived(), 0u);
+  EXPECT_EQ(alone.failures(), 0u);
+  EXPECT_EQ(in_service.failures(), 0u);
+  EXPECT_EQ(in_service.rederived(), alone.rederived());
+  EXPECT_EQ(data::export_provenance(in_service.sink_outputs),
+            data::export_provenance(alone.sink_outputs));
+}
+
 // ---------------------------------------------------------------------------
 // Threaded backend: real concurrency (TSan target)
 // ---------------------------------------------------------------------------
@@ -533,6 +608,36 @@ TEST(RunService, ShutdownCancelsEverythingAndJoins) {
   for (auto& handle : handles) {
     EXPECT_TRUE(is_terminal(handle.poll())) << handle.id();
   }
+}
+
+TEST(RunService, FinishedRunsAreReleased) {
+  // Every run's resolver captures `probe`, and so does each token it
+  // resolves: a run the service kept would hold 17 references to it.
+  const auto probe = std::make_shared<int>(0);
+  enactor::ThreadedBackend backend(2);
+  services::ServiceRegistry registry;
+  registry.add(std::make_shared<FunctionalService>(
+      "f-p0", std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
+      [](const Inputs& inputs) {
+        Result result;
+        result.outputs["out"].payload = inputs.begin()->second.payload();
+        result.outputs["out"].repr = "x";
+        return result;
+      }));
+  RunService service(backend, registry);
+  for (int i = 0; i < 50; ++i) {
+    enactor::RunRequest request = make_request("", prefixed_chain("f", 1), 16);
+    request.resolver = [probe](const std::string&, std::size_t,
+                               const std::string&) -> std::any { return probe; };
+    service.submit(std::move(request));  // the handle is dropped at once
+  }
+  service.wait_idle();
+  // A pool worker drops its task, and the input tokens bound to it, just
+  // after it hands the completion over: give the last one a moment.
+  for (int i = 0; i < 2000 && probe.use_count() > 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(probe.use_count(), 1);
 }
 
 }  // namespace

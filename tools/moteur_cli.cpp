@@ -10,8 +10,9 @@
 // Run it without arguments for every flag. The run options — the knobs a run
 // manifest records — come from the run-option table (enactor/options.hpp);
 // each command declares its other flags in commands(). An undeclared flag is
-// a usage error. --runs, --manifests and the telemetry flags enact through a
-// RunService on one shared grid; per-run outputs then get a .run<K> suffix.
+// a usage error. `run` enacts every run through one RunService on one shared
+// grid; when --runs or --manifests make it more than one run, per-run
+// outputs get a .run<K> suffix.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on run failures.
 #include <algorithm>
@@ -41,7 +42,6 @@
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
 #include "obs/telemetry.hpp"
-#include "policy/policy.hpp"
 #include "service/run_service.hpp"
 #include "model/dag.hpp"
 #include "model/makespan.hpp"
@@ -106,7 +106,8 @@ bool is_switch(const enactor::RunOption& option) {
   }
   text += "\nrun options (each is also a run-manifest attribute, see docs/formats.md):\n";
   for (const enactor::RunOption& option : enactor::run_options()) {
-    const char* value = std::array{" N", " X", "", " NAME"}[static_cast<int>(option.type)];
+    const char* value =
+        std::array{" N", " X", "", " NAME", " SPEC"}[static_cast<int>(option.type)];
     const std::string domain = !is_switch(option) ? " [" + option.domain + "]"
                                : option.flag_sets ? ""
                                                   : " (the flag turns it off)";
@@ -241,8 +242,8 @@ std::string cache_stats_json(const data::InvocationCache* cache) {
   return os.str();
 }
 
-/// The observability exports both run paths share: --trace-out,
-/// --metrics-out, --cache-stats-out and --obs-summary.
+/// The observability exports of a run set: --trace-out, --metrics-out,
+/// --cache-stats-out and --obs-summary.
 void write_observability(const Args& args, const obs::RunRecorder& recorder,
                          const data::InvocationCache* cache) {
   if (const auto out = args.get("trace-out")) {
@@ -262,52 +263,11 @@ void write_observability(const Args& args, const obs::RunRecorder& recorder,
   }
 }
 
-/// Fault-injection flags shared by both run paths: per-attempt CE faults
-/// (--inject-*) and the storage plane (--se-outage/--se-loss/--se-corrupt).
-/// SE names in --se-outage are checked against the configuration: "se0"
-/// addresses the implicit default SE, anything else must be declared.
-void apply_fault_flags(const Args& args, grid::GridConfig& config) {
-  config.failure_probability =
-      args.parsed("inject-failures", parse_probability, config.failure_probability);
-  config.stuck_job_probability =
-      args.parsed("inject-stuck", parse_probability, config.stuck_job_probability);
-  config.max_attempts = static_cast<int>(args.parsed(
-      "grid-attempts", parse_positive_count, static_cast<std::size_t>(config.max_attempts)));
-  config.replica_loss_probability =
-      args.parsed("se-loss", parse_probability, config.replica_loss_probability);
-  config.replica_corruption_probability =
-      args.parsed("se-corrupt", parse_probability, config.replica_corruption_probability);
-  if (const auto spec = args.get("se-outage")) {
-    for (const auto& outage : parse_se_outages(*spec, "--se-outage")) {
-      const grid::StorageOutageWindow window{outage.start_seconds,
-                                             outage.duration_seconds};
-      auto declared = std::find_if(
-          config.storage_elements.begin(), config.storage_elements.end(),
-          [&](const grid::StorageElementConfig& se) {
-            return se.name == outage.storage_element;
-          });
-      if (declared != config.storage_elements.end()) {
-        declared->outages.push_back(window);
-      } else if (outage.storage_element == "se0") {
-        config.default_se_outages.push_back(window);
-      } else {
-        throw ParseError("--se-outage names unknown storage element '" +
-                         outage.storage_element + "'");
-      }
-    }
-  }
-  // Capacity-bounded storage: a finite default-SE budget makes the catalog
-  // evict, under the named eviction policy.
-  config.default_se_capacity_mb =
-      args.parsed("se-capacity", parse_nonnegative_real, config.default_se_capacity_mb);
-  if (const auto name = args.get("eviction-policy")) {
-    policy::parse<policy::Eviction>(*name, "--eviction-policy");
-    config.replica_eviction_policy = *name;
-  }
-}
-
-/// "out.csv" -> "out.run3.csv"; extensionless paths get ".run3" appended.
-std::string suffixed(const std::string& path, std::size_t k) {
+/// Where run `k` of `total` writes the output given as `path`: `path` itself
+/// for a single run, else "out.csv" -> "out.run3.csv" (extensionless paths
+/// get ".run3" appended).
+std::string run_output(const std::string& path, std::size_t k, std::size_t total) {
+  if (total == 1) return path;
   const std::string tag = ".run" + std::to_string(k);
   const auto dot = path.rfind('.');
   const auto slash = path.find_last_of('/');
@@ -317,11 +277,42 @@ std::string suffixed(const std::string& path, std::size_t k) {
   return path.substr(0, dot) + tag + path.substr(dot);
 }
 
-/// Multi-tenant mode: enact several runs concurrently on ONE shared simulated
-/// grid through a RunService. The run set is the cross product of the listed
+/// Print a terminal run's summary: what it ran under, then its counters, its
+/// fault containment and its results per sink.
+void print_summary(const service::RunHandle& run, const enactor::EnactmentPolicy& policy,
+                   const enactor::RunManifest& grid) {
+  const enactor::EnactmentResult& result = run.result();
+  std::printf("run %s: %s  (policy %s, grid %s, seed %llu)\n", run.id().c_str(),
+              service::to_string(run.poll()), policy.name().c_str(),
+              grid.grid_preset.c_str(), static_cast<unsigned long long>(grid.seed));
+  if (!run.error().empty()) std::printf("  error:        %s\n", run.error().c_str());
+  std::printf("  makespan:     %s (%.0f s)\n", format_duration(result.makespan()).c_str(),
+              result.makespan());
+  std::printf("  invocations:  %zu logical, %zu submissions, %zu failures\n",
+              result.invocations(), result.submissions(), result.failures());
+  if (result.retries() != 0 || result.timeouts() != 0) {
+    std::printf("  resubmission: %zu retries, %zu timeout clones\n", result.retries(),
+                result.timeouts());
+  }
+  if (result.cache_hits() != 0) {
+    std::printf("  cache:        %zu invocation(s) served without a grid job\n",
+                result.cache_hits());
+  }
+  if (!result.failure_report.empty()) {
+    std::printf("  fault containment: %s", result.failure_report.to_text().c_str());
+  }
+  for (const auto& [sink, tokens] : result.sink_outputs) {
+    std::printf("  sink %-20s %zu results\n", (sink + ":").c_str(), tokens.size());
+  }
+}
+
+/// Enact every run the command line describes through one RunService on ONE
+/// shared simulated grid. The run set is the cross product of the listed
 /// manifests (or the single --manifest/--workflow spec) and --runs copies;
-/// the run options on the command line apply to every listed manifest.
-int cmd_run_multi(const Args& args) {
+/// the run options on the command line apply to every listed manifest, and
+/// the first manifest decides the grid and the service. Outputs get a
+/// .run<K> suffix only when more than one run is enacted.
+int cmd_run(const Args& args) {
   std::vector<enactor::RunManifest> manifests;
   if (const auto list = args.get("manifests")) {
     for (const auto& path : split(*list, ',')) {
@@ -332,16 +323,18 @@ int cmd_run_multi(const Args& args) {
   } else {
     manifests.push_back(manifest_from_args(args));
   }
+  const enactor::RunManifest& first = manifests.front();
   const std::size_t copies = args.parsed("runs", parse_positive_count, std::size_t{1});
+  const double diagram_column_seconds =
+      args.parsed("diagram", parse_nonnegative_seconds, 0.0);  // 0 = auto width
 
   services::ServiceRegistry registry;
   load_services(args, registry);
 
-  // One grid for every tenant: the first manifest decides its shape and its
-  // grid-wide policies; each run's matchmaking still rides its JobRequests.
+  // One grid for every tenant, shaped by the first manifest; each run's
+  // matchmaking still rides its JobRequests.
   sim::Simulator simulator;
-  grid::GridConfig grid_config = manifests.front().make_grid_config();
-  apply_fault_flags(args, grid_config);
+  const grid::GridConfig grid_config = first.make_grid_config();
   bool data_plane = false;
   for (const auto& manifest : manifests) {
     data_plane = data_plane || enactor::needs_replica_catalog(grid_config, manifest.policy);
@@ -354,18 +347,12 @@ int cmd_run_multi(const Args& args) {
   if (data_plane) backend.set_catalog(&catalog);
 
   service::RunServiceConfig config;
-  config.admission.max_active =
-      args.parsed("max-active", parse_positive_count, config.admission.max_active);
-  // 0 is meaningful here: an unbounded gate.
-  config.admission.max_inflight =
-      args.parsed("max-inflight", parse_count, config.admission.max_inflight);
-  if (!manifests.front().policy.admission.empty()) {
-    config.admission.policy = manifests.front().policy.admission;
-  }
-  // The first manifest decides the sharding, like the grid.
-  config.sharding.shards = manifests.front().shards;
-  config.sharding.pin = service::parse_pin_policy(manifests.front().pin_policy);
-  config.defaults.policy = manifests.front().policy;
+  config.admission.max_active = first.max_active;
+  config.admission.max_inflight = first.max_inflight;
+  if (!first.policy.admission.empty()) config.admission.policy = first.policy.admission;
+  config.sharding.shards = first.shards;
+  config.sharding.pin = service::parse_pin_policy(first.pin_policy);
+  config.defaults.policy = first.policy;
   // Live telemetry plane: streaming frames, the scrape endpoint, and the
   // crash flight recorder all hang off the service config.
   if (const auto out = args.get("telemetry-out")) config.telemetry.jsonl_path = *out;
@@ -419,62 +406,65 @@ int cmd_run_multi(const Args& args) {
     }
   }
   const std::size_t total = requests.size();
+  const std::size_t gate = config.admission.max_inflight;
   std::printf(
-      "enacting %zu concurrent run(s) (max active %zu, gate %zu, %zu shard(s) [%s],"
-      " grid %s)\n",
-      total, config.admission.max_active, config.admission.max_inflight, runs.shards(),
-      service::to_string(config.sharding.pin), manifests.front().grid_preset.c_str());
+      "enacting %zu run(s) (max active %zu, gate %s, %zu shard(s) [%s], grid %s)\n",
+      total, config.admission.max_active,
+      gate == 0 ? "off" : std::to_string(gate).c_str(), runs.shards(),
+      service::to_string(config.sharding.pin), first.grid_preset.c_str());
   auto handles = runs.submit_all(std::move(requests));
   runs.wait_idle();
 
   bool hard_failure = false;
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    auto& handle = handles[i];
-    // wait_idle() drained the service, so every handle is terminal and the
-    // non-blocking accessors suffice.
-    const service::RunState state = handle.poll();
-    const enactor::EnactmentResult* terminal = handle.try_result();
-    if (terminal == nullptr) {
-      std::fprintf(stderr, "run %s not terminal after wait_idle\n", handle.id().c_str());
-      return 1;
-    }
-    const auto& result = *terminal;
-    std::printf("run %-24s %-9s makespan %s, %zu invocations, %zu failures",
-                (handle.id() + ":").c_str(), service::to_string(state),
-                format_duration(result.makespan()).c_str(), result.invocations(),
-                result.failures());
-    if (result.cache_hits() != 0) std::printf(", %zu cache hits", result.cache_hits());
-    std::printf("\n");
-    if (!result.failure_report.empty()) {
-      std::printf("  fault containment: %s", result.failure_report.to_text().c_str());
-    }
-    const bool tolerated = manifests[i % manifests.size()].policy.failure_policy ==
-                           enactor::FailurePolicy::kContinue;
-    if (state == service::RunState::kFailed ||
+  for (std::size_t i = 0; i < total; ++i) {
+    // wait_idle() drained the service: every run is terminal.
+    const enactor::EnactmentResult& result = handles[i].result();
+    const enactor::EnactmentPolicy& policy = manifests[i % manifests.size()].policy;
+    print_summary(handles[i], policy, first);
+    // Under --failure-policy continue a partial-result run is a success: the
+    // losses are accounted for in the failure report, not in the exit status.
+    const bool tolerated = policy.failure_policy == enactor::FailurePolicy::kContinue;
+    if (handles[i].poll() == service::RunState::kFailed ||
         (result.failures() != 0 && !tolerated)) {
       hard_failure = true;
     }
-    const std::size_t k = i + 1;
-    if (const auto out = args.get("csv")) {
-      write_file(suffixed(*out, k), enactor::timeline_to_csv(result.timeline, data_plane));
+    if (args.has("trace")) {
+      std::fputs(enactor::render_trace_table(result.timeline).c_str(), stdout);
     }
-    if (const auto out = args.get("failure-report")) {
-      write_file(suffixed(*out, k), result.failure_report.to_json() + "\n");
+    if (args.has("diagram")) {
+      enactor::DiagramOptions options;
+      options.seconds_per_column = diagram_column_seconds;
+      std::vector<std::string> rows;
+      for (const auto& proc : result.executed_workflow.processors()) {
+        if (proc.kind == workflow::ProcessorKind::kService) rows.push_back(proc.name);
+      }
+      const std::string diagram =
+          enactor::render_execution_diagram(result.timeline, rows, options);
+      std::fputs(diagram.c_str(), stdout);
     }
-    if (const auto out = args.get("provenance")) {
-      write_file(suffixed(*out, k), data::export_provenance(result.sink_outputs));
-    }
+    const auto save = [&](const char* flag, const char* what, const auto& content) {
+      if (const auto out = args.get(flag)) {
+        const std::string path = run_output(*out, i + 1, total);
+        write_file(path, content());
+        std::printf("%s written to %s\n", what, path.c_str());
+      }
+    };
+    save("provenance", "provenance",
+         [&] { return data::export_provenance(result.sink_outputs); });
+    save("csv", "timeline",
+         [&] { return enactor::timeline_to_csv(result.timeline, data_plane); });
+    save("failure-report", "failure report",
+         [&] { return result.failure_report.to_json() + "\n"; });
   }
   // Critical-path attribution per run, before the metric exports so the
   // moteur_critical_path_seconds series land in --metrics-out too.
   if (const auto out = args.get("critical-path")) {
     runs.with_observability([&](obs::RunRecorder& rec) {
-      for (std::size_t i = 0; i < handles.size(); ++i) {
+      for (std::size_t i = 0; i < total; ++i) {
         const obs::CriticalPathReport report = obs::critical_path(
             rec.tracer(), handles[i].id(), handles[i].admission_wait());
         obs::record_phases(rec.metrics(), report);
-        const std::string path = total > 1 ? suffixed(*out, i + 1) : *out;
-        write_file(path, report.to_json() + "\n");
+        write_file(run_output(*out, i + 1, total), report.to_json() + "\n");
         std::fputs(report.to_text().c_str(), stdout);
       }
     });
@@ -488,100 +478,6 @@ int cmd_run_multi(const Args& args) {
     std::this_thread::sleep_for(std::chrono::duration<double>(linger));
   }
   return hard_failure ? 2 : 0;
-}
-
-int cmd_run(const Args& args) {
-  for (const char* flag : {"runs", "manifests", "telemetry-out", "telemetry-port",
-                           "telemetry-interval", "telemetry-linger", "flight-recorder",
-                           "critical-path"}) {
-    if (args.has(flag)) return cmd_run_multi(args);
-  }
-  const enactor::RunManifest manifest = manifest_from_args(args);
-  const double diagram_column_seconds =
-      args.parsed("diagram", parse_nonnegative_seconds, 0.0);  // 0 = auto width
-
-  services::ServiceRegistry registry;
-  load_services(args, registry);
-
-  sim::Simulator simulator;
-  grid::GridConfig grid_config = manifest.make_grid_config();
-  // Fault-injection knobs: surface failures to the enactor's retry policy.
-  apply_fault_flags(args, grid_config);
-  grid::Grid grid(simulator, grid_config);
-  enactor::SimGridBackend backend(grid);
-  const bool data_plane = enactor::needs_replica_catalog(grid_config, manifest.policy);
-  data::ReplicaCatalog catalog;
-  if (data_plane) backend.set_catalog(&catalog);
-  enactor::Enactor moteur(backend, registry, manifest.policy);
-
-  // Observability: one recorder subscribes to the run's event stream and the
-  // backend's metric hooks; exports happen after the run.
-  obs::RunRecorder recorder;
-  const bool observe =
-      args.has("trace-out") || args.has("metrics-out") || args.has("obs-summary");
-  if (observe) {
-    moteur.set_recorder(&recorder);
-    backend.set_metrics(&recorder.metrics());
-  }
-
-  enactor::RunRequest request;
-  request.workflow = manifest.workflow;
-  request.inputs = manifest.inputs;
-  const enactor::EnactmentResult result = moteur.run(std::move(request));
-
-  std::printf("workflow:     %s  (policy %s, grid %s, seed %llu)\n",
-              manifest.workflow.name().c_str(), manifest.policy.name().c_str(),
-              manifest.grid_preset.c_str(),
-              static_cast<unsigned long long>(manifest.seed));
-  std::printf("makespan:     %s (%.0f s)\n", format_duration(result.makespan()).c_str(),
-              result.makespan());
-  std::printf("invocations:  %zu logical, %zu submissions, %zu failures\n",
-              result.invocations(), result.submissions(), result.failures());
-  if (result.retries() != 0 || result.timeouts() != 0) {
-    std::printf("resubmission: %zu retries, %zu timeout clones\n", result.retries(),
-                result.timeouts());
-  }
-  if (result.cache_hits() != 0) {
-    std::printf("cache:        %zu invocation(s) served without a grid job\n",
-                result.cache_hits());
-  }
-  if (!result.failure_report.empty()) {
-    std::printf("fault containment: %s", result.failure_report.to_text().c_str());
-  }
-  for (const auto& [sink, tokens] : result.sink_outputs) {
-    std::printf("sink %-20s %zu results\n", (sink + ":").c_str(), tokens.size());
-  }
-
-  if (args.has("trace")) {
-    std::fputs(enactor::render_trace_table(result.timeline).c_str(), stdout);
-  }
-  if (args.has("diagram")) {
-    enactor::DiagramOptions options;
-    options.seconds_per_column = diagram_column_seconds;
-    std::vector<std::string> rows;
-    for (const auto& proc : result.executed_workflow.processors()) {
-      if (proc.kind == workflow::ProcessorKind::kService) rows.push_back(proc.name);
-    }
-    std::fputs(enactor::render_execution_diagram(result.timeline, rows, options).c_str(),
-               stdout);
-  }
-  if (const auto out = args.get("provenance")) {
-    write_file(*out, data::export_provenance(result.sink_outputs));
-    std::printf("provenance written to %s\n", out->c_str());
-  }
-  if (const auto out = args.get("csv")) {
-    write_file(*out, enactor::timeline_to_csv(result.timeline, data_plane));
-    std::printf("timeline written to %s\n", out->c_str());
-  }
-  write_observability(args, recorder, moteur.invocation_cache());
-  if (const auto out = args.get("failure-report")) {
-    write_file(*out, result.failure_report.to_json() + "\n");
-    std::printf("failure report written to %s\n", out->c_str());
-  }
-  // Under --failure-policy continue a partial-result run is a success: the
-  // losses are accounted for in the failure report, not in the exit status.
-  if (manifest.policy.failure_policy == enactor::FailurePolicy::kContinue) return 0;
-  return result.failures() == 0 ? 0 : 2;
 }
 
 int cmd_save_manifest(const Args& args) {
@@ -693,10 +589,7 @@ const std::vector<Command>& commands() {
       {"run", true,
        {{"manifest", "RUN.xml"}, {"workflow", "WF.xml"}, {"data", "DS.xml"},
         {"services", "CAT.xml"}, {"runs", "N"}, {"manifests", "A.xml,B.xml"},
-        {"max-active", "N"}, {"max-inflight", "N"}, {"inject-failures", "P"},
-        {"inject-stuck", "P"}, {"grid-attempts", "N"}, {"se-outage", "SE:START:DUR[,...]"},
-        {"se-loss", "P"}, {"se-corrupt", "P"}, {"se-capacity", "MB"},
-        {"eviction-policy", "lru|pin-sources"}, {"provenance", "OUT.xml"},
+        {"provenance", "OUT.xml"},
         {"csv", "OUT.csv"}, {"trace", nullptr}, {"diagram", "COLSECONDS"},
         {"failure-report", "OUT.json"}, {"cache-stats-out", "STATS.json"},
         {"trace-out", "TRACE.json"}, {"metrics-out", "METRICS.prom"},
