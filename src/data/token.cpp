@@ -14,57 +14,81 @@ std::string to_string(const IndexVector& v) {
   return out;
 }
 
+namespace {
+
+Provenance::Ptr derived_provenance(const std::string& processor, const std::string& port,
+                                   const std::vector<Token>& inputs) {
+  std::vector<Provenance::Ptr> input_histories;
+  input_histories.reserve(inputs.size());
+  for (const auto& input : inputs) input_histories.push_back(input.provenance());
+  return Provenance::derived(processor, port, std::move(input_histories));
+}
+
+}  // namespace
+
 Token::Token(std::any payload, std::string repr, IndexVector indices,
-             Provenance::Ptr provenance)
-    : payload_(std::move(payload)),
-      repr_(std::move(repr)),
-      indices_(std::move(indices)),
-      provenance_(std::move(provenance)) {
-  MOTEUR_REQUIRE(provenance_ != nullptr, InternalError, "token without provenance");
+             Provenance::Ptr provenance) {
+  MOTEUR_REQUIRE(provenance != nullptr, InternalError, "token without provenance");
+  auto body = std::make_shared<Body>();
+  body->payload = std::move(payload);
+  body->repr = std::move(repr);
+  body->indices = std::move(indices);
+  body->provenance = std::move(provenance);
+  body_ = std::move(body);
 }
 
 Token Token::from_source(const std::string& source_name, std::size_t index,
                          std::any payload, std::string repr) {
-  Token token(std::move(payload), std::move(repr), IndexVector{index},
-              Provenance::source(source_name, index));
-  token.digest_ = fnv1a(token.repr_);
-  return token;
+  auto body = std::make_shared<Body>();
+  body->digest = fnv1a(repr);
+  body->payload = std::move(payload);
+  body->repr = std::move(repr);
+  body->indices = IndexVector{index};
+  body->provenance = Provenance::source(source_name, index);
+  return Token(std::move(body));
 }
 
 Token Token::derived(const std::string& processor, const std::string& port,
                      const std::vector<Token>& inputs, IndexVector indices,
                      std::any payload, std::string repr, std::uint64_t digest,
                      std::shared_ptr<const DataRef> ref) {
-  std::vector<Provenance::Ptr> input_histories;
-  input_histories.reserve(inputs.size());
-  for (const auto& input : inputs) input_histories.push_back(input.provenance());
-  Token token(std::move(payload), std::move(repr), std::move(indices),
-              Provenance::derived(processor, port, std::move(input_histories)));
-  token.digest_ = digest;
-  token.ref_ = std::move(ref);
-  return token;
+  auto body = std::make_shared<Body>();
+  body->payload = std::move(payload);
+  body->repr = std::move(repr);
+  body->indices = std::move(indices);
+  body->provenance = derived_provenance(processor, port, inputs);
+  body->digest = digest;
+  body->ref = std::move(ref);
+  return Token(std::move(body));
 }
 
 Token Token::poisoned(const std::string& processor, const std::string& port,
                       const std::vector<Token>& inputs, IndexVector indices,
                       std::shared_ptr<const TokenError> error) {
   MOTEUR_REQUIRE(error != nullptr, InternalError, "poisoned token without an error");
-  Token token = derived(processor, port, inputs, std::move(indices), std::any{},
-                        "<error@" + error->processor + ">");
-  token.error_ = std::move(error);
-  return token;
+  auto body = std::make_shared<Body>();
+  body->repr = "<error@" + error->processor + ">";
+  body->indices = std::move(indices);
+  body->provenance = derived_provenance(processor, port, inputs);
+  body->error = std::move(error);
+  return Token(std::move(body));
+}
+
+const Token::Body& Token::empty_body() {
+  static const Body empty;
+  return empty;
 }
 
 const std::string& Token::id() const {
-  MOTEUR_REQUIRE(provenance_ != nullptr, InternalError, "token without provenance");
-  return provenance_->key();
+  MOTEUR_REQUIRE(provenance() != nullptr, InternalError, "token without provenance");
+  return provenance()->key();
 }
 
 const std::any& Token::require_payload() const {
-  MOTEUR_REQUIRE(payload_.has_value(), EnactmentError,
-                 "token '" + (provenance_ ? provenance_->key() : std::string("?")) +
+  MOTEUR_REQUIRE(has_payload(), EnactmentError,
+                 "token '" + (provenance() ? provenance()->key() : std::string("?")) +
                      "' carries no payload");
-  return payload_;
+  return payload();
 }
 
 }  // namespace moteur::data

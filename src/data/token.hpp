@@ -30,8 +30,11 @@ struct TokenError {
   std::string status;     // outcome status name ("Transient", "TimedOut", ...)
 };
 
-/// One piece of data flowing through the workflow. Tokens are cheap to copy:
-/// payloads are shared, provenance trees are shared.
+/// One piece of data flowing through the workflow. A token is a handle to one
+/// immutable body (payload, repr, index, provenance, digest, replica ref,
+/// error), built once by the constructor or a factory and never written
+/// after: copying a token costs one reference-count increment, and the shard
+/// thread and the worker threads may read one body at the same time.
 ///
 /// A *poisoned* token stands in for data that was never produced because an
 /// upstream invocation failed definitively: it has no payload but carries a
@@ -67,7 +70,7 @@ class Token {
                         const std::vector<Token>& inputs, IndexVector indices,
                         std::shared_ptr<const TokenError> error);
 
-  const std::any& payload() const { return payload_; }
+  const std::any& payload() const { return body().payload; }
   /// Typed access; throws std::bad_any_cast on mismatch.
   template <typename T>
   const T& as() const {
@@ -75,43 +78,52 @@ class Token {
   }
   template <typename T>
   bool holds() const {
-    return std::any_cast<T>(&payload_) != nullptr;
+    return std::any_cast<T>(&body().payload) != nullptr;
   }
 
   /// Short human-readable rendition (file name, value, ...).
-  const std::string& repr() const { return repr_; }
+  const std::string& repr() const { return body().repr; }
 
-  const IndexVector& indices() const { return indices_; }
-  const Provenance::Ptr& provenance() const { return provenance_; }
+  const IndexVector& indices() const { return body().indices; }
+  const Provenance::Ptr& provenance() const { return body().provenance; }
 
   /// Unique identity (the provenance key).
   const std::string& id() const;
 
-  bool has_payload() const { return payload_.has_value(); }
+  bool has_payload() const { return body().payload.has_value(); }
 
   /// Content digest of the carried value (0 = unknown; poisoned tokens have
   /// no content). Equal digests mean equal content, not equal provenance.
-  std::uint64_t digest() const { return digest_; }
+  std::uint64_t digest() const { return body().digest; }
 
   /// The logical grid file backing this token, when one exists; nullptr for
   /// in-memory values that were never staged to a StorageElement.
-  const std::shared_ptr<const DataRef>& ref() const { return ref_; }
+  const std::shared_ptr<const DataRef>& ref() const { return body().ref; }
 
   /// Whether this token is an error marker rather than data.
-  bool poisoned() const { return error_ != nullptr; }
+  bool poisoned() const { return body().error != nullptr; }
   /// Root cause of a poisoned token; nullptr for healthy tokens.
-  const std::shared_ptr<const TokenError>& error() const { return error_; }
+  const std::shared_ptr<const TokenError>& error() const { return body().error; }
 
  private:
+  struct Body {
+    std::any payload;
+    std::string repr;
+    IndexVector indices;
+    Provenance::Ptr provenance;
+    std::shared_ptr<const TokenError> error;
+    std::uint64_t digest = 0;
+    std::shared_ptr<const DataRef> ref;
+  };
+
+  explicit Token(std::shared_ptr<const Body> body) : body_(std::move(body)) {}
+
+  /// A default-constructed token reads as the empty body.
+  const Body& body() const { return body_ ? *body_ : empty_body(); }
+  static const Body& empty_body();
   const std::any& require_payload() const;
 
-  std::any payload_;
-  std::string repr_;
-  IndexVector indices_;
-  Provenance::Ptr provenance_;
-  std::shared_ptr<const TokenError> error_;
-  std::uint64_t digest_ = 0;
-  std::shared_ptr<const DataRef> ref_;
+  std::shared_ptr<const Body> body_;
 };
 
 }  // namespace moteur::data

@@ -235,9 +235,7 @@ void Engine::deliver(const Link& link, data::Token token) {
     return;
   }
   consumer.buffer->push(link.to_port, std::move(token));
-  for (auto& tuple : consumer.buffer->drain_ready()) {
-    consumer.ready.push_back(std::move(tuple));
-  }
+  consumer.buffer->drain_ready_into(consumer.ready);
 }
 
 bool Engine::cacheable(const PState& state) const {
@@ -476,7 +474,7 @@ void Engine::fire(PState& state, std::vector<IterationBuffer::Tuple> tuples) {
   ++state.in_flight;
   state.fired += sub->tuples.size();
   tuples_in_flight_ += sub->tuples.size();
-  outstanding_.push_back(sub);
+  if (policy_.retry.timeout_enabled()) outstanding_.push_back(sub);
   MOTEUR_LOG(kDebug, "enactor") << "fire '" << state.proc->name << "' on "
                                 << sub->tuples.size() << " tuple(s)";
   if (observing()) emit(make_event(obs::RunEvent::Kind::kInvocationStarted, *sub, 0));
@@ -520,7 +518,7 @@ void Engine::fire_barrier(PState& state) {
   ++state.in_flight;
   ++state.fired;
   ++tuples_in_flight_;
-  outstanding_.push_back(sub);
+  if (policy_.retry.timeout_enabled()) outstanding_.push_back(sub);
   MOTEUR_LOG(kDebug, "enactor") << "fire barrier '" << state.proc->name << "'";
   if (observing()) emit(make_event(obs::RunEvent::Kind::kInvocationStarted, *sub, 0));
   start_attempt(sub);

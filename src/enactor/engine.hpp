@@ -290,6 +290,7 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// timeout-resubmission watchdog.
   std::vector<double> latency_samples_;
   /// Unresolved submissions, for late watchdog arming (pruned lazily).
+  /// Recorded only while the timeout watchdog is on; nothing else reads it.
   std::vector<std::weak_ptr<Submission>> outstanding_;
   std::uint64_t next_submission_id_ = 1;
   std::size_t tuples_in_flight_ = 0;  // across all unresolved submissions

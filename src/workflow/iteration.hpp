@@ -1,8 +1,9 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "data/token.hpp"
@@ -32,19 +33,40 @@ class IterationBuffer {
     data::IndexVector index;          // iteration index of the firing
   };
 
-  /// Feed one token; any tuples it completes become ready.
+  /// Feed one token on the port at position `slot` of ports() (a position
+  /// past the last port throws InternalError); any tuples it completes
+  /// become ready.
   /// Throws EnactmentError if two matched tokens carry contradictory
   /// provenance (same source, different item index) — the §4.1 causality
-  /// check — or if a duplicate index arrives on a port under dot strategy.
+  /// check — or, under dot strategy, if a token arrives on a port where a
+  /// pending partial tuple with its index already holds a token. A one-port
+  /// dot buffer emits every token as its own tuple on arrival, so it never
+  /// holds a partial tuple and lets a repeated index through.
+  void push(std::size_t slot, data::Token token);
+  /// Same, naming the port.
   void push(const std::string& port, data::Token token);
 
   /// Mark a port's stream complete: no further push on it.
+  void close(std::size_t slot);
   void close(const std::string& port);
+  bool is_closed(std::size_t slot) const;
   bool is_closed(const std::string& port) const;
   bool all_closed() const;
 
+  /// Move every tuple completed since the last drain onto the back of `out`
+  /// (FIFO by completion). The buffer keeps its capacity, so a steady
+  /// push/drain stream allocates nothing here.
+  template <typename Out>
+  void drain_ready_into(Out& out) {
+    for (auto& tuple : ready_) out.push_back(std::move(tuple));
+    ready_.clear();
+  }
   /// Take every tuple completed since the last drain (FIFO by completion).
-  std::vector<Tuple> drain_ready();
+  std::vector<Tuple> drain_ready() {
+    std::vector<Tuple> out;
+    drain_ready_into(out);
+    return out;
+  }
 
   bool has_ready() const { return !ready_.empty(); }
 
@@ -60,21 +82,24 @@ class IterationBuffer {
 
  private:
   std::size_t port_index(const std::string& port) const;
+  void require_slot(std::size_t slot) const;
   void push_dot(std::size_t slot, data::Token token);
   void push_cross(std::size_t slot, data::Token token);
-  static void check_causality(const std::vector<data::Token>& tokens);
 
   IterationStrategy strategy_;
   std::vector<std::string> ports_;
   std::vector<bool> closed_;
 
-  // Dot: partial tuples keyed by index vector.
+  // Dot: partial tuples keyed by index vector. An empty (default) token
+  // marks a port that has not delivered yet.
   struct Partial {
     std::vector<data::Token> tokens;
-    std::vector<bool> present;
     std::size_t count = 0;
   };
-  std::map<data::IndexVector, Partial> partial_;
+  struct IndexHash {
+    std::size_t operator()(const data::IndexVector& index) const noexcept;
+  };
+  std::unordered_map<data::IndexVector, Partial, IndexHash> partial_;
 
   // Cross: full retention per port.
   std::vector<std::vector<data::Token>> retained_;

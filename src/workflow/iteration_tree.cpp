@@ -79,30 +79,37 @@ namespace {
 struct CompositeGroup {
   std::vector<data::Token> members;
 };
+using GroupPtr = std::shared_ptr<const CompositeGroup>;
 
-std::vector<data::Token> flatten(const data::Token& token) {
-  if (token.holds<std::shared_ptr<const CompositeGroup>>()) {
-    return token.as<std::shared_ptr<const CompositeGroup>>()->members;
+const CompositeGroup* group_of(const data::Token& token) {
+  const auto* group = std::any_cast<GroupPtr>(&token.payload());
+  return group != nullptr ? group->get() : nullptr;
+}
+
+/// A child stage's completed tuple as one token on its parent's slot. Its
+/// provenance derives from the tuple members, so the parent's causality
+/// check compares the whole group.
+data::Token group_token(const IterationBuffer::Tuple& tuple) {
+  auto group = std::make_shared<CompositeGroup>();
+  for (const auto& member : tuple.tokens) {
+    if (const CompositeGroup* inner = group_of(member)) {
+      group->members.insert(group->members.end(), inner->members.begin(),
+                            inner->members.end());
+    } else {
+      group->members.push_back(member);
+    }
   }
-  return {token};
+  return data::Token::derived("iteration", "group", tuple.tokens, tuple.index,
+                              GroupPtr(std::move(group)),
+                              "group" + data::to_string(tuple.index));
 }
 
 }  // namespace
 
 struct CompositeIterationBuffer::Stage {
-  IterationNode::Kind kind;
-  std::vector<const IterationNode*> children;  // aligned with slot names
   IterationBuffer buffer;
   Stage* parent = nullptr;
-  std::string parent_slot;
-
-  Stage(IterationNode::Kind k, std::vector<const IterationNode*> kids,
-        std::vector<std::string> slots)
-      : kind(k),
-        children(std::move(kids)),
-        buffer(k == IterationNode::Kind::kDot ? IterationStrategy::kDot
-                                              : IterationStrategy::kCross,
-               std::move(slots)) {}
+  std::size_t parent_slot = 0;
 };
 
 CompositeIterationBuffer::~CompositeIterationBuffer() = default;
@@ -111,47 +118,71 @@ CompositeIterationBuffer::CompositeIterationBuffer(IterationNode tree)
     : tree_(std::move(tree)) {
   tree_.validate();
   ports_ = tree_.ports();
-  for (const auto& port : ports_) closed_[port] = false;
+  leaf_routes_.resize(ports_.size());
+  closed_.assign(ports_.size(), false);
   MOTEUR_REQUIRE(tree_.kind != IterationNode::Kind::kPort, GraphError,
                  "iteration tree root must be a combinator");
   root_ = build(tree_);
 }
 
+std::size_t CompositeIterationBuffer::leaf_index(const std::string& port) const {
+  const auto it = std::find(ports_.begin(), ports_.end(), port);
+  MOTEUR_REQUIRE(it != ports_.end(), EnactmentError,
+                 "iteration tree has no port '" + port + "'");
+  return static_cast<std::size_t>(it - ports_.begin());
+}
+
 CompositeIterationBuffer::Stage* CompositeIterationBuffer::build(
     const IterationNode& node) {
-  std::vector<std::string> slots;
-  std::vector<const IterationNode*> kids;
-  for (std::size_t i = 0; i < node.children.size(); ++i) {
-    slots.push_back("c" + std::to_string(i));
-    kids.push_back(&node.children[i]);
-  }
   // Children first, so stages_ is in bottom-up (pump) order.
   std::vector<Stage*> child_stages(node.children.size(), nullptr);
+  std::vector<std::string> slot_names;
   for (std::size_t i = 0; i < node.children.size(); ++i) {
     if (node.children[i].kind != IterationNode::Kind::kPort) {
       child_stages[i] = build(node.children[i]);
     }
+    slot_names.push_back(node.children[i].to_string());
   }
-  stages_.push_back(std::make_unique<Stage>(node.kind, std::move(kids), slots));
+  stages_.push_back(std::make_unique<Stage>(Stage{
+      IterationBuffer(node.kind == IterationNode::Kind::kDot ? IterationStrategy::kDot
+                                                             : IterationStrategy::kCross,
+                      std::move(slot_names))}));
   Stage* stage = stages_.back().get();
   for (std::size_t i = 0; i < node.children.size(); ++i) {
-    if (node.children[i].kind == IterationNode::Kind::kPort) {
-      leaf_routes_.emplace(node.children[i].port, std::make_pair(stage, slots[i]));
+    if (child_stages[i] == nullptr) {
+      leaf_routes_[leaf_index(node.children[i].port)] = Route{stage, i};
     } else {
       child_stages[i]->parent = stage;
-      child_stages[i]->parent_slot = slots[i];
+      child_stages[i]->parent_slot = i;
     }
   }
   return stage;
 }
 
 void CompositeIterationBuffer::push(const std::string& port, data::Token token) {
-  const auto route = leaf_routes_.find(port);
-  MOTEUR_REQUIRE(route != leaf_routes_.end(), EnactmentError,
-                 "iteration tree has no port '" + port + "'");
-  MOTEUR_REQUIRE(!closed_.at(port), EnactmentError, "push on closed port '" + port + "'");
-  route->second.first->buffer.push(route->second.second, std::move(token));
+  const std::size_t leaf = leaf_index(port);
+  MOTEUR_REQUIRE(!closed_[leaf], EnactmentError, "push on closed port '" + port + "'");
+  const Route& route = leaf_routes_[leaf];
+  route.stage->buffer.push(route.slot, std::move(token));
   pump();
+}
+
+CompositeIterationBuffer::Tuple CompositeIterationBuffer::flatten(Tuple tuple) const {
+  if (std::none_of(tuple.tokens.begin(), tuple.tokens.end(),
+                   [](const data::Token& member) { return group_of(member) != nullptr; })) {
+    return tuple;
+  }
+  Tuple flat;
+  flat.index = std::move(tuple.index);
+  flat.tokens.reserve(ports_.size());
+  for (auto& member : tuple.tokens) {
+    if (const CompositeGroup* group = group_of(member)) {
+      flat.tokens.insert(flat.tokens.end(), group->members.begin(), group->members.end());
+    } else {
+      flat.tokens.push_back(std::move(member));
+    }
+  }
+  return flat;
 }
 
 void CompositeIterationBuffer::pump() {
@@ -161,73 +192,47 @@ void CompositeIterationBuffer::pump() {
   while (progress) {
     progress = false;
     for (auto& stage : stages_) {
-      for (auto& tuple : stage->buffer.drain_ready()) {
-        progress = true;
+      if (!stage->buffer.has_ready()) continue;
+      progress = true;
+      drained_.clear();
+      stage->buffer.drain_ready_into(drained_);
+      for (auto& tuple : drained_) {
         if (stage.get() == root_) {
-          Tuple flat;
-          flat.index = tuple.index;
-          for (const auto& member : tuple.tokens) {
-            const auto leaves = flatten(member);
-            flat.tokens.insert(flat.tokens.end(), leaves.begin(), leaves.end());
-          }
-          ready_.push_back(std::move(flat));
-          continue;
+          ready_.push_back(flatten(std::move(tuple)));
+        } else {
+          stage->parent->buffer.push(stage->parent_slot, group_token(tuple));
         }
-        auto group = std::make_shared<const CompositeGroup>([&] {
-          CompositeGroup g;
-          for (const auto& member : tuple.tokens) {
-            const auto leaves = flatten(member);
-            g.members.insert(g.members.end(), leaves.begin(), leaves.end());
-          }
-          return g;
-        }());
-        const data::Token composite = data::Token::derived(
-            "iteration", "group", tuple.tokens, tuple.index,
-            std::shared_ptr<const CompositeGroup>(group),
-            "group" + data::to_string(tuple.index));
-        stage->parent->buffer.push(stage->parent_slot, composite);
       }
     }
   }
+  drained_.clear();
 
   // Closure propagation: a combinator's slot closes once its child stage is
   // fully closed (all child slots closed) — after the drains above, nothing
   // more can come out of it.
   for (auto& stage : stages_) {
     if (stage->parent == nullptr) continue;
-    if (stage->buffer.all_closed() &&
-        !stage->parent->buffer.is_closed(stage->parent_slot)) {
+    if (stage->buffer.all_closed() && !stage->parent->buffer.is_closed(stage->parent_slot)) {
       stage->parent->buffer.close(stage->parent_slot);
     }
   }
 }
 
 void CompositeIterationBuffer::close(const std::string& port) {
-  const auto route = leaf_routes_.find(port);
-  MOTEUR_REQUIRE(route != leaf_routes_.end(), EnactmentError,
-                 "iteration tree has no port '" + port + "'");
-  if (closed_.at(port)) return;
-  closed_[port] = true;
-  route->second.first->buffer.close(route->second.second);
+  const std::size_t leaf = leaf_index(port);
+  if (closed_[leaf]) return;
+  closed_[leaf] = true;
+  const Route& route = leaf_routes_[leaf];
+  route.stage->buffer.close(route.slot);
   pump();
 }
 
 bool CompositeIterationBuffer::is_closed(const std::string& port) const {
-  const auto it = closed_.find(port);
-  MOTEUR_REQUIRE(it != closed_.end(), EnactmentError,
-                 "iteration tree has no port '" + port + "'");
-  return it->second;
+  return closed_[leaf_index(port)];
 }
 
 bool CompositeIterationBuffer::all_closed() const {
-  return std::all_of(closed_.begin(), closed_.end(),
-                     [](const auto& entry) { return entry.second; });
-}
-
-std::vector<CompositeIterationBuffer::Tuple> CompositeIterationBuffer::drain_ready() {
-  std::vector<Tuple> out;
-  out.swap(ready_);
-  return out;
+  return std::all_of(closed_.begin(), closed_.end(), [](bool c) { return c; });
 }
 
 bool CompositeIterationBuffer::has_ready() const { return !ready_.empty(); }

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/token.hpp"
@@ -40,7 +41,9 @@ struct IterationNode {
 
 /// Streams per-port tokens into firing tuples according to an iteration
 /// tree. Exposes the same interface shape as IterationBuffer; tuples list
-/// the leaf tokens in the tree's port order.
+/// the leaf tokens in the tree's port order. Inside, tokens are routed by
+/// position: each leaf port maps to (stage, slot) and each child stage to a
+/// slot of its parent, so only the public port-name calls look a name up.
 class CompositeIterationBuffer {
  public:
   explicit CompositeIterationBuffer(IterationNode tree);
@@ -52,7 +55,18 @@ class CompositeIterationBuffer {
   void close(const std::string& port);
   bool is_closed(const std::string& port) const;
   bool all_closed() const;
-  std::vector<Tuple> drain_ready();
+  /// Move every ready tuple onto the back of `out`, keeping this buffer's
+  /// capacity (see IterationBuffer::drain_ready_into).
+  template <typename Out>
+  void drain_ready_into(Out& out) {
+    for (auto& tuple : ready_) out.push_back(std::move(tuple));
+    ready_.clear();
+  }
+  std::vector<Tuple> drain_ready() {
+    std::vector<Tuple> out;
+    drain_ready_into(out);
+    return out;
+  }
   bool has_ready() const;
   std::size_t pending_tokens() const;
 
@@ -61,17 +75,25 @@ class CompositeIterationBuffer {
 
  private:
   struct Stage;  // one combinator level
+  struct Route {
+    Stage* stage = nullptr;
+    std::size_t slot = 0;
+  };
 
   IterationNode tree_;
   std::vector<std::string> ports_;
   std::vector<std::unique_ptr<Stage>> stages_;  // topological, root last
   Stage* root_ = nullptr;
-  /// port -> (stage, slot) routing for leaves.
-  std::map<std::string, std::pair<Stage*, std::string>> leaf_routes_;
-  std::map<std::string, bool> closed_;
+  std::vector<Route> leaf_routes_;  // by leaf position in ports_
+  std::vector<bool> closed_;        // by leaf position in ports_
   std::vector<Tuple> ready_;
+  std::vector<Tuple> drained_;  // pump()'s per-stage scratch, capacity kept
 
+  std::size_t leaf_index(const std::string& port) const;
   Stage* build(const IterationNode& node);
+  /// The firing tuple for one root tuple: composite members replaced by
+  /// their leaf tokens, in port order.
+  Tuple flatten(Tuple tuple) const;
   void pump();
 };
 

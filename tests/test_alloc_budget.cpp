@@ -1,0 +1,131 @@
+// Deterministic allocation budgets. Wall time is noisy; heap allocation
+// counts of single-threaded work are not, so these budgets fail tier-1 when
+// a change puts the allocator back on the per-token or per-invocation path.
+// Each budget is the count measured when it was set; a failure prints the
+// measured count.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "app/bronze_standard.hpp"
+#include "data/token.hpp"
+#include "enactor/enactor.hpp"
+#include "enactor/sim_backend.hpp"
+#include "grid/grid.hpp"
+#include "sim/simulator.hpp"
+#include "workflow/iteration_tree.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace moteur {
+namespace {
+
+/// Heap allocations made by `work`, on this thread or any other.
+template <typename Work>
+std::size_t allocations_in(Work&& work) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  work();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+// A Bronze-sized grid file name: long enough to live on the heap in a
+// std::string and in a std::any.
+const std::string kGridFile =
+    "gfn://grid/bronze/patient07/pair0042/reference_0001.hdr";
+
+TEST(AllocBudget, TokenCopyAllocatesNothing) {
+  ASSERT_EQ(kGridFile.size(), 55u);
+  const data::Token token = data::Token::from_source("ref", 42, kGridFile, kGridFile);
+  std::vector<data::Token> copies;
+  copies.reserve(4);
+  const std::size_t measured = allocations_in([&] {
+    for (int i = 0; i < 4; ++i) copies.push_back(token);
+  });
+  EXPECT_EQ(measured, 0u) << "measured " << measured << " allocations for 4 token copies";
+  EXPECT_EQ(copies.back().repr(), kGridFile);
+  EXPECT_EQ(copies.back().as<std::string>(), kGridFile);
+}
+
+TEST(AllocBudget, OnePortBufferPushAndDrain) {
+  // The engine's buffer for a one-port service: each token is its own tuple.
+  constexpr std::size_t kTokens = 100;
+  // Two per token (the tuple's token vector and its index), plus four
+  // vectors that grow once.
+  constexpr std::size_t kBudgetPerHundredTokens = 204;
+  std::vector<data::Token> tokens;
+  for (std::size_t i = 0; i < kTokens; ++i) {
+    tokens.push_back(data::Token::from_source("src", i, kGridFile, kGridFile));
+  }
+  workflow::CompositeIterationBuffer buffer(
+      workflow::IterationNode::dot({workflow::IterationNode::leaf("in")}));
+  std::vector<workflow::CompositeIterationBuffer::Tuple> ready;
+  std::size_t fired = 0;
+  const std::size_t measured = allocations_in([&] {
+    for (auto& token : tokens) {
+      buffer.push("in", std::move(token));
+      buffer.drain_ready_into(ready);
+      fired += ready.size();
+      ready.clear();
+    }
+  });
+  EXPECT_EQ(fired, kTokens);
+  EXPECT_LE(measured, kBudgetPerHundredTokens)
+      << "measured " << measured << " allocations for " << kTokens
+      << " tokens pushed and drained one at a time";
+}
+
+TEST(AllocBudget, BronzeRunPerInvocation) {
+  // Bronze Standard at 4 pairs under the manifest policy (SP+DP+JG) on a
+  // seeded egee2006 grid through Enactor: one thread, the sim kernel, the
+  // grid and the engine. The second of two identical runs is measured, so
+  // one-time initialisation stays out of the count.
+  constexpr std::size_t kPairs = 4;
+  constexpr std::size_t kBudget = 6764;  // 270.56 per invocation
+  const workflow::Workflow workflow = app::bronze_standard_workflow();
+  const data::InputDataSet inputs = app::bronze_standard_dataset(kPairs);
+  services::ServiceRegistry registry;
+  app::register_simulated_services(registry);
+  const enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp_jg();
+
+  std::size_t invocations = 0;
+  std::size_t measured = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    sim::Simulator simulator;
+    grid::Grid grid(simulator, grid::GridConfig::egee2006(7));
+    enactor::SimGridBackend backend(grid);
+    enactor::Enactor enactor(backend, registry, policy);
+    enactor::EnactmentResult result;
+    measured = allocations_in([&] {
+      result = enactor.run({.workflow = workflow, .inputs = inputs});
+    });
+    ASSERT_EQ(result.failures(), 0u);
+    invocations = result.invocations();
+  }
+  ASSERT_EQ(invocations, 6 * kPairs + 1);
+  EXPECT_LE(measured, kBudget) << "measured " << measured << " allocations over "
+                               << invocations << " invocations ("
+                               << static_cast<double>(measured) / invocations
+                               << " per invocation)";
+}
+
+}  // namespace
+}  // namespace moteur

@@ -76,6 +76,15 @@ TEST(Token, MissingPayloadThrowsWithIdentity) {
   const Token token = Token::from_source("img", 0, {}, "x");
   EXPECT_FALSE(token.has_payload());
   EXPECT_THROW(token.as<int>(), EnactmentError);
+
+  // A default-constructed token is empty and has no identity.
+  const Token empty;
+  EXPECT_FALSE(empty.has_payload());
+  EXPECT_TRUE(empty.repr().empty());
+  EXPECT_TRUE(empty.indices().empty());
+  EXPECT_FALSE(empty.poisoned());
+  EXPECT_THROW(empty.as<int>(), EnactmentError);
+  EXPECT_THROW((void)empty.id(), InternalError);
 }
 
 TEST(IndexVector, ToString) {

@@ -64,9 +64,14 @@ TEST(DotProduct, ThreePortAlignment) {
 TEST(DotProduct, SinglePortPassesTokensThrough) {
   IterationBuffer buffer(IterationStrategy::kDot, {"in"});
   buffer.push("in", tok("S", 2));
+  // No partial tuple is ever pending on one port, so a repeated index fires
+  // again instead of being rejected as a duplicate.
+  buffer.push(std::size_t{0}, tok("S", 2));
   const auto ready = buffer.drain_ready();
-  ASSERT_EQ(ready.size(), 1u);
+  ASSERT_EQ(ready.size(), 2u);
   EXPECT_EQ(ready[0].index, (IndexVector{2}));
+  EXPECT_EQ(ready[1].index, (IndexVector{2}));
+  EXPECT_EQ(buffer.pending_tokens(), 0u);
 }
 
 TEST(DotProduct, RejectsDuplicateIndexOnPort) {
@@ -248,8 +253,10 @@ TEST(Closure, TracksPerPortAndAll) {
   EXPECT_FALSE(buffer.all_closed());
   buffer.close("a");
   EXPECT_TRUE(buffer.is_closed("a"));
+  EXPECT_TRUE(buffer.is_closed(std::size_t{0}));
   EXPECT_FALSE(buffer.all_closed());
-  buffer.close("b");
+  buffer.close(std::size_t{1});
+  EXPECT_TRUE(buffer.is_closed("b"));
   EXPECT_TRUE(buffer.all_closed());
   EXPECT_THROW(buffer.push("a", tok("A", 0)), EnactmentError);
 }
@@ -258,6 +265,9 @@ TEST(Closure, UnknownPortThrows) {
   IterationBuffer buffer(IterationStrategy::kDot, {"a"});
   EXPECT_THROW(buffer.close("zz"), EnactmentError);
   EXPECT_THROW(buffer.push("zz", tok("A", 0)), EnactmentError);
+  EXPECT_THROW(buffer.close(std::size_t{1}), InternalError);
+  EXPECT_THROW(buffer.push(std::size_t{1}, tok("A", 0)), InternalError);
+  EXPECT_THROW((void)buffer.is_closed(std::size_t{1}), InternalError);
 }
 
 // ---------------------------------------------------------------------------

@@ -49,6 +49,48 @@ TEST(IterationNodeTest, RejectsMalformedTrees) {
       GraphError);
 }
 
+TEST(CompositeBuffer, DotOverCrossGroupsComparesWholeGroups) {
+  // dot(cross(a,b), cross(c,d)): each dot member is a whole cross group, so
+  // the causality check compares a group's items of a source — the union
+  // over its leaves — never leaf against leaf.
+  const IterationNode tree = IterationNode::dot(
+      {IterationNode::cross({IterationNode::leaf("a"), IterationNode::leaf("b")}),
+       IterationNode::cross({IterationNode::leaf("c"), IterationNode::leaf("d")})});
+  {
+    // a = S[0] and b = S[1] differ leaf by leaf, but both groups carry
+    // items {0,1} of S: one 4-token tuple fires.
+    CompositeIterationBuffer buffer(tree);
+    buffer.push("a", tok("S", 0));
+    buffer.push("b", tok("S", 1));
+    buffer.push("c", tok("S", 0));
+    buffer.push("d", tok("S", 1));
+    const auto ready = buffer.drain_ready();
+    ASSERT_EQ(ready.size(), 1u);
+    EXPECT_EQ(ready[0].index, (IndexVector{0, 1}));
+    std::vector<std::string> ids;
+    for (const auto& token : ready[0].tokens) ids.push_back(token.id());
+    EXPECT_EQ(ids, (std::vector<std::string>{"S[0]", "S[1]", "S[0]", "S[1]"}));
+  }
+  {
+    // c claims index {0} but descends from S[2]: the group (c, d) carries
+    // items {1,2} of S where (a, b) carries {0,1}.
+    CompositeIterationBuffer buffer(tree);
+    buffer.push("a", tok("S", 0));
+    buffer.push("b", tok("S", 1));
+    buffer.push("d", tok("S", 1));
+    const Token forged =
+        Token::derived("p", "out", {tok("S", 2)}, IndexVector{0}, 2, "forged");
+    try {
+      buffer.push("c", forged);
+      FAIL() << "a dot over contradictory groups fired";
+    } catch (const EnactmentError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "enactment error: causality violation: tuple mixes items [1,2] and [0,1] "
+                "of source 'S'");
+    }
+  }
+}
+
 TEST(CompositeBuffer, FlatDotMatchesPlainBuffer) {
   CompositeIterationBuffer buffer(
       IterationNode::dot({IterationNode::leaf("a"), IterationNode::leaf("b")}));
