@@ -162,6 +162,8 @@ Scenario run_scenario(const Options& opt, std::size_t shards) {
   s.seconds = seconds;
   s.runs_per_sec = seconds > 0.0 ? static_cast<double>(opt.runs) / seconds : 0.0;
   s.allocations = allocs_after - allocs_before;
+  std::vector<double> waits;
+  waits.reserve(handles.size());
   for (const auto& handle : handles) {
     const enactor::EnactmentResult* result = handle.try_result();
     if (result == nullptr) {
@@ -169,16 +171,13 @@ Scenario run_scenario(const Options& opt, std::size_t shards) {
       std::exit(1);
     }
     s.handle_invocations += result->invocations();
+    waits.push_back(handle.admission_wait());
   }
   if (s.handle_invocations > 0) {
     s.allocs_per_invocation =
         static_cast<double>(s.allocations) / static_cast<double>(s.handle_invocations);
   }
   s.shard_stats = runs.shard_stats();
-  std::vector<double> waits;
-  for (const auto& st : s.shard_stats) {
-    waits.insert(waits.end(), st.admission_waits.begin(), st.admission_waits.end());
-  }
   if (!waits.empty()) s.p99_admission_wait = percentile(std::move(waits), 99.0);
   return s;
 }

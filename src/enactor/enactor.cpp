@@ -10,6 +10,24 @@
 
 namespace moteur::enactor {
 
+obs::RunEvent breaker_event(const grid::CeHealth::Transition& t) {
+  obs::RunEvent event;
+  switch (t.to) {
+    case grid::BreakerState::kOpen:
+      event.kind = obs::RunEvent::Kind::kBreakerOpened;
+      break;
+    case grid::BreakerState::kHalfOpen:
+      event.kind = obs::RunEvent::Kind::kBreakerHalfOpen;
+      break;
+    case grid::BreakerState::kClosed:
+      event.kind = obs::RunEvent::Kind::kBreakerClosed;
+      break;
+  }
+  event.time = t.time;
+  event.computing_element = t.computing_element;
+  return event;
+}
+
 Enactor::Enactor(ExecutionBackend& backend, services::ServiceRegistry& registry,
                  EnactmentPolicy policy)
     : backend_(backend), registry_(registry), policy_(policy) {}
@@ -24,13 +42,12 @@ EnactmentResult Enactor::run(const RunRequest& request) {
     subscribers.push_back(
         [recorder = recorder_](const obs::RunEvent& e) { recorder->on_event(e); });
   }
-
-  // Service-scope backend events (SE→SE transfers) feed the same stream as
-  // run events for the duration of this run; detached before returning.
-  auto sink_subscribers = std::make_shared<std::vector<EventSubscriber>>(subscribers);
-  backend_.set_event_sink([sink_subscribers](const obs::RunEvent& e) {
-    for (const auto& subscriber : *sink_subscribers) subscriber(e);
-  });
+  // Service-scope backend events (SE→SE transfers) and the run's breaker
+  // events feed the same stream as run events.
+  const auto publish = [shared = std::make_shared<std::vector<EventSubscriber>>(
+                            subscribers)](const obs::RunEvent& e) {
+    for (const auto& subscriber : *shared) subscriber(e);
+  };
 
   const EnactmentPolicy& effective = request.policy ? *request.policy : policy_;
   Engine::Options options;
@@ -42,14 +59,45 @@ EnactmentResult Enactor::run(const RunRequest& request) {
     options.cache = cache_.get();
   }
 
-  std::shared_ptr<Engine> engine;
+  // With breakers on, every run gets a fresh ledger of its own: routing
+  // consults it while the run drives, and its transitions land in the
+  // result's timeline and the event stream.
+  std::vector<BreakerTransitionTrace> transitions;
+  std::unique_ptr<grid::CeHealth> health;
+  if (effective.breaker.enabled) {
+    health = std::make_unique<grid::CeHealth>(effective.breaker);
+    health->set_transition_listener([&transitions, publish, run_id = options.run_id](
+                                        const grid::CeHealth::Transition& t) {
+      transitions.push_back(breaker_row(t));
+      obs::RunEvent event = breaker_event(t);
+      event.run_id = run_id;
+      publish(event);
+    });
+    health->set_reroute_listener([publish, run_id = options.run_id](double time) {
+      obs::RunEvent event;
+      event.kind = obs::RunEvent::Kind::kSubmissionRerouted;
+      event.time = time;
+      event.run_id = run_id;
+      publish(event);
+    });
+    options.health = health.get();
+  }
+
+  // Engines hold shared ownership internally: every callback handed to the
+  // backend guards a weak_ptr, so stragglers completing after this run
+  // cannot touch a dead engine (see engine.hpp).
+  const auto engine = std::make_shared<Engine>(
+      backend_, registry_, effective, request.resolver, std::move(subscribers),
+      request.workflow, request.inputs, std::move(options));
+  // The sink and the ledger are the run's only while it drives: both are
+  // detached on every exit path, the deadlock throw included.
+  backend_.set_event_sink(publish);
+  if (health != nullptr) backend_.add_health(health.get());
+  const auto detach = [&] {
+    if (health != nullptr) backend_.remove_health(health.get());
+    backend_.set_event_sink(nullptr);
+  };
   try {
-    // Engines hold shared ownership internally: every callback handed to the
-    // backend guards a weak_ptr, so stragglers completing after this run
-    // cannot touch a dead engine (see engine.hpp).
-    engine = std::make_shared<Engine>(backend_, registry_, effective, request.resolver,
-                                      std::move(subscribers), request.workflow,
-                                      request.inputs, std::move(options));
     engine->start();
     while (!engine->finished()) {
       const bool reached = backend_.drive([&engine] { return engine->finished(); });
@@ -60,12 +108,13 @@ EnactmentResult Enactor::run(const RunRequest& request) {
       }
     }
   } catch (...) {
-    backend_.set_event_sink(nullptr);
+    detach();
     throw;
   }
-  backend_.set_event_sink(nullptr);
+  detach();
 
   EnactmentResult result = engine->finish();
+  for (auto& transition : transitions) result.timeline.add_breaker(std::move(transition));
   MOTEUR_LOG(kInfo, "enactor") << "run '" << request.workflow.name() << "' policy="
                                << effective.name()
                                << " makespan=" << result.makespan()

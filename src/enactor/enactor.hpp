@@ -74,6 +74,11 @@ struct EnactmentResult {
   workflow::GroupingReport grouping;
 };
 
+/// The obs event of one breaker-ledger transition: its kind names the state
+/// the breaker entered; time and CE are the transition's. The ledger's owner
+/// stamps the run id (none for the RunService's shared ledger).
+obs::RunEvent breaker_event(const grid::CeHealth::Transition& t);
+
 /// MOTEUR: the optimized service-workflow enactor (paper §4.1). Drives a
 /// workflow over an input data set against an execution backend, applying
 /// the configured combination of workflow parallelism (always), data
@@ -117,9 +122,12 @@ class Enactor {
   /// optionally rewritten by the grouping optimizer, and driven until every
   /// processor finishes. Request fields that are unset (policy, resolver)
   /// fall back to this enactor's defaults; `weight` and `labels` are
-  /// RunService concerns and are ignored here. Throws ParseError on an
-  /// unknown policy name, before anything is submitted, and EnactmentError
-  /// on deadlock or missing bindings.
+  /// RunService concerns and are ignored here. When the effective policy
+  /// enables breakers, the run gets a fresh breaker ledger of its own,
+  /// attached to the backend only while the run drives; its transitions
+  /// reach the event stream and the result's timeline. Throws ParseError on
+  /// an unknown policy name, before anything is submitted, and
+  /// EnactmentError on deadlock or missing bindings.
   EnactmentResult run(const RunRequest& request);
 
   /// The invocation memoization cache shared by every run of this enactor,

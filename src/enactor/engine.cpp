@@ -30,7 +30,7 @@ Engine::Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
       subscribers_(std::move(subscribers)),
       inputs_(std::move(inputs)),
       run_id_(options.run_id.empty() ? workflow.name() : std::move(options.run_id)),
-      shared_health_(options.shared_health),
+      health_(options.health),
       cache_(options.cache) {
   if (!policy_.matchmaking.empty()) {
     matchmaking_ =
@@ -45,12 +45,6 @@ Engine::Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
                   ? workflow::group_sequential_processors(workflow, &result_.grouping)
                   : workflow;
   result_.run_id = run_id_;
-}
-
-Engine::~Engine() {
-  // The backend must not dangle a pointer into this run's ledger, even when
-  // the run was abandoned mid-flight (deadlock, cancellation).
-  if (owned_health_ != nullptr) backend_.remove_health(owned_health_.get());
 }
 
 obs::RunEvent Engine::make_event(obs::RunEvent::Kind kind) const {
@@ -868,44 +862,6 @@ void Engine::skip_tuple(PState& state, IterationBuffer::Tuple tuple) {
   if (cause) poison_outputs(state, tuple, cause);
 }
 
-grid::CeHealth* Engine::health() const {
-  return shared_health_ != nullptr ? shared_health_ : owned_health_.get();
-}
-
-void Engine::setup_health() {
-  // Service mode: the ledger is shared infrastructure state — whoever owns
-  // it attached it to the backend and listens for transitions; this run only
-  // records its attempt outcomes into it.
-  if (shared_health_ != nullptr) return;
-  if (!policy_.breaker.enabled) return;
-  owned_health_ = std::make_unique<grid::CeHealth>(policy_.breaker);
-  owned_health_->set_transition_listener(
-      [this](const grid::CeHealth::Transition& t) { on_breaker_transition(t); });
-  owned_health_->set_reroute_listener([this](double time) {
-    if (!observing()) return;
-    obs::RunEvent event = make_event(obs::RunEvent::Kind::kSubmissionRerouted);
-    event.time = time;
-    emit(event);
-  });
-  backend_.add_health(owned_health_.get());
-}
-
-void Engine::on_breaker_transition(const grid::CeHealth::Transition& t) {
-  result_.timeline.add_breaker(BreakerTransitionTrace{
-      t.time, t.computing_element, t.from, t.to, t.failures_in_window});
-  if (!observing()) return;
-  obs::RunEvent::Kind kind = obs::RunEvent::Kind::kBreakerClosed;
-  switch (t.to) {
-    case grid::BreakerState::kOpen: kind = obs::RunEvent::Kind::kBreakerOpened; break;
-    case grid::BreakerState::kHalfOpen: kind = obs::RunEvent::Kind::kBreakerHalfOpen; break;
-    case grid::BreakerState::kClosed: kind = obs::RunEvent::Kind::kBreakerClosed; break;
-  }
-  obs::RunEvent event = make_event(kind);
-  event.time = t.time;
-  event.computing_element = t.computing_element;
-  emit(event);
-}
-
 void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
                                  std::size_t attempt, Outcome outcome) {
   PState& state = *sub->state;
@@ -927,8 +883,8 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
   // Feed the health ledger every attempt outcome that names a CE —
   // stragglers included (CeHealth ignores outcomes while a breaker is open,
   // so stale completions cannot flap the state).
-  if (health() != nullptr && outcome.job) {
-    health()->record(outcome.job->computing_element, outcome.ok(), backend_.now());
+  if (health_ != nullptr && outcome.job) {
+    health_->record(outcome.job->computing_element, outcome.ok(), backend_.now());
   }
 
   // Remember where the attempt landed so the placement policy can steer
@@ -1245,7 +1201,6 @@ std::string Engine::stuck_processors() const {
 
 void Engine::start() {
   build_states();
-  setup_health();
   result_.started_at = backend_.now();
   if (observing()) {
     obs::RunEvent event = make_event(obs::RunEvent::Kind::kRunStarted);

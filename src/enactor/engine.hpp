@@ -43,13 +43,11 @@ class Engine : public std::enable_shared_from_this<Engine> {
   struct Options {
     /// Stamped on every emitted obs::RunEvent; empty picks the workflow name.
     std::string run_id;
-    /// Service-owned per-CE breaker ledger shared by all concurrent runs.
-    /// When set, the engine records attempt outcomes into it but does not
-    /// attach/detach it from the backend or hook its listeners — grid health
-    /// is physical infrastructure state owned by whoever shares it. When
-    /// null and the policy enables the breaker, the engine owns a per-run
-    /// ledger, attaches it for the run and detaches it on destruction.
-    grid::CeHealth* shared_health = nullptr;
+    /// Per-CE breaker ledger the engine records every attempt outcome into;
+    /// not owned. Its owner (the Enactor for one run, the RunService for all
+    /// of its runs) attaches it to the backend and listens for its
+    /// transitions. Null = no breakers.
+    grid::CeHealth* health = nullptr;
     /// Invocation memoization cache consulted before submission when the
     /// policy enables caching. Shared across runs (and tenants, through the
     /// RunService); not owned. Null = no caching.
@@ -65,7 +63,6 @@ class Engine : public std::enable_shared_from_this<Engine> {
          std::vector<EventSubscriber> subscribers,
          const workflow::Workflow& workflow, data::InputDataSet inputs,
          Options options);
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -218,11 +215,6 @@ class Engine : public std::enable_shared_from_this<Engine> {
                     std::function<void(bool)> on_done);
   void start_recovery(const std::shared_ptr<Recovery>& rec);
   void on_recovery_complete(const std::shared_ptr<Recovery>& rec, Outcome outcome);
-  /// Wire up the per-run health ledger (owned mode) or adopt the shared one.
-  void setup_health();
-  /// The operative ledger: shared (service mode) or owned (per-run).
-  grid::CeHealth* health() const;
-  void on_breaker_transition(const grid::CeHealth::Transition& t);
   /// Emit one poisoned token per output port of `state` for the failed or
   /// skipped `tuple`, delivered over all non-feedback outgoing links (a
   /// poisoned token must not recirculate a loop).
@@ -267,7 +259,7 @@ class Engine : public std::enable_shared_from_this<Engine> {
   workflow::Workflow workflow_{"empty"};
   data::InputDataSet inputs_;
   std::string run_id_;
-  grid::CeHealth* shared_health_ = nullptr;
+  grid::CeHealth* health_ = nullptr;  // not owned; null = no breakers
   data::InvocationCache* cache_ = nullptr;  // not owned; null = caching off
 
   std::map<std::string, PState> states_;
@@ -302,10 +294,6 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// Lineage ledger: logical file name -> producer record, populated as
   /// ref-carrying outputs are delivered (recovery enabled only).
   std::map<std::string, Lineage> lineage_;
-  /// Per-run circuit-breaker ledger, allocated when policy_.breaker is
-  /// enabled and no shared ledger was provided; the backend holds a raw
-  /// pointer until the destructor detaches it.
-  std::unique_ptr<grid::CeHealth> owned_health_;
   EnactmentResult result_;
 };
 

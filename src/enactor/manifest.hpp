@@ -50,11 +50,14 @@ struct RunManifest {
 
   /// Enactment-core sharding and admission for services replaying this
   /// manifest (<service shards=".." pinPolicy="hash|least-loaded"
-  /// maxActive=".." maxInflight=".."/>). Kept as plain data here — the
-  /// service layer (which sits above the enactor) parses pin_policy into its
-  /// PinPolicy enum. max_inflight 0 leaves the admission gate open.
+  /// admissionPolicy=".." maxActive=".." maxInflight=".."/>). Kept as plain
+  /// data here — the service layer (which sits above the enactor) parses
+  /// pin_policy into its PinPolicy enum and admission_policy (a
+  /// policy::Admission name) in its gates. max_inflight 0 leaves the
+  /// admission gate open.
   std::size_t shards = 1;
   std::string pin_policy = "hash";
+  std::string admission_policy = "weighted";
   std::size_t max_active = 4;
   std::size_t max_inflight = 0;
 

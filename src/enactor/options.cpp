@@ -227,9 +227,6 @@ std::vector<RunOption> build_table() {
            "CE ranking for this run's jobs; unset = the grid's", FIELD(policy.matchmaking)),
       name(kPolicy, "placement", "placement", policy::names<policy::Placement>(),
            "where retries and clones go; unset = rematch", FIELD(policy.placement)),
-      name(kPolicy, "admission", "admission-policy", policy::names<policy::Admission>(),
-           "this run's share of the admission gate; unset = the service's",
-           FIELD(policy.admission)),
       toggle(kPolicy, "lineageRecovery", "no-recovery", false,
              "re-derive lost intermediate files from their lineage",
              FIELD(policy.lineage_recovery)),
@@ -285,6 +282,10 @@ std::vector<RunOption> build_table() {
              "engine shards of a RunService replaying the manifest", FIELD(shards)),
       name(kService, "pinPolicy", "pin-policy", pin_policies(),
            "how runs are pinned to shards", FIELD(pin_policy)),
+      name(kService, "admissionPolicy", "admission-policy",
+           policy::names<policy::Admission>(),
+           "how a run's weight maps onto its share of the admission gate",
+           FIELD(admission_policy)),
       number(kService, "maxActive", "max-active", kPositiveCount,
              "runs enacted at once; further runs wait in the queue", FIELD(max_active)),
       number(kService, "maxInflight", "max-inflight", kCount,

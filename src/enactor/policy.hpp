@@ -111,14 +111,12 @@ struct EnactmentPolicy {
   bool cache = false;
 
   /// Decision policy names (src/policy/); empty = inherit the next level's
-  /// default (run > service > grid). The engine parses them when it is
+  /// default (run > grid). The engine parses them when it is
   /// built. `matchmaking` rides each submission into the broker
   /// (`data-gravity` ranks CEs on queue plus stage-in cost); `placement`
-  /// steers retry/speculative-clone targets inside the engine; `admission`
-  /// sets the run's share of the RunService admission gate.
+  /// steers retry/speculative-clone targets inside the engine.
   std::string matchmaking;
   std::string placement;
-  std::string admission;
 
   /// Lineage recovery: when a submission fails with kDataLost (no replica
   /// of a required input survives), walk the recorded lineage and re-fire

@@ -21,6 +21,10 @@ std::string InvocationTrace::data_label() const {
   return label.empty() ? "D?" : label;
 }
 
+BreakerTransitionTrace breaker_row(const grid::CeHealth::Transition& t) {
+  return {t.time, t.computing_element, t.from, t.to, t.failures_in_window};
+}
+
 void Timeline::add(InvocationTrace trace) { traces_.push_back(std::move(trace)); }
 
 void Timeline::add_breaker(BreakerTransitionTrace transition) {

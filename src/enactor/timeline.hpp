@@ -49,6 +49,9 @@ struct BreakerTransitionTrace {
   std::size_t failures_in_window = 0;
 };
 
+/// The timeline row of one breaker-ledger transition.
+BreakerTransitionTrace breaker_row(const grid::CeHealth::Transition& t);
+
 /// Chronology of a whole enactment.
 class Timeline {
  public:

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "util/strings.hpp"
+
 namespace moteur::obs {
 
 namespace {
@@ -19,36 +21,6 @@ const std::string* find_arg(const Span& span, const std::string& key) {
     if (k == key) return &v;
   }
   return nullptr;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
 }
 
 /// Disjoint-interval set with "add and report the newly covered length"

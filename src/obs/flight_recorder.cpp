@@ -1,47 +1,12 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace moteur::obs {
-
-namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {
   MOTEUR_REQUIRE(capacity_ > 0, Error, "flight recorder capacity must be positive");

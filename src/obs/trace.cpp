@@ -3,7 +3,7 @@
 namespace moteur::obs {
 
 SpanId Tracer::begin(std::string name, std::string category, double start, SpanId parent) {
-  const SpanId id = next_id_++;
+  const SpanId id = spans_.size() + 1;
   Span span;
   span.id = id;
   span.parent = parent;
@@ -11,16 +11,14 @@ SpanId Tracer::begin(std::string name, std::string category, double start, SpanI
   span.category = std::move(category);
   span.start = start;
   span.end = start - 1.0;  // open
-  index_.emplace(id, spans_.size());
   spans_.push_back(std::move(span));
   ++open_;
   return id;
 }
 
 void Tracer::end(SpanId id, double end) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return;
-  Span& span = spans_[it->second];
+  if (!known(id)) return;
+  Span& span = spans_[id - 1];
   if (!span.open()) return;
   span.end = end < span.start ? span.start : end;
   --open_;
@@ -34,14 +32,12 @@ SpanId Tracer::record(std::string name, std::string category, double start, doub
 }
 
 void Tracer::annotate(SpanId id, std::string key, std::string value) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return;
-  spans_[it->second].args.emplace_back(std::move(key), std::move(value));
+  if (!known(id)) return;
+  spans_[id - 1].args.emplace_back(std::move(key), std::move(value));
 }
 
 const Span* Tracer::find(SpanId id) const {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &spans_[it->second];
+  return known(id) ? &spans_[id - 1] : nullptr;
 }
 
 void Tracer::close_open_spans(double end) {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -29,8 +28,9 @@ struct Span {
 
 /// Append-only span recorder. Time is supplied by the caller (backend time),
 /// so the same tracer serves the simulated and the wall-clock backends and
-/// traces stay deterministic under simulation. Not thread-safe: feed it from
-/// the enactor's drive thread only.
+/// traces stay deterministic under simulation. Span ids are 1, 2, 3, ... in
+/// append order, so a span's id is its position in spans() plus one. Not
+/// thread-safe: feed it from the enactor's drive thread only.
 class Tracer {
  public:
   /// Open a span. `parent` = 0 makes it a root.
@@ -56,9 +56,9 @@ class Tracer {
   void close_open_spans(double end);
 
  private:
+  bool known(SpanId id) const { return id != 0 && id <= spans_.size(); }
+
   std::vector<Span> spans_;
-  std::unordered_map<SpanId, std::size_t> index_;  // id -> position in spans_
-  SpanId next_id_ = 1;
   std::size_t open_ = 0;
 };
 

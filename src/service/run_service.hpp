@@ -114,10 +114,10 @@ struct RunServiceConfig {
     /// Concurrent backend executions across all active runs (the admission
     /// gates' cap); 0 = unbounded.
     std::size_t max_inflight = 8;
-    /// Default admission policy name (policy::Admission) mapping requested
-    /// run weights onto WRR shares; runs may override via their
-    /// EnactmentPolicy::admission. `weighted` is the historical behavior.
-    /// An unknown name makes the RunService constructor throw ParseError.
+    /// Admission policy name (policy::Admission) mapping every run's
+    /// requested weight onto its WRR share. `weighted` is the historical
+    /// behavior. An unknown name makes the RunService constructor throw
+    /// ParseError.
     std::string policy = "weighted";
   };
 
@@ -169,9 +169,6 @@ struct ShardStats {
   std::uint64_t runs = 0;
   /// Logical invocations across those runs.
   std::uint64_t invocations = 0;
-  /// Backend-time each admitted run waited for an active slot (0 for runs
-  /// admitted immediately), in admission order.
-  std::vector<double> admission_waits;
 };
 
 /// Multi-tenant enactment: one RunService owns one ExecutionBackend and one
@@ -184,9 +181,9 @@ struct ShardStats {
 /// CeHealth ledger gives all tenants a common view of grid health — per-run
 /// breaker ledgers would deadlock in half-open, since another tenant's job
 /// may be the probe. Each of its transitions lands in the timeline of every
-/// run admitted at the time, as an engine-owned ledger's would. The default
-/// single shard drives the backend directly and behaves exactly like the
-/// historical single-worker service.
+/// run admitted at the time, as the run-owned ledger of an Enactor run's
+/// would. The default single shard drives the backend directly and behaves
+/// exactly like the historical single-worker service.
 ///
 /// Observability: subscribers and the recorder see every run's events, told
 /// apart by RunEvent::run_id; service-scope events (shared-breaker

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <optional>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -14,49 +13,6 @@ namespace moteur::service {
 
 using detail::RunRecord;
 using detail::ServiceCore;
-
-namespace {
-
-/// Per-run view of the shard's backend: submissions detour through the
-/// shard's admission gate (stamped with the run id for fair-share
-/// scheduling); time, timers, and everything else go straight through.
-class GatedBackend final : public enactor::ExecutionBackend {
- public:
-  GatedBackend(enactor::ExecutionBackend& inner, std::shared_ptr<AdmissionGate> gate,
-               std::string run_id)
-      : inner_(inner), gate_(std::move(gate)), run_id_(std::move(run_id)) {}
-
-  void execute(std::shared_ptr<services::Service> svc,
-               std::vector<services::Inputs> bindings, Callback on_complete) override {
-    gate_->execute(run_id_, std::move(svc), std::move(bindings), {},
-                   std::move(on_complete));
-  }
-  void execute(std::shared_ptr<services::Service> svc,
-               std::vector<services::Inputs> bindings, enactor::ExecOptions options,
-               Callback on_complete) override {
-    gate_->execute(run_id_, std::move(svc), std::move(bindings), std::move(options),
-                   std::move(on_complete));
-  }
-  double now() const override { return inner_.now(); }
-  TimerId schedule(double delay_seconds, std::function<void()> fn) override {
-    return inner_.schedule(delay_seconds, std::move(fn));
-  }
-  void cancel(TimerId id) override { inner_.cancel(id); }
-  bool drive(const std::function<bool()>& done) override { return inner_.drive(done); }
-  void set_metrics(obs::MetricsRegistry* metrics) override { inner_.set_metrics(metrics); }
-  void set_health(grid::CeHealth* health) override { inner_.set_health(health); }
-  void add_health(grid::CeHealth* health) override { inner_.add_health(health); }
-  void remove_health(grid::CeHealth* health) override { inner_.remove_health(health); }
-  void notify() override { inner_.notify(); }
-  data::ReplicaCatalog* catalog() const override { return inner_.catalog(); }
-
- private:
-  enactor::ExecutionBackend& inner_;
-  std::shared_ptr<AdmissionGate> gate_;
-  std::string run_id_;
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ServiceCore
@@ -81,6 +37,10 @@ void ServiceCore::ensure_instruments() {
       "moteur_service_gate_wait_seconds",
       "Backend-time a submission waited in the admission gate before launch",
       obs::Histogram::latency_bounds());
+  admission_decisions =
+      &m.counter("moteur_policy_decisions_total",
+                 "Policy decisions by policy name and decision kind",
+                 {{"policy", config.admission.policy}, {"kind", "admission"}});
 }
 
 grid::CeHealth* ServiceCore::ensure_health(const enactor::EnactmentPolicy& policy) {
@@ -128,22 +88,11 @@ void ServiceCore::on_breaker_transition(const grid::CeHealth::Transition& t) {
     for (const auto& [id, rec] : live) {
       std::lock_guard<std::mutex> rec_lock(rec->mu);
       if (rec->state == RunState::kRunning) {
-        rec->breaker_transitions.push_back(enactor::BreakerTransitionTrace{
-            t.time, t.computing_element, t.from, t.to, t.failures_in_window});
+        rec->breaker_transitions.push_back(enactor::breaker_row(t));
       }
     }
   }
-  obs::RunEvent event;
-  event.time = t.time;
-  event.computing_element = t.computing_element;
-  switch (t.to) {
-    case grid::BreakerState::kOpen: event.kind = obs::RunEvent::Kind::kBreakerOpened; break;
-    case grid::BreakerState::kHalfOpen:
-      event.kind = obs::RunEvent::Kind::kBreakerHalfOpen;
-      break;
-    case grid::BreakerState::kClosed: event.kind = obs::RunEvent::Kind::kBreakerClosed; break;
-  }
-  emit_service_event(event);
+  emit_service_event(enactor::breaker_event(t));
 }
 
 void ServiceCore::count_terminal(RunState state) {
@@ -192,15 +141,11 @@ EngineShard::EngineShard(std::size_t index, ServiceCore& core,
       total_inflight == 0 ? 0 : std::max<std::size_t>(1, total_inflight / std::max<std::size_t>(1, shards));
   gate_config.policy = core_.config.admission.policy;
   gate_ = std::make_shared<AdmissionGate>(backend(), gate_config);
-  gate_->set_grant_observer([this](double waited, policy::Admission admission) {
+  gate_->set_grant_observer([this](double waited) {
     if (core_.recorder == nullptr) return;
     std::lock_guard<std::mutex> lock(core_.obs_mu);
     if (core_.gate_wait != nullptr) core_.gate_wait->observe(waited);
-    core_.recorder->metrics()
-        .counter("moteur_policy_decisions_total",
-                 "Policy decisions by policy name and decision kind",
-                 {{"policy", policy::to_string(admission)}, {"kind", "admission"}})
-        .inc();
+    if (core_.admission_decisions != nullptr) core_.admission_decisions->inc();
   });
   batch_.reserve(obs_batch_);
 }
@@ -251,7 +196,6 @@ ShardStats EngineShard::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   s.runs = runs_done_;
   s.invocations = invocations_done_;
-  s.admission_waits = admission_waits_;
   return s;
 }
 
@@ -376,10 +320,6 @@ bool EngineShard::admit(RunRecordPtr& rec) {
     }
   }
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    admission_waits_.push_back(waited);
-  }
-  {
     std::lock_guard<std::mutex> lock(rec->mu);
     rec->admission_wait = waited;
     // Running from here: the shared-ledger transitions its start causes are
@@ -394,16 +334,10 @@ bool EngineShard::admit(RunRecordPtr& rec) {
   }
   enactor::Engine::Options options;
   options.run_id = rec->id;
-  options.shared_health = health;
+  options.health = health;
   if (policy.cache) options.cache = cache;
+  rec->gated = gate_->open(rec->request.weight);
   try {
-    std::optional<policy::Admission> admission;
-    if (!policy.admission.empty()) {
-      admission =
-          policy::parse<policy::Admission>(policy.admission, "run admission policy");
-    }
-    gate_->register_run(rec->id, rec->request.weight, admission);
-    rec->gated = std::make_unique<GatedBackend>(backend(), gate_, rec->id);
     rec->engine = std::make_shared<enactor::Engine>(
         *rec->gated, core_.registry, policy, rec->request.resolver, std::move(subs),
         rec->request.workflow, rec->request.inputs, std::move(options));
@@ -414,8 +348,7 @@ bool EngineShard::admit(RunRecordPtr& rec) {
     // already: flush them (the engine's weak-guarded callbacks discard the
     // deliveries).
     rec->engine.reset();
-    gate_->cancel_run(rec->id);
-    gate_->deregister_run(rec->id);
+    rec->gated->cancel();
     rec->gated.reset();
     finish_record(std::move(rec), RunState::kFailed, {}, e.what());
     return false;
@@ -428,8 +361,7 @@ bool EngineShard::admit(RunRecordPtr& rec) {
 void EngineShard::retire(RunRecordPtr rec, RunState state, std::string error) {
   enactor::EnactmentResult result = rec->engine->finish();
   rec->engine.reset();
-  gate_->cancel_run(rec->id);  // flush any leftovers (no-op when drained)
-  gate_->deregister_run(rec->id);
+  rec->gated->cancel();  // flush any leftovers (no-op when drained)
   rec->gated.reset();
   {
     std::lock_guard<std::mutex> lock(rec->mu);
@@ -538,7 +470,7 @@ void EngineShard::run_worker() {
         wanted = rec->cancel_requested;
       }
       if (wanted) {
-        gate_->cancel_run(rec->id);
+        rec->gated->cancel();
         rec->cancel_applied = true;
       }
     }

@@ -62,7 +62,7 @@ struct RunRecord {
 
   // Shard-side only; the request is dropped when the run is terminal.
   enactor::RunRequest request;
-  std::unique_ptr<enactor::ExecutionBackend> gated;
+  std::unique_ptr<AdmissionGate::Run> gated;
   std::shared_ptr<enactor::Engine> engine;
   bool cancel_applied = false;
   double queued_backend_at = -1.0;  // backend time the run started waiting
@@ -104,6 +104,8 @@ struct ServiceCore {
   obs::Gauge* gate_depth = nullptr;
   obs::Histogram* admission_wait = nullptr;
   obs::Histogram* gate_wait = nullptr;
+  /// moteur_policy_decisions_total{policy=<service policy>,kind="admission"}.
+  obs::Counter* admission_decisions = nullptr;
 
   // Service-wide totals fed by per-shard deltas (gauges read these).
   std::atomic<long> active_total{0};
@@ -275,7 +277,6 @@ class EngineShard {
   mutable std::mutex stats_mu_;
   std::uint64_t runs_done_ = 0;
   std::uint64_t invocations_done_ = 0;
-  std::vector<double> admission_waits_;
 
   std::thread thread_;
 };

@@ -68,6 +68,36 @@ std::string format_fixed(double value, int decimals) {
   return buf;
 }
 
+std::string json_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string json_number(double value) {
+  if (!std::isfinite(value)) return "0";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6f", value);
+  return buf;
+}
+
 std::string pad_left(const std::string& s, std::size_t width) {
   return s.size() >= width ? s : std::string(width - s.size(), ' ') + s;
 }

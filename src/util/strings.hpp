@@ -24,6 +24,14 @@ std::string format_duration(double seconds);
 /// Fixed-point formatting with the given number of decimals.
 std::string format_fixed(double value, int decimals);
 
+/// `text` escaped for the inside of a JSON string: quote, backslash and
+/// control characters.
+std::string json_escape(const std::string& text);
+
+/// A JSON number in fixed point with six decimals; NaN and infinities print
+/// as 0.
+std::string json_number(double value);
+
 /// Left/right pad with spaces to the given width (no truncation).
 std::string pad_left(const std::string& s, std::size_t width);
 std::string pad_right(const std::string& s, std::size_t width);

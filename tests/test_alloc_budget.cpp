@@ -16,6 +16,8 @@
 #include "enactor/enactor.hpp"
 #include "enactor/sim_backend.hpp"
 #include "grid/grid.hpp"
+#include "service/admission.hpp"
+#include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
 #include "workflow/iteration_tree.hpp"
 
@@ -125,6 +127,63 @@ TEST(AllocBudget, BronzeRunPerInvocation) {
                                << invocations << " invocations ("
                                << static_cast<double>(measured) / invocations
                                << " per invocation)";
+}
+
+/// Keeps every completion callback in a vector reserved up front, so that
+/// recording a submission allocates nothing.
+class RecordingBackend final : public enactor::ExecutionBackend {
+ public:
+  using enactor::ExecutionBackend::execute;
+  explicit RecordingBackend(std::size_t capacity) { callbacks.reserve(capacity); }
+  void execute(std::shared_ptr<services::Service>, std::vector<services::Inputs>,
+               Callback on_complete) override {
+    callbacks.push_back(std::move(on_complete));
+  }
+  double now() const override { return 0.0; }
+  TimerId schedule(double, std::function<void()>) override { return 0; }
+  void cancel(TimerId) override {}
+  bool drive(const std::function<bool()>&) override { return false; }
+
+  std::vector<Callback> callbacks;
+};
+
+TEST(AllocBudget, UngatedSubmissionAddsNothing) {
+  // With no in-flight cap, a run's gated backend hands each submission
+  // straight to the gate's backend: no queue entry, no wrapping callback.
+  constexpr std::size_t kSubmissions = 100;
+  constexpr std::size_t kBudgetPerSubmission = 0;  // extra over a direct submission
+  const auto service = std::make_shared<services::FunctionalService>(
+      "P0", std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
+      [](const services::Inputs&) { return services::Result{}; });
+  const auto submit_all = [&](enactor::ExecutionBackend& backend) {
+    return allocations_in([&] {
+      for (std::size_t i = 0; i < kSubmissions; ++i) {
+        backend.execute(service, {services::Inputs{}}, [](enactor::Outcome) {});
+      }
+    });
+  };
+
+  RecordingBackend direct(kSubmissions);
+  const std::size_t baseline = submit_all(direct);
+
+  RecordingBackend behind_gate(kSubmissions);
+  const auto gate = std::make_shared<service::AdmissionGate>(
+      behind_gate, service::AdmissionGate::Config{0, "weighted"});
+  std::size_t grants = 0;
+  double waited = 0.0;
+  gate->set_grant_observer([&](double wait) {
+    ++grants;
+    waited += wait;
+  });
+  const auto run = gate->open(1);
+  const std::size_t measured = submit_all(*run);
+
+  EXPECT_EQ(behind_gate.callbacks.size(), kSubmissions);
+  EXPECT_EQ(grants, kSubmissions);  // every launch is still observed
+  EXPECT_EQ(waited, 0.0);
+  EXPECT_LE(measured, baseline + kBudgetPerSubmission * kSubmissions)
+      << "measured " << measured << " allocations for " << kSubmissions
+      << " gated submissions, " << baseline << " made directly";
 }
 
 }  // namespace

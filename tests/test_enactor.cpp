@@ -406,6 +406,52 @@ TEST(ThreadedBackendTest, ServiceExceptionBecomesCountedFailure) {
   EXPECT_EQ(result.sink_outputs.at("sink").size(), 2u);
 }
 
+TEST(Enactor, RunLedgerIsDetachedAfterTheRun) {
+  // Two hosts, h0 failing every attempt. A breaker-enabled run opens h0's
+  // breaker in its own ledger; once that run returns, the ledger must be off
+  // the backend, so a later run with breakers off is routed to h0 again.
+  services::ServiceRegistry registry;
+  registry.add(std::make_shared<FunctionalService>(
+      "P0", std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
+      [](const Inputs&) {
+        Result r;
+        r.outputs["out"] = services::OutputValue{1, "1"};
+        return r;
+      }));
+  ThreadedBackend backend(2);
+  backend.configure_hosts({"h0", "h1"}, /*seed=*/7);
+  backend.set_host_failure_probability("h0", 1.0);
+
+  EnactmentPolicy guarded = EnactmentPolicy::sp_dp();
+  guarded.retry = RetryPolicy::resubmit(8);
+  guarded.failure_policy = FailurePolicy::kContinue;
+  guarded.breaker.enabled = true;
+  guarded.breaker.window = 4;
+  guarded.breaker.threshold = 2;
+  guarded.breaker.cooldown_seconds = 1e9;  // stays open for good
+  Enactor enactor(backend, registry, guarded);
+  const auto first =
+      enactor.run({.workflow = chain_workflow(1), .inputs = items("src", 20)});
+  bool h0_opened = false;
+  for (const auto& t : first.timeline.breaker_transitions()) {
+    if (t.computing_element == "h0" && t.to == grid::BreakerState::kOpen) {
+      h0_opened = true;
+    }
+  }
+  ASSERT_TRUE(h0_opened);
+
+  EnactmentPolicy unguarded = guarded;
+  unguarded.breaker.enabled = false;
+  const auto second = enactor.run(
+      {.workflow = chain_workflow(1), .inputs = items("src", 20), .policy = unguarded});
+  std::size_t on_h0 = 0;
+  for (const auto& trace : second.timeline.traces()) {
+    if (trace.job && trace.job->computing_element == "h0") ++on_h0;
+  }
+  EXPECT_GT(on_h0, 0u);
+  EXPECT_TRUE(second.timeline.breaker_transitions().empty());
+}
+
 /// Records the input of every execution in the order the engine submits it.
 class RecordingThreadedBackend final : public ThreadedBackend {
  public:

@@ -51,6 +51,8 @@ TEST(Tracer, SpansNestAndClose) {
   tracer.end(child, 9.0);  // double close is ignored
   EXPECT_DOUBLE_EQ(tracer.find(child)->end, 2.0);
   tracer.end(12345, 9.0);  // unknown id is ignored
+  EXPECT_EQ(tracer.find(0), nullptr);  // 0 is "no span"
+  EXPECT_EQ(tracer.find(child + 1), nullptr);
 }
 
 TEST(Tracer, RecordAndAnnotate) {

@@ -260,22 +260,21 @@ class ManualBackend final : public enactor::ExecutionBackend {
 
 /// Launch order of four submissions each from runs H and L, both asking for
 /// weight 3, through a gate admitting one execution at a time.
-std::string grant_order(const std::string& gate_policy,
-                        std::optional<Admission> light_policy = std::nullopt) {
+std::string grant_order(const std::string& gate_policy) {
   ManualBackend backend;
   const auto gate = std::make_shared<service::AdmissionGate>(
       backend, service::AdmissionGate::Config{1, gate_policy});
-  gate->register_run("heavy", 3);
-  gate->register_run("light", 3, light_policy);
+  const auto heavy = gate->open(3);
+  const auto light = gate->open(3);
   const auto service_named = [](const char* id) {
     return std::make_shared<services::FunctionalService>(
         id, std::vector<std::string>{}, std::vector<std::string>{},
         [](const services::Inputs&) { return services::Result{}; });
   };
-  for (const auto& [run, service] :
-       {std::pair{"heavy", service_named("H")}, std::pair{"light", service_named("L")}}) {
+  for (const auto& [run, service] : {std::pair{heavy.get(), service_named("H")},
+                                     std::pair{light.get(), service_named("L")}}) {
     for (int i = 0; i < 4; ++i) {
-      gate->execute(run, service, {services::Inputs{}}, {}, [](enactor::Outcome) {});
+      run->execute(service, {services::Inputs{}}, [](enactor::Outcome) {});
     }
   }
   backend.complete_all();
@@ -286,8 +285,6 @@ TEST(AdmissionPolicies, WeightMapping) {
   // weighted grants the 3 asked for per visit, round-robin grants 1.
   EXPECT_EQ(grant_order("weighted"), "HHHLLLHL");
   EXPECT_EQ(grant_order("round-robin"), "HLHLHLHL");
-  // A run's own policy overrides the gate's.
-  EXPECT_EQ(grant_order("weighted", Admission::kRoundRobin), "HHHLHLLL");
 }
 
 // ---------------------------------------------------------------------------
@@ -315,12 +312,12 @@ TEST(PolicyManifest, RoundTripsTheFourPolicyNames) {
   manifest.policy.matchmaking = "data-gravity";
   manifest.policy.placement = "spread";
   manifest.replica_policy = "broadcast";
-  manifest.policy.admission = "round-robin";
+  manifest.admission_policy = "round-robin";
   const auto parsed = enactor::RunManifest::from_xml(manifest.to_xml());
   EXPECT_EQ(parsed.policy.matchmaking, "data-gravity");
   EXPECT_EQ(parsed.policy.placement, "spread");
   EXPECT_EQ(parsed.replica_policy, "broadcast");
-  EXPECT_EQ(parsed.policy.admission, "round-robin");
+  EXPECT_EQ(parsed.admission_policy, "round-robin");
   // The grid-wide names reach the grid configuration with the matchmaking.
   const grid::GridConfig config = parsed.make_grid_config();
   EXPECT_EQ(config.matchmaking_policy, "data-gravity");

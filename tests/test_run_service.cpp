@@ -352,7 +352,7 @@ TEST(RunService, QueuedRunCancelledBeforeStart) {
 
 TEST(RunService, UnknownRunPolicyNamesFailOnlyTheirRun) {
   ServiceRig rig(grid::GridConfig::constant(0.0));
-  for (const char* prefix : {"good", "admission", "matchmaking", "placement", "later"}) {
+  for (const char* prefix : {"good", "matchmaking", "placement", "later"}) {
     rig.add_prefixed_chain(prefix, 1, 1.0);
   }
   RunServiceConfig config;
@@ -363,8 +363,7 @@ TEST(RunService, UnknownRunPolicyNamesFailOnlyTheirRun) {
   requests.push_back(make_request("good", prefixed_chain("good", 1), 3));
   // Each bad run is named after the field it misspells.
   for (const auto& [field, name] :
-       {std::pair{"admission", &enactor::EnactmentPolicy::admission},
-        std::pair{"matchmaking", &enactor::EnactmentPolicy::matchmaking},
+       {std::pair{"matchmaking", &enactor::EnactmentPolicy::matchmaking},
         std::pair{"placement", &enactor::EnactmentPolicy::placement}}) {
     enactor::RunRequest request = make_request(field, prefixed_chain(field, 1), 3);
     enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
@@ -416,7 +415,7 @@ TEST(RunService, RejectsSubmissionsAfterShutdown) {
 }
 
 /// One Bronze Standard run on a fresh `config` grid, enacted alone through
-/// an Enactor (whose engine owns any breaker ledger) and through a one-shard
+/// an Enactor (which owns each run's breaker ledger) and through a one-shard
 /// service with the gate off (whose ledger is shared): both results.
 std::pair<enactor::EnactmentResult, enactor::EnactmentResult> bronze_alone_and_in_service(
     const grid::GridConfig& config, const enactor::EnactmentPolicy& policy) {
@@ -549,16 +548,15 @@ TEST(RunService, ThreadedBackendInterleavesRunsAndTagsEvents) {
   }
 }
 
-TEST(RunService, CancellationMidRunDrainsToPartialResult) {
+/// A 40-item victim run and a 10-item bystander share a 2-worker threaded
+/// backend; the victim is cancelled mid-run. `config` sets the gate.
+void expect_cancellation_drains_to_partial_result(RunServiceConfig config) {
   enactor::ThreadedBackend backend(2);
   services::ServiceRegistry registry;
   registry.add(sleeping_service("victim-p0", std::chrono::milliseconds(20)));
   registry.add(sleeping_service("bystander-p0", std::chrono::milliseconds(1)));
 
-  RunServiceConfig config;
   config.admission.max_active = 2;
-  config.admission.max_inflight = 2;
-  config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
   RunService service(backend, registry, config);
 
   std::vector<enactor::RunRequest> requests;
@@ -588,6 +586,23 @@ TEST(RunService, CancellationMidRunDrainsToPartialResult) {
   // The sibling run was untouched.
   EXPECT_EQ(handles[1].result().sink_outputs.at("sink").size(), 10u);
   EXPECT_EQ(handles[1].result().failures(), 0u);
+}
+
+TEST(RunService, CancellationMidRunDrainsToPartialResult) {
+  RunServiceConfig config;
+  config.admission.max_inflight = 2;
+  config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
+  expect_cancellation_drains_to_partial_result(config);
+}
+
+TEST(RunService, CancellationMidRunWithTheGateOff) {
+  RunServiceConfig config;
+  config.admission.max_inflight = 0;  // submissions go straight to the backend
+  config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
+  // Two invocations in flight per service: the victim still submits after
+  // the cancel, and its gated backend must fail those submissions itself.
+  config.defaults.policy.data_parallelism_cap = 2;
+  expect_cancellation_drains_to_partial_result(config);
 }
 
 TEST(RunService, ShutdownCancelsEverythingAndJoins) {

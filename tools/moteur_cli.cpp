@@ -349,7 +349,7 @@ int cmd_run(const Args& args) {
   service::RunServiceConfig config;
   config.admission.max_active = first.max_active;
   config.admission.max_inflight = first.max_inflight;
-  if (!first.policy.admission.empty()) config.admission.policy = first.policy.admission;
+  config.admission.policy = first.admission_policy;
   config.sharding.shards = first.shards;
   config.sharding.pin = service::parse_pin_policy(first.pin_policy);
   config.defaults.policy = first.policy;
