@@ -108,10 +108,11 @@ void SimGridBackend::execute(std::shared_ptr<services::Service> service,
   ++jobs_submitted_;
   ++in_flight_;
   const double submit_time = grid_.simulator().now();
-  grid_.submit(request, [this, service = std::move(service),
-                         bindings = std::move(bindings), on_complete = std::move(on_complete),
-                         output_mb_per_binding = std::move(output_mb_per_binding),
-                         submit_time](const grid::JobRecord& record) {
+  grid_.submit(std::move(request), [this, service = std::move(service),
+                                    bindings = std::move(bindings),
+                                    on_complete = std::move(on_complete),
+                                    output_mb_per_binding = std::move(output_mb_per_binding),
+                                    submit_time](const grid::JobRecord& record) {
     --in_flight_;
     if (metrics_ != nullptr) {
       metrics_
@@ -233,24 +234,15 @@ void SimGridBackend::set_event_sink(std::function<void(const obs::RunEvent&)> si
 
 ExecutionBackend::TimerId SimGridBackend::schedule(double delay_seconds,
                                                    std::function<void()> fn) {
-  const TimerId id = next_timer_++;
   ++live_timers_;
-  const sim::EventId event = grid_.simulator().schedule(
-      delay_seconds, [this, id, fn = std::move(fn)] {
-        timers_.erase(id);
-        --live_timers_;
-        fn();
-      });
-  timers_.emplace(id, event);
-  return id;
+  return grid_.simulator().schedule(delay_seconds, [this, fn = std::move(fn)] {
+    --live_timers_;
+    fn();
+  });
 }
 
 void SimGridBackend::cancel(TimerId id) {
-  const auto it = timers_.find(id);
-  if (it == timers_.end()) return;
-  grid_.simulator().cancel(it->second);
-  timers_.erase(it);
-  --live_timers_;
+  if (grid_.simulator().cancel(id)) --live_timers_;
 }
 
 bool SimGridBackend::drive(const std::function<bool()>& done) {

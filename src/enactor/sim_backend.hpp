@@ -1,7 +1,5 @@
 #pragma once
 
-#include <unordered_map>
-
 #include "data/replica_catalog.hpp"
 #include "enactor/backend.hpp"
 #include "grid/grid.hpp"
@@ -79,10 +77,9 @@ class SimGridBackend : public ExecutionBackend {
   std::function<void(const obs::RunEvent&)> sink_;
   std::size_t jobs_submitted_ = 0;
   std::size_t in_flight_ = 0;
+  /// Armed timers that have neither fired nor been cancelled. A timer's id
+  /// is its simulator event id.
   std::size_t live_timers_ = 0;
-  TimerId next_timer_ = 1;
-  /// Backend timer -> simulator event, so cancel() can reach the kernel.
-  std::unordered_map<TimerId, sim::EventId> timers_;
 };
 
 }  // namespace moteur::enactor

@@ -28,11 +28,11 @@ void ComputingElement::schedule_next_outage() {
   });
 }
 
-void ComputingElement::acquire_slot(std::function<void()> on_granted) {
+void ComputingElement::acquire_slot(sim::Function<void()> on_granted) {
   const double local_latency = OverheadModel::sample(config_.local_latency, latency_rng_);
-  simulator_.schedule(local_latency, [this, on_granted = std::move(on_granted)]() mutable {
-    workers_.acquire(std::move(on_granted));
-  });
+  const auto arrival = arriving_.insert(std::move(on_granted));
+  simulator_.schedule(local_latency,
+                      [this, arrival] { workers_.acquire(arriving_.take(arrival)); });
 }
 
 void ComputingElement::release_slot() { workers_.release(); }

@@ -1,11 +1,12 @@
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "grid/config.hpp"
+#include "sim/function.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 #include "util/rng.hpp"
 
 namespace moteur::grid {
@@ -27,7 +28,7 @@ class ComputingElement {
 
   /// Enter the batch system: local latency, then wait for a worker slot.
   /// `on_granted` fires when the job holds a slot.
-  void acquire_slot(std::function<void()> on_granted);
+  void acquire_slot(sim::Function<void()> on_granted);
 
   /// Return the slot to the pool.
   void release_slot();
@@ -53,6 +54,8 @@ class ComputingElement {
   sim::Simulator& simulator_;
   ComputingElementConfig config_;
   sim::Resource workers_;
+  /// Jobs inside the local batch latency, waiting to join the slot queue.
+  sim::Slab<sim::Function<void()>> arriving_;
   Rng latency_rng_;
   Rng outage_rng_;
   std::size_t outages_ = 0;

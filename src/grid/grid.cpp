@@ -112,16 +112,16 @@ Grid::Grid(sim::Simulator& simulator, GridConfig config)
   }
 }
 
-JobId Grid::submit(const JobRequest& request, CompletionCallback on_complete) {
+JobId Grid::submit(JobRequest request, CompletionCallback on_complete) {
   auto job = std::make_shared<PendingJob>();
   job->record.id = next_job_id_++;
   job->record.name = request.name;
   job->record.submit_time = simulator_.now();
-  job->request = request;
+  job->request = std::move(request);
   job->on_complete = std::move(on_complete);
   ++stats_.submitted;
-  MOTEUR_LOG(kDebug, "grid") << "submit job " << job->record.id << " '" << request.name
-                             << "' compute=" << request.compute_seconds << "s";
+  MOTEUR_LOG(kDebug, "grid") << "submit job " << job->record.id << " '" << job->request.name
+                             << "' compute=" << job->request.compute_seconds << "s";
   start_attempt(job);
   if (config_.speculative_timeout_seconds > 0.0) arm_speculative_watchdog(job);
   return job->record.id;
@@ -144,37 +144,44 @@ void Grid::start_attempt(const std::shared_ptr<PendingJob>& job) {
   ++job->record.attempts;
   ++job->in_flight_attempts;
   job->record.state = JobState::kSubmitted;
+  const AttemptKey attempt = attempts_.insert(Attempt{job});
   // The submission command serializes on the UI host before the request
   // reaches the broker (resubmissions pay it again).
-  ui_.acquire([this, job] {
+  ui_.acquire([this, attempt] {
     const double ui_seconds =
         OverheadModel::sample(config_.ui_submission_latency, ui_rng_);
-    simulator_.schedule(ui_seconds, [this, job] {
+    simulator_.schedule(ui_seconds, [this, attempt] {
       ui_.release();
-      ResourceBroker::StageInEstimator stage_in;
-      if (catalog_ != nullptr && !job->request.input_refs.empty() &&
-          policy::wants_stage_in(
-              job->request.matchmaking.value_or(broker_.default_matchmaking()))) {
-        stage_in = [this, job](const ComputingElement& ce) {
-          return stage_in_estimate_seconds(job->request, ce.name());
-        };
-      }
-      broker_.submit(
-          [this, job](ComputingElement& ce) {
-            job->record.match_time = simulator_.now();
-            job->record.state = JobState::kScheduled;
-            job->record.computing_element = ce.name();
-            if (replication_ == policy::Replication::kPushToConsumer) {
-              // Start copying missing inputs toward the matched CE's close
-              // SE now, overlapping the transfer with the queueing delay.
-              maybe_push_for_match(job->request, ce.name());
-            }
-            enter_site(job, ce);
-          },
-          std::move(stage_in),
-          {job->request.matchmaking, job->request.avoid_ces});
+      submit_to_broker(attempt);
     });
   });
+}
+
+void Grid::submit_to_broker(AttemptKey attempt) {
+  const JobRequest& request = attempts_[attempt].job->request;
+  ResourceBroker::StageInEstimator stage_in;
+  if (catalog_ != nullptr && !request.input_refs.empty() &&
+      policy::wants_stage_in(request.matchmaking.value_or(broker_.default_matchmaking()))) {
+    stage_in = [this, attempt](const ComputingElement& ce) {
+      return stage_in_estimate_seconds(attempts_[attempt].job->request, ce.name());
+    };
+  }
+  broker_.submit([this, attempt](ComputingElement& ce) { on_matched(attempt, ce); },
+                 std::move(stage_in), {request.matchmaking, request.avoid_ces});
+}
+
+void Grid::on_matched(AttemptKey attempt, ComputingElement& ce) {
+  attempts_[attempt].ce = &ce;
+  PendingJob& job = *attempts_[attempt].job;
+  job.record.match_time = simulator_.now();
+  job.record.state = JobState::kScheduled;
+  job.record.computing_element = ce.name();
+  if (replication_ == policy::Replication::kPushToConsumer) {
+    // Start copying missing inputs toward the matched CE's close SE now,
+    // overlapping the transfer with the queueing delay.
+    maybe_push_for_match(job.request, ce.name());
+  }
+  enter_site(attempt);
 }
 
 void Grid::set_metrics(obs::MetricsRegistry* metrics) {
@@ -211,27 +218,27 @@ void Grid::record_ui_bytes(double megabytes) {
   }
 }
 
-void Grid::ui_stage(double megabytes, std::function<void(double)> on_done) {
+void Grid::ui_stage(double megabytes, sim::Function<void(double)> on_done) {
   if (ui_link_ == nullptr || megabytes <= 0.0) {
     // Unlimited link: no queueing, no extra event — the historical path.
     on_done(0.0);
     return;
   }
-  const double start = simulator_.now();
-  ui_link_->acquire([this, megabytes, start, on_done = std::move(on_done)]() mutable {
-    const double seconds = megabytes / config_.orchestrator_bandwidth_mbps;
-    simulator_.schedule(
-        seconds, [this, seconds, start, on_done = std::move(on_done)] {
-          ui_link_->release();
-          ui_busy_seconds_ += seconds;
-          if (metrics_ != nullptr && simulator_.now() > 0.0) {
-            metrics_
-                ->gauge("moteur_ui_link_utilization",
-                        "Busy fraction of the finite orchestrator/UI link")
-                .set(ui_busy_seconds_ / simulator_.now());
-          }
-          on_done(simulator_.now() - start);
-        });
+  const auto staging = ui_stagings_.insert(
+      {simulator_.now(), megabytes / config_.orchestrator_bandwidth_mbps, std::move(on_done)});
+  ui_link_->acquire([this, staging] {
+    simulator_.schedule(ui_stagings_[staging].seconds, [this, staging] {
+      const UiStaging done = ui_stagings_.take(staging);
+      ui_link_->release();
+      ui_busy_seconds_ += done.seconds;
+      if (metrics_ != nullptr && simulator_.now() > 0.0) {
+        metrics_
+            ->gauge("moteur_ui_link_utilization",
+                    "Busy fraction of the finite orchestrator/UI link")
+            .set(ui_busy_seconds_ / simulator_.now());
+      }
+      done.on_done(simulator_.now() - done.start);
+    });
   });
 }
 
@@ -511,29 +518,61 @@ Grid::StageResolution Grid::resolve_stage_in(const JobRequest& request,
   return res;
 }
 
-void Grid::enter_site(const std::shared_ptr<PendingJob>& job, ComputingElement& ce) {
+void Grid::enter_site(AttemptKey attempt) {
   // Residual middleware queueing latency, then the site batch system.
   const double queueing = overhead_.sample_queueing();
-  simulator_.schedule(queueing, [this, job, &ce] {
-    ce.acquire_slot([this, job, &ce] {
-      job->record.queue_exit_time = simulator_.now();
-      run_in_slot(job, ce);
+  simulator_.schedule(queueing, [this, attempt] {
+    attempts_[attempt].ce->acquire_slot([this, attempt] {
+      attempts_[attempt].job->record.queue_exit_time = simulator_.now();
+      run_in_slot(attempt);
     });
   });
 }
 
-void Grid::run_in_slot(const std::shared_ptr<PendingJob>& job, ComputingElement& ce) {
+std::shared_ptr<Grid::PendingJob> Grid::end_attempt(AttemptKey attempt) {
+  Attempt ended = attempts_.take(attempt);
+  ended.ce->release_slot();
+  --ended.job->in_flight_attempts;
+  return std::move(ended.job);
+}
+
+void Grid::fail_attempt(AttemptKey attempt, bool se_down) {
+  const ComputingElement& ce = *attempts_[attempt].ce;
+  const std::shared_ptr<PendingJob> job = end_attempt(attempt);
+  if (job->completed) return;  // a racing clone already finished the job
+  ++stats_.failed_attempts;
+  if (se_down) {
+    MOTEUR_LOG(kDebug, "grid") << "job " << job->record.id << " attempt "
+                               << job->record.attempts
+                               << " could not stage in: close SE of " << ce.name()
+                               << " is down";
+  } else {
+    MOTEUR_LOG(kDebug, "grid") << "job " << job->record.id << " attempt "
+                               << job->record.attempts << " failed on " << ce.name();
+  }
+  if (job->record.attempts >= config_.max_attempts) {
+    // Definitive only once no racing attempt can still succeed.
+    if (job->in_flight_attempts == 0) finish(job, JobState::kFailed);
+  } else {
+    start_attempt(job);
+  }
+}
+
+void Grid::run_in_slot(AttemptKey attempt) {
+  Attempt& a = attempts_[attempt];
+  PendingJob& job = *a.job;
+  ComputingElement& ce = *a.ce;
   double payload_seconds =
-      job->request.compute_seconds * overhead_.sample_compute_factor() / ce.speed_factor();
+      job.request.compute_seconds * overhead_.sample_compute_factor() / ce.speed_factor();
   if (overhead_.sample_stuck()) {
     payload_seconds *= config_.stuck_job_factor;
-    MOTEUR_LOG(kDebug, "grid") << "job " << job->record.id << " attempt "
-                               << job->record.attempts << " is stuck on " << ce.name()
+    MOTEUR_LOG(kDebug, "grid") << "job " << job.record.id << " attempt "
+                               << job.record.attempts << " is stuck on " << ce.name()
                                << " (payload x" << config_.stuck_job_factor << ")";
   }
 
   StorageElement& se = close_storage(ce.name());
-  const StagePlan stage = plan_stage_in(job->request, ce.name());
+  const StagePlan stage = plan_stage_in(job.request, ce.name());
 
   if (overhead_.sample_failure(ce.failure_probability())) {
     // The attempt dies partway through: it wastes worker time, then either
@@ -542,29 +581,15 @@ void Grid::run_in_slot(const std::shared_ptr<PendingJob>& job, ComputingElement&
     const double wasted =
         config_.failure_detection_fraction *
         (se.nominal_seconds(stage.effective_megabytes) + payload_seconds);
-    simulator_.schedule(wasted, [this, job, &ce] {
-      ce.release_slot();
-      --job->in_flight_attempts;
-      if (job->completed) return;  // a racing clone already finished the job
-      ++stats_.failed_attempts;
-      MOTEUR_LOG(kDebug, "grid") << "job " << job->record.id << " attempt "
-                                 << job->record.attempts << " failed on " << ce.name();
-      if (job->record.attempts >= config_.max_attempts) {
-        // Definitive only once no racing attempt can still succeed.
-        if (job->in_flight_attempts == 0) finish(job, JobState::kFailed);
-      } else {
-        start_attempt(job);
-      }
-    });
+    simulator_.schedule(wasted, [this, attempt] { fail_attempt(attempt, false); });
     return;
   }
 
   // A losing clone may still be in the pipeline after a racer finished:
   // guard every stage so it neither touches the record nor finishes twice,
   // and releases its worker slot as soon as it notices.
-  if (job->completed) {
-    ce.release_slot();
-    --job->in_flight_attempts;
+  if (job.completed) {
+    end_attempt(attempt);
     return;
   }
 
@@ -574,117 +599,123 @@ void Grid::run_in_slot(const std::shared_ptr<PendingJob>& job, ComputingElement&
     // matchmaking steers the retry toward CEs whose SE is up).
     const double wasted = config_.failure_detection_fraction *
                           se.nominal_seconds(stage.effective_megabytes);
-    ++job->record.replica_faults;
+    ++job.record.replica_faults;
     ++stats_.replica_faults;
-    simulator_.schedule(wasted, [this, job, &ce] {
-      ce.release_slot();
-      --job->in_flight_attempts;
-      if (job->completed) return;
-      ++stats_.failed_attempts;
-      MOTEUR_LOG(kDebug, "grid")
-          << "job " << job->record.id << " attempt " << job->record.attempts
-          << " could not stage in: close SE of " << ce.name() << " is down";
-      if (job->record.attempts >= config_.max_attempts) {
-        if (job->in_flight_attempts == 0) finish(job, JobState::kFailed);
-      } else {
-        start_attempt(job);
-      }
-    });
+    simulator_.schedule(wasted, [this, attempt] { fail_attempt(attempt, true); });
     return;
   }
 
-  StageResolution resolution = resolve_stage_in(job->request, se.name());
-  job->record.replica_faults += resolution.faults;
-  job->record.replica_failovers += resolution.failovers;
+  StageResolution resolution = resolve_stage_in(job.request, se.name());
+  job.record.replica_faults += resolution.faults;
+  job.record.replica_failovers += resolution.failovers;
   stats_.replica_faults += static_cast<std::size_t>(resolution.faults);
   stats_.replica_failovers += static_cast<std::size_t>(resolution.failovers);
   if (!resolution.lost_files.empty()) {
     // Every replica of at least one input is gone. Resubmitting cannot help
     // — only the enactor's lineage recovery can regenerate the file — so
     // the job fails immediately with the loss spelled out.
-    ce.release_slot();
-    --job->in_flight_attempts;
-    if (job->completed) return;
+    const std::shared_ptr<PendingJob> lost = end_attempt(attempt);
+    if (lost->completed) return;
     ++stats_.failed_attempts;
     ++stats_.data_lost_jobs;
-    job->record.lost_files = std::move(resolution.lost_files);
-    MOTEUR_LOG(kDebug, "grid") << "job " << job->record.id << " lost "
-                               << job->record.lost_files.size()
+    lost->record.lost_files = std::move(resolution.lost_files);
+    MOTEUR_LOG(kDebug, "grid") << "job " << lost->record.id << " lost "
+                               << lost->record.lost_files.size()
                                << " input file(s); no replica survives";
-    if (job->in_flight_attempts == 0) finish(job, JobState::kFailed);
+    if (lost->in_flight_attempts == 0) finish(lost, JobState::kFailed);
     return;
   }
 
   // Which bytes round-trip through the orchestrator: under a decentralized
   // replication policy reads come off the SE fabric (remote ones as peer
   // pulls), otherwise every staged byte crosses the UI link.
-  const bool peer_routed = decentralized_reads() && catalog_ != nullptr;
-  const double ui_in_mb = peer_routed ? 0.0 : resolution.effective_megabytes;
-  const double peer_in_mb = peer_routed ? resolution.remote_megabytes : 0.0;
+  a.se = &se;
+  a.payload_seconds = payload_seconds;
+  a.staged_megabytes = resolution.effective_megabytes;
+  a.remote_megabytes = resolution.remote_megabytes;
+  a.peer_routed = decentralized_reads() && catalog_ != nullptr;
+  job.record.state = JobState::kTransferringIn;
+  ui_stage(a.peer_routed ? 0.0 : a.staged_megabytes,
+           [this, attempt](double ui_in_seconds) { on_ui_staged_in(attempt, ui_in_seconds); });
+}
 
-  job->record.state = JobState::kTransferringIn;
-  ui_stage(ui_in_mb, [this, job, &ce, &se, resolution, payload_seconds, ui_in_mb,
-                      peer_in_mb, peer_routed](double ui_in_seconds) {
-    if (job->completed) {
-      ce.release_slot();
-      --job->in_flight_attempts;
-      return;
-    }
-    se.transfer(resolution.effective_megabytes, [this, job, &ce, &se, resolution,
-                                                 payload_seconds, ui_in_mb, peer_in_mb,
-                                                 peer_routed,
-                                                 ui_in_seconds](double in_seconds) {
-      if (job->completed) {
-        ce.release_slot();
-        --job->in_flight_attempts;
-        return;
-      }
-      job->record.input_transfer_seconds += in_seconds + ui_in_seconds;
-      job->record.ui_transfer_seconds += ui_in_seconds;
-      job->record.bytes_via_ui += ui_in_mb;
-      job->record.bytes_peer += peer_in_mb;
-      record_ui_bytes(ui_in_mb);
-      job->record.staging_element = se.name();
-      job->record.staged_in_megabytes += resolution.effective_megabytes;
-      job->record.remote_input_megabytes += resolution.remote_megabytes;
-      job->record.state = JobState::kRunning;
-      job->record.run_start_time = simulator_.now();
-      simulator_.schedule(payload_seconds, [this, job, &ce, &se, peer_routed] {
-        if (job->completed) {
-          ce.release_slot();
-          --job->in_flight_attempts;
-          return;
-        }
-        job->record.run_end_time = simulator_.now();
-        job->record.state = JobState::kTransferringOut;
-        se.transfer(job->request.output_megabytes, [this, job, &ce,
-                                                    peer_routed](double out_seconds) {
-          ce.release_slot();
-          --job->in_flight_attempts;
-          if (job->completed) return;  // a racing clone won; discard this result
-          job->record.output_transfer_seconds += out_seconds;
-          const double out_ui_mb = peer_routed ? 0.0 : job->request.output_megabytes;
-          // Centralized stage-out crosses the contended UI link after the SE
-          // write; the worker slot is already free while the result drains.
-          ui_stage(out_ui_mb, [this, job, &ce, out_ui_mb](double ui_out_seconds) {
-            if (job->completed) return;  // a racing clone finished meanwhile
-            job->record.output_transfer_seconds += ui_out_seconds;
-            job->record.ui_transfer_seconds += ui_out_seconds;
-            job->record.bytes_via_ui += out_ui_mb;
-            record_ui_bytes(out_ui_mb);
-            // A still-racing clone's later match (or stage-in) may have
-            // overwritten the placement fields; reassert the winning
-            // attempt's CE so replica registration and completion consumers
-            // see where the job actually ran — not where a losing clone was
-            // matched.
-            job->record.computing_element = ce.name();
-            job->record.staging_element = close_storage(ce.name()).name();
-            finish(job, JobState::kDone);
-          });
-        });
-      });
-    });
-  });
+void Grid::on_ui_staged_in(AttemptKey attempt, double ui_in_seconds) {
+  Attempt& a = attempts_[attempt];
+  if (a.job->completed) {
+    end_attempt(attempt);
+    return;
+  }
+  a.ui_in_seconds = ui_in_seconds;
+  a.se->transfer(a.staged_megabytes,
+                 [this, attempt](double in_seconds) { on_staged_in(attempt, in_seconds); });
+}
+
+void Grid::on_staged_in(AttemptKey attempt, double in_seconds) {
+  const Attempt& a = attempts_[attempt];
+  JobRecord& record = a.job->record;
+  if (a.job->completed) {
+    end_attempt(attempt);
+    return;
+  }
+  const double ui_in_mb = a.peer_routed ? 0.0 : a.staged_megabytes;
+  record.input_transfer_seconds += in_seconds + a.ui_in_seconds;
+  record.ui_transfer_seconds += a.ui_in_seconds;
+  record.bytes_via_ui += ui_in_mb;
+  record.bytes_peer += a.peer_routed ? a.remote_megabytes : 0.0;
+  record_ui_bytes(ui_in_mb);
+  record.staging_element = a.se->name();
+  record.staged_in_megabytes += a.staged_megabytes;
+  record.remote_input_megabytes += a.remote_megabytes;
+  record.state = JobState::kRunning;
+  record.run_start_time = simulator_.now();
+  simulator_.schedule(a.payload_seconds, [this, attempt] { on_payload_done(attempt); });
+}
+
+void Grid::on_payload_done(AttemptKey attempt) {
+  const Attempt& a = attempts_[attempt];
+  PendingJob& job = *a.job;
+  if (job.completed) {
+    end_attempt(attempt);
+    return;
+  }
+  job.record.run_end_time = simulator_.now();
+  job.record.state = JobState::kTransferringOut;
+  a.se->transfer(job.request.output_megabytes,
+                 [this, attempt](double out_seconds) { on_staged_out(attempt, out_seconds); });
+}
+
+void Grid::on_staged_out(AttemptKey attempt, double out_seconds) {
+  const Attempt& a = attempts_[attempt];
+  PendingJob& job = *a.job;
+  a.ce->release_slot();
+  --job.in_flight_attempts;
+  if (job.completed) {  // a racing clone won; discard this result
+    attempts_.take(attempt);
+    return;
+  }
+  job.record.output_transfer_seconds += out_seconds;
+  // Centralized stage-out crosses the contended UI link after the SE
+  // write; the worker slot is already free while the result drains.
+  ui_stage(a.peer_routed ? 0.0 : job.request.output_megabytes,
+           [this, attempt](double ui_out_seconds) { on_ui_staged_out(attempt, ui_out_seconds); });
+}
+
+void Grid::on_ui_staged_out(AttemptKey attempt, double ui_out_seconds) {
+  const Attempt done = attempts_.take(attempt);
+  JobRecord& record = done.job->record;
+  if (done.job->completed) return;  // a racing clone finished meanwhile
+  const double out_ui_mb = done.peer_routed ? 0.0 : done.job->request.output_megabytes;
+  record.output_transfer_seconds += ui_out_seconds;
+  record.ui_transfer_seconds += ui_out_seconds;
+  record.bytes_via_ui += out_ui_mb;
+  record_ui_bytes(out_ui_mb);
+  // A still-racing clone's later match (or stage-in) may have overwritten
+  // the placement fields; reassert the winning attempt's CE so replica
+  // registration and completion consumers see where the job actually ran —
+  // not where a losing clone was matched.
+  record.computing_element = done.ce->name();
+  record.staging_element = close_storage(done.ce->name()).name();
+  finish(done.job, JobState::kDone);
 }
 
 void Grid::finish(const std::shared_ptr<PendingJob>& job, JobState final_state) {

@@ -15,7 +15,9 @@
 #include "grid/resource_broker.hpp"
 #include "grid/storage_element.hpp"
 #include "policy/policy.hpp"
+#include "sim/function.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -53,7 +55,7 @@ class Grid {
 
   /// Submit a job. The callback fires exactly once, with state kDone or
   /// (after exhausting retries) kFailed.
-  JobId submit(const JobRequest& request, CompletionCallback on_complete);
+  JobId submit(JobRequest request, CompletionCallback on_complete);
 
   sim::Simulator& simulator() { return simulator_; }
   const GridConfig& config() const { return config_; }
@@ -176,17 +178,45 @@ class Grid {
   };
   StageResolution resolve_stage_in(const JobRequest& request, const std::string& se_name);
 
+  /// One attempt of a job, from its UI submission to its end: the job, and
+  /// what its continuations need once it is matched and staged. Kept in the
+  /// `attempts_` slab, so every continuation captures only `[this, attempt]`.
+  struct Attempt {
+    std::shared_ptr<PendingJob> job;
+    ComputingElement* ce = nullptr;  // set at match
+    StorageElement* se = nullptr;    // the close SE it stages through
+    double payload_seconds = 0.0;
+    double staged_megabytes = 0.0;  // effective stage-in, penalties applied
+    double remote_megabytes = 0.0;  // pre-penalty size of remote inputs
+    bool peer_routed = false;       // reads come off the SE fabric, not the UI
+    double ui_in_seconds = 0.0;
+  };
+  using AttemptKey = sim::Slab<Attempt>::Key;
+
   void start_attempt(const std::shared_ptr<PendingJob>& job);
+  void submit_to_broker(AttemptKey attempt);
+  void on_matched(AttemptKey attempt, ComputingElement& ce);
   void arm_speculative_watchdog(const std::shared_ptr<PendingJob>& job);
-  void enter_site(const std::shared_ptr<PendingJob>& job, ComputingElement& ce);
-  void run_in_slot(const std::shared_ptr<PendingJob>& job, ComputingElement& ce);
+  void enter_site(AttemptKey attempt);
+  void run_in_slot(AttemptKey attempt);
+  void on_ui_staged_in(AttemptKey attempt, double ui_in_seconds);
+  void on_staged_in(AttemptKey attempt, double in_seconds);
+  void on_payload_done(AttemptKey attempt);
+  void on_staged_out(AttemptKey attempt, double out_seconds);
+  void on_ui_staged_out(AttemptKey attempt, double ui_out_seconds);
+  /// The attempt failed on its CE: free its slot, then resubmit the job or,
+  /// past max_attempts, fail it. `se_down` picks the log line.
+  void fail_attempt(AttemptKey attempt, bool se_down);
+  /// Drop an attempt that holds a worker slot: release the slot and the
+  /// record, and return its job.
+  std::shared_ptr<PendingJob> end_attempt(AttemptKey attempt);
   void finish(const std::shared_ptr<PendingJob>& job, JobState final_state);
 
   /// Move `megabytes` across the finite orchestrator link, FCFS behind
   /// concurrent stagings; `on_done(elapsed)` gets queueing + transfer time.
   /// With an unlimited link (or zero bytes) `on_done(0)` runs synchronously
   /// so the event sequence stays bit-identical to the unmodeled path.
-  void ui_stage(double megabytes, std::function<void(double)> on_done);
+  void ui_stage(double megabytes, sim::Function<void(double)> on_done);
   void record_ui_bytes(double megabytes);
   void emit_transfer(const TransferEvent& event);
   /// Live replica of `lfn` cheapest to copy onto `to_se` (pairwise cost,
@@ -226,6 +256,13 @@ class Grid {
   /// The finite orchestrator/UI data link (null = unlimited bandwidth,
   /// the historical free-staging behavior).
   std::unique_ptr<sim::Resource> ui_link_;
+  /// One staging on the finite link between its request and its end.
+  struct UiStaging {
+    double start = 0.0;
+    double seconds = 0.0;
+    sim::Function<void(double)> on_done;
+  };
+  sim::Slab<UiStaging> ui_stagings_;
   double ui_busy_seconds_ = 0.0;
   /// In-flight SE→SE transfers keyed "lfn|destination" for deduplication.
   std::set<std::string> pending_transfers_;
@@ -233,6 +270,7 @@ class Grid {
   obs::MetricsRegistry* metrics_ = nullptr;               // not owned
   data::ReplicaCatalog* catalog_ = nullptr;               // not owned
   std::unique_ptr<BackgroundLoad> background_;
+  sim::Slab<Attempt> attempts_;
   JobId next_job_id_ = 1;
   std::vector<JobRecord> completed_;
   Stats stats_;

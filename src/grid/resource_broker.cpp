@@ -44,36 +44,38 @@ ComputingElement& ResourceBroker::match(const StageInEstimator& stage_in,
   // accounting; placement avoidance just narrows the pool and never counts
   // as a reroute.
   bool excluded_any = false;
-  std::vector<ComputingElement*> pool;
+  pool_.clear();
   for (const auto& ce : ces_) {
     if (!admissible(ce->name())) {
       excluded_any = true;
       continue;
     }
     if (!context.avoid.empty() && avoided(ce->name())) continue;
-    pool.push_back(ce.get());
+    pool_.push_back(ce.get());
   }
-  if (pool.empty() && !context.avoid.empty()) {
+  if (pool_.empty() && !context.avoid.empty()) {
     // Avoidance covered every healthy CE: drop the advisory constraint.
     for (const auto& ce : ces_) {
-      if (admissible(ce->name())) pool.push_back(ce.get());
+      if (admissible(ce->name())) pool_.push_back(ce.get());
     }
   }
-  if (pool.empty()) {
+  if (pool_.empty()) {
     // Every breaker is open (or half-open): degrade to ranking the full set
     // rather than stranding the submission.
     excluded_any = false;
-    for (const auto& ce : ces_) pool.push_back(ce.get());
+    for (const auto& ce : ces_) pool_.push_back(ce.get());
   }
-  std::vector<policy::CeCandidate> candidates;
-  candidates.reserve(pool.size());
-  for (ComputingElement* ce : pool) {
-    candidates.push_back(
-        {ce->name(), ce->rank_estimate(), stage_in ? stage_in(*ce) : 0.0});
+  // Assigned in place, so the candidates' name strings keep their buffers.
+  candidates_.resize(pool_.size());
+  for (std::size_t i = 0; i < pool_.size(); ++i) {
+    const ComputingElement& ce = *pool_[i];
+    candidates_[i].name = ce.name();
+    candidates_[i].queue_rank = ce.rank_estimate();
+    candidates_[i].stage_in_seconds = stage_in ? stage_in(ce) : 0.0;
   }
   const policy::Matchmaking matchmaking = context.policy.value_or(default_matchmaking_);
   ComputingElement* chosen =
-      pool[policy::choose(matchmaking, candidates, tie_rng_, k_choices_rng_)];
+      pool_[policy::choose(matchmaking, candidates_, tie_rng_, k_choices_rng_)];
   if (metrics_ != nullptr) {
     metrics_
         ->counter("moteur_policy_decisions_total",
@@ -88,7 +90,7 @@ ComputingElement& ResourceBroker::match(const StageInEstimator& stage_in,
   return *chosen;
 }
 
-void ResourceBroker::submit(std::function<void(ComputingElement&)> on_matched,
+void ResourceBroker::submit(sim::Function<void(ComputingElement&)> on_matched,
                             StageInEstimator stage_in, MatchContext context) {
   // The submission occupies a pipeline slot for a fraction of the UI->RB
   // latency (the broker's actual processing); the rest of the latency and
@@ -96,21 +98,20 @@ void ResourceBroker::submit(std::function<void(ComputingElement&)> on_matched,
   // the pipeline concurrency therefore queue — the "increasing load of the
   // middleware services" the paper observes — without the full latency
   // serializing.
-  pipeline_.acquire([this, on_matched = std::move(on_matched),
-                     stage_in = std::move(stage_in),
-                     context = std::move(context)]() mutable {
-    const double submission = overhead_.sample_submission();
-    const double occupancy = occupancy_fraction_ * submission;
-    simulator_.schedule(occupancy, [this, submission, occupancy,
-                                    on_matched = std::move(on_matched),
-                                    stage_in = std::move(stage_in),
-                                    context = std::move(context)]() mutable {
+  const auto key = submissions_.insert(
+      {std::move(on_matched), std::move(stage_in), std::move(context)});
+  pipeline_.acquire([this, key] {
+    Submission& admitted = submissions_[key];
+    admitted.submission_seconds = overhead_.sample_submission();
+    admitted.occupancy_seconds = occupancy_fraction_ * admitted.submission_seconds;
+    simulator_.schedule(admitted.occupancy_seconds, [this, key] {
       pipeline_.release();
-      const double remaining = submission - occupancy + overhead_.sample_scheduling();
-      simulator_.schedule(remaining, [this, on_matched = std::move(on_matched),
-                                      stage_in = std::move(stage_in),
-                                      context = std::move(context)] {
-        on_matched(match(stage_in, context));
+      const Submission& processed = submissions_[key];
+      const double remaining = processed.submission_seconds - processed.occupancy_seconds +
+                               overhead_.sample_scheduling();
+      simulator_.schedule(remaining, [this, key] {
+        const Submission matched = submissions_.take(key);
+        matched.on_matched(match(matched.stage_in, matched.context));
       });
     });
   });

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -8,8 +7,10 @@
 
 #include "grid/computing_element.hpp"
 #include "policy/policy.hpp"
+#include "sim/function.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 #include "util/rng.hpp"
 
 namespace moteur::obs {
@@ -36,7 +37,7 @@ class ResourceBroker {
   /// matchmaking — the data-aware hook: the grid estimates stage-in time
   /// from the ReplicaCatalog. Null = blind matchmaking (identical ranking
   /// and identical tie-break RNG draws to the pre-data-plane broker).
-  using StageInEstimator = std::function<double(const ComputingElement&)>;
+  using StageInEstimator = sim::Function<double(const ComputingElement&)>;
 
   /// Per-submission matchmaking knobs. `policy` unset = broker default;
   /// `avoid` lists CE names a placement policy wants this attempt steered
@@ -50,7 +51,7 @@ class ResourceBroker {
 
   /// Accept a submission; `on_matched(ce)` fires once matchmaking finishes
   /// and a destination CE is chosen.
-  void submit(std::function<void(ComputingElement&)> on_matched,
+  void submit(sim::Function<void(ComputingElement&)> on_matched,
               StageInEstimator stage_in = nullptr, MatchContext context = {});
 
   const std::vector<std::unique_ptr<ComputingElement>>& computing_elements() const {
@@ -91,10 +92,20 @@ class ResourceBroker {
   void remove_health(CeHealth* health);
 
  private:
+  /// One submission between submit() and its match.
+  struct Submission {
+    sim::Function<void(ComputingElement&)> on_matched;
+    StageInEstimator stage_in;
+    MatchContext context;
+    double submission_seconds = 0.0;  // drawn when the pipeline admits it
+    double occupancy_seconds = 0.0;   // the part that holds the pipeline slot
+  };
+
   sim::Simulator& simulator_;
   OverheadModel& overhead_;
   double occupancy_fraction_;
   sim::Resource pipeline_;
+  sim::Slab<Submission> submissions_;
   Rng tie_rng_;
   /// k-choices' private substream, so it never draws from `tie_rng_`.
   Rng k_choices_rng_;
@@ -102,6 +113,9 @@ class ResourceBroker {
   obs::MetricsRegistry* metrics_ = nullptr;  // not owned
   std::vector<std::unique_ptr<ComputingElement>> ces_;
   std::vector<CeHealth*> health_;  // not owned
+  /// match()'s scratch: reused, so a match allocates nothing once they grew.
+  std::vector<ComputingElement*> pool_;
+  std::vector<policy::CeCandidate> candidates_;
 };
 
 }  // namespace moteur::grid

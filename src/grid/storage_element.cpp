@@ -42,16 +42,21 @@ double StorageElement::nominal_seconds(double megabytes) const {
   return latency_seconds_ + megabytes / bandwidth_mb_per_s_;
 }
 
-void StorageElement::transfer(double megabytes, std::function<void(double)> on_done) {
-  const double seconds = nominal_seconds(megabytes);
+void StorageElement::transfer(double megabytes, sim::Function<void(double)> on_done) {
+  move_data(nominal_seconds(megabytes), std::move(on_done));
+}
+
+void StorageElement::move_data(double seconds, sim::Function<void(double)> on_done) {
+  const auto transfer = transfers_.insert({seconds, std::move(on_done)});
   if (seconds <= 0.0) {
-    simulator_.schedule(0.0, [on_done = std::move(on_done)] { on_done(0.0); });
+    simulator_.schedule(0.0, [this, transfer] { transfers_.take(transfer).on_done(0.0); });
     return;
   }
-  channels_.acquire([this, seconds, on_done = std::move(on_done)]() mutable {
-    simulator_.schedule(seconds, [this, seconds, on_done = std::move(on_done)] {
+  channels_.acquire([this, transfer] {
+    simulator_.schedule(transfers_[transfer].seconds, [this, transfer] {
       channels_.release();
-      on_done(seconds);
+      const Transfer done = transfers_.take(transfer);
+      done.on_done(done.seconds);
     });
   });
 }
@@ -64,18 +69,8 @@ double StorageElement::pairwise_seconds(const StorageElement& from,
 }
 
 void StorageElement::transfer_from(const StorageElement& from, double megabytes,
-                                   std::function<void(double)> on_done) {
-  const double seconds = pairwise_seconds(from, megabytes);
-  if (seconds <= 0.0) {
-    simulator_.schedule(0.0, [on_done = std::move(on_done)] { on_done(0.0); });
-    return;
-  }
-  channels_.acquire([this, seconds, on_done = std::move(on_done)]() mutable {
-    simulator_.schedule(seconds, [this, seconds, on_done = std::move(on_done)] {
-      channels_.release();
-      on_done(seconds);
-    });
-  });
+                                   sim::Function<void(double)> on_done) {
+  move_data(pairwise_seconds(from, megabytes), std::move(on_done));
 }
 
 }  // namespace moteur::grid

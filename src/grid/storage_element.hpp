@@ -1,12 +1,13 @@
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "grid/config.hpp"
+#include "sim/function.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 
 namespace moteur::grid {
 
@@ -24,7 +25,7 @@ class StorageElement {
   /// Move `megabytes` through the link; `on_done(elapsed)` fires with the
   /// actual transfer duration (excluding channel queueing) on completion.
   /// Zero-size transfers complete via the simulator at the current time.
-  void transfer(double megabytes, std::function<void(double)> on_done);
+  void transfer(double megabytes, sim::Function<void(double)> on_done);
 
   /// Third-party SE→SE cost: both endpoints' latencies plus the bytes over
   /// the slower of the two links. Deterministic — no draws.
@@ -34,7 +35,7 @@ class StorageElement {
   /// queueing on this (destination) SE's channels. `on_done(elapsed)` fires
   /// with the transfer duration excluding channel queueing.
   void transfer_from(const StorageElement& from, double megabytes,
-                     std::function<void(double)> on_done);
+                     sim::Function<void(double)> on_done);
 
   double nominal_seconds(double megabytes) const;
 
@@ -66,11 +67,20 @@ class StorageElement {
   std::size_t queued_transfers() const { return channels_.queue_length(); }
 
  private:
+  /// One transfer between its request and its completion.
+  struct Transfer {
+    double seconds = 0.0;
+    sim::Function<void(double)> on_done;
+  };
+  /// Hold a channel for `seconds`, then release it and call `on_done`.
+  void move_data(double seconds, sim::Function<void(double)> on_done);
+
   sim::Simulator& simulator_;
   std::string name_;
   double latency_seconds_;
   double bandwidth_mb_per_s_;
   sim::Resource channels_;
+  sim::Slab<Transfer> transfers_;
   std::vector<StorageOutageWindow> outages_;
   double replica_loss_probability_ = 0.0;
   double replica_corruption_probability_ = 0.0;

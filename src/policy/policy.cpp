@@ -63,51 +63,57 @@ template Eviction parse(const std::string&, const std::string&);
 
 namespace {
 
-/// A uniform pick among the exactly tied `best`, drawn only when there is
-/// a tie to break.
-std::size_t break_tie(const std::vector<std::size_t>& best, Rng& tie_rng) {
-  if (best.size() == 1) return best.front();
-  return best[static_cast<std::size_t>(
-      tie_rng.uniform_int(0, static_cast<std::int64_t>(best.size()) - 1))];
+/// The winner among `candidates` under the strict order `better`: the first
+/// best one, or — when `same` finds exact ties with it — a uniform pick among
+/// them (in index order), drawn from `tie_rng` only when there is a tie to
+/// break. The tied candidates are counted, then found again by a second scan,
+/// so picking allocates nothing.
+template <typename Better, typename Same>
+std::size_t pick_best(std::size_t n, Rng& tie_rng, Better better, Same same) {
+  std::size_t first = 0;
+  std::size_t tied = 1;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (better(i, first)) {
+      first = i;
+      tied = 1;
+    } else if (same(i, first)) {
+      ++tied;
+    }
+  }
+  if (tied == 1) return first;
+  auto pick =
+      static_cast<std::size_t>(tie_rng.uniform_int(0, static_cast<std::int64_t>(tied) - 1));
+  for (std::size_t i = first;; ++i) {
+    if (same(i, first) && pick-- == 0) return i;
+  }
 }
 
 /// Queue estimate plus whatever stage-in estimate the caller supplied (zero
 /// when matchmaking blind).
 std::size_t queue_rank(const std::vector<CeCandidate>& candidates, Rng& tie_rng) {
-  double best_rank = 0.0;
-  std::vector<std::size_t> best;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double rank = candidates[i].queue_rank + candidates[i].stage_in_seconds;
-    if (best.empty() || rank < best_rank) {
-      best_rank = rank;
-      best = {i};
-    } else if (rank == best_rank) {
-      best.push_back(i);
-    }
-  }
-  return break_tie(best, tie_rng);
+  const auto rank = [&](std::size_t i) {
+    return candidates[i].queue_rank + candidates[i].stage_in_seconds;
+  };
+  return pick_best(
+      candidates.size(), tie_rng, [&](std::size_t i, std::size_t j) { return rank(i) < rank(j); },
+      [&](std::size_t i, std::size_t j) { return rank(i) == rank(j); });
 }
 
 /// Lexicographic (stage-in seconds, queue rank): data locality dominates,
 /// queue pressure only separates equally-close CEs.
 std::size_t locality_first(const std::vector<CeCandidate>& candidates, Rng& tie_rng) {
-  std::vector<std::size_t> best;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (best.empty()) {
-      best = {i};
-      continue;
-    }
-    const CeCandidate& lead = candidates[best.front()];
-    const CeCandidate& c = candidates[i];
-    if (c.stage_in_seconds < lead.stage_in_seconds ||
-        (c.stage_in_seconds == lead.stage_in_seconds && c.queue_rank < lead.queue_rank)) {
-      best = {i};
-    } else if (c.stage_in_seconds == lead.stage_in_seconds &&
-               c.queue_rank == lead.queue_rank) {
-      best.push_back(i);
-    }
-  }
-  return break_tie(best, tie_rng);
+  return pick_best(
+      candidates.size(), tie_rng,
+      [&](std::size_t i, std::size_t j) {
+        const CeCandidate& c = candidates[i];
+        const CeCandidate& lead = candidates[j];
+        return c.stage_in_seconds < lead.stage_in_seconds ||
+               (c.stage_in_seconds == lead.stage_in_seconds && c.queue_rank < lead.queue_rank);
+      },
+      [&](std::size_t i, std::size_t j) {
+        return candidates[i].stage_in_seconds == candidates[j].stage_in_seconds &&
+               candidates[i].queue_rank == candidates[j].queue_rank;
+      });
 }
 
 /// Power-of-two-choices: sample two distinct candidates and keep the

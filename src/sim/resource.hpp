@@ -1,8 +1,9 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <functional>
+#include <vector>
+
+#include "sim/function.hpp"
 
 namespace moteur::sim {
 
@@ -19,7 +20,7 @@ class Resource {
   Resource(Simulator& simulator, std::size_t capacity);
 
   /// Request one slot. `on_granted` runs when the slot is assigned.
-  void acquire(std::function<void()> on_granted);
+  void acquire(Function<void()> on_granted);
 
   /// Return one slot; grants it to the oldest waiter, if any. The waiter's
   /// callback is dispatched through the simulator at the current time (not
@@ -28,13 +29,20 @@ class Resource {
 
   std::size_t capacity() const { return capacity_; }
   std::size_t in_use() const { return in_use_; }
-  std::size_t queue_length() const { return waiting_.size(); }
+  std::size_t queue_length() const { return waiting_; }
 
  private:
+  /// Double the ring, unrolling the waiters to its start in FIFO order.
+  void grow();
+
   Simulator& simulator_;
   std::size_t capacity_;
   std::size_t in_use_ = 0;
-  std::deque<std::function<void()>> waiting_;
+  /// Waiters in a growable ring buffer: the oldest at ring_[front_], the
+  /// i-th after it at ring_[(front_ + i) % ring_.size()], for i < waiting_.
+  std::vector<Function<void()>> ring_;
+  std::size_t front_ = 0;
+  std::size_t waiting_ = 0;
 };
 
 }  // namespace moteur::sim

@@ -4,25 +4,34 @@
 
 namespace moteur::sim {
 
-EventId Simulator::schedule(Time delay, std::function<void()> fn) {
+namespace {
+
+EventId pack(Slab<Simulator::Callback>::Key key) {
+  return static_cast<EventId>(key.generation) << 32 | key.slot;
+}
+
+Slab<Simulator::Callback>::Key unpack(EventId id) {
+  return {static_cast<std::uint32_t>(id), static_cast<std::uint32_t>(id >> 32)};
+}
+
+}  // namespace
+
+EventId Simulator::schedule(Time delay, Callback fn) {
   MOTEUR_REQUIRE(delay >= 0.0, InternalError, "Simulator::schedule: negative delay");
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::schedule_at(Time at, std::function<void()> fn) {
+EventId Simulator::schedule_at(Time at, Callback fn) {
   MOTEUR_REQUIRE(at >= now_, InternalError, "Simulator::schedule_at: time in the past");
-  const EventId id = next_id_++;
-  queue_.push(Entry{at, next_sequence_++, id});
-  callbacks_.emplace(id, std::move(fn));
-  ++live_events_;
-  return id;
+  const Key key = callbacks_.insert(std::move(fn));
+  queue_.push(Entry{at, next_sequence_++, key});
+  return pack(key);
 }
 
 bool Simulator::cancel(EventId id) {
-  const auto it = callbacks_.find(id);
-  if (it == callbacks_.end()) return false;
-  callbacks_.erase(it);
-  --live_events_;
+  const Key key = unpack(id);
+  if (!callbacks_.contains(key)) return false;
+  callbacks_.take(key);
   // The queue entry stays behind as a tombstone and is skipped in step().
   return true;
 }
@@ -31,11 +40,10 @@ bool Simulator::step() {
   while (!queue_.empty()) {
     const Entry entry = queue_.top();
     queue_.pop();
-    const auto it = callbacks_.find(entry.id);
-    if (it == callbacks_.end()) continue;  // cancelled
-    std::function<void()> fn = std::move(it->second);
-    callbacks_.erase(it);
-    --live_events_;
+    if (!callbacks_.contains(entry.key)) continue;  // cancelled
+    // Out of the slab before it runs: the callback may schedule events that
+    // reuse its slot or grow the slab.
+    const Callback fn = callbacks_.take(entry.key);
     now_ = entry.time;
     ++executed_;
     fn();
@@ -53,7 +61,7 @@ void Simulator::run_until(Time horizon) {
   while (!queue_.empty()) {
     // Peek past tombstones.
     const Entry entry = queue_.top();
-    if (callbacks_.find(entry.id) == callbacks_.end()) {
+    if (!callbacks_.contains(entry.key)) {
       queue_.pop();
       continue;
     }

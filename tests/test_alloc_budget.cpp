@@ -15,10 +15,14 @@
 #include "data/token.hpp"
 #include "enactor/enactor.hpp"
 #include "enactor/sim_backend.hpp"
+#include "grid/computing_element.hpp"
 #include "grid/grid.hpp"
+#include "grid/overhead_model.hpp"
+#include "grid/resource_broker.hpp"
 #include "service/admission.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 #include "workflow/iteration_tree.hpp"
 
 namespace {
@@ -95,13 +99,84 @@ TEST(AllocBudget, OnePortBufferPushAndDrain) {
       << " tokens pushed and drained one at a time";
 }
 
+/// Schedules a chain of events, each capturing `[this, shared_ptr]` the way
+/// the grid's continuations capture `[this, attempt]`.
+class EventChain {
+ public:
+  explicit EventChain(sim::Simulator& simulator) : simulator_(simulator) {}
+
+  /// Schedule `count` events, `width` of them pending at a time.
+  void run(std::size_t count, std::size_t width) {
+    remaining_ = count;
+    for (std::size_t i = 0; i < width && remaining_ > 0; ++i) next();
+    simulator_.run();
+  }
+  std::size_t fired() const { return fired_; }
+
+ private:
+  void next() {
+    --remaining_;
+    simulator_.schedule(1.0, [this, payload = payload_] {
+      fired_ += payload.use_count() > 1 ? 1 : 0;
+      if (remaining_ > 0) next();
+    });
+  }
+
+  sim::Simulator& simulator_;
+  std::shared_ptr<int> payload_ = std::make_shared<int>(0);
+  std::size_t remaining_ = 0;
+  std::size_t fired_ = 0;
+};
+
+TEST(AllocBudget, SimulatorEventsAllocateNothing) {
+  // Once the callback slab and the heap have grown to the peak number of
+  // pending events, an event whose callback fits the inline buffer costs no
+  // allocation: not for its callback, its slot or its heap entry.
+  constexpr std::size_t kEvents = 1000;
+  constexpr std::size_t kBudget = 0;
+  sim::Simulator simulator;
+  EventChain chain(simulator);
+  chain.run(kEvents, 64);  // warm-up
+  const std::size_t measured = allocations_in([&] { chain.run(kEvents, 64); });
+  EXPECT_EQ(chain.fired(), 2 * kEvents);
+  EXPECT_EQ(simulator.executed_events(), 2 * kEvents);
+  EXPECT_LE(measured, kBudget) << "measured " << measured << " allocations for " << kEvents
+                               << " events scheduled and run";
+}
+
+TEST(AllocBudget, BrokerMatchAllocatesNothing) {
+  // The broker's candidate pool and ranks are member scratch, and the tie
+  // break counts and rescans rather than collecting the tied CEs.
+  constexpr std::size_t kMatches = 100;
+  constexpr std::size_t kBudget = 0;
+  const grid::GridConfig config = grid::GridConfig::egee2006(7);
+  sim::Simulator simulator;
+  Rng rng(config.seed);
+  grid::OverheadModel overhead(config, rng);
+  grid::ResourceBroker broker(simulator, overhead, config.broker_concurrency,
+                              config.broker_occupancy_fraction, rng,
+                              policy::Matchmaking::kQueueRank);
+  for (const auto& ce : config.computing_elements) {
+    broker.add_computing_element(std::make_unique<grid::ComputingElement>(simulator, ce, rng));
+  }
+  broker.match();  // warm-up
+  std::size_t matched = 0;
+  const std::size_t measured = allocations_in([&] {
+    for (std::size_t i = 0; i < kMatches; ++i) matched += broker.match().slots() > 0 ? 1 : 0;
+  });
+  EXPECT_EQ(matched, kMatches);
+  EXPECT_LE(measured, kBudget) << "measured " << measured << " allocations for " << kMatches
+                               << " matches over " << config.computing_elements.size()
+                               << " CEs";
+}
+
 TEST(AllocBudget, BronzeRunPerInvocation) {
   // Bronze Standard at 4 pairs under the manifest policy (SP+DP+JG) on a
   // seeded egee2006 grid through Enactor: one thread, the sim kernel, the
   // grid and the engine. The second of two identical runs is measured, so
   // one-time initialisation stays out of the count.
   constexpr std::size_t kPairs = 4;
-  constexpr std::size_t kBudget = 6764;  // 270.56 per invocation
+  constexpr std::size_t kBudget = 4763;  // 190.52 per invocation
   const workflow::Workflow workflow = app::bronze_standard_workflow();
   const data::InputDataSet inputs = app::bronze_standard_dataset(kPairs);
   services::ServiceRegistry registry;

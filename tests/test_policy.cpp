@@ -170,6 +170,86 @@ TEST(MatchmakingPolicies, KChoicesIsDeterministicPerSeedAndIgnoresTieStream) {
   EXPECT_EQ(tie_a.uniform_int(0, 1000), fresh.uniform_int(0, 1000));
 }
 
+// The vector-based tie-break `choose` used before it learned to count ties
+// and scan again; kept as the reference the allocation-free one must match
+// pick for pick and draw for draw.
+std::size_t reference_break_tie(const std::vector<std::size_t>& best, Rng& tie_rng) {
+  if (best.size() == 1) return best.front();
+  return best[static_cast<std::size_t>(
+      tie_rng.uniform_int(0, static_cast<std::int64_t>(best.size()) - 1))];
+}
+
+std::size_t reference_queue_rank(const std::vector<policy::CeCandidate>& candidates,
+                                 Rng& tie_rng) {
+  double best_rank = 0.0;
+  std::vector<std::size_t> best;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const double rank = candidates[i].queue_rank + candidates[i].stage_in_seconds;
+    if (best.empty() || rank < best_rank) {
+      best_rank = rank;
+      best = {i};
+    } else if (rank == best_rank) {
+      best.push_back(i);
+    }
+  }
+  return reference_break_tie(best, tie_rng);
+}
+
+std::size_t reference_locality_first(const std::vector<policy::CeCandidate>& candidates,
+                                      Rng& tie_rng) {
+  std::vector<std::size_t> best;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (best.empty()) {
+      best = {i};
+      continue;
+    }
+    const policy::CeCandidate& lead = candidates[best.front()];
+    const policy::CeCandidate& c = candidates[i];
+    if (c.stage_in_seconds < lead.stage_in_seconds ||
+        (c.stage_in_seconds == lead.stage_in_seconds && c.queue_rank < lead.queue_rank)) {
+      best = {i};
+    } else if (c.stage_in_seconds == lead.stage_in_seconds &&
+               c.queue_rank == lead.queue_rank) {
+      best.push_back(i);
+    }
+  }
+  return reference_break_tie(best, tie_rng);
+}
+
+TEST(MatchmakingPolicies, TieBreakMatchesTheVectorReference) {
+  // Ranks drawn from a few values force exact ties, often several at once.
+  const double queue_ranks[] = {-1.0, -0.5, 0.0, 0.5, 1.0};
+  const double stage_ins[] = {0.0, 2.0, 5.0};
+  Rng gen(2024);
+  std::size_t tied_draws = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<policy::CeCandidate> pool(static_cast<std::size_t>(gen.uniform_int(1, 12)));
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      pool[i] = {"ce" + std::to_string(i), queue_ranks[gen.uniform_int(0, 4)],
+                 stage_ins[gen.uniform_int(0, 2)]};
+    }
+    const Rng base(static_cast<std::uint64_t>(trial));
+    for (const Matchmaking matchmaking :
+         {Matchmaking::kQueueRank, Matchmaking::kLocalityFirst}) {
+      Rng tie = base.fork("ties");
+      Rng reference_tie = base.fork("ties");
+      Rng k = base.fork("k-choices");
+      const std::size_t expected = matchmaking == Matchmaking::kQueueRank
+                                       ? reference_queue_rank(pool, reference_tie)
+                                       : reference_locality_first(pool, reference_tie);
+      EXPECT_EQ(policy::choose(matchmaking, pool, tie, k), expected)
+          << policy::to_string(matchmaking) << ", trial " << trial;
+      // Same number of draws: the two streams continue in step.
+      const std::int64_t next = tie.uniform_int(0, 1'000'000);
+      EXPECT_EQ(next, reference_tie.uniform_int(0, 1'000'000))
+          << policy::to_string(matchmaking) << ", trial " << trial;
+      Rng untouched = base.fork("ties");
+      if (next != untouched.uniform_int(0, 1'000'000)) ++tied_draws;
+    }
+  }
+  EXPECT_GT(tied_draws, 500u);  // of 4000 choices: the ties were really there
+}
+
 TEST(PlacementPolicies, AvoidSetsPerPolicy) {
   const std::vector<std::string> tried = {"ce-a", "ce-b"};
   EXPECT_TRUE(policy::avoid(Placement::kRematch, tried).empty());
