@@ -58,7 +58,7 @@ int main() {
   moteur.add_event_subscriber([](const obs::RunEvent& event) {
     if (event.kind == obs::RunEvent::Kind::kProcessorFinished) {
       std::printf("  [t=%6.0fs] %s finished (%zu invocations so far)\n", event.time,
-                  event.processor.c_str(), event.total_invocations);
+                  event.processor.str().c_str(), event.total_invocations);
     }
   });
   const enactor::EnactmentResult result = moteur.run({.workflow = wf, .inputs = inputs});

@@ -24,7 +24,8 @@ obs::RunEvent breaker_event(const grid::CeHealth::Transition& t) {
       break;
   }
   event.time = t.time;
-  event.computing_element = t.computing_element;
+  // Breaker transitions are rare control events: the CE is interned here.
+  event.computing_element = obs::Name(t.computing_element);
   return event;
 }
 
@@ -42,6 +43,7 @@ EnactmentResult Enactor::run(const RunRequest& request) {
     subscribers.push_back(
         [recorder = recorder_](const obs::RunEvent& e) { recorder->on_event(e); });
   }
+  const bool observed = !subscribers.empty();
   // Service-scope backend events (SE→SE transfers) and the run's breaker
   // events feed the same stream as run events.
   const auto publish = [shared = std::make_shared<std::vector<EventSubscriber>>(
@@ -90,8 +92,9 @@ EnactmentResult Enactor::run(const RunRequest& request) {
       backend_, registry_, effective, request.resolver, std::move(subscribers),
       request.workflow, request.inputs, std::move(options));
   // The sink and the ledger are the run's only while it drives: both are
-  // detached on every exit path, the deadlock throw included.
-  backend_.set_event_sink(publish);
+  // detached on every exit path, the deadlock throw included. With nobody
+  // reading events, no sink is installed, so the backend builds none.
+  if (observed) backend_.set_event_sink(publish);
   if (health != nullptr) backend_.add_health(health.get());
   const auto detach = [&] {
     if (health != nullptr) backend_.remove_health(health.get());

@@ -1,6 +1,7 @@
 #include "enactor/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "data/replica_catalog.hpp"
@@ -17,6 +18,22 @@ using workflow::Link;
 using workflow::Processor;
 using workflow::ProcessorKind;
 using workflow::Workflow;
+
+namespace {
+
+/// Every outcome status as an interned name, built once per process.
+obs::Name status_name(OutcomeStatus status) {
+  static const auto kNames = [] {
+    std::array<obs::Name, static_cast<std::size_t>(OutcomeStatus::kDataLost) + 1> names;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      names[i] = obs::Name(to_string(static_cast<OutcomeStatus>(i)));
+    }
+    return names;
+  }();
+  return kNames[static_cast<std::size_t>(status)];
+}
+
+}  // namespace
 
 Engine::Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
                EnactmentPolicy policy, PayloadResolver resolver,
@@ -61,7 +78,7 @@ obs::RunEvent Engine::make_event(obs::RunEvent::Kind kind) const {
 obs::RunEvent Engine::make_event(obs::RunEvent::Kind kind, const Submission& sub,
                                  std::size_t attempt) const {
   obs::RunEvent event = make_event(kind);
-  event.processor = sub.state->proc->name;
+  event.processor = sub.state->name;
   event.invocation = sub.id;
   event.attempt = attempt;
   event.tuples = sub.tuples.size();
@@ -70,6 +87,12 @@ obs::RunEvent Engine::make_event(obs::RunEvent::Kind kind, const Submission& sub
 
 void Engine::emit(const obs::RunEvent& event) const {
   for (const auto& subscriber : subscribers_) subscriber(event);
+}
+
+obs::Name Engine::ce_name(const std::string& ce) {
+  const auto [it, inserted] = ce_names_.try_emplace(ce);
+  if (inserted) it->second = obs::Name(ce);
+  return it->second;
 }
 
 void Engine::build_states() {
@@ -109,6 +132,7 @@ void Engine::build_states() {
   for (const auto& proc : workflow_.processors()) {
     PState state;
     state.proc = &proc;
+    if (observing()) state.name = obs::Name(proc.name);
     if (proc.kind == ProcessorKind::kService) {
       state.service = registry_.resolve(proc);
       if (proc.synchronization) {
@@ -299,10 +323,10 @@ bool Engine::try_serve_cached(PState& state, const IterationBuffer::Tuple& tuple
                                 << data::to_string(tuple.index);
   if (observing()) {
     obs::RunEvent event = make_event(obs::RunEvent::Kind::kCacheHit);
-    event.processor = state.proc->name;
+    event.processor = state.name;
     event.invocation = id;
     event.tuples = 1;
-    event.status = to_string(OutcomeStatus::kCached);
+    event.status = status_name(OutcomeStatus::kCached);
     emit(event);
   }
 
@@ -637,7 +661,7 @@ void Engine::resolve_failure(const std::shared_ptr<Submission>& sub, std::size_t
                                << " attempt(s): " << error;
   if (observing()) {
     obs::RunEvent event = make_event(obs::RunEvent::Kind::kInvocationFailed, *sub, attempt);
-    event.status = to_string(status);
+    event.status = status_name(status);
     event.error = error;
     emit(event);
   }
@@ -761,9 +785,9 @@ void Engine::on_recovery_complete(const std::shared_ptr<Recovery>& rec, Outcome 
                                  << rec->state->proc->name << "'";
     if (observing()) {
       obs::RunEvent event = make_event(obs::RunEvent::Kind::kReDerived);
-      event.processor = rec->state->proc->name;
+      event.processor = rec->state->name;
       event.logical_file = rec->lfn;
-      event.status = to_string(OutcomeStatus::kOk);
+      event.status = status_name(OutcomeStatus::kOk);
       emit(event);
     }
     rec->on_done(true);
@@ -852,10 +876,10 @@ void Engine::skip_tuple(PState& state, IterationBuffer::Tuple tuple) {
                                          : std::string());
   if (observing()) {
     obs::RunEvent event = make_event(obs::RunEvent::Kind::kInvocationSkipped);
-    event.processor = state.proc->name;
+    event.processor = state.name;
     event.invocation = id;
     event.tuples = 1;
-    event.status = to_string(OutcomeStatus::kSkipped);
+    event.status = status_name(OutcomeStatus::kSkipped);
     if (cause) event.error = cause->cause;
     emit(event);
   }
@@ -900,10 +924,10 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
     obs::RunEvent event = make_event(obs::RunEvent::Kind::kAttemptEnded, *sub, attempt);
     event.ok = outcome.ok();
     event.superseded = sub->resolved;
-    event.status = to_string(outcome.status);
+    event.status = status_name(outcome.status);
     event.error = outcome.error;
     if (outcome.job) {
-      event.computing_element = outcome.job->computing_element;
+      event.computing_element = ce_name(outcome.job->computing_element);
       event.stage_in_seconds = outcome.job->input_transfer_seconds;
     }
     event.submit_time = outcome.submit_time;
@@ -915,7 +939,7 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
       // surface it so operators can see degraded storage before jobs fail.
       obs::RunEvent failover =
           make_event(obs::RunEvent::Kind::kReplicaFailover, *sub, attempt);
-      failover.computing_element = outcome.job->computing_element;
+      failover.computing_element = event.computing_element;
       failover.count = static_cast<std::size_t>(outcome.job->replica_failovers);
       emit(failover);
     }
@@ -1020,7 +1044,7 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
     if (observing()) {
       for (const auto& lfn : outcome.lost_files) {
         obs::RunEvent event = make_event(obs::RunEvent::Kind::kReplicaLost, *sub, attempt);
-        event.status = to_string(outcome.status);
+        event.status = status_name(outcome.status);
         event.logical_file = lfn;
         emit(event);
       }
@@ -1125,7 +1149,7 @@ bool Engine::closure_pass() {
                                     << state.fired << " invocation(s)";
       if (proc.kind == ProcessorKind::kService && observing()) {
         obs::RunEvent event = make_event(obs::RunEvent::Kind::kProcessorFinished);
-        event.processor = proc.name;
+        event.processor = state.name;
         event.tuples = state.fired;
         emit(event);
       }
@@ -1203,8 +1227,9 @@ void Engine::start() {
   build_states();
   result_.started_at = backend_.now();
   if (observing()) {
+    workflow_name_ = obs::Name(workflow_.name());
     obs::RunEvent event = make_event(obs::RunEvent::Kind::kRunStarted);
-    event.run = workflow_.name();
+    event.run = workflow_name_;
     emit(event);
   }
   emit_sources();
@@ -1237,7 +1262,7 @@ EnactmentResult Engine::finish() {
   result_.executed_workflow = workflow_;
   if (observing()) {
     obs::RunEvent event = make_event(obs::RunEvent::Kind::kRunFinished);
-    event.run = workflow_.name();
+    event.run = workflow_name_;
     emit(event);
   }
   return std::move(result_);

@@ -15,6 +15,7 @@
 #include "enactor/enactor.hpp"
 #include "enactor/run_request.hpp"
 #include "grid/ce_health.hpp"
+#include "obs/name.hpp"
 #include "policy/policy.hpp"
 #include "util/stats.hpp"
 #include "workflow/iteration.hpp"
@@ -95,6 +96,7 @@ class Engine : public std::enable_shared_from_this<Engine> {
     std::map<std::string, std::vector<data::Token>> collected;  // sync + sinks
     std::set<std::string> collected_closed;  // closed ports (sync/sink)
     std::deque<workflow::IterationBuffer::Tuple> ready;
+    obs::Name name;             // proc->name, interned only while observing
     std::size_t in_flight = 0;  // unresolved logical submissions
     std::size_t fired = 0;
     bool finished = false;
@@ -250,6 +252,8 @@ class Engine : public std::enable_shared_from_this<Engine> {
   obs::RunEvent make_event(obs::RunEvent::Kind kind, const Submission& sub,
                            std::size_t attempt) const;
   void emit(const obs::RunEvent& event) const;
+  /// A CE's interned name, interned once per run on first sight.
+  obs::Name ce_name(const std::string& ce);
 
   ExecutionBackend& backend_;
   services::ServiceRegistry& registry_;
@@ -259,6 +263,8 @@ class Engine : public std::enable_shared_from_this<Engine> {
   workflow::Workflow workflow_{"empty"};
   data::InputDataSet inputs_;
   std::string run_id_;
+  obs::Name workflow_name_;  // interned at start() while observing
+  std::unordered_map<std::string, obs::Name> ce_names_;
   grid::CeHealth* health_ = nullptr;  // not owned; null = no breakers
   data::InvocationCache* cache_ = nullptr;  // not owned; null = caching off
 

@@ -203,10 +203,6 @@ void Grid::set_catalog(data::ReplicaCatalog* catalog) {
   catalog_->set_eviction_policy(eviction_);
 }
 
-void Grid::emit_transfer(const TransferEvent& event) {
-  if (transfer_listener_) transfer_listener_(event);
-}
-
 void Grid::record_ui_bytes(double megabytes) {
   if (megabytes <= 0.0) return;
   stats_.ui_megabytes += megabytes;
@@ -268,7 +264,7 @@ std::string Grid::cheapest_live_source(const std::string& lfn,
 
 void Grid::start_transfer(const std::string& lfn, double megabytes,
                           const std::string& from_se, const std::string& to_se,
-                          const std::string& trigger) {
+                          obs::Name trigger) {
   if (catalog_ == nullptr || from_se == to_se) return;
   if (storage_by_name_.count(from_se) == 0 || storage_by_name_.count(to_se) == 0) return;
   if (catalog_->has(lfn, to_se)) return;
@@ -279,17 +275,21 @@ void Grid::start_transfer(const std::string& lfn, double megabytes,
     metrics_
         ->counter("moteur_transfer_requests_total",
                   "SE-to-SE third-party transfer requests by trigger",
-                  {{"trigger", trigger}})
+                  {{"trigger", trigger.str()}})
         .inc();
   }
-  emit_transfer({TransferEvent::Phase::kStarted, simulator_.now(), lfn, from_se,
-                 to_se, megabytes, trigger, 0.0});
+  if (transfer_listener_) {
+    transfer_listener_({TransferEvent::Phase::kStarted, simulator_.now(), lfn,
+                        storage_by_name_.at(from_se)->interned_name(),
+                        storage_by_name_.at(to_se)->interned_name(), megabytes, trigger,
+                        0.0});
+  }
   begin_transfer(lfn, megabytes, from_se, to_se, trigger);
 }
 
 void Grid::begin_transfer(const std::string& lfn, double megabytes,
                           const std::string& from_se, const std::string& to_se,
-                          const std::string& trigger) {
+                          obs::Name trigger) {
   const std::string key = lfn + "|" + to_se;
   StorageElement& to = *storage_by_name_.at(to_se);
   const double now = simulator_.now();
@@ -341,19 +341,23 @@ void Grid::begin_transfer(const std::string& lfn, double megabytes,
                     "Megabytes moved by SE-to-SE third-party transfers")
           .inc(megabytes);
     }
-    emit_transfer({TransferEvent::Phase::kDone, done_at, lfn, source, to_se,
-                   megabytes, trigger, elapsed});
+    if (transfer_listener_) {
+      transfer_listener_({TransferEvent::Phase::kDone, done_at, lfn,
+                          storage_by_name_.at(source)->interned_name(),
+                          dest.interned_name(), megabytes, trigger, elapsed});
+    }
   });
 }
 
 void Grid::maybe_push_for_match(const JobRequest& request, const std::string& ce_name) {
   if (catalog_ == nullptr || request.input_refs.empty()) return;
+  static const obs::Name kMatch("match");
   const std::string target = close_storage_name(ce_name);
   for (const auto& ref : request.input_refs) {
     if (catalog_->has(ref.logical_name, target)) continue;
     const std::string source = cheapest_live_source(ref.logical_name, target);
     if (source.empty()) continue;
-    start_transfer(ref.logical_name, ref.megabytes, source, target, "match");
+    start_transfer(ref.logical_name, ref.megabytes, source, target, kMatch);
   }
 }
 
@@ -361,11 +365,12 @@ void Grid::note_replica_registered(const std::string& lfn, const std::string& se
                                    double megabytes) {
   if (catalog_ == nullptr || replication_ != policy::Replication::kFanoutK) return;
   // fanout-k: copy to the first two other SEs, in deterministic order.
+  static const obs::Name kFanout("fanout");
   std::size_t copies = 0;
   for (const std::string& target : storage_names_) {
     if (copies == 2) break;
     if (target == se_name) continue;
-    start_transfer(lfn, megabytes, se_name, target, "fanout");
+    start_transfer(lfn, megabytes, se_name, target, kFanout);
     ++copies;
   }
 }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/replica_catalog.hpp"
@@ -14,6 +15,7 @@
 #include "grid/overhead_model.hpp"
 #include "grid/resource_broker.hpp"
 #include "grid/storage_element.hpp"
+#include "obs/name.hpp"
 #include "policy/policy.hpp"
 #include "sim/function.hpp"
 #include "sim/simulator.hpp"
@@ -30,16 +32,17 @@ namespace moteur::grid {
 /// One third-party SE→SE transfer, surfaced to the installed listener at
 /// request time and on completion. Decentralized replication policies
 /// schedule these on the pairwise SE links; the orchestrator only issues
-/// the command (control stays central, data moves peer-to-peer).
+/// the command (control stays central, data moves peer-to-peer). Built only
+/// while a listener is installed; the SE names are interned once per grid.
 struct TransferEvent {
   enum class Phase { kStarted, kDone };
   Phase phase = Phase::kStarted;
   double time = 0.0;
-  std::string lfn;
-  std::string from_se;
-  std::string to_se;
+  std::string_view lfn;  ///< valid for the listener call only
+  obs::Name from_se;
+  obs::Name to_se;
   double megabytes = 0.0;
-  std::string trigger;           ///< "match" or "fanout"
+  obs::Name trigger;             ///< "match" or "fanout"
   double elapsed_seconds = 0.0;  ///< kDone only: link time excluding queueing
 };
 
@@ -111,7 +114,7 @@ class Grid {
   /// either endpoint is inside an outage window. No-op without a catalog.
   void start_transfer(const std::string& lfn, double megabytes,
                       const std::string& from_se, const std::string& to_se,
-                      const std::string& trigger);
+                      obs::Name trigger);
 
   /// Hook for the execution backend: a fresh replica of `lfn` registered on
   /// `se_name`. Feeds `fanout-k` replication's background copies.
@@ -218,14 +221,13 @@ class Grid {
   /// so the event sequence stays bit-identical to the unmodeled path.
   void ui_stage(double megabytes, sim::Function<void(double)> on_done);
   void record_ui_bytes(double megabytes);
-  void emit_transfer(const TransferEvent& event);
   /// Live replica of `lfn` cheapest to copy onto `to_se` (pairwise cost,
   /// registration order breaking ties); empty when none survives or the
   /// destination already holds one.
   std::string cheapest_live_source(const std::string& lfn, const std::string& to_se);
   void begin_transfer(const std::string& lfn, double megabytes,
                       const std::string& from_se, const std::string& to_se,
-                      const std::string& trigger);
+                      obs::Name trigger);
   void maybe_push_for_match(const JobRequest& request, const std::string& ce_name);
 
   sim::Simulator& simulator_;

@@ -8,7 +8,7 @@ StorageElement::StorageElement(sim::Simulator& simulator, std::string name,
                                double latency_seconds, double bandwidth_mb_per_s,
                                std::size_t channels)
     : simulator_(simulator),
-      name_(std::move(name)),
+      name_(name),
       latency_seconds_(latency_seconds),
       bandwidth_mb_per_s_(bandwidth_mb_per_s),
       channels_(simulator, channels) {}

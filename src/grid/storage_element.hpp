@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "grid/config.hpp"
+#include "obs/name.hpp"
 #include "sim/function.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -20,7 +21,9 @@ class StorageElement {
                  double latency_seconds, double bandwidth_mb_per_s,
                  std::size_t channels = 64);
 
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return name_.str(); }
+  /// The name, interned once per SE for the events that carry it.
+  obs::Name interned_name() const { return name_; }
 
   /// Move `megabytes` through the link; `on_done(elapsed)` fires with the
   /// actual transfer duration (excluding channel queueing) on completion.
@@ -76,7 +79,7 @@ class StorageElement {
   void move_data(double seconds, sim::Function<void(double)> on_done);
 
   sim::Simulator& simulator_;
-  std::string name_;
+  obs::Name name_;
   double latency_seconds_;
   double bandwidth_mb_per_s_;
   sim::Resource channels_;

@@ -16,13 +16,6 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-const std::string* find_arg(const Span& span, const std::string& key) {
-  for (const auto& [k, v] : span.args) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
 /// Disjoint-interval set with "add and report the newly covered length"
 /// semantics — the tool for priority-ordered phase attribution: higher
 /// priority phases claim their time first, lower ones only get what is left.
@@ -61,7 +54,7 @@ CriticalPathReport critical_path(const Tracer& tracer, const std::string& run_id
   report.run_id = run_id;
   report.admission_wait = std::max(0.0, admission_wait);
 
-  const std::vector<Span>& spans = tracer.spans();
+  const Tracer::Spans& spans = tracer.spans();
   std::unordered_map<SpanId, const Span*> by_id;
   by_id.reserve(spans.size());
   for (const Span& span : spans) by_id.emplace(span.id, &span);
@@ -73,7 +66,7 @@ CriticalPathReport critical_path(const Tracer& tracer, const std::string& run_id
   for (const Span& span : spans) {
     if (span.category != "run" || by_id.count(span.parent) != 0) continue;
     ++run_roots;
-    const std::string* id = find_arg(span, "run_id");
+    const std::string* id = tracer.args(span).find("run_id");
     const std::string& key = id ? *id : span.name;
     if (run_id.empty() || key == run_id || span.name == run_id) {
       if (!run_id.empty() || run_roots == 1) root = &span;
@@ -84,7 +77,7 @@ CriticalPathReport critical_path(const Tracer& tracer, const std::string& run_id
   }
   report.found = true;
   report.run = root->name;
-  if (const std::string* id = find_arg(*root, "run_id")) report.run_id = *id;
+  if (const std::string* id = tracer.args(*root).find("run_id")) report.run_id = *id;
   report.makespan = report.admission_wait + root->duration();
 
   // Children index + membership: invocation spans descending from this root.

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/name.hpp"
+
 namespace moteur::obs {
 
 /// One structured notification from an enactment run — the event stream
@@ -11,6 +13,10 @@ namespace moteur::obs {
 /// monitors) subscribes to. Events fire synchronously on the
 /// thread driving the backend, in strictly serialized order, with monotone
 /// `time` and running totals.
+///
+/// Names (workflow, processor, status, CE, SEs, trigger) are interned
+/// `Name`s, so copying an event copies pointers, not text; only the run id,
+/// the error and the logical file are owned strings.
 ///
 /// Identity model: `invocation` numbers each logical submission (a possibly
 /// batched set of tuples handed to the backend) uniquely within the run;
@@ -51,8 +57,8 @@ struct RunEvent {
   /// no single run (shared-breaker transitions).
   std::string run_id;
 
-  std::string run;        // workflow name (kRunStarted/kRunFinished)
-  std::string processor;  // all invocation-scoped kinds
+  Name run;        // workflow name (kRunStarted/kRunFinished)
+  Name processor;  // all invocation-scoped kinds
   std::uint64_t invocation = 0;  // 1-based logical submission id
   std::size_t attempt = 0;       // 1-based attempt number
   std::size_t tuples = 0;        // data tuples carried by the invocation
@@ -60,9 +66,9 @@ struct RunEvent {
   // kAttemptEnded payload.
   bool ok = false;
   bool superseded = false;  // a racing attempt had already settled it
-  std::string status;       // OutcomeStatus name ("Ok", "Transient", ...)
+  Name status;              // OutcomeStatus name ("Ok", "Transient", ...)
   std::string error;        // failure message; root cause for kInvocationSkipped
-  std::string computing_element;  // also set on breaker events; else empty
+  Name computing_element;         // also set on breaker events; else empty
   double submit_time = -1.0;      // attempt timings (backend seconds)
   double start_time = -1.0;       // payload began (queue wait before this)
   double end_time = -1.0;
@@ -76,10 +82,10 @@ struct RunEvent {
 
   // SE→SE transfer payload (kTransferStarted / kTransferDone). These are
   // service-scope events (empty run_id): a transfer can serve many runs.
-  std::string from_se;
-  std::string to_se;
+  Name from_se;
+  Name to_se;
   double megabytes = 0.0;
-  std::string trigger;  // "match" (broker push) or "fanout" (background)
+  Name trigger;  // "match" (broker push) or "fanout" (background)
 
   // Running totals at emission time.
   std::size_t total_invocations = 0;

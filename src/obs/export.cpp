@@ -96,13 +96,6 @@ std::unordered_map<SpanId, int> assign_lanes(
   return lane_of;
 }
 
-const std::string* find_arg(const Span& span, const std::string& key) {
-  for (const auto& [k, v] : span.args) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
 std::string label_suffix(const Labels& labels, const std::string& extra_key = "",
                          const std::string& extra_value = "") {
   if (labels.empty() && extra_key.empty()) return "";
@@ -130,7 +123,7 @@ std::string label_suffix(const Labels& labels, const std::string& extra_key = ""
 }  // namespace
 
 std::string chrome_trace_json(const Tracer& tracer) {
-  const std::vector<Span>& spans = tracer.spans();
+  const Tracer::Spans& spans = tracer.spans();
 
   // Every "run"-category root becomes its own Chrome process (pid), numbered
   // 1..N in start order — concurrent runs recorded into one tracer render as
@@ -163,7 +156,7 @@ std::string chrome_trace_json(const Tracer& tracer) {
     std::string key;
     const auto parent = by_id.find(span.parent);
     if (parent == by_id.end()) {
-      const std::string* run_id = find_arg(span, "run_id");
+      const std::string* run_id = tracer.args(span).find("run_id");
       key = run_id ? *run_id : span.name;
     } else {
       key = key_for(*parent->second) + "/" + span.name;
@@ -242,8 +235,8 @@ std::string chrome_trace_json(const Tracer& tracer) {
         << ",\"pid\":" << (pid == pid_of.end() ? 1 : pid->second)
         << ",\"tid\":" << (lane == lane_of.end() ? 0 : lane->second + 1)
         << ",\"args\":{\"id\":\"" << span->id << "\",\"parent\":\"" << span->parent << "\"";
-    for (const auto& [key, value] : span->args) {
-      out << ",\"" << json_escape(key) << "\":\"" << json_escape(value) << "\"";
+    for (const Annotation& arg : tracer.args(*span)) {
+      out << ",\"" << json_escape(arg.key) << "\":\"" << json_escape(arg.value) << "\"";
     }
     out << "}}";
   }
@@ -296,7 +289,7 @@ std::string obs_summary(const Tracer& tracer, const MetricsRegistry& metrics) {
   // Span roll-up: count and total busy time per category.
   std::map<std::string, std::pair<std::size_t, double>> by_category;
   for (const Span& span : tracer.spans()) {
-    auto& [count, busy] = by_category[span.category];
+    auto& [count, busy] = by_category[std::string(span.category)];
     ++count;
     busy += span.duration();
   }

@@ -51,15 +51,17 @@ std::string FlightRecorder::dump_json(const std::string& run_id, const std::stri
         << "\",\"time\":" << json_number(event.time) << ",\"run_id\":\""
         << json_escape(event.run_id) << "\"";
     if (!event.processor.empty()) {
-      out << ",\"processor\":\"" << json_escape(event.processor) << "\"";
+      out << ",\"processor\":\"" << json_escape(event.processor.view()) << "\"";
     }
     if (event.invocation != 0) out << ",\"invocation\":" << event.invocation;
     if (event.attempt != 0) out << ",\"attempt\":" << event.attempt;
     if (event.tuples != 0) out << ",\"tuples\":" << event.tuples;
-    if (!event.status.empty()) out << ",\"status\":\"" << json_escape(event.status) << "\"";
+    if (!event.status.empty()) {
+      out << ",\"status\":\"" << json_escape(event.status.view()) << "\"";
+    }
     if (!event.error.empty()) out << ",\"error\":\"" << json_escape(event.error) << "\"";
     if (!event.computing_element.empty()) {
-      out << ",\"ce\":\"" << json_escape(event.computing_element) << "\"";
+      out << ",\"ce\":\"" << json_escape(event.computing_element.view()) << "\"";
     }
     if (!event.logical_file.empty()) {
       out << ",\"file\":\"" << json_escape(event.logical_file) << "\"";

@@ -1,6 +1,7 @@
 #include "obs/recorder.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 namespace moteur::obs {
 
@@ -68,15 +69,121 @@ RunRecorder::RunRecorder() {
       &metrics_.gauge("moteur_makespan_seconds", "Total execution time Sigma of the run");
 }
 
-const std::string& RunRecorder::ce_label(const RunEvent& event) {
-  static const std::string kLocal = "local";
-  return event.computing_element.empty() ? kLocal : event.computing_element;
+namespace {
+
+// Static names: interned once per process, never per event.
+const Name& local_ce() {
+  static const Name kLocal("local");  // per-CE label when the backend names none
+  return kLocal;
 }
 
-RunRecorder::CeSeries& RunRecorder::ce_series(const std::string& ce) {
+/// `text`, `separator`, the decimal `n` and `tail` concatenated into one
+/// string (one allocation at most; none when it fits inline).
+std::string numbered(std::string_view text, std::string_view separator, std::uint64_t n,
+                     std::string_view tail = {}) {
+  char digits[20];
+  const char* const end = std::to_chars(digits, digits + sizeof(digits), n).ptr;
+  const auto length = static_cast<std::size_t>(end - digits);
+  std::string out;
+  out.reserve(text.size() + separator.size() + length + tail.size());
+  out.append(text).append(separator).append(digits, length).append(tail);
+  return out;
+}
+
+}  // namespace
+
+bool RunRecorder::Tables::in_table(std::uint64_t id) const {
+  return id != 0 && id <= slots.size() + kMaxGap;
+}
+
+SpanId& RunRecorder::Tables::invocation(std::uint64_t id) {
+  if (!in_table(id)) return far_invocations[id];
+  if (id > slots.size()) slots.resize(id);
+  return slots[id - 1].invocation;
+}
+
+SpanId RunRecorder::Tables::find_invocation(std::uint64_t id) const {
+  if (id != 0 && id <= slots.size() && slots[id - 1].invocation != 0) {
+    return slots[id - 1].invocation;
+  }
+  const auto it = far_invocations.find(id);
+  return it == far_invocations.end() ? 0 : it->second;
+}
+
+SpanId RunRecorder::Tables::take_invocation(std::uint64_t id) {
+  if (id != 0 && id <= slots.size() && slots[id - 1].invocation != 0) {
+    return std::exchange(slots[id - 1].invocation, 0);
+  }
+  const auto it = far_invocations.find(id);
+  if (it == far_invocations.end()) return 0;
+  const SpanId span = it->second;
+  far_invocations.erase(it);
+  return span;
+}
+
+SpanId& RunRecorder::Tables::attempt(std::uint64_t id, std::size_t attempt) {
+  if (!in_table(id)) return far_attempts[{id, attempt}];
+  if (attempt == 1) {
+    if (id > slots.size()) slots.resize(id);
+    return slots[id - 1].attempt;
+  }
+  for (LaterAttempt& entry : later) {
+    if (entry.invocation == id && entry.attempt == attempt) return entry.span;
+  }
+  return later.emplace_back(LaterAttempt{id, attempt, 0}).span;
+}
+
+SpanId RunRecorder::Tables::take_attempt(std::uint64_t id, std::size_t attempt) {
+  if (attempt == 1 && id != 0 && id <= slots.size() && slots[id - 1].attempt != 0) {
+    return std::exchange(slots[id - 1].attempt, 0);
+  }
+  for (LaterAttempt& entry : later) {
+    if (entry.invocation != id || entry.attempt != attempt) continue;
+    const SpanId span = entry.span;
+    entry = later.back();  // the list stays short: open retries and clones only
+    later.pop_back();
+    return span;
+  }
+  const auto it = far_attempts.find({id, attempt});
+  if (it == far_attempts.end()) return 0;
+  const SpanId span = it->second;
+  far_attempts.erase(it);
+  return span;
+}
+
+void RunRecorder::Tables::clear() {
+  processors.clear();
+  slots.clear();
+  later.clear();
+  far_invocations.clear();
+  far_attempts.clear();
+}
+
+RunRecorder::RunCtx& RunRecorder::ctx(const std::string& run_id) {
+  if (last_ctx_ != nullptr && run_id == *last_run_id_) return *last_ctx_;
+  auto [it, inserted] = runs_.try_emplace(run_id);
+  if (inserted && !spare_tables_.empty()) {
+    it->second.tables = std::move(spare_tables_.back());
+    spare_tables_.pop_back();
+  }
+  last_run_id_ = &it->first;
+  last_ctx_ = &it->second;
+  return it->second;
+}
+
+SpanId RunRecorder::processor_span(RunCtx& c, Name processor, double time) {
+  for (const auto& [name, span] : c.tables.processors) {
+    if (name == processor) return span;
+  }
+  const SpanId span = tracer_.begin(processor.str(), "processor", time, c.run_span);
+  c.tables.processors.emplace_back(processor, span);
+  return span;
+}
+
+RunRecorder::CeSeries& RunRecorder::ce_series(Name ce) {
   const auto [it, inserted] = ce_series_.try_emplace(ce);
   if (inserted) {
-    const Labels by_ce{{"ce", ce}};
+    const Labels by_ce{{"ce", ce.str()}};
     it->second.latency = &metrics_.histogram(
         "moteur_ce_latency_seconds",
         "Submission-to-completion latency of successful attempts, per CE",
@@ -89,40 +196,39 @@ RunRecorder::CeSeries& RunRecorder::ce_series(const std::string& ce) {
   return it->second;
 }
 
-Counter& RunRecorder::failure_counter(const std::string& status) {
+Counter& RunRecorder::failure_counter(Name status) {
   const auto [it, inserted] = failure_counters_.try_emplace(status, nullptr);
   if (inserted) {
     it->second = &metrics_.counter("moteur_attempt_failures_total",
                                    "Failed backend executions by status",
-                                   Labels{{"status", status}});
+                                   Labels{{"status", status.str()}});
   }
   return *it->second;
 }
 
-Gauge& RunRecorder::breaker_gauge(const std::string& ce) {
-  const auto [it, inserted] = breaker_gauges_.try_emplace(ce, nullptr);
-  if (inserted) {
-    it->second = &metrics_.gauge("moteur_breaker_open",
-                                 "Circuit-breaker state per CE (0 closed, 0.5 half-open, 1 open)",
-                                 Labels{{"ce", ce}});
+void RunRecorder::breaker(Name ce, double state, std::size_t to) {
+  static const char* const kTargets[] = {"open", "half-open", "closed"};
+  BreakerSeries& series = breakers_[ce];
+  if (series.state == nullptr) {
+    series.state = &metrics_.gauge(
+        "moteur_breaker_open",
+        "Circuit-breaker state per CE (0 closed, 0.5 half-open, 1 open)",
+        Labels{{"ce", ce.str()}});
   }
-  return *it->second;
+  series.state->set(state);
+  Counter*& transitions = series.transitions[to];
+  if (transitions == nullptr) {
+    transitions = &metrics_.counter("moteur_breaker_transitions_total",
+                                    "Circuit-breaker transitions by CE and target state",
+                                    Labels{{"ce", ce.str()}, {"to", kTargets[to]}});
+  }
+  transitions->inc();
 }
 
-Counter& RunRecorder::breaker_transitions(const std::string& ce, const char* to) {
-  const auto [it, inserted] = breaker_transitions_.try_emplace({ce, to}, nullptr);
-  if (inserted) {
-    it->second = &metrics_.counter("moteur_breaker_transitions_total",
-                                   "Circuit-breaker transitions by CE and target state",
-                                   Labels{{"ce", ce}, {"to", to}});
-  }
-  return *it->second;
-}
-
-Counter& RunRecorder::processor_tuples(const std::string& processor) {
-  // One-entry memo: invocation completions arrive in per-processor bursts,
-  // so the map lookup is skipped on the hot path (counters are never erased,
-  // the cached pointer stays valid for the registry's lifetime).
+Counter& RunRecorder::processor_tuples(Name processor) {
+  // One-entry memo: invocation completions arrive in per-processor bursts
+  // (counters are never erased, the cached pointer stays valid for the
+  // registry's lifetime).
   if (last_processor_tuples_ != nullptr && processor == last_processor_) {
     return *last_processor_tuples_;
   }
@@ -130,11 +236,20 @@ Counter& RunRecorder::processor_tuples(const std::string& processor) {
   if (inserted) {
     it->second = &metrics_.counter("moteur_processor_tuples_total",
                                    "Data tuples completed per processor",
-                                   Labels{{"processor", processor}});
+                                   Labels{{"processor", processor.str()}});
   }
   last_processor_ = processor;
   last_processor_tuples_ = it->second;
   return *it->second;
+}
+
+void RunRecorder::count_invocations(RunCtx& c, const RunEvent& event) {
+  const auto delta =
+      static_cast<double>(event.total_invocations - c.last_total_invocations);
+  invocations_->inc(delta);
+  if (c.invocations != nullptr) c.invocations->inc(delta);
+  c.last_total_invocations = event.total_invocations;
+  processor_tuples(event.processor).inc(static_cast<double>(event.tuples));
 }
 
 void RunRecorder::on_event(const RunEvent& event) {
@@ -143,9 +258,9 @@ void RunRecorder::on_event(const RunEvent& event) {
       // A fresh context per run id; a re-used id (sequential runs through one
       // Enactor) starts over, its per-run counters accumulating.
       RunCtx& c = ctx(event.run_id);
-      c = RunCtx{};
+      c.tables.clear();
       c.last_total_invocations = event.total_invocations;
-      c.run_span = tracer_.begin(event.run, "run", event.time);
+      c.run_span = tracer_.begin(event.run.str(), "run", event.time);
       tracer_.annotate(c.run_span, "run_id", event.run_id);
       const Labels by_run{{"run", event.run_id}};
       c.invocations = &metrics_.counter("moteur_run_invocations_total",
@@ -176,37 +291,40 @@ void RunRecorder::on_event(const RunEvent& event) {
         tracer_.annotate(id, "unfinished", "true");
         tracer_.end(id, event.time);
       };
-      for (const auto& [key, id] : c.attempt_spans) close_leftover(id);
-      for (const auto& [key, id] : c.invocation_spans) close_leftover(id);
-      for (const auto& [key, id] : c.processor_spans) close_leftover(id);
+      Tables& t = c.tables;
+      for (const Slot& slot : t.slots) close_leftover(slot.attempt);
+      for (const LaterAttempt& entry : t.later) close_leftover(entry.span);
+      for (const auto& [key, id] : t.far_attempts) close_leftover(id);
+      for (const Slot& slot : t.slots) close_leftover(slot.invocation);
+      for (const auto& [key, id] : t.far_invocations) close_leftover(id);
+      for (const auto& [name, id] : t.processors) close_leftover(id);
       tuples_in_flight_->set(static_cast<double>(event.tuples_in_flight));
-      if (last_ctx_ == &c) last_ctx_ = nullptr;  // node dies with the erase
+      t.clear();
+      spare_tables_.push_back(std::move(t));
+      last_ctx_ = nullptr;  // the node dies with the erase
       runs_.erase(event.run_id);
       break;
     }
 
     case RunEvent::Kind::kInvocationStarted: {
       RunCtx& c = ctx(event.run_id);
-      auto [it, inserted] = c.processor_spans.try_emplace(event.processor, 0);
-      if (inserted) {
-        it->second = tracer_.begin(event.processor, "processor", event.time, c.run_span);
-      }
-      const SpanId span = tracer_.begin(
-          event.processor + " #" + std::to_string(event.invocation), "invocation",
-          event.time, it->second);
-      tracer_.annotate(span, "tuples", std::to_string(event.tuples));
-      c.invocation_spans[event.invocation] = span;
+      const SpanId parent = processor_span(c, event.processor, event.time);
+      const SpanId span =
+          tracer_.begin(numbered(event.processor.view(), " #", event.invocation),
+                        "invocation", event.time, parent);
+      tracer_.annotate(span, "tuples", numbered({}, {}, event.tuples));
+      c.tables.invocation(event.invocation) = span;
       tuples_in_flight_->set(static_cast<double>(event.tuples_in_flight));
       break;
     }
 
     case RunEvent::Kind::kAttemptStarted: {
       RunCtx& c = ctx(event.run_id);
-      const auto it = c.invocation_spans.find(event.invocation);
-      const SpanId parent = it == c.invocation_spans.end() ? c.run_span : it->second;
-      const SpanId span = tracer_.begin("attempt " + std::to_string(event.attempt),
-                                        "attempt", event.time, parent);
-      c.attempt_spans[{event.invocation, event.attempt}] = span;
+      const SpanId invocation = c.tables.find_invocation(event.invocation);
+      const SpanId span =
+          tracer_.begin(numbered("attempt", " ", event.attempt), "attempt", event.time,
+                        invocation != 0 ? invocation : c.run_span);
+      c.tables.attempt(event.invocation, event.attempt) = span;
       submissions_->inc();
       if (c.submissions != nullptr) c.submissions->inc();
       break;
@@ -214,14 +332,11 @@ void RunRecorder::on_event(const RunEvent& event) {
 
     case RunEvent::Kind::kAttemptEnded: {
       RunCtx& c = ctx(event.run_id);
-      const auto key = std::make_pair(event.invocation, event.attempt);
-      const auto it = c.attempt_spans.find(key);
-      if (it != c.attempt_spans.end()) {
-        const SpanId span = it->second;
+      if (const SpanId span = c.tables.take_attempt(event.invocation, event.attempt)) {
         tracer_.end(span, event.time);
-        tracer_.annotate(span, "status", event.status);
+        tracer_.annotate(span, "status", event.status.str());
         if (!event.computing_element.empty()) {
-          tracer_.annotate(span, "ce", event.computing_element);
+          tracer_.annotate(span, "ce", event.computing_element.str());
         }
         if (event.superseded) tracer_.annotate(span, "superseded", "true");
         if (!event.error.empty()) tracer_.annotate(span, "error", event.error);
@@ -243,10 +358,11 @@ void RunRecorder::on_event(const RunEvent& event) {
             tracer_.record("running", "phase", event.start_time, event.end_time, span);
           }
         }
-        c.attempt_spans.erase(it);
       }
       if (event.ok) {
-        CeSeries& series = ce_series(ce_label(event));
+        CeSeries& series = ce_series(event.computing_element.empty()
+                                         ? local_ce()
+                                         : event.computing_element);
         series.latency->observe(event.end_time - event.submit_time);
         if (event.start_time >= event.submit_time) {
           series.queue_wait->observe(event.start_time - event.submit_time);
@@ -259,28 +375,19 @@ void RunRecorder::on_event(const RunEvent& event) {
 
     case RunEvent::Kind::kInvocationCompleted: {
       RunCtx& c = ctx(event.run_id);
-      const auto it = c.invocation_spans.find(event.invocation);
-      if (it != c.invocation_spans.end()) {
-        tracer_.end(it->second, event.time);
-        c.invocation_spans.erase(it);
+      if (const SpanId span = c.tables.take_invocation(event.invocation)) {
+        tracer_.end(span, event.time);
       }
-      const auto delta =
-          static_cast<double>(event.total_invocations - c.last_total_invocations);
-      invocations_->inc(delta);
-      if (c.invocations != nullptr) c.invocations->inc(delta);
-      c.last_total_invocations = event.total_invocations;
-      processor_tuples(event.processor).inc(static_cast<double>(event.tuples));
+      count_invocations(c, event);
       tuples_in_flight_->set(static_cast<double>(event.tuples_in_flight));
       break;
     }
 
     case RunEvent::Kind::kInvocationFailed: {
       RunCtx& c = ctx(event.run_id);
-      const auto it = c.invocation_spans.find(event.invocation);
-      if (it != c.invocation_spans.end()) {
-        tracer_.annotate(it->second, "failed", "true");
-        tracer_.end(it->second, event.time);
-        c.invocation_spans.erase(it);
+      if (const SpanId span = c.tables.take_invocation(event.invocation)) {
+        tracer_.annotate(span, "failed", "true");
+        tracer_.end(span, event.time);
       }
       tuples_lost_->inc(static_cast<double>(event.tuples));
       tuples_in_flight_->set(static_cast<double>(event.tuples_in_flight));
@@ -299,21 +406,19 @@ void RunRecorder::on_event(const RunEvent& event) {
 
     case RunEvent::Kind::kProcessorFinished: {
       RunCtx& c = ctx(event.run_id);
-      const auto it = c.processor_spans.find(event.processor);
-      if (it != c.processor_spans.end()) tracer_.end(it->second, event.time);
+      for (const auto& [name, span] : c.tables.processors) {
+        if (name == event.processor) tracer_.end(span, event.time);
+      }
       break;
     }
 
     case RunEvent::Kind::kInvocationSkipped: {
       RunCtx& c = ctx(event.run_id);
       // Zero-length span under the processor, so skips show up in the tree.
-      auto [it, inserted] = c.processor_spans.try_emplace(event.processor, 0);
-      if (inserted) {
-        it->second = tracer_.begin(event.processor, "processor", event.time, c.run_span);
-      }
+      const SpanId parent = processor_span(c, event.processor, event.time);
       const SpanId span = tracer_.record(
-          event.processor + " #" + std::to_string(event.invocation) + " (skipped)",
-          "invocation", event.time, event.time, it->second);
+          numbered(event.processor.view(), " #", event.invocation, " (skipped)"),
+          "invocation", event.time, event.time, parent);
       if (!event.error.empty()) tracer_.annotate(span, "cause", event.error);
       tracer_.annotate(span, "skipped", "true");
       skipped_->inc(static_cast<double>(event.tuples));
@@ -321,20 +426,17 @@ void RunRecorder::on_event(const RunEvent& event) {
     }
 
     case RunEvent::Kind::kBreakerOpened: {
-      breaker_gauge(event.computing_element).set(1.0);
-      breaker_transitions(event.computing_element, "open").inc();
+      breaker(event.computing_element, 1.0, 0);
       break;
     }
 
     case RunEvent::Kind::kBreakerHalfOpen: {
-      breaker_gauge(event.computing_element).set(0.5);
-      breaker_transitions(event.computing_element, "half-open").inc();
+      breaker(event.computing_element, 0.5, 1);
       break;
     }
 
     case RunEvent::Kind::kBreakerClosed: {
-      breaker_gauge(event.computing_element).set(0.0);
-      breaker_transitions(event.computing_element, "closed").inc();
+      breaker(event.computing_element, 0.0, 2);
       break;
     }
 
@@ -369,13 +471,9 @@ void RunRecorder::on_event(const RunEvent& event) {
       RunCtx& c = ctx(event.run_id);
       // Zero-length span under the producing processor, so re-derivations
       // show up in the tree next to the invocations they replay.
-      auto [it, inserted] = c.processor_spans.try_emplace(event.processor, 0);
-      if (inserted) {
-        it->second = tracer_.begin(event.processor, "processor", event.time, c.run_span);
-      }
-      const SpanId span =
-          tracer_.record(event.processor + " (re-derived)", "invocation", event.time,
-                         event.time, it->second);
+      const SpanId parent = processor_span(c, event.processor, event.time);
+      const SpanId span = tracer_.record(event.processor.str() + " (re-derived)",
+                                         "invocation", event.time, event.time, parent);
       if (!event.logical_file.empty()) {
         tracer_.annotate(span, "file", event.logical_file);
       }
@@ -387,22 +485,14 @@ void RunRecorder::on_event(const RunEvent& event) {
       RunCtx& c = ctx(event.run_id);
       // Zero-length span under the processor, so hits show up in the tree
       // without a backend attempt beneath them.
-      auto [it, inserted] = c.processor_spans.try_emplace(event.processor, 0);
-      if (inserted) {
-        it->second = tracer_.begin(event.processor, "processor", event.time, c.run_span);
-      }
+      const SpanId parent = processor_span(c, event.processor, event.time);
       const SpanId span = tracer_.record(
-          event.processor + " #" + std::to_string(event.invocation) + " (cached)",
-          "invocation", event.time, event.time, it->second);
+          numbered(event.processor.view(), " #", event.invocation, " (cached)"),
+          "invocation", event.time, event.time, parent);
       tracer_.annotate(span, "cached", "true");
       // A hit completes logical invocations without a kInvocationCompleted:
       // fold the delta into the invocation counters here.
-      const auto delta =
-          static_cast<double>(event.total_invocations - c.last_total_invocations);
-      invocations_->inc(delta);
-      if (c.invocations != nullptr) c.invocations->inc(delta);
-      c.last_total_invocations = event.total_invocations;
-      processor_tuples(event.processor).inc(static_cast<double>(event.tuples));
+      count_invocations(c, event);
       cache_hits_->inc();
       if (c.cache_hits != nullptr) c.cache_hits->inc();
       break;

@@ -144,7 +144,7 @@ struct RunService::Impl {
     const std::size_t total_active = core.config.admission.max_active;
     const std::size_t per_shard_active =
         effective == 1 ? total_active : (total_active + effective - 1) / effective;
-    // One-event batches keep single-shard delivery synchronous (bit-identical
+    // A single shard delivers each event directly (synchronous, bit-identical
     // to the pre-shard service); multi-shard batches amortize the obs lock.
     const std::size_t obs_batch = effective == 1 ? 1 : 64;
 
@@ -203,7 +203,7 @@ RunService::RunService(enactor::ExecutionBackend& backend,
   // under the same obs lock as run events. Detached in shutdown() once the
   // shards are quiet.
   im.core.backend.set_event_sink([&core = im.core](const obs::RunEvent& event) {
-    core.emit_service_event(event);
+    core.deliver(event);
   });
   const RunServiceConfig::Telemetry& telemetry = im.core.config.telemetry;
   if (telemetry.hub_enabled()) {

@@ -53,7 +53,7 @@ grid::CeHealth* ServiceCore::ensure_health(const enactor::EnactmentPolicy& polic
       obs::RunEvent event;
       event.kind = obs::RunEvent::Kind::kSubmissionRerouted;
       event.time = time;
-      emit_service_event(event);
+      deliver(event);
     });
     backend.add_health(shared_health.get());
   }
@@ -68,18 +68,18 @@ data::InvocationCache* ServiceCore::ensure_cache(const enactor::EnactmentPolicy&
   return shared_cache.get();
 }
 
-void ServiceCore::deliver_events(const std::vector<obs::RunEvent>& batch) {
+void ServiceCore::deliver(const obs::RunEvent& event) {
+  std::lock_guard<std::mutex> lock(obs_mu);
+  for (const auto& subscriber : subscribers) subscriber(event);
+  if (recorder != nullptr) recorder->on_event(event);
+}
+
+void ServiceCore::deliver(const std::vector<obs::RunEvent>& batch) {
   std::lock_guard<std::mutex> lock(obs_mu);
   for (const auto& event : batch) {
     for (const auto& subscriber : subscribers) subscriber(event);
     if (recorder != nullptr) recorder->on_event(event);
   }
-}
-
-void ServiceCore::emit_service_event(const obs::RunEvent& event) {
-  std::lock_guard<std::mutex> lock(obs_mu);
-  for (const auto& subscriber : subscribers) subscriber(event);
-  if (recorder != nullptr) recorder->on_event(event);
 }
 
 void ServiceCore::on_breaker_transition(const grid::CeHealth::Transition& t) {
@@ -92,16 +92,19 @@ void ServiceCore::on_breaker_transition(const grid::CeHealth::Transition& t) {
       }
     }
   }
-  emit_service_event(enactor::breaker_event(t));
+  deliver(enactor::breaker_event(t));
 }
 
 void ServiceCore::count_terminal(RunState state) {
   if (recorder == nullptr) return;
   std::lock_guard<std::mutex> lock(obs_mu);
-  recorder->metrics()
-      .counter("moteur_service_runs_total", "Runs reaching a terminal state, by state",
-               obs::Labels{{"state", to_string(state)}})
-      .inc();
+  obs::Counter*& counter = terminal_counters[static_cast<std::size_t>(state)];
+  if (counter == nullptr) {
+    counter = &recorder->metrics().counter("moteur_service_runs_total",
+                                           "Runs reaching a terminal state, by state",
+                                           obs::Labels{{"state", to_string(state)}});
+  }
+  counter->inc();
 }
 
 void ServiceCore::run_finished(std::shared_ptr<RunRecord> rec) {
@@ -147,7 +150,7 @@ EngineShard::EngineShard(std::size_t index, ServiceCore& core,
     if (core_.gate_wait != nullptr) core_.gate_wait->observe(waited);
     if (core_.admission_decisions != nullptr) core_.admission_decisions->inc();
   });
-  batch_.reserve(obs_batch_);
+  if (obs_batch_ > 1) batch_.reserve(obs_batch_);
 }
 
 EngineShard::~EngineShard() { join(); }
@@ -201,13 +204,17 @@ ShardStats EngineShard::stats() const {
 
 void EngineShard::obs_emit(const obs::RunEvent& event) {
   if (flight_ != nullptr) flight_->record(event);
+  if (obs_batch_ == 1) {
+    core_.deliver(event);
+    return;
+  }
   batch_.push_back(event);
   if (batch_.size() >= obs_batch_) obs_flush();
 }
 
 void EngineShard::obs_flush() {
   if (batch_.empty()) return;
-  core_.deliver_events(batch_);
+  core_.deliver(batch_);
   batch_.clear();
 }
 
@@ -328,7 +335,7 @@ bool EngineShard::admit(RunRecordPtr& rec) {
   }
   std::vector<enactor::EventSubscriber> subs;
   // The flight recorder needs the event stream even with no recorder or
-  // subscriber attached (deliver_events is then a cheap no-op per batch).
+  // subscriber attached (delivery is then a cheap no-op).
   if (!core_.subscribers.empty() || core_.recorder != nullptr || flight_ != nullptr) {
     subs.push_back([this](const obs::RunEvent& e) { obs_emit(e); });
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -137,21 +138,23 @@ struct ServiceCore {
   grid::CeHealth* ensure_health(const enactor::EnactmentPolicy& policy);
   data::InvocationCache* ensure_cache(const enactor::EnactmentPolicy& policy);
 
-  /// Deliver one shard's event batch: user subscribers first, then the
-  /// recorder, per event — the same order the single-worker service used.
-  /// One obs_mu acquisition per batch.
-  void deliver_events(const std::vector<obs::RunEvent>& batch);
-
-  /// Service-scope events (shared-breaker transitions) carry an empty
-  /// run_id and bypass batching: grid health belongs to the shared
-  /// infrastructure, not to any single tenant.
-  void emit_service_event(const obs::RunEvent& event);
+  /// Deliver events under one obs_mu acquisition: user subscribers first,
+  /// then the recorder, per event. A single shard hands each event over as
+  /// it comes; several shards hand over batches. Service-scope events
+  /// (shared-breaker transitions, empty run_id) always go one by one: grid
+  /// health belongs to the shared infrastructure, not to any single tenant.
+  void deliver(const obs::RunEvent& event);
+  void deliver(const std::vector<obs::RunEvent>& batch);
   /// A shared-ledger transition, called under the ledger's lock: recorded
   /// for every running run, then emitted as a service event.
   void on_breaker_transition(const grid::CeHealth::Transition& t);
 
   /// Count one terminal run (moteur_service_runs_total{state=...}).
   void count_terminal(RunState state);
+  /// count_terminal's counters by RunState, each resolved when a run first
+  /// reaches that state (guarded by obs_mu).
+  std::array<obs::Counter*, static_cast<std::size_t>(RunState::kCancelled) + 1>
+      terminal_counters{};
 
   /// Terminal `rec` leaves the live runs, taking the caller's reference
   /// with it; wakes wait_idle/wait_any waiters.
@@ -166,16 +169,17 @@ struct ServiceCore {
 /// admission, drive, harvest, cancellation delivery, stall recovery — so one
 /// shard over the root backend reproduces the pre-shard service exactly.
 ///
-/// Obs events are buffered shard-locally and flushed to the shared recorder
-/// in batches (threshold `obs_batch`, plus at every run boundary and before
-/// the shard blocks), giving per-run event order while amortizing the
-/// recorder lock across shards.
+/// With several shards, obs events are buffered shard-locally and flushed to
+/// the shared recorder in batches (threshold `obs_batch`, plus at every run
+/// boundary and before the shard blocks), giving per-run event order while
+/// amortizing the recorder lock across shards. A single shard delivers each
+/// event directly.
 class EngineShard {
  public:
   /// `channel` is this shard's private completion lane over the shared
   /// backend; nullptr means the shard drives `core.backend` directly (the
   /// single-shard configuration). `obs_batch` = events buffered per flush;
-  /// 1 delivers synchronously like the pre-shard worker.
+  /// 1 delivers each event directly, with no batch copy.
   EngineShard(std::size_t index, detail::ServiceCore& core,
               std::unique_ptr<enactor::ExecutionBackend> channel, std::size_t max_active,
               std::size_t obs_batch);
@@ -227,7 +231,8 @@ class EngineShard {
   void finish_record(RunRecordPtr rec, RunState state, enactor::EnactmentResult result,
                      std::string error);
 
-  /// Engine event sink: buffer, flush at the batch threshold.
+  /// Engine event sink: deliver directly, or buffer and flush at the batch
+  /// threshold.
   void obs_emit(const obs::RunEvent& event);
   void obs_flush();
   /// Fold this shard's active/queued/gate-depth into the service-wide gauges

@@ -68,7 +68,7 @@ std::string format_fixed(double value, int decimals) {
   return buf;
 }
 
-std::string json_escape(const std::string& text) {
+std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (const char c : text) {

@@ -26,7 +26,7 @@ std::string format_fixed(double value, int decimals);
 
 /// `text` escaped for the inside of a JSON string: quote, backslash and
 /// control characters.
-std::string json_escape(const std::string& text);
+std::string json_escape(std::string_view text);
 
 /// A JSON number in fixed point with six decimals; NaN and infinities print
 /// as 0.

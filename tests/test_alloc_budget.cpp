@@ -19,11 +19,13 @@
 #include "grid/grid.hpp"
 #include "grid/overhead_model.hpp"
 #include "grid/resource_broker.hpp"
+#include "obs/recorder.hpp"
 #include "service/admission.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "workflow/iteration_tree.hpp"
+#include "workflow/patterns.hpp"
 
 namespace {
 
@@ -201,6 +203,53 @@ TEST(AllocBudget, BronzeRunPerInvocation) {
   EXPECT_LE(measured, kBudget) << "measured " << measured << " allocations over "
                                << invocations << " invocations ("
                                << static_cast<double>(measured) / invocations
+                               << " per invocation)";
+}
+
+TEST(AllocBudget, RecorderPerInvocation) {
+  // The event stream of one 64-invocation chain run (4 stages over 16 items,
+  // a constant simulated grid, so the stream is deterministic) fed to a
+  // warmed recorder 16 times under distinct run ids. Spans, tables and
+  // cached instruments cost copies; what remains is per run (the labelled
+  // per-run series) and the amortized span chunks.
+  constexpr std::size_t kRuns = 16;
+  constexpr std::size_t kBudget = 374;  // 0.37 per invocation
+  services::ServiceRegistry registry;
+  for (const char* name : {"P0", "P1", "P2", "P3"}) {
+    registry.add(services::make_simulated_service(name, {"in"}, {"out"},
+                                                  services::JobProfile{60.0, 0.0, 0.0}));
+  }
+  data::InputDataSet inputs;
+  inputs.declare_input("src");
+  for (int i = 0; i < 16; ++i) inputs.add_item("src", "item" + std::to_string(i));
+  sim::Simulator simulator;
+  grid::Grid grid(simulator, grid::GridConfig::constant(30.0, 4096, 42));
+  enactor::SimGridBackend backend(grid);
+  enactor::Enactor enactor(backend, registry, enactor::EnactmentPolicy::sp_dp());
+  std::vector<obs::RunEvent> stream;
+  enactor.add_event_subscriber(
+      [&stream](const obs::RunEvent& e) { stream.push_back(e); });
+  const enactor::EnactmentResult result =
+      enactor.run({.workflow = workflow::make_chain(4), .inputs = inputs});
+  ASSERT_EQ(result.invocations(), 64u);
+
+  // Every copy of the stream is made before the count starts.
+  std::vector<std::vector<obs::RunEvent>> runs(kRuns + 1, stream);
+  for (std::size_t r = 0; r <= kRuns; ++r) {
+    for (obs::RunEvent& event : runs[r]) event.run_id = "chain-" + std::to_string(r);
+  }
+  obs::RunRecorder recorder;
+  for (const obs::RunEvent& event : runs[0]) recorder.on_event(event);  // warm-up
+  const std::size_t measured = allocations_in([&] {
+    for (std::size_t r = 1; r <= kRuns; ++r) {
+      for (const obs::RunEvent& event : runs[r]) recorder.on_event(event);
+    }
+  });
+  EXPECT_EQ(recorder.tracer().open_count(), 0u);
+  EXPECT_LE(measured, kBudget) << "measured " << measured << " allocations for " << kRuns
+                               << " recorded runs of " << result.invocations()
+                               << " invocations ("
+                               << static_cast<double>(measured) / (kRuns * 64)
                                << " per invocation)";
 }
 

@@ -66,9 +66,10 @@ TEST(Tracer, RecordAndAnnotate) {
   ASSERT_NE(span, nullptr);
   EXPECT_FALSE(span->open());
   EXPECT_DOUBLE_EQ(span->duration(), 3.0);
-  ASSERT_EQ(span->args.size(), 1u);
-  EXPECT_EQ(span->args[0].first, "ce");
-  EXPECT_EQ(span->args[0].second, "ce3");
+  const Tracer::Args args = tracer.args(*span);
+  ASSERT_EQ(args.size(), 1u);
+  EXPECT_EQ(args.begin()->key, "ce");
+  EXPECT_EQ(args.begin()->value, "ce3");
   EXPECT_EQ(tracer.open_count(), 1u);
 }
 
@@ -83,11 +84,12 @@ TEST(Tracer, CloseOpenSpansTagsStragglers) {
   const Span* span = tracer.find(straggler);
   ASSERT_NE(span, nullptr);
   EXPECT_DOUBLE_EQ(span->end, 7.0);
-  ASSERT_FALSE(span->args.empty());
-  EXPECT_EQ(span->args.back().first, "unfinished");
-  EXPECT_EQ(span->args.back().second, "true");
+  const Tracer::Args args = tracer.args(*span);
+  ASSERT_EQ(args.size(), 1u);
+  EXPECT_EQ(args.begin()->key, "unfinished");
+  EXPECT_EQ(args.begin()->value, "true");
   // The span that closed normally is untouched.
-  EXPECT_TRUE(tracer.find(finished)->args.empty());
+  EXPECT_TRUE(tracer.args(*tracer.find(finished)).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +298,9 @@ TEST(RunRecorder, SpanTreeMatchesTheRunHierarchy) {
   EXPECT_EQ(tracer.open_count(), 0u);
 
   std::map<std::string, std::vector<const Span*>> by_category;
-  for (const Span& span : tracer.spans()) by_category[span.category].push_back(&span);
+  for (const Span& span : tracer.spans()) {
+    by_category[std::string(span.category)].push_back(&span);
+  }
 
   ASSERT_EQ(by_category["run"].size(), 1u);
   const SpanId run_id = by_category["run"][0]->id;
@@ -370,9 +374,9 @@ TEST(RunRecorder, WatchdogClonesAndStragglersAreVisible) {
   std::size_t superseded = 0, unfinished = 0;
   for (const Span& span : rig.recorder.tracer().spans()) {
     if (span.category != "attempt") continue;
-    for (const auto& [key, value] : span.args) {
-      if (key == "superseded" && value == "true") ++superseded;
-      if (key == "unfinished" && value == "true") ++unfinished;
+    for (const Annotation& arg : rig.recorder.tracer().args(span)) {
+      if (arg.key == "superseded" && arg.value == "true") ++superseded;
+      if (arg.key == "unfinished" && arg.value == "true") ++unfinished;
     }
   }
   EXPECT_GT(superseded + unfinished, 0u);
@@ -422,6 +426,104 @@ TEST(RunRecorder, EventStreamAndListenerAgree) {
                    counts[RunEvent::Kind::kRetryScheduled]);
   EXPECT_DOUBLE_EQ(rig.counter("moteur_invocations_total"),
                    counts[RunEvent::Kind::kInvocationCompleted]);
+}
+
+/// The event stream of one two-stage chain run on a fresh simulated grid,
+/// stamped with `run_id`; transient failures are retried.
+std::vector<RunEvent> capture_run(const std::string& run_id, double failure_probability,
+                                  std::uint64_t seed) {
+  ObservedRig rig(failure_probability, 0.0, seed);
+  enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
+  policy.retry = enactor::RetryPolicy::resubmit(6);
+  enactor::Enactor moteur(rig.backend, rig.registry, policy);
+  std::vector<RunEvent> events;
+  moteur.add_event_subscriber([&events](const RunEvent& e) { events.push_back(e); });
+  moteur.run({.name = run_id, .workflow = workflow::make_chain(2), .inputs = items(8)});
+  return events;
+}
+
+/// Every span under the `nth` run root stamped `run_id`, as sorted rows of
+/// the names on its path from the root, its category, times and
+/// annotations. Span ids are left out: they depend on arrival order.
+std::vector<std::string> run_subtree(const Tracer& tracer, const std::string& run_id,
+                                     std::size_t nth = 0) {
+  SpanId root = 0;
+  for (const Span& span : tracer.spans()) {
+    const std::string* id = tracer.args(span).find("run_id");
+    if (span.category == "run" && span.parent == 0 && id != nullptr && *id == run_id &&
+        nth-- == 0) {
+      root = span.id;
+      break;
+    }
+  }
+  std::vector<std::string> rows;
+  if (root == 0) return rows;
+  for (const Span& span : tracer.spans()) {
+    std::string path = span.name;
+    const Span* up = &span;
+    while (up->id != root && up->parent != 0) {
+      up = tracer.find(up->parent);
+      path = up->name + "/" + path;
+    }
+    if (up->id != root) continue;
+    std::string row = path + " [" + std::string(span.category) + "] " +
+                      std::to_string(span.start) + ".." + std::to_string(span.end);
+    for (const Annotation& arg : tracer.args(span)) {
+      row += " " + std::string(arg.key) + "=" + arg.value;
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(RunRecorder, InterleavedRunsMatchRunsRecordedAlone) {
+  const std::vector<std::vector<RunEvent>> streams = {
+      capture_run("a", 0.0, 1), capture_run("b", 0.3, 2), capture_run("c", 0.0, 3)};
+  const auto retried =
+      std::find_if(streams[1].begin(), streams[1].end(), [](const RunEvent& e) {
+        return e.kind == RunEvent::Kind::kAttemptStarted && e.attempt >= 2;
+      });
+  ASSERT_NE(retried, streams[1].end()) << "run b never retried";
+
+  // One recorder takes the three runs one event at a time, round robin; the
+  // other takes them back to back.
+  RunRecorder interleaved;
+  for (std::size_t i = 0;; ++i) {
+    bool fed = false;
+    for (const auto& stream : streams) {
+      if (i < stream.size()) {
+        interleaved.on_event(stream[i]);
+        fed = true;
+      }
+    }
+    if (!fed) break;
+  }
+  RunRecorder alone;
+  for (const auto& stream : streams) {
+    for (const RunEvent& event : stream) alone.on_event(event);
+  }
+  EXPECT_EQ(interleaved.tracer().open_count(), 0u);
+  EXPECT_EQ(interleaved.tracer().spans().size(), alone.tracer().spans().size());
+  for (const char* run : {"a", "b", "c"}) {
+    const std::vector<std::string> rows = run_subtree(interleaved.tracer(), run);
+    EXPECT_FALSE(rows.empty()) << run;
+    EXPECT_EQ(rows, run_subtree(alone.tracer(), run)) << "run " << run;
+  }
+
+  // Replaying run b under the finished id "a" reuses a finished run's
+  // tables: the new subtree must match run b's stream recorded fresh.
+  std::vector<RunEvent> replay = streams[1];
+  for (RunEvent& event : replay) event.run_id = "a";
+  RunRecorder fresh;
+  for (const RunEvent& event : replay) {
+    interleaved.on_event(event);
+    fresh.on_event(event);
+  }
+  const std::vector<std::string> replayed = run_subtree(interleaved.tracer(), "a", 1);
+  EXPECT_FALSE(replayed.empty());
+  EXPECT_EQ(replayed, run_subtree(fresh.tracer(), "a"));
+  EXPECT_EQ(interleaved.tracer().open_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -792,9 +894,9 @@ TEST(FlightRecorder, DumpCarriesStateAndEventPayloads) {
   ring.record(make_event(RunEvent::Kind::kRunStarted, 0.0));
   RunEvent attempt = make_event(RunEvent::Kind::kAttemptEnded, 9.0, 1);
   attempt.ok = false;
-  attempt.status = "Transient";
+  attempt.status = Name("Transient");
   attempt.error = "CE melted";
-  attempt.computing_element = "ce7";
+  attempt.computing_element = Name("ce7");
   attempt.submit_time = 1.0;
   attempt.start_time = 4.0;
   attempt.end_time = 9.0;
