@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <string_view>
 
 #include "data/replica_catalog.hpp"
 #include "util/error.hpp"
@@ -33,7 +34,55 @@ obs::Name status_name(OutcomeStatus status) {
   return kNames[static_cast<std::size_t>(status)];
 }
 
+constexpr std::size_t kNoPort = static_cast<std::size_t>(-1);
+
+/// Position of `port` in `ports`, or kNoPort.
+std::size_t position_of(const std::vector<std::string>& ports, const std::string& port) {
+  const auto it = std::find(ports.begin(), ports.end(), port);
+  return it == ports.end() ? kNoPort : static_cast<std::size_t>(it - ports.begin());
+}
+
+/// Remove from `ready`, in order, every tuple `settle` settles; the others
+/// keep their order. `settle` may append to `ready` (a cache hit fed back
+/// into the same processor): appended tuples are visited too. The loop
+/// holds positions, never iterators, across the call, and the reference
+/// `settle` gets stays valid because a deque's push_back keeps references
+/// to its elements.
+template <typename Settle>
+bool settle_in_place(std::deque<IterationBuffer::Tuple>& ready, Settle settle) {
+  bool settled = false;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    if (settle(ready[i])) {
+      settled = true;
+      continue;
+    }
+    if (kept != i) ready[kept] = std::move(ready[i]);
+    ++kept;
+  }
+  ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(kept), ready.end());
+  return settled;
+}
+
+/// A service's iteration buffer: its composed tree, or a flat dot/cross
+/// over all ports as a one-combinator tree.
+std::unique_ptr<CompositeIterationBuffer> iteration_buffer(const Processor& proc) {
+  if (proc.iteration_tree != nullptr) {
+    return std::make_unique<CompositeIterationBuffer>(*proc.iteration_tree);
+  }
+  std::vector<IterationNode> leaves;
+  for (const auto& port : proc.input_ports) leaves.push_back(IterationNode::leaf(port));
+  return std::make_unique<CompositeIterationBuffer>(
+      proc.iteration == workflow::IterationStrategy::kDot
+          ? IterationNode::dot(std::move(leaves))
+          : IterationNode::cross(std::move(leaves)));
+}
+
 }  // namespace
+
+const std::vector<std::string>& Engine::PState::slot_ports() const {
+  return buffer != nullptr ? buffer->ports() : proc->input_ports;
+}
 
 Engine::Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
                EnactmentPolicy policy, PayloadResolver resolver,
@@ -46,7 +95,7 @@ Engine::Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
       resolver_(std::move(resolver)),
       subscribers_(std::move(subscribers)),
       inputs_(std::move(inputs)),
-      run_id_(options.run_id.empty() ? workflow.name() : std::move(options.run_id)),
+      run_id_(std::move(options.run_id)),
       health_(options.health),
       cache_(options.cache) {
   if (!policy_.matchmaking.empty()) {
@@ -96,192 +145,209 @@ obs::Name Engine::ce_name(const std::string& ce) {
 }
 
 void Engine::build_states() {
-  topo_order_ = workflow::topological_order(workflow_);
+  const std::vector<std::string> order = workflow::topological_order(workflow_);
+  const std::size_t n = order.size();
+  // Names sorted with their topological positions: the one name lookup,
+  // used only to wire links and constraints below.
+  std::vector<std::pair<std::string_view, std::size_t>> by_name;
+  by_name.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) by_name.emplace_back(order[i], i);
+  std::sort(by_name.begin(), by_name.end());
+  const auto position = [&by_name](const std::string& name) {
+    return std::lower_bound(by_name.begin(), by_name.end(),
+                            std::pair<std::string_view, std::size_t>(name, 0))
+        ->second;
+  };
 
-  // Reachability INCLUDING feedback links, to detect loop partners.
-  std::map<std::string, std::set<std::string>> reach;
-  for (const auto& proc : workflow_.processors()) reach[proc.name];
-  bool changed = true;
-  for (const auto& link : workflow_.links()) {
-    reach[link.from_processor].insert(link.to_processor);
-  }
-  while (changed) {
-    changed = false;
-    for (auto& [name, set] : reach) {
-      const auto snapshot = set;
-      for (const auto& next : snapshot) {
-        for (const auto& transitive : reach[next]) {
-          if (set.insert(transitive).second) changed = true;
-        }
-      }
-    }
-  }
-  std::map<std::string, std::set<std::string>> stage_predecessors;
-  for (const auto& proc : workflow_.processors()) {
-    auto& waits = stage_predecessors[proc.name];
-    for (const Link* link : workflow_.links_into(proc.name)) {
-      if (link->feedback) continue;
-      const std::string& pred = link->from_processor;
-      // Same loop: pred reachable from proc and proc reachable from pred.
-      if (reach[proc.name].count(pred) != 0 && reach[pred].count(proc.name) != 0) {
-        continue;
-      }
-      waits.insert(pred);
-    }
-  }
-  for (const auto& proc : workflow_.processors()) {
-    PState state;
+  table_ = std::vector<PState>(n);
+  // Declaration order, so the first unbound or mismatched processor is the
+  // one reported.
+  for (const Processor& proc : workflow_.processors()) {
+    PState& state = table_[position(proc.name)];
     state.proc = &proc;
     if (observing()) state.name = obs::Name(proc.name);
-    if (proc.kind == ProcessorKind::kService) {
-      state.service = registry_.resolve(proc);
-      if (proc.synchronization) {
-        for (const auto& port : proc.input_ports) state.collected[port];
-      } else if (proc.iteration_tree != nullptr) {
-        state.buffer = std::make_unique<CompositeIterationBuffer>(*proc.iteration_tree);
-      } else {
-        // Flat dot/cross over all ports: a one-combinator tree.
-        std::vector<IterationNode> leaves;
-        for (const auto& port : proc.input_ports) {
-          leaves.push_back(IterationNode::leaf(port));
-        }
-        state.buffer = std::make_unique<CompositeIterationBuffer>(
-            proc.iteration == workflow::IterationStrategy::kDot
-                ? IterationNode::dot(std::move(leaves))
-                : IterationNode::cross(std::move(leaves)));
-      }
-      check_binding(state);
-    } else if (proc.kind == ProcessorKind::kSink) {
-      state.collected["in"];
+    state.inputs.resize(proc.input_ports.size());
+    switch (proc.kind) {
+      case ProcessorKind::kSource: state.role = PState::Role::kSource; break;
+      case ProcessorKind::kSink: state.role = PState::Role::kSink; break;
+      case ProcessorKind::kService:
+        // A barrier collects by input port position; a service iterates.
+        state.role = proc.synchronization ? PState::Role::kBarrier : PState::Role::kService;
+        state.service = registry_.resolve(proc);
+        if (!proc.synchronization) state.buffer = iteration_buffer(proc);
+        check_binding(state);
+        break;
     }
-    states_.emplace(proc.name, std::move(state));
   }
 
-  // Resolve the hot-path caches now that every PState has its final address
-  // (std::map nodes are stable): outlets, stage/coordination waits, per-port
-  // inlets with producer pointers, and the link -> consumer index. After
-  // this, the per-event paths never resolve a processor name again.
-  topo_states_.reserve(topo_order_.size());
-  for (const auto& name : topo_order_) topo_states_.push_back(&states_.at(name));
-  for (auto& [name, state] : states_) {
-    state.outlets = workflow_.links_out_of(name);
-    for (const Link* link : state.outlets) {
-      link_consumer_.emplace(link, &states_.at(link->to_processor));
+  // Loop membership: two processors share a loop when each reaches the
+  // other, feedback links included (Warshall's closure over positions).
+  std::vector<char> reaches(n * n, 0);
+  for (const Link& link : workflow_.links()) {
+    reaches[position(link.from_processor) * n + position(link.to_processor)] = 1;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (reaches[i * n + k] == 0) continue;
+      for (std::size_t j = 0; j < n; ++j) reaches[i * n + j] |= reaches[k * n + j];
     }
-    for (const auto& pred : stage_predecessors.at(name)) {
-      state.stage_preds.push_back(&states_.at(pred));
+  }
+  const auto same_loop = [&reaches, n](std::size_t a, std::size_t b) {
+    return reaches[a * n + b] != 0 && reaches[b * n + a] != 0;
+  };
+
+  for (const Link& link : workflow_.links()) {
+    const std::size_t from = position(link.from_processor);
+    const std::size_t to = position(link.to_processor);
+    PState& consumer = table_[to];
+    PState::Outlet outlet;
+    outlet.port = position_of(table_[from].proc->output_ports, link.from_port);
+    outlet.consumer = &consumer;
+    outlet.slot = position_of(consumer.slot_ports(), link.to_port);
+    outlet.feedback = link.feedback;
+    outlet.stage = !link.feedback && !same_loop(from, to);
+    PState::Input& input = consumer.inputs[outlet.slot];
+    if (link.feedback) {
+      input.feedback = true;
+    } else {
+      ++input.feeders;
     }
-    for (const auto& constraint : workflow_.coordination_constraints()) {
-      if (constraint.after == name) {
-        state.coord_waits.push_back(&states_.at(constraint.before));
-      }
-    }
-    const auto& ports = state.proc->kind == ProcessorKind::kSink
-                            ? std::vector<std::string>{"in"}
-                            : state.proc->input_ports;
-    for (const auto& port : ports) {
-      std::vector<PState::Inlet> inlets;
-      for (const Link* link : workflow_.links_into_port(name, port)) {
-        inlets.push_back(PState::Inlet{
-            link, link->feedback ? nullptr : &states_.at(link->from_processor)});
-      }
-      state.inlets.emplace_back(port, std::move(inlets));
-    }
+    if (outlet.stage) ++consumer.stage_waits;
+    table_[from].outlets.push_back(outlet);
+  }
+  for (const auto& constraint : workflow_.coordination_constraints()) {
+    PState& after = table_[position(constraint.after)];
+    table_[position(constraint.before)].constrained.push_back(&after);
+    ++after.constraint_waits;
   }
 }
 
 void Engine::check_binding(const PState& state) const {
-  const std::set<std::string> service_inputs = [&] {
-    const auto ports = state.service->input_ports();
-    return std::set<std::string>(ports.begin(), ports.end());
-  }();
-  const std::set<std::string> proc_inputs(state.proc->input_ports.begin(),
-                                          state.proc->input_ports.end());
-  MOTEUR_REQUIRE(service_inputs == proc_inputs, EnactmentError,
-                 "service '" + state.service->id() + "' input ports do not match processor '" +
-                     state.proc->name + "'");
-  const auto service_outputs = state.service->output_ports();
-  const std::set<std::string> available(service_outputs.begin(), service_outputs.end());
-  for (const auto& port : state.proc->output_ports) {
-    MOTEUR_REQUIRE(available.count(port) != 0, EnactmentError,
-                   "service '" + state.service->id() + "' does not produce output port '" +
-                       port + "' required by processor '" + state.proc->name + "'");
+  const Processor& proc = *state.proc;
+  const services::Service& service = *state.service;
+  const std::vector<std::string> inputs = service.input_ports();
+  const bool same_inputs =
+      std::all_of(inputs.begin(), inputs.end(),
+                  [&](const std::string& port) { return proc.has_input_port(port); }) &&
+      std::all_of(proc.input_ports.begin(), proc.input_ports.end(),
+                  [&](const std::string& port) { return position_of(inputs, port) != kNoPort; });
+  MOTEUR_REQUIRE(same_inputs, EnactmentError,
+                 "service '" + service.id() + "' input ports do not match processor '" +
+                     proc.name + "'");
+  const std::vector<std::string> outputs = service.output_ports();
+  for (const auto& port : proc.output_ports) {
+    MOTEUR_REQUIRE(position_of(outputs, port) != kNoPort, EnactmentError,
+                   "service '" + service.id() + "' does not produce output port '" + port +
+                       "' required by processor '" + proc.name + "'");
   }
 }
 
 void Engine::emit_sources() {
-  for (const Processor* source : workflow_.sources()) {
-    MOTEUR_REQUIRE(inputs_.has_input(source->name), EnactmentError,
-                   "input data set provides no items for source '" + source->name + "'");
-    const auto& items = inputs_.items(source->name);
-    const std::vector<const Link*>& outlets = state_of(source->name).outlets;
+  // Declaration order: it decides the order tokens reach their consumers.
+  for (const Processor& proc : workflow_.processors()) {
+    if (proc.kind != ProcessorKind::kSource) continue;
+    PState& source = *std::find_if(table_.begin(), table_.end(),
+                                   [&](const PState& state) { return state.proc == &proc; });
+    MOTEUR_REQUIRE(inputs_.has_input(proc.name), EnactmentError,
+                   "input data set provides no items for source '" + proc.name + "'");
+    const auto& items = inputs_.items(proc.name);
     for (std::size_t j = 0; j < items.size(); ++j) {
       std::any payload =
-          resolver_ ? resolver_(source->name, j, items[j]) : std::any(items[j]);
-      data::Token token =
-          data::Token::from_source(source->name, j, std::move(payload), items[j]);
-      for (std::size_t k = 0; k < outlets.size(); ++k) {
-        if (k + 1 == outlets.size()) {
-          deliver(*outlets[k], std::move(token));
-        } else {
-          deliver(*outlets[k], token);
-        }
-      }
+          resolver_ ? resolver_(proc.name, j, items[j]) : std::any(items[j]);
+      // A source has the one output port "out".
+      fan_out(source, 0,
+              data::Token::from_source(proc.name, j, std::move(payload), items[j]));
     }
-    state_of(source->name).finished = true;
-    MOTEUR_LOG(kDebug, "enactor") << "source '" << source->name << "' emitted "
+    set_finished(source);
+    MOTEUR_LOG(kDebug, "enactor") << "source '" << proc.name << "' emitted "
                                   << items.size() << " items";
   }
 }
 
-void Engine::deliver(const Link& link, data::Token token) {
-  PState& consumer = *link_consumer_.at(&link);
-  if (link.feedback) {
+void Engine::fan_out(PState& state, std::size_t port, data::Token token, bool recirculate) {
+  // Every outlet but the last gets a copy; the last takes the token.
+  PState::Outlet* pending = nullptr;
+  for (PState::Outlet& outlet : state.outlets) {
+    if (outlet.port != port || (outlet.feedback && !recirculate)) continue;
+    if (pending != nullptr) deliver(*pending, token);
+    pending = &outlet;
+  }
+  if (pending != nullptr) deliver(*pending, std::move(token));
+}
+
+void Engine::deliver(PState::Outlet& outlet, data::Token token) {
+  if (outlet.feedback) {
     // A token crossing a feedback link opens a new loop iteration: extend
-    // its index with the per-link iteration counter so it cannot collide
+    // its index with the link's iteration counter so it cannot collide
     // with the index it carried on the previous pass (dot buffers reject
     // duplicate indices). The rebuilt token drops its content digest:
     // loop-recirculated data is never memoized.
     data::IndexVector extended = token.indices();
-    extended.push_back(++feedback_counters_[&link]);
+    extended.push_back(++outlet.iterations);
     token = data::Token(token.payload(), token.repr(), std::move(extended),
                         token.provenance());
   }
-  if (consumer.proc->kind == ProcessorKind::kSink ||
-      (consumer.proc->kind == ProcessorKind::kService && consumer.proc->synchronization)) {
-    consumer.collected[link.to_port].push_back(std::move(token));
+  PState& consumer = *outlet.consumer;
+  if (consumer.buffer == nullptr) {  // barrier or sink
+    consumer.inputs[outlet.slot].tokens.push_back(std::move(token));
     return;
   }
-  consumer.buffer->push(link.to_port, std::move(token));
+  consumer.buffer->push(outlet.slot, std::move(token));
   consumer.buffer->drain_ready_into(consumer.ready);
+}
+
+void Engine::set_finished(PState& state) {
+  state.finished = true;
+  for (const PState::Outlet& outlet : state.outlets) {
+    if (outlet.feedback) continue;
+    --outlet.consumer->inputs[outlet.slot].feeders;
+    if (outlet.stage) --outlet.consumer->stage_waits;
+  }
+  for (PState* after : state.constrained) --after->constraint_waits;
+}
+
+bool Engine::close_inputs(PState& state, bool feedback) {
+  bool progress = false;
+  for (std::size_t slot = 0; slot < state.inputs.size(); ++slot) {
+    PState::Input& input = state.inputs[slot];
+    if (input.closed || input.feeders != 0 || input.feedback != feedback) continue;
+    input.closed = true;
+    if (state.buffer != nullptr) state.buffer->close(slot);
+    progress = true;
+  }
+  return progress;
 }
 
 bool Engine::cacheable(const PState& state) const {
   // Barrier aggregates are never memoized (their aggregate inputs carry no
   // content digest), nor are services declaring themselves non-deterministic.
-  return cache_ != nullptr && policy_.cache && state.service != nullptr &&
-         !state.proc->synchronization && state.service->deterministic();
+  return cache_ != nullptr && policy_.cache && state.role == PState::Role::kService &&
+         state.service->deterministic();
 }
 
-std::string Engine::tuple_cache_key(const PState& state,
-                                    const IterationBuffer::Tuple& tuple) const {
-  // Tuple tokens are aligned with the buffer's port order, so pair each
-  // digest with its port: the key must distinguish a=X,b=Y from a=Y,b=X.
-  const std::vector<std::string>& ports = state.buffer->ports();
+std::vector<data::PortDigest> Engine::input_digests(const PState& state,
+                                                    const Tuple& tuple) const {
+  // Tuple tokens are aligned with the buffer's slots, so pair each digest
+  // with its port: a key must distinguish a=X,b=Y from a=Y,b=X.
+  const std::vector<std::string>& ports = state.slot_ports();
   std::vector<data::PortDigest> inputs;
   inputs.reserve(tuple.tokens.size());
   for (std::size_t i = 0; i < tuple.tokens.size(); ++i) {
-    const data::Token& token = tuple.tokens[i];
-    // A poisoned or undigested input defeats content addressing: the tuple
-    // must run (or be skipped) for real.
-    if (token.poisoned() || token.digest() == 0) return {};
-    inputs.emplace_back(ports[i], token.digest());
+    // Poisoned tokens carry no digest either.
+    if (tuple.tokens[i].digest() == 0) return {};
+    inputs.emplace_back(ports[i], tuple.tokens[i].digest());
   }
+  return inputs;
+}
+
+std::string Engine::tuple_cache_key(const PState& state, const Tuple& tuple) const {
+  std::vector<data::PortDigest> inputs = input_digests(state, tuple);
+  if (inputs.empty()) return {};
   return data::InvocationCache::cache_key(state.service->content_digest(),
                                           std::move(inputs));
 }
 
-bool Engine::try_serve_cached(PState& state, const IterationBuffer::Tuple& tuple) {
+bool Engine::try_serve_cached(PState& state, const Tuple& tuple) {
   if (!cacheable(state)) return false;
   const std::string key = tuple_cache_key(state, tuple);
   if (key.empty()) return false;
@@ -302,53 +368,21 @@ bool Engine::try_serve_cached(PState& state, const IterationBuffer::Tuple& tuple
   auto hit = cache_->lookup(key, run_id_);
   if (!hit) return false;
 
-  const std::uint64_t id = next_submission_id_++;
-  ++state.fired;
   const std::size_t codes_per_tuple =
       state.proc->is_grouped() ? state.proc->group_members.size() : 1;
   result_.stats.invocations += codes_per_tuple;
   ++result_.stats.cache_hits;
-
-  InvocationTrace trace;
-  trace.processor = state.proc->name;
-  trace.indices.push_back(tuple.index);
-  const double now = backend_.now();
-  trace.submit_time = now;
-  trace.start_time = now;
-  trace.end_time = now;
-  trace.status = OutcomeStatus::kCached;
-  result_.timeline.add(std::move(trace));
-
   MOTEUR_LOG(kDebug, "enactor") << "cache hit for '" << state.proc->name << "' on tuple "
                                 << data::to_string(tuple.index);
-  if (observing()) {
-    obs::RunEvent event = make_event(obs::RunEvent::Kind::kCacheHit);
-    event.processor = state.name;
-    event.invocation = id;
-    event.tuples = 1;
-    event.status = status_name(OutcomeStatus::kCached);
-    emit(event);
-  }
+  settle_without_job(state, tuple, OutcomeStatus::kCached, {});
 
-  const std::vector<const Link*>& outlets = state.outlets;
   for (const auto& out : hit->outputs) {
-    if (!state.proc->has_output_port(out.port)) continue;
+    const std::size_t port = position_of(state.proc->output_ports, out.port);
+    if (port == kNoPort) continue;
     if (out.ref != nullptr && recovery_enabled()) record_lineage(state, tuple, *out.ref);
-    data::Token token =
-        data::Token::derived(state.proc->name, out.port, tuple.tokens, tuple.index,
-                             out.payload, out.repr, out.digest, out.ref);
-    const Link* last = nullptr;
-    for (const Link* link : outlets) {
-      if (link->from_port == out.port) last = link;
-    }
-    for (const Link* link : outlets) {
-      if (link->from_port != out.port) continue;
-      if (link == last) {
-        deliver(*link, std::move(token));
-        break;
-      }
-      deliver(*link, token);
-    }
+    fan_out(state, port,
+            data::Token::derived(state.proc->name, out.port, tuple.tokens, tuple.index,
+                                 out.payload, out.repr, out.digest, out.ref));
   }
   return true;
 }
@@ -359,18 +393,11 @@ bool Engine::can_fire(const PState& state) const {
   const std::size_t service_limit = state.service->max_concurrent_invocations();
   if (service_limit != 0) capacity = std::min(capacity, service_limit);
   if (state.in_flight >= capacity) return false;
-  if (!policy_.service_parallelism) {
-    // Stage synchronization: every data predecessor (outside this
-    // processor's own loop) must be entirely done before it may process
-    // anything.
-    for (const PState* pred : state.stage_preds) {
-      if (!pred->finished) return false;
-    }
-  }
-  for (const PState* before : state.coord_waits) {
-    if (!before->finished) return false;
-  }
-  return true;
+  // Stage synchronization: every data predecessor (outside this
+  // processor's own loop) must be entirely done before it may process
+  // anything.
+  if (!policy_.service_parallelism && state.stage_waits != 0) return false;
+  return state.constraint_waits == 0;
 }
 
 std::size_t Engine::target_batch(const PState& state) const {
@@ -384,13 +411,9 @@ std::size_t Engine::target_batch(const PState& state) const {
   // Estimate the per-item payload from the front tuple's profile.
   double compute = 1.0;
   if (!state.ready.empty()) {
-    services::Inputs binding;
-    const auto& tuple = state.ready.front();
-    const std::vector<std::string>& port_order = state.buffer->ports();
-    for (std::size_t i = 0; i < port_order.size(); ++i) {
-      binding.emplace(port_order[i], tuple.tokens[i]);
-    }
-    compute = std::max(1.0, state.service->job_profile(binding).compute_seconds);
+    compute = std::max(1.0,
+                       state.service->job_profile(bind(state, state.ready.front()))
+                           .compute_seconds);
   }
   const double f = policy_.overhead_fraction_target;
   const double needed = overhead * (1.0 - f) / (f * compute);
@@ -400,57 +423,37 @@ std::size_t Engine::target_batch(const PState& state) const {
 
 bool Engine::dispatch_pass() {
   bool progress = false;
-  for (PState* state_ptr : topo_states_) {
-    PState& state = *state_ptr;
-    if (state.proc->kind != ProcessorKind::kService || state.proc->synchronization ||
-        state.finished) {
-      continue;
-    }
+  for (PState& state : table_) {
+    if (state.role != PState::Role::kService || state.finished) continue;
     if (policy_.failure_policy == FailurePolicy::kContinue) {
       // Peel off tuples that consumed a poisoned token: they can never
       // execute, only be skipped (which re-poisons their descendants).
       // Skipping needs no backend capacity, so it bypasses can_fire().
-      std::deque<IterationBuffer::Tuple> healthy;
-      while (!state.ready.empty()) {
-        IterationBuffer::Tuple tuple = std::move(state.ready.front());
-        state.ready.pop_front();
-        const bool poisoned =
-            std::any_of(tuple.tokens.begin(), tuple.tokens.end(),
-                        [](const data::Token& t) { return t.poisoned(); });
-        if (poisoned) {
-          skip_tuple(state, std::move(tuple));
-          progress = true;
-        } else {
-          healthy.push_back(std::move(tuple));
+      progress |= settle_in_place(state.ready, [&](const Tuple& tuple) {
+        if (std::none_of(tuple.tokens.begin(), tuple.tokens.end(),
+                         [](const data::Token& t) { return t.poisoned(); })) {
+          return false;
         }
-      }
-      state.ready = std::move(healthy);
+        skip_tuple(state, tuple);
+        return true;
+      });
     }
-    if (cacheable(state) && !state.ready.empty()) {
+    if (cacheable(state)) {
       // Serve memoized tuples before batching: a hit short-circuits the grid
       // job entirely and needs no backend capacity, so it bypasses can_fire().
       // Probing at dispatch rather than arrival lets a tuple parked behind a
       // capacity limit hit on a result that completed while it waited — the
       // within-run dedup of repeated inputs. (Misses are counted in fire(),
       // so re-probing parked tuples never inflates the stats.)
-      std::deque<IterationBuffer::Tuple> misses;
-      while (!state.ready.empty()) {
-        IterationBuffer::Tuple tuple = std::move(state.ready.front());
-        state.ready.pop_front();
-        if (try_serve_cached(state, tuple)) {
-          progress = true;
-        } else {
-          misses.push_back(std::move(tuple));
-        }
-      }
-      state.ready = std::move(misses);
+      progress |= settle_in_place(
+          state.ready, [&](const Tuple& tuple) { return try_serve_cached(state, tuple); });
     }
     while (!state.ready.empty() && can_fire(state)) {
       const std::size_t batch = target_batch(state);
       const bool flush = state.buffer->all_closed();
       if (state.ready.size() < batch && !flush) break;
       const std::size_t take = std::min<std::size_t>(batch, state.ready.size());
-      std::vector<IterationBuffer::Tuple> tuples;
+      std::vector<Tuple> tuples;
       tuples.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
         tuples.push_back(std::move(state.ready.front()));
@@ -463,20 +466,18 @@ bool Engine::dispatch_pass() {
   return progress;
 }
 
-void Engine::fire(PState& state, std::vector<IterationBuffer::Tuple> tuples) {
-  // Tuple tokens are aligned with the iteration tree's leaf order (equal to
-  // the processor port order for flat strategies).
-  const std::vector<std::string>& port_order = state.buffer->ports();
+services::Inputs Engine::bind(const PState& state, const Tuple& tuple) const {
+  const std::vector<std::string>& ports = state.slot_ports();
+  services::Inputs binding;
+  for (std::size_t i = 0; i < ports.size(); ++i) binding.emplace(ports[i], tuple.tokens[i]);
+  return binding;
+}
+
+void Engine::fire(PState& state, std::vector<Tuple> tuples) {
   auto sub = std::make_shared<Submission>();
   sub->state = &state;
   sub->bindings.reserve(tuples.size());
-  for (const auto& tuple : tuples) {
-    services::Inputs binding;
-    for (std::size_t i = 0; i < port_order.size(); ++i) {
-      binding.emplace(port_order[i], tuple.tokens[i]);
-    }
-    sub->bindings.push_back(std::move(binding));
-  }
+  for (const auto& tuple : tuples) sub->bindings.push_back(bind(state, tuple));
   if (cacheable(state)) {
     sub->cache_keys.reserve(tuples.size());
     for (const auto& tuple : tuples) {
@@ -500,12 +501,13 @@ void Engine::fire(PState& state, std::vector<IterationBuffer::Tuple> tuples) {
 }
 
 void Engine::fire_barrier(PState& state) {
-  // Build one aggregate token per input port: the whole (index-sorted)
-  // stream as a std::vector<data::Token> payload.
-  services::Inputs binding;
-  IterationBuffer::Tuple pseudo_tuple;  // provenance carrier for the outputs
-  for (const auto& port : state.proc->input_ports) {
-    auto tokens = std::move(state.collected[port]);
+  // One aggregate token per input port: the whole (index-sorted) stream as
+  // a std::vector<data::Token> payload. The tuple of aggregates is the
+  // provenance carrier for the outputs.
+  Tuple aggregates;
+  for (std::size_t slot = 0; slot < state.inputs.size(); ++slot) {
+    const std::string& port = state.proc->input_ports[slot];
+    auto tokens = std::move(state.inputs[slot].tokens);
     // A barrier aggregates over the survivors: poisoned tokens drop out of
     // the stream here (they carry no payload to aggregate).
     tokens.erase(std::remove_if(tokens.begin(), tokens.end(),
@@ -515,31 +517,18 @@ void Engine::fire_barrier(PState& state) {
               [](const data::Token& a, const data::Token& b) {
                 return a.indices() < b.indices();
               });
-    data::Token aggregate =
+    aggregates.tokens.push_back(
         tokens.empty()
             ? data::Token(std::vector<data::Token>{}, "[0 items]", data::IndexVector{},
                           data::Provenance::source(state.proc->name + "." + port + ".empty", 0))
             : data::Token::derived(state.proc->name, port + ".all", tokens,
                                    data::IndexVector{}, tokens, "[" +
-                                       std::to_string(tokens.size()) + " items]");
-    pseudo_tuple.tokens.push_back(aggregate);
-    binding.emplace(port, std::move(aggregate));
+                                       std::to_string(tokens.size()) + " items]"));
   }
-
-  auto sub = std::make_shared<Submission>();
-  sub->state = &state;
-  sub->tuples.push_back(std::move(pseudo_tuple));
-  sub->bindings.push_back(std::move(binding));
-  sub->id = next_submission_id_++;
-
   state.sync_fired = true;
-  ++state.in_flight;
-  ++state.fired;
-  ++tuples_in_flight_;
-  if (policy_.retry.timeout_enabled()) outstanding_.push_back(sub);
-  MOTEUR_LOG(kDebug, "enactor") << "fire barrier '" << state.proc->name << "'";
-  if (observing()) emit(make_event(obs::RunEvent::Kind::kInvocationStarted, *sub, 0));
-  start_attempt(sub);
+  std::vector<Tuple> tuples;
+  tuples.push_back(std::move(aggregates));
+  fire(state, std::move(tuples));
 }
 
 void Engine::start_attempt(const std::shared_ptr<Submission>& sub) {
@@ -761,13 +750,8 @@ void Engine::start_recovery(const std::shared_ptr<Recovery>& rec) {
   ++rec->attempts;
   ++result_.stats.submissions;
   PState& state = *rec->state;
-  const std::vector<std::string>& port_order = state.buffer->ports();
-  services::Inputs binding;
-  for (std::size_t i = 0; i < port_order.size(); ++i) {
-    binding.emplace(port_order[i], rec->tuple.tokens[i]);
-  }
   std::vector<services::Inputs> bindings;
-  bindings.push_back(std::move(binding));
+  bindings.push_back(bind(state, rec->tuple));
   ExecOptions exec_options;
   exec_options.matchmaking = matchmaking_;
   backend_.execute(state.service, std::move(bindings), std::move(exec_options),
@@ -829,22 +813,19 @@ void Engine::on_recovery_complete(const std::shared_ptr<Recovery>& rec, Outcome 
   rec->on_done(false);
 }
 
-void Engine::poison_outputs(PState& state, const IterationBuffer::Tuple& tuple,
+void Engine::poison_outputs(PState& state, const Tuple& tuple,
                             const std::shared_ptr<const data::TokenError>& error) {
-  for (const auto& port : state.proc->output_ports) {
-    const data::Token token =
-        data::Token::poisoned(state.proc->name, port, tuple.tokens, tuple.index, error);
-    for (const Link* link : state.outlets) {
-      if (link->from_port != port) continue;
-      // Poison stops at feedback links: recirculating it would spin the loop
-      // on error markers forever.
-      if (link->feedback) continue;
-      deliver(*link, token);
-    }
+  for (std::size_t port = 0; port < state.proc->output_ports.size(); ++port) {
+    // Poison stops at feedback links: recirculating it would spin the loop
+    // on error markers forever.
+    fan_out(state, port,
+            data::Token::poisoned(state.proc->name, state.proc->output_ports[port],
+                                  tuple.tokens, tuple.index, error),
+            /*recirculate=*/false);
   }
 }
 
-void Engine::skip_tuple(PState& state, IterationBuffer::Tuple tuple) {
+void Engine::skip_tuple(PState& state, const Tuple& tuple) {
   std::shared_ptr<const data::TokenError> cause;
   for (const auto& token : tuple.tokens) {
     if (token.poisoned()) {
@@ -852,13 +833,23 @@ void Engine::skip_tuple(PState& state, IterationBuffer::Tuple tuple) {
       break;
     }
   }
-  const std::uint64_t id = next_submission_id_++;
-  ++state.fired;
   ++result_.stats.skipped;
   result_.failure_report.skipped.push_back(FailureReport::SkippedInvocation{
       state.proc->name, tuple.index, cause ? cause->processor : std::string(),
       cause ? cause->cause : std::string()});
+  MOTEUR_LOG(kInfo, "enactor") << "skipping invocation of '" << state.proc->name
+                               << "' on poisoned tuple " << data::to_string(tuple.index)
+                               << (cause ? " (root cause at '" + cause->processor + "')"
+                                         : std::string());
+  settle_without_job(state, tuple, OutcomeStatus::kSkipped,
+                     cause ? cause->cause : std::string());
+  if (cause) poison_outputs(state, tuple, cause);
+}
 
+void Engine::settle_without_job(PState& state, const Tuple& tuple, OutcomeStatus status,
+                                const std::string& error) {
+  const std::uint64_t id = next_submission_id_++;
+  ++state.fired;
   InvocationTrace trace;
   trace.processor = state.proc->name;
   trace.indices.push_back(tuple.index);
@@ -866,24 +857,20 @@ void Engine::skip_tuple(PState& state, IterationBuffer::Tuple tuple) {
   trace.submit_time = now;
   trace.start_time = now;
   trace.end_time = now;
-  trace.status = OutcomeStatus::kSkipped;
-  trace.skipped = true;
+  trace.status = status;
+  trace.skipped = status == OutcomeStatus::kSkipped;
   result_.timeline.add(std::move(trace));
-
-  MOTEUR_LOG(kInfo, "enactor") << "skipping invocation of '" << state.proc->name
-                               << "' on poisoned tuple " << data::to_string(tuple.index)
-                               << (cause ? " (root cause at '" + cause->processor + "')"
-                                         : std::string());
   if (observing()) {
-    obs::RunEvent event = make_event(obs::RunEvent::Kind::kInvocationSkipped);
+    obs::RunEvent event = make_event(status == OutcomeStatus::kSkipped
+                                         ? obs::RunEvent::Kind::kInvocationSkipped
+                                         : obs::RunEvent::Kind::kCacheHit);
     event.processor = state.name;
     event.invocation = id;
     event.tuples = 1;
-    event.status = status_name(OutcomeStatus::kSkipped);
-    if (cause) event.error = cause->cause;
+    event.status = status_name(status);
+    event.error = error;
     emit(event);
   }
-  if (cause) poison_outputs(state, tuple, cause);
 }
 
 void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
@@ -973,34 +960,22 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
     }
     const bool digesting = cacheable(state);
     const std::uint64_t service_digest = digesting ? state.service->content_digest() : 0;
-    const std::vector<const Link*>& outlets = state.outlets;
     for (std::size_t i = 0; i < sub->tuples.size(); ++i) {
       const auto& tuple = sub->tuples[i];
       // Content chain: output digest = H(service, port, (input port, input
       // digest) pairs). Any undigested input breaks the chain (digest 0).
-      std::vector<data::PortDigest> input_digests;
-      bool digested = digesting;
-      if (digested) {
-        // Digesting implies an iteration buffer: synchronization
-        // processors, which have none, are never cacheable.
-        const std::vector<std::string>& in_ports = state.buffer->ports();
-        input_digests.reserve(tuple.tokens.size());
-        for (std::size_t t = 0; t < tuple.tokens.size(); ++t) {
-          if (tuple.tokens[t].digest() == 0) {
-            digested = false;
-            break;
-          }
-          input_digests.emplace_back(in_ports[t], tuple.tokens[t].digest());
-        }
-      }
+      const std::vector<data::PortDigest> inputs =
+          digesting ? input_digests(state, tuple) : std::vector<data::PortDigest>{};
+      const bool digested = !inputs.empty();
       const std::string* key =
           i < sub->cache_keys.size() && !sub->cache_keys[i].empty() ? &sub->cache_keys[i]
                                                                    : nullptr;
       data::CachedInvocation memo;
       for (auto& [port, value] : outcome.results[i].outputs) {
-        if (!state.proc->has_output_port(port)) continue;  // undeclared extra
+        const std::size_t position = position_of(state.proc->output_ports, port);
+        if (position == kNoPort) continue;  // undeclared extra
         const std::uint64_t out_digest =
-            digested ? data::derived_digest(service_digest, port, input_digests) : 0;
+            digested ? data::derived_digest(service_digest, port, inputs) : 0;
         if (digested && key != nullptr) {
           memo.outputs.push_back(data::CachedOutput{port, value.payload, value.repr,
                                                     out_digest, value.ref});
@@ -1014,22 +989,10 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
         // once (memo copy above happens first), so the payload, repr, and
         // DataRef move into the token instead of copying — std::any copies
         // of large payloads were the hot-path cost at ~1M invocations.
-        data::Token token =
-            data::Token::derived(state.proc->name, port, tuple.tokens, tuple.index,
-                                 std::move(value.payload), std::move(value.repr),
-                                 out_digest, std::move(value.ref));
-        const Link* last = nullptr;
-        for (const Link* link : outlets) {
-          if (link->from_port == port) last = link;
-        }
-        for (const Link* link : outlets) {
-          if (link->from_port != port) continue;
-          if (link == last) {
-            deliver(*link, std::move(token));
-            break;
-          }
-          deliver(*link, token);
-        }
+        fan_out(state, position,
+                data::Token::derived(state.proc->name, port, tuple.tokens, tuple.index,
+                                     std::move(value.payload), std::move(value.repr),
+                                     out_digest, std::move(value.ref)));
       }
       // Only complete, successful results reach this point, so a cancelled
       // run can never leave a half-written entry behind.
@@ -1093,61 +1056,38 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
 
 bool Engine::closure_pass() {
   bool progress = false;
-  for (PState* state_ptr : topo_states_) {
-    PState& state = *state_ptr;
-    if (state.finished) continue;
-    const Processor& proc = *state.proc;
-    if (proc.kind == ProcessorKind::kSource) continue;  // finished at emit
-
-    const bool is_collector =
-        proc.kind == ProcessorKind::kSink || (proc.kind == ProcessorKind::kService &&
-                                              proc.synchronization);
-
-    // Close input ports whose feeders are all done. Ports with feedback
-    // inlets are only closed by try_feedback_closure().
-    for (const auto& [port, inlets] : state.inlets) {
-      const bool already_closed = is_collector ? state.collected_closed.count(port) != 0
-                                               : state.buffer->is_closed(port);
-      if (already_closed) continue;
-      bool closable = true;
-      for (const PState::Inlet& inlet : inlets) {
-        if (inlet.producer == nullptr || !inlet.producer->finished) {
-          closable = false;
-          break;
-        }
-      }
-      if (!closable) continue;
-      if (is_collector) {
-        state.collected_closed.insert(port);
-      } else {
-        state.buffer->close(port);
-      }
-      progress = true;
-    }
+  for (PState& state : table_) {
+    if (state.finished) continue;  // sources finish at emission
+    // Close input slots whose feeders are all done. Slots with a feedback
+    // inlet are only closed by try_unstall().
+    if (close_inputs(state, /*feedback=*/false)) progress = true;
+    const bool inputs_closed =
+        std::all_of(state.inputs.begin(), state.inputs.end(),
+                    [](const PState::Input& input) { return input.closed; });
 
     // Fire a synchronization barrier once its whole input is in.
-    if (proc.kind == ProcessorKind::kService && proc.synchronization &&
-        !state.sync_fired && state.collected_closed.size() == proc.input_ports.size() &&
+    if (state.role == PState::Role::kBarrier && !state.sync_fired && inputs_closed &&
         can_fire(state)) {
       fire_barrier(state);
       progress = true;
     }
 
-    // Promote to finished.
     bool done = false;
-    if (proc.kind == ProcessorKind::kSink) {
-      done = state.collected_closed.size() == 1;
-    } else if (proc.synchronization) {
-      done = state.sync_fired && state.in_flight == 0;
-    } else {
-      done = state.buffer->all_closed() && state.ready.empty() && state.in_flight == 0;
+    switch (state.role) {
+      case PState::Role::kSource: break;
+      case PState::Role::kSink: done = inputs_closed; break;
+      case PState::Role::kBarrier: done = state.sync_fired && state.in_flight == 0; break;
+      case PState::Role::kService:
+        done = inputs_closed && state.ready.empty() && state.in_flight == 0;
+        break;
     }
     if (done) {
-      state.finished = true;
+      set_finished(state);
       progress = true;
-      MOTEUR_LOG(kDebug, "enactor") << "processor '" << proc.name << "' finished after "
-                                    << state.fired << " invocation(s)";
-      if (proc.kind == ProcessorKind::kService && observing()) {
+      MOTEUR_LOG(kDebug, "enactor") << "processor '" << state.proc->name
+                                    << "' finished after " << state.fired
+                                    << " invocation(s)";
+      if (state.service != nullptr && observing()) {  // services and barriers
         obs::RunEvent event = make_event(obs::RunEvent::Kind::kProcessorFinished);
         event.processor = state.name;
         event.tuples = state.fired;
@@ -1167,60 +1107,41 @@ void Engine::pump() {
   }
 }
 
-bool Engine::try_feedback_closure() {
-  // Only sound when the workflow has fully quiesced: nothing in flight and
-  // nothing ready anywhere, so no further token can cross a feedback link.
-  // (Unresolved submissions — including pending backoff resubmissions —
-  // keep in_flight nonzero, so retries block closure as real work does.)
-  for (const auto& [name, state] : states_) {
+bool Engine::try_unstall() {
+  // Feedback-port closure is only sound when the workflow has fully
+  // quiesced: nothing in flight and nothing ready anywhere, so no further
+  // token can cross a feedback link. (Unresolved submissions — including
+  // pending backoff resubmissions — keep in_flight nonzero, so retries
+  // block closure as real work does.)
+  for (const PState& state : table_) {
     if (state.in_flight != 0 || !state.ready.empty()) return false;
   }
   bool progress = false;
-  for (PState* state_ptr : topo_states_) {
-    PState& state = *state_ptr;
-    if (state.finished || state.proc->kind != ProcessorKind::kService) continue;
-    for (const auto& [port, inlets] : state.inlets) {
-      const bool is_collector = state.proc->synchronization;
-      const bool already_closed = is_collector ? state.collected_closed.count(port) != 0
-                                               : state.buffer->is_closed(port);
-      if (already_closed) continue;
-      bool has_feedback = false;
-      bool rest_closed = true;
-      for (const PState::Inlet& inlet : inlets) {
-        if (inlet.producer == nullptr) {
-          has_feedback = true;
-        } else if (!inlet.producer->finished) {
-          rest_closed = false;
-        }
-      }
-      if (!has_feedback || !rest_closed) continue;
-      if (is_collector) {
-        state.collected_closed.insert(port);
-      } else {
-        state.buffer->close(port);
-      }
-      progress = true;
-    }
+  for (PState& state : table_) {
+    if (state.finished || state.role == PState::Role::kSink) continue;
+    if (close_inputs(state, /*feedback=*/true)) progress = true;
   }
   if (progress) pump();
   return progress;
 }
 
-bool Engine::all_finished() const {
-  return std::all_of(states_.begin(), states_.end(),
-                     [](const auto& entry) { return entry.second.finished; });
+bool Engine::finished() const {
+  return std::all_of(table_.begin(), table_.end(),
+                     [](const PState& state) { return state.finished; });
 }
 
-bool Engine::finished() const { return all_finished(); }
-
-bool Engine::try_unstall() { return try_feedback_closure(); }
-
 std::string Engine::stuck_processors() const {
-  std::string stuck;
-  for (const auto& [name, state] : states_) {
-    if (!state.finished) stuck += (stuck.empty() ? "" : ", ") + name;
+  std::vector<std::string_view> stuck;
+  for (const PState& state : table_) {
+    if (!state.finished) stuck.push_back(state.proc->name);
   }
-  return stuck;
+  std::sort(stuck.begin(), stuck.end());
+  std::string names;
+  for (const std::string_view name : stuck) {
+    if (!names.empty()) names += ", ";
+    names += name;
+  }
+  return names;
 }
 
 void Engine::start() {
@@ -1243,21 +1164,22 @@ EnactmentResult Engine::finish() {
 
   // Collect sinks, sorted by iteration index. Poisoned tokens never count as
   // outputs: they are tallied in the failure report instead.
-  for (const Processor* sink : workflow_.sinks()) {
-    auto tokens = std::move(state_of(sink->name).collected["in"]);
+  for (PState& sink : table_) {
+    if (sink.role != PState::Role::kSink) continue;
+    auto tokens = std::move(sink.inputs[0].tokens);
     const auto poisoned_begin =
         std::stable_partition(tokens.begin(), tokens.end(),
                               [](const data::Token& t) { return !t.poisoned(); });
     const auto poisoned_count = static_cast<std::size_t>(tokens.end() - poisoned_begin);
     if (poisoned_count > 0) {
-      result_.failure_report.poisoned_at_sink[sink->name] = poisoned_count;
+      result_.failure_report.poisoned_at_sink[sink.proc->name] = poisoned_count;
     }
     tokens.erase(poisoned_begin, tokens.end());
     std::sort(tokens.begin(), tokens.end(),
               [](const data::Token& a, const data::Token& b) {
                 return a.indices() < b.indices();
               });
-    result_.sink_outputs.emplace(sink->name, std::move(tokens));
+    result_.sink_outputs.emplace(sink.proc->name, std::move(tokens));
   }
   result_.executed_workflow = workflow_;
   if (observing()) {

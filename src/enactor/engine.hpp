@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -42,7 +41,7 @@ namespace moteur::enactor {
 class Engine : public std::enable_shared_from_this<Engine> {
  public:
   struct Options {
-    /// Stamped on every emitted obs::RunEvent; empty picks the workflow name.
+    /// Stamped on every emitted obs::RunEvent and on the result.
     std::string run_id;
     /// Per-CE breaker ledger the engine records every attempt outcome into;
     /// not owned. Its owner (the Enactor for one run, the RunService for all
@@ -89,33 +88,59 @@ class Engine : public std::enable_shared_from_this<Engine> {
   const std::string& run_id() const { return run_id_; }
 
  private:
+  using Tuple = workflow::IterationBuffer::Tuple;
+
+  /// One processor of the run, at its topological position in table_.
+  /// Everything the dataflow steps need is resolved to positions and
+  /// pointers here, once, by build_states(): tokens travel by outlet and
+  /// slot, and no step looks a processor or input port name up.
   struct PState {
+    enum class Role { kSource, kService, kBarrier, kSink };
+
+    /// Where one outgoing link delivers: its consumer and the consumer's
+    /// input slot.
+    struct Outlet {
+      std::size_t port = 0;  // position in proc->output_ports
+      PState* consumer = nullptr;
+      std::size_t slot = 0;
+      bool feedback = false;
+      /// SP off: the consumer waits for this producer (it is outside the
+      /// consumer's loop).
+      bool stage = false;
+      std::size_t iterations = 0;  // feedback only: loop passes so far
+    };
+
+    /// One input slot: the leaf position in a service's iteration buffer,
+    /// the input port position of a barrier or sink.
+    struct Input {
+      std::vector<data::Token> tokens;  // barriers and sinks
+      std::size_t feeders = 0;  // non-feedback inlets whose producer is unfinished
+      bool feedback = false;    // has a feedback inlet
+      bool closed = false;
+    };
+
     const workflow::Processor* proc = nullptr;
-    std::shared_ptr<services::Service> service;  // null for sources/sinks
-    std::unique_ptr<workflow::CompositeIterationBuffer> buffer;  // plain services
-    std::map<std::string, std::vector<data::Token>> collected;  // sync + sinks
-    std::set<std::string> collected_closed;  // closed ports (sync/sink)
-    std::deque<workflow::IterationBuffer::Tuple> ready;
-    obs::Name name;             // proc->name, interned only while observing
+    Role role = Role::kSource;
+    obs::Name name;  // proc->name, interned only while observing
+    std::shared_ptr<services::Service> service;  // services and barriers
+    std::unique_ptr<workflow::CompositeIterationBuffer> buffer;  // services
+    std::vector<Input> inputs;    // by slot
+    std::vector<Outlet> outlets;  // workflow link order
+    /// Processors a coordination constraint holds back until this one
+    /// finishes.
+    std::vector<PState*> constrained;
+    /// Stage outlets into this processor whose producer is unfinished: with
+    /// SP off, it fires nothing until they are all done.
+    std::size_t stage_waits = 0;
+    std::size_t constraint_waits = 0;  // unfinished `before` processors
+    std::deque<Tuple> ready;
     std::size_t in_flight = 0;  // unresolved logical submissions
     std::size_t fired = 0;
     bool finished = false;
     bool sync_fired = false;
 
-    /// One non-feedback inlet of an input port, with its producer resolved
-    /// to a direct state pointer (nullptr marks a feedback inlet).
-    struct Inlet {
-      const workflow::Link* link = nullptr;
-      const PState* producer = nullptr;
-    };
-
-    // Hot-path caches, built once by build_states(): the dispatch/closure
-    // passes and per-completion delivery run per event, so they must not
-    // re-resolve names through states_ or rebuild link vectors per call.
-    std::vector<const workflow::Link*> outlets;       // links_out_of(proc)
-    std::vector<const PState*> stage_preds;           // SP-off barrier waits
-    std::vector<const PState*> coord_waits;           // coordination constraints
-    std::vector<std::pair<std::string, std::vector<Inlet>>> inlets;  // per port
+    /// Port name of each input slot.
+    const std::vector<std::string>& slot_ports() const;
   };
 
   /// One logical unit of work handed to the backend: a (possibly batched)
@@ -172,9 +197,21 @@ class Engine : public std::enable_shared_from_this<Engine> {
     std::function<void(bool)> on_done;
   };
 
+  /// Build table_: processors in topological order, their services,
+  /// buffers, inputs and outlets, and the stage and constraint waits.
   void build_states();
   void emit_sources();
-  void deliver(const workflow::Link& link, data::Token token);
+  /// Deliver `token` over every outlet of output port `port`; `recirculate`
+  /// false stops it at feedback outlets.
+  void fan_out(PState& state, std::size_t port, data::Token token, bool recirculate = true);
+  void deliver(PState::Outlet& outlet, data::Token token);
+  /// Mark `state` finished and release the inputs, stage waits and
+  /// constraints it held.
+  void set_finished(PState& state);
+  /// Close every open input slot whose non-feedback feeders have all
+  /// finished and that has (`feedback`) or has no (`!feedback`) feedback
+  /// inlet. Returns whether any slot closed.
+  bool close_inputs(PState& state, bool feedback);
   /// Dispatch everything firable, then run the closure fixpoint; repeat
   /// until a full pass makes no progress.
   void pump();
@@ -184,7 +221,10 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// Data sets batched into the next submission of this service (§5.4
   /// adaptive granularity when enabled, else the static policy value).
   std::size_t target_batch(const PState& state) const;
-  void fire(PState& state, std::vector<workflow::IterationBuffer::Tuple> tuples);
+  /// The service inputs of one tuple: each token under its slot's port.
+  services::Inputs bind(const PState& state, const Tuple& tuple) const;
+  /// Submit `tuples` as one logical submission.
+  void fire(PState& state, std::vector<Tuple> tuples);
   void fire_barrier(PState& state);
   void start_attempt(const std::shared_ptr<Submission>& sub);
   void arm_watchdog(const std::shared_ptr<Submission>& sub);
@@ -220,28 +260,30 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// Emit one poisoned token per output port of `state` for the failed or
   /// skipped `tuple`, delivered over all non-feedback outgoing links (a
   /// poisoned token must not recirculate a loop).
-  void poison_outputs(PState& state, const workflow::IterationBuffer::Tuple& tuple,
+  void poison_outputs(PState& state, const Tuple& tuple,
                       const std::shared_ptr<const data::TokenError>& error);
   /// Account for a tuple whose inputs are poisoned: it never executes.
-  void skip_tuple(PState& state, workflow::IterationBuffer::Tuple tuple);
+  void skip_tuple(PState& state, const Tuple& tuple);
+  /// The timeline row and event of a tuple settled without a grid job: a
+  /// cache hit (kCached) or a skip (kSkipped).
+  void settle_without_job(PState& state, const Tuple& tuple, OutcomeStatus status,
+                          const std::string& error);
   /// Whether this processor's invocations may be memoized at all.
   bool cacheable(const PState& state) const;
-  /// Invocation-cache key for one tuple ("" when not memoizable: a poisoned
-  /// or undigested input defeats content addressing).
-  std::string tuple_cache_key(const PState& state,
-                              const workflow::IterationBuffer::Tuple& tuple) const;
+  /// The tuple's (input port, content digest) pairs in slot order; empty
+  /// when an input carries no digest, which defeats content addressing.
+  std::vector<data::PortDigest> input_digests(const PState& state,
+                                              const Tuple& tuple) const;
+  /// Invocation-cache key for one tuple ("" when not memoizable).
+  std::string tuple_cache_key(const PState& state, const Tuple& tuple) const;
   /// Probe the invocation cache for `tuple`; on a hit, serve the memoized
   /// outputs without any backend work and return true.
-  bool try_serve_cached(PState& state, const workflow::IterationBuffer::Tuple& tuple);
+  bool try_serve_cached(PState& state, const Tuple& tuple);
   /// Whether another attempt may still be launched for this submission.
   bool attempts_left(const Submission& sub) const;
   /// Median backend latency of successful submissions so far (0 if none).
   double median_latency() const;
-  bool try_feedback_closure();
-  bool all_finished() const;
   void check_binding(const PState& state) const;
-
-  PState& state_of(const std::string& name) { return states_.at(name); }
 
   // --- Observability: the structured event stream every consumer (span
   // recorder, metrics, progress monitors) subscribes to.
@@ -268,17 +310,11 @@ class Engine : public std::enable_shared_from_this<Engine> {
   grid::CeHealth* health_ = nullptr;  // not owned; null = no breakers
   data::InvocationCache* cache_ = nullptr;  // not owned; null = caching off
 
-  std::map<std::string, PState> states_;
-  std::vector<std::string> topo_order_;
-  /// states_ entries in topological order — the per-pass iteration order,
-  /// resolved once so the passes never look names up again.
-  std::vector<PState*> topo_states_;
-  /// Link -> consuming state, so deliver() resolves per token without a
-  /// string map lookup. Keys are pointers into workflow_.links(), which is
-  /// stable after construction.
-  std::unordered_map<const workflow::Link*, PState*> link_consumer_;
-  /// Iteration counters per feedback link (index extension, see deliver()).
-  std::map<const workflow::Link*, std::size_t> feedback_counters_;
+  /// Every processor, in topological order: the per-pass visiting order.
+  /// Sized once by build_states() before any pointer into it is taken, and
+  /// never resized, so submissions, lineage records and outlets point into
+  /// it.
+  std::vector<PState> table_;
   /// Scratch buffer for median_latency(): reused so the per-watchdog median
   /// never reallocates once the sample vector stops growing.
   mutable std::vector<double> median_scratch_;

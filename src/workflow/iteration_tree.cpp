@@ -159,12 +159,22 @@ CompositeIterationBuffer::Stage* CompositeIterationBuffer::build(
   return stage;
 }
 
-void CompositeIterationBuffer::push(const std::string& port, data::Token token) {
-  const std::size_t leaf = leaf_index(port);
-  MOTEUR_REQUIRE(!closed_[leaf], EnactmentError, "push on closed port '" + port + "'");
-  const Route& route = leaf_routes_[leaf];
+void CompositeIterationBuffer::require_leaf(std::size_t slot) const {
+  MOTEUR_REQUIRE(slot < ports_.size(), InternalError,
+                 "iteration tree has no leaf at position " + std::to_string(slot));
+}
+
+void CompositeIterationBuffer::push(std::size_t slot, data::Token token) {
+  require_leaf(slot);
+  MOTEUR_REQUIRE(!closed_[slot], EnactmentError,
+                 "push on closed port '" + ports_[slot] + "'");
+  const Route& route = leaf_routes_[slot];
   route.stage->buffer.push(route.slot, std::move(token));
   pump();
+}
+
+void CompositeIterationBuffer::push(const std::string& port, data::Token token) {
+  push(leaf_index(port), std::move(token));
 }
 
 CompositeIterationBuffer::Tuple CompositeIterationBuffer::flatten(Tuple tuple) const {
@@ -218,17 +228,24 @@ void CompositeIterationBuffer::pump() {
   }
 }
 
-void CompositeIterationBuffer::close(const std::string& port) {
-  const std::size_t leaf = leaf_index(port);
-  if (closed_[leaf]) return;
-  closed_[leaf] = true;
-  const Route& route = leaf_routes_[leaf];
+void CompositeIterationBuffer::close(std::size_t slot) {
+  require_leaf(slot);
+  if (closed_[slot]) return;
+  closed_[slot] = true;
+  const Route& route = leaf_routes_[slot];
   route.stage->buffer.close(route.slot);
   pump();
 }
 
+void CompositeIterationBuffer::close(const std::string& port) { close(leaf_index(port)); }
+
+bool CompositeIterationBuffer::is_closed(std::size_t slot) const {
+  require_leaf(slot);
+  return closed_[slot];
+}
+
 bool CompositeIterationBuffer::is_closed(const std::string& port) const {
-  return closed_[leaf_index(port)];
+  return is_closed(leaf_index(port));
 }
 
 bool CompositeIterationBuffer::all_closed() const {

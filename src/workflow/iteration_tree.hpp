@@ -43,7 +43,7 @@ struct IterationNode {
 /// tree. Exposes the same interface shape as IterationBuffer; tuples list
 /// the leaf tokens in the tree's port order. Inside, tokens are routed by
 /// position: each leaf port maps to (stage, slot) and each child stage to a
-/// slot of its parent, so only the public port-name calls look a name up.
+/// slot of its parent, so only the port-name calls look a name up.
 class CompositeIterationBuffer {
  public:
   explicit CompositeIterationBuffer(IterationNode tree);
@@ -51,8 +51,14 @@ class CompositeIterationBuffer {
 
   using Tuple = IterationBuffer::Tuple;
 
+  /// Feed one token on the leaf at position `slot` of ports() (a position
+  /// past the last leaf throws InternalError).
+  void push(std::size_t slot, data::Token token);
+  /// Same, naming the leaf's port.
   void push(const std::string& port, data::Token token);
+  void close(std::size_t slot);
   void close(const std::string& port);
+  bool is_closed(std::size_t slot) const;
   bool is_closed(const std::string& port) const;
   bool all_closed() const;
   /// Move every ready tuple onto the back of `out`, keeping this buffer's
@@ -90,6 +96,7 @@ class CompositeIterationBuffer {
   std::vector<Tuple> drained_;  // pump()'s per-stage scratch, capacity kept
 
   std::size_t leaf_index(const std::string& port) const;
+  void require_leaf(std::size_t slot) const;
   Stage* build(const IterationNode& node);
   /// The firing tuple for one root tuple: composite members replaced by
   /// their leaf tokens, in port order.

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "app/bronze_standard.hpp"
 #include "data/token.hpp"
 #include "enactor/enactor.hpp"
+#include "enactor/engine.hpp"
 #include "enactor/sim_backend.hpp"
 #include "grid/computing_element.hpp"
 #include "grid/grid.hpp"
@@ -172,38 +174,60 @@ TEST(AllocBudget, BrokerMatchAllocatesNothing) {
                                << " CEs";
 }
 
-TEST(AllocBudget, BronzeRunPerInvocation) {
-  // Bronze Standard at 4 pairs under the manifest policy (SP+DP+JG) on a
-  // seeded egee2006 grid through Enactor: one thread, the sim kernel, the
-  // grid and the engine. The second of two identical runs is measured, so
-  // one-time initialisation stays out of the count.
-  constexpr std::size_t kPairs = 4;
-  constexpr std::size_t kBudget = 4763;  // 190.52 per invocation
+struct RunCount {
+  std::size_t allocations = 0;
+  std::size_t invocations = 0;
+};
+
+/// Bronze Standard at `pairs` pairs on a seeded egee2006 grid through
+/// Enactor: one thread, the sim kernel, the grid and the engine. The second
+/// of two identical runs is measured, so one-time initialisation stays out
+/// of the count.
+RunCount bronze_run(std::size_t pairs, const enactor::EnactmentPolicy& policy) {
   const workflow::Workflow workflow = app::bronze_standard_workflow();
-  const data::InputDataSet inputs = app::bronze_standard_dataset(kPairs);
+  const data::InputDataSet inputs = app::bronze_standard_dataset(pairs);
   services::ServiceRegistry registry;
   app::register_simulated_services(registry);
-  const enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp_jg();
-
-  std::size_t invocations = 0;
-  std::size_t measured = 0;
+  RunCount count;
   for (int pass = 0; pass < 2; ++pass) {
     sim::Simulator simulator;
     grid::Grid grid(simulator, grid::GridConfig::egee2006(7));
     enactor::SimGridBackend backend(grid);
     enactor::Enactor enactor(backend, registry, policy);
     enactor::EnactmentResult result;
-    measured = allocations_in([&] {
+    count.allocations = allocations_in([&] {
       result = enactor.run({.workflow = workflow, .inputs = inputs});
     });
-    ASSERT_EQ(result.failures(), 0u);
-    invocations = result.invocations();
+    EXPECT_EQ(result.failures(), 0u);
+    count.invocations = result.invocations();
   }
-  ASSERT_EQ(invocations, 6 * kPairs + 1);
-  EXPECT_LE(measured, kBudget) << "measured " << measured << " allocations over "
-                               << invocations << " invocations ("
-                               << static_cast<double>(measured) / invocations
-                               << " per invocation)";
+  return count;
+}
+
+TEST(AllocBudget, BronzeRunPerInvocation) {
+  // 4 pairs under the manifest policy (SP+DP+JG).
+  constexpr std::size_t kPairs = 4;
+  constexpr std::size_t kBudget = 4307;  // 172.28 per invocation
+  const RunCount run = bronze_run(kPairs, enactor::EnactmentPolicy::sp_dp_jg());
+  ASSERT_EQ(run.invocations, 6 * kPairs + 1);
+  EXPECT_LE(run.allocations, kBudget)
+      << "measured " << run.allocations << " allocations over " << run.invocations
+      << " invocations (" << static_cast<double>(run.allocations) / run.invocations
+      << " per invocation)";
+}
+
+TEST(AllocBudget, ContinuePolicyCostsNothingWithoutFaults) {
+  // On a fault-free run no token is poisoned, so containing failures must
+  // cost nothing: the kContinue run allocates no more than the kFailFast one.
+  constexpr std::size_t kPairs = 4;
+  enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp_jg();
+  const RunCount fail_fast = bronze_run(kPairs, policy);
+  policy.failure_policy = enactor::FailurePolicy::kContinue;
+  const RunCount contained = bronze_run(kPairs, policy);
+  ASSERT_EQ(contained.invocations, fail_fast.invocations);
+  EXPECT_LE(contained.allocations, fail_fast.allocations)
+      << "measured " << contained.allocations << " allocations under kContinue, "
+      << fail_fast.allocations << " under kFailFast";
 }
 
 TEST(AllocBudget, RecorderPerInvocation) {
@@ -308,6 +332,36 @@ TEST(AllocBudget, UngatedSubmissionAddsNothing) {
   EXPECT_LE(measured, baseline + kBudgetPerSubmission * kSubmissions)
       << "measured " << measured << " allocations for " << kSubmissions
       << " gated submissions, " << baseline << " made directly";
+}
+
+TEST(AllocBudget, EngineSetUp) {
+  // Engine construction plus start() for a 4-stage chain over 16 items on a
+  // backend that records submissions and never completes them: the per-run
+  // set-up (validation, the workflow copy, the processor table) plus each
+  // item's source token and first-stage submission.
+  constexpr std::size_t kItems = 16;
+  constexpr std::size_t kBudget = 371;  // 494 with the name-keyed state map
+  services::ServiceRegistry registry;
+  for (const char* name : {"P0", "P1", "P2", "P3"}) {
+    registry.add(services::make_simulated_service(name, {"in"}, {"out"},
+                                                  services::JobProfile{60.0}));
+  }
+  const workflow::Workflow workflow = workflow::make_chain(4);
+  data::InputDataSet inputs;
+  inputs.declare_input("src");
+  for (std::size_t i = 0; i < kItems; ++i) inputs.add_item("src", "item" + std::to_string(i));
+  RecordingBackend backend(kItems);
+  std::shared_ptr<enactor::Engine> engine;
+  const std::size_t measured = allocations_in([&] {
+    engine = std::make_shared<enactor::Engine>(
+        backend, registry, enactor::EnactmentPolicy::sp_dp(), enactor::PayloadResolver{},
+        std::vector<enactor::EventSubscriber>{}, workflow, inputs,
+        enactor::Engine::Options{.run_id = "chain"});
+    engine->start();
+  });
+  EXPECT_EQ(backend.callbacks.size(), kItems);
+  EXPECT_LE(measured, kBudget) << "measured " << measured
+                               << " allocations for Engine construction and start()";
 }
 
 }  // namespace

@@ -1,16 +1,21 @@
 // Edge cases and less-traveled paths of the enactment engine: multi-branch
 // sinks, conditional outputs, cross->dot chains, barriers mid-workflow,
-// loops under every policy, partial failures upstream of barriers.
+// loops under every policy and in series, partial failures upstream of
+// barriers, deadlock diagnostics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "enactor/enactor.hpp"
 #include "enactor/sim_backend.hpp"
 #include "enactor/threaded_backend.hpp"
 #include "grid/grid.hpp"
+#include "service/run_service.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
@@ -203,6 +208,147 @@ TEST(EnactorEdge, LoopWorksUnderEveryPolicy) {
       EXPECT_EQ(token.as<int>(), 2) << config;
     }
   }
+}
+
+TEST(EnactorEdge, LoopsInSeriesWaitForEachOtherButNotForTheirPartners) {
+  // Source -> P1 -> loop(P2 <-> P3) -> B -> loop(Q2 <-> Q3) -> Sink. With
+  // stage synchronization on (SP off), the second loop waits for the whole
+  // first loop, while each loop member waits for no partner of its own loop.
+  // The barrier B joins the loops: a service fed straight from a loop would
+  // hold ready tuples while the loop's feedback ports wait for the whole
+  // workflow to quiesce, and the run would stall.
+  workflow::Workflow wf("two-loops");
+  wf.add_source("Source");
+  wf.add_processor("P1", {"in"}, {"out"});
+  wf.add_processor("P2", {"in"}, {"out"});
+  wf.add_processor("P3", {"in"}, {"loop", "exit"});
+  wf.add_processor("B", {"all"}, {"out"}).synchronization = true;
+  wf.add_processor("Q2", {"in"}, {"out"});
+  wf.add_processor("Q3", {"in"}, {"loop", "exit"});
+  wf.add_sink("Sink");
+  wf.link("Source", "out", "P1", "in");
+  wf.link("P1", "out", "P2", "in");
+  wf.link("P2", "out", "P3", "in");
+  wf.link("P3", "loop", "P2", "in", /*feedback=*/true);
+  wf.link("P3", "exit", "B", "all");
+  wf.link("B", "out", "Q2", "in");
+  wf.link("Q2", "out", "Q3", "in");
+  wf.link("Q3", "loop", "Q2", "in", /*feedback=*/true);
+  wf.link("Q3", "exit", "Sink", "in");
+  wf.validate();
+
+  const auto counter = [](const std::string& id) {
+    return std::make_shared<FunctionalService>(
+        id, std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
+        [](const Inputs& in) {
+          const int count = in.at("in").holds<int>() ? in.at("in").as<int>() : 0;
+          Result r;
+          r.outputs["out"] = services::OutputValue{count + 1, "n"};
+          return r;
+        });
+  };
+  const auto router = [](const std::string& id) {
+    return std::make_shared<FunctionalService>(
+        id, std::vector<std::string>{"in"}, std::vector<std::string>{"loop", "exit"},
+        [](const Inputs& in) {
+          const int count = in.at("in").as<int>();
+          Result r;
+          r.outputs[count >= 2 ? "exit" : "loop"] = services::OutputValue{count, "n"};
+          return r;
+        });
+  };
+  for (const auto& config : {"NOP", "DP"}) {
+    services::ServiceRegistry registry;
+    registry.add(services::make_simulated_service("P1", {"in"}, {"out"}, JobProfile{1.0}));
+    registry.add(services::make_simulated_service("B", {"all"}, {"out"}, JobProfile{1.0}));
+    registry.add(counter("P2"));
+    registry.add(router("P3"));
+    registry.add(counter("Q2"));
+    registry.add(router("Q3"));
+    ThreadedBackend backend(2);
+    Enactor moteur(backend, registry, EnactmentPolicy::parse(config));
+    const auto result = moteur.run({.workflow = wf, .inputs = items("Source", 3)});
+    ASSERT_EQ(result.sink_outputs.at("Sink").size(), 1u) << config;
+    EXPECT_EQ(result.sink_outputs.at("Sink")[0].as<int>(), 2) << config;
+    // Two passes through each loop: per item in the first, for the one
+    // aggregate in the second.
+    EXPECT_EQ(result.timeline.for_processor("P2").size(), 6u) << config;
+    EXPECT_EQ(result.timeline.for_processor("Q2").size(), 2u) << config;
+    double first_loop_end = 0.0;
+    for (const char* name : {"P2", "P3"}) {
+      for (const auto* trace : result.timeline.for_processor(name)) {
+        first_loop_end = std::max(first_loop_end, trace->end_time);
+      }
+    }
+    for (const char* name : {"B", "Q2", "Q3"}) {
+      for (const auto* trace : result.timeline.for_processor(name)) {
+        EXPECT_GE(trace->submit_time, first_loop_end) << config << " " << name;
+      }
+    }
+  }
+}
+
+/// Accepts every execution and never completes one: a run on it can only
+/// stall with work in flight.
+class StallingBackend final : public ExecutionBackend {
+ public:
+  using ExecutionBackend::execute;
+  void execute(std::shared_ptr<services::Service>, std::vector<services::Inputs>,
+               Callback on_complete) override {
+    pending_.push_back(std::move(on_complete));
+  }
+  double now() const override { return 0.0; }
+  TimerId schedule(double, std::function<void()>) override { return 0; }
+  void cancel(TimerId) override {}
+  bool drive(const std::function<bool()>&) override { return false; }
+
+ private:
+  std::vector<Callback> pending_;
+};
+
+/// src -> zeta -> alpha -> sink: topological order differs from name order.
+struct StalledChain {
+  workflow::Workflow workflow{"stalled"};
+  services::ServiceRegistry registry;
+
+  StalledChain() {
+    workflow.add_source("src");
+    workflow.add_processor("zeta", {"in"}, {"out"});
+    workflow.add_processor("alpha", {"in"}, {"out"});
+    workflow.add_sink("sink");
+    workflow.link("src", "out", "zeta", "in");
+    workflow.link("zeta", "out", "alpha", "in");
+    workflow.link("alpha", "out", "sink", "in");
+    for (const char* name : {"zeta", "alpha"}) {
+      registry.add(services::make_simulated_service(name, {"in"}, {"out"}, JobProfile{1.0}));
+    }
+  }
+};
+
+// The deadlock text lists the unfinished processors in name order.
+const char* const kDeadlockText =
+    "workflow deadlocked; unfinished processors: alpha, sink, zeta";
+
+TEST(EnactorEdge, DeadlockNamesUnfinishedProcessorsInNameOrder) {
+  StalledChain chain;
+  StallingBackend backend;
+  Enactor moteur(backend, chain.registry, EnactmentPolicy::sp_dp());
+  try {
+    moteur.run({.workflow = chain.workflow, .inputs = items("src", 2)});
+    FAIL() << "expected EnactmentError";
+  } catch (const EnactmentError& e) {
+    EXPECT_EQ(e.what(), std::string("enactment error: ") + kDeadlockText);
+  }
+}
+
+TEST(EnactorEdge, DeadlockedServiceRunFailsWithTheSameText) {
+  StalledChain chain;
+  StallingBackend backend;
+  service::RunService svc(backend, chain.registry);
+  const service::RunHandle handle =
+      svc.submit({.workflow = chain.workflow, .inputs = items("src", 2)});
+  EXPECT_EQ(handle.wait(), service::RunState::kFailed);
+  EXPECT_EQ(handle.error(), kDeadlockText);
 }
 
 TEST(EnactorEdge, BarrierFiresOnPartiallyFailedStream) {

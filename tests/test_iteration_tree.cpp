@@ -3,11 +3,14 @@
 // and end-to-end enactment.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <utility>
 
 #include "data/dataset.hpp"
 #include "enactor/enactor.hpp"
 #include "enactor/sim_backend.hpp"
+#include "enactor/threaded_backend.hpp"
 #include "grid/grid.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
@@ -170,6 +173,30 @@ TEST(CompositeBuffer, ClosureTracksLeavesAndPropagates) {
   EXPECT_THROW(buffer.push("zz", tok("Z", 0)), EnactmentError);
 }
 
+TEST(CompositeBuffer, SlotsAreLeafPositions) {
+  // cross(dot(r, f), v): leaf positions 0, 1, 2 are r, f, v.
+  CompositeIterationBuffer buffer(IterationNode::cross(
+      {IterationNode::dot({IterationNode::leaf("r"), IterationNode::leaf("f")}),
+       IterationNode::leaf("v")}));
+  ASSERT_EQ(buffer.ports(), (std::vector<std::string>{"r", "f", "v"}));
+  buffer.push(std::size_t{2}, tok("V", 0));
+  buffer.push(std::size_t{0}, tok("R", 0));
+  buffer.push("f", tok("F", 0));
+  const auto ready = buffer.drain_ready();
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready[0].tokens[0].provenance()->source_indices().count("R"), 1u);
+  EXPECT_EQ(ready[0].tokens[1].provenance()->source_indices().count("F"), 1u);
+  EXPECT_EQ(ready[0].tokens[2].provenance()->source_indices().count("V"), 1u);
+  buffer.close(std::size_t{2});
+  EXPECT_TRUE(buffer.is_closed("v"));
+  EXPECT_TRUE(buffer.is_closed(std::size_t{2}));
+  EXPECT_FALSE(buffer.is_closed(std::size_t{0}));
+  EXPECT_THROW(buffer.push(std::size_t{2}, tok("V", 1)), EnactmentError);
+  EXPECT_THROW(buffer.push(std::size_t{3}, tok("V", 1)), InternalError);
+  EXPECT_THROW(buffer.close(std::size_t{3}), InternalError);
+  EXPECT_THROW((void)buffer.is_closed(std::size_t{3}), InternalError);
+}
+
 TEST(CompositeBuffer, OrderInvariantUnderShuffle) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     std::vector<std::pair<std::string, Token>> pushes;
@@ -264,6 +291,59 @@ TEST(IterationTreeEnactment, EndToEndCounts) {
   for (const auto& token : tokens) {
     EXPECT_EQ(token.indices().size(), 2u);
     // Each result descends from a matched (ref, flo) pair and one variant.
+    const auto sources = token.provenance()->source_indices();
+    EXPECT_EQ(sources.at("ref"), sources.at("flo"));
+    EXPECT_EQ(sources.at("variant").size(), 1u);
+  }
+}
+
+TEST(IterationTreeEnactment, EachPortReceivesItsOwnSourceWhenLeafOrderDiffers) {
+  // Ports declared {v, r, f}, tree cross(dot(r, f), v): the leaf order r, f,
+  // v differs from the declared order, so a token routed by its port's
+  // declared position would land on another port.
+  Workflow wf("sweep-reordered");
+  wf.add_source("ref");
+  wf.add_source("flo");
+  wf.add_source("variant");
+  auto& proc = wf.add_processor("reg", {"v", "r", "f"}, {"t"});
+  proc.iteration_tree = std::make_shared<const IterationNode>(IterationNode::cross(
+      {IterationNode::dot({IterationNode::leaf("r"), IterationNode::leaf("f")}),
+       IterationNode::leaf("v")}));
+  wf.add_sink("out");
+  wf.link("ref", "out", "reg", "r");
+  wf.link("flo", "out", "reg", "f");
+  wf.link("variant", "out", "reg", "v");
+  wf.link("reg", "t", "out", "in");
+
+  std::atomic<int> misrouted{0};
+  services::ServiceRegistry registry;
+  registry.add(std::make_shared<services::FunctionalService>(
+      "reg", std::vector<std::string>{"v", "r", "f"}, std::vector<std::string>{"t"},
+      [&misrouted](const services::Inputs& in) {
+        for (const auto& [port, prefix] :
+             {std::pair{"r", "ref-"}, std::pair{"f", "flo-"}, std::pair{"v", "var-"}}) {
+          if (in.at(port).repr().rfind(prefix, 0) != 0) ++misrouted;
+        }
+        services::Result result;
+        result.outputs["t"] = services::OutputValue{0, "t"};
+        return result;
+      }));
+
+  data::InputDataSet ds;
+  for (int j = 0; j < 3; ++j) {
+    ds.add_item("ref", "ref-" + std::to_string(j));
+    ds.add_item("flo", "flo-" + std::to_string(j));
+  }
+  ds.add_item("variant", "var-rigid");
+  ds.add_item("variant", "var-robust");
+
+  enactor::ThreadedBackend backend(2);
+  enactor::Enactor moteur(backend, registry, enactor::EnactmentPolicy::sp_dp());
+  const auto result = moteur.run({.workflow = wf, .inputs = ds});
+  EXPECT_EQ(result.invocations(), 6u);
+  EXPECT_EQ(misrouted.load(), 0);
+  ASSERT_EQ(result.sink_outputs.at("out").size(), 6u);
+  for (const auto& token : result.sink_outputs.at("out")) {
     const auto sources = token.provenance()->source_indices();
     EXPECT_EQ(sources.at("ref"), sources.at("flo"));
     EXPECT_EQ(sources.at("variant").size(), 1u);
