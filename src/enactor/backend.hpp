@@ -133,8 +133,7 @@ class ExecutionBackend {
 
   /// Dispatch completions and timers until `done()` returns true. Returns
   /// false if the backend ran out of work (no pending executions or live
-  /// timers) before done() held — the enactor treats that as a stall and
-  /// attempts feedback closure.
+  /// timers) before done() held: a run still waiting is deadlocked.
   virtual bool drive(const std::function<bool()>& done) = 0;
 
   /// Optional sink for backend-level metrics (job/task tallies, backend

@@ -102,14 +102,8 @@ EnactmentResult Enactor::run(const RunRequest& request) {
   };
   try {
     engine->start();
-    while (!engine->finished()) {
-      const bool reached = backend_.drive([&engine] { return engine->finished(); });
-      if (reached) break;
-      if (!engine->try_unstall() && !engine->finished()) {
-        throw EnactmentError("workflow deadlocked; unfinished processors: " +
-                             engine->stuck_processors());
-      }
-    }
+    backend_.drive([&engine] { return engine->settled(); });
+    if (!engine->finished()) throw EnactmentError(engine->deadlock_error());
   } catch (...) {
     detach();
     throw;

@@ -207,10 +207,13 @@ void Engine::build_states() {
     outlet.feedback = link.feedback;
     outlet.stage = !link.feedback && !same_loop(from, to);
     PState::Input& input = consumer.inputs[outlet.slot];
-    if (link.feedback) {
-      input.feedback = true;
-    } else {
-      ++input.feeders;
+    if (!link.feedback) ++input.feeders;
+    for (std::size_t p = 0; link.feedback && p < n; ++p) {
+      const bool recirculates = p == from || reaches[p * n + from] != 0;
+      if (recirculates && std::none_of(input.recirculators.begin(), input.recirculators.end(),
+                                       [&](const auto& r) { return r.state == &table_[p]; })) {
+        input.recirculators.push_back({&table_[p], same_loop(p, to)});
+      }
     }
     if (outlet.stage) ++consumer.stage_waits;
     table_[from].outlets.push_back(outlet);
@@ -306,11 +309,17 @@ void Engine::set_finished(PState& state) {
   for (PState* after : state.constrained) --after->constraint_waits;
 }
 
-bool Engine::close_inputs(PState& state, bool feedback) {
+bool Engine::close_inputs(PState& state) {
+  const auto idle = [](const PState::Recirculator& r) {
+    return r.in_loop ? r.state->in_flight == 0 && r.state->ready.empty() : r.state->finished;
+  };
   bool progress = false;
   for (std::size_t slot = 0; slot < state.inputs.size(); ++slot) {
     PState::Input& input = state.inputs[slot];
-    if (input.closed || input.feeders != 0 || input.feedback != feedback) continue;
+    if (input.closed || input.feeders != 0 ||
+        !std::all_of(input.recirculators.begin(), input.recirculators.end(), idle)) {
+      continue;
+    }
     input.closed = true;
     if (state.buffer != nullptr) state.buffer->close(slot);
     progress = true;
@@ -1058,9 +1067,7 @@ bool Engine::closure_pass() {
   bool progress = false;
   for (PState& state : table_) {
     if (state.finished) continue;  // sources finish at emission
-    // Close input slots whose feeders are all done. Slots with a feedback
-    // inlet are only closed by try_unstall().
-    if (close_inputs(state, /*feedback=*/false)) progress = true;
+    if (close_inputs(state)) progress = true;
     const bool inputs_closed =
         std::all_of(state.inputs.begin(), state.inputs.end(),
                     [](const PState::Input& input) { return input.closed; });
@@ -1107,30 +1114,12 @@ void Engine::pump() {
   }
 }
 
-bool Engine::try_unstall() {
-  // Feedback-port closure is only sound when the workflow has fully
-  // quiesced: nothing in flight and nothing ready anywhere, so no further
-  // token can cross a feedback link. (Unresolved submissions — including
-  // pending backoff resubmissions — keep in_flight nonzero, so retries
-  // block closure as real work does.)
-  for (const PState& state : table_) {
-    if (state.in_flight != 0 || !state.ready.empty()) return false;
-  }
-  bool progress = false;
-  for (PState& state : table_) {
-    if (state.finished || state.role == PState::Role::kSink) continue;
-    if (close_inputs(state, /*feedback=*/true)) progress = true;
-  }
-  if (progress) pump();
-  return progress;
-}
-
 bool Engine::finished() const {
   return std::all_of(table_.begin(), table_.end(),
                      [](const PState& state) { return state.finished; });
 }
 
-std::string Engine::stuck_processors() const {
+std::string Engine::deadlock_error() const {
   std::vector<std::string_view> stuck;
   for (const PState& state : table_) {
     if (!state.finished) stuck.push_back(state.proc->name);
@@ -1141,7 +1130,7 @@ std::string Engine::stuck_processors() const {
     if (!names.empty()) names += ", ";
     names += name;
   }
-  return names;
+  return "workflow deadlocked; unfinished processors: " + names;
 }
 
 void Engine::start() {

@@ -34,10 +34,9 @@ namespace moteur::enactor {
 /// stragglers, deadlock unwinding, cancellation) are discarded instead of
 /// touching a dead engine. Destroy the engine before its backend.
 ///
-/// Protocol: start() once, then while !finished() have the backend drive
-/// with a done-predicate that includes finished(); on a stall (drive()
-/// returning false) call try_unstall() and fail the run if it reports no
-/// progress; finally finish() exactly once to collect the result.
+/// Protocol: start() once, then have the backend drive until settled();
+/// finish() exactly once to collect the result. A run that settles
+/// unfinished is deadlocked (deadlock_error()).
 class Engine : public std::enable_shared_from_this<Engine> {
  public:
   struct Options {
@@ -73,12 +72,14 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// Whether every processor has finished (the run may be collected).
   bool finished() const;
 
-  /// Stall recovery: attempt feedback-port closure. Returns true when it
-  /// made progress; false means the run is genuinely deadlocked.
-  bool try_unstall();
+  /// Whether the run holds no unresolved submission, so it can move no
+  /// further: true once finished, and for a deadlocked run. O(1), for the
+  /// drivers' done-predicates.
+  bool settled() const { return tuples_in_flight_ == 0; }
 
-  /// Names of the unfinished processors, for deadlock diagnostics.
-  std::string stuck_processors() const;
+  /// The error of a run that settled unfinished: "workflow deadlocked;
+  /// unfinished processors: " and their names in name order.
+  std::string deadlock_error() const;
 
   /// Collect sinks and return the result. Call exactly once, after
   /// finished() holds (or when abandoning a deadlocked/cancelled run — the
@@ -110,12 +111,19 @@ class Engine : public std::enable_shared_from_this<Engine> {
       std::size_t iterations = 0;  // feedback only: loop passes so far
     };
 
+    /// A processor that can send tokens across a feedback inlet: one that
+    /// reaches the inlet's producer (the producer included).
+    struct Recirculator {
+      const PState* state = nullptr;
+      bool in_loop = false;  // shares the slot's loop
+    };
+
     /// One input slot: the leaf position in a service's iteration buffer,
     /// the input port position of a barrier or sink.
     struct Input {
       std::vector<data::Token> tokens;  // barriers and sinks
       std::size_t feeders = 0;  // non-feedback inlets whose producer is unfinished
-      bool feedback = false;    // has a feedback inlet
+      std::vector<Recirculator> recirculators;  // empty without feedback inlets
       bool closed = false;
     };
 
@@ -209,9 +217,11 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// constraints it held.
   void set_finished(PState& state);
   /// Close every open input slot whose non-feedback feeders have all
-  /// finished and that has (`feedback`) or has no (`!feedback`) feedback
-  /// inlet. Returns whether any slot closed.
-  bool close_inputs(PState& state, bool feedback);
+  /// finished and across whose feedback inlets no token can come again:
+  /// every recirculator outside the slot's loop has finished, and those of
+  /// the loop hold no submission and no ready tuple. Returns whether any
+  /// slot closed.
+  bool close_inputs(PState& state);
   /// Dispatch everything firable, then run the closure fixpoint; repeat
   /// until a full pass makes no progress.
   void pump();

@@ -430,18 +430,19 @@ void EngineShard::run_worker() {
       continue;
     }
 
-    // --- Drive this shard's event loop until a run completes or a command
-    // (submit/cancel/shutdown) needs servicing.
-    const bool progressed = backend().drive([&] {
+    // --- Drive this shard's event loop until a run settles or a command
+    // (submit/cancel/shutdown) needs servicing. A stall settles every run:
+    // the backend has no work left for any of them.
+    const bool stalled = !backend().drive([&] {
       if (commands_.load(std::memory_order_relaxed)) return true;
       for (const auto& rec : active) {
-        if (rec->engine->finished()) return true;
+        if (rec->engine->settled()) return true;
       }
       return false;
     });
     update_gauges(active.size(), queued_count);
 
-    // --- Harvest every run whose engine completed. The post-harvest
+    // --- Harvest every settled run, deadlocked if unfinished. The post-harvest
     // occupancy is published BEFORE retiring: retire() completes the run's
     // handle, after which a waiter may read the registry the moment wait()
     // returns, so the gauge write must happen-before that completion —
@@ -449,23 +450,25 @@ void EngineShard::run_worker() {
     // showing retired runs until the next submission wakes the shard.
     std::vector<RunRecordPtr> done;
     for (auto it = active.begin(); it != active.end();) {
-      if ((*it)->engine->finished()) {
+      if (stalled || (*it)->engine->settled()) {
         done.push_back(*it);
         it = active.erase(it);
       } else {
         ++it;
       }
     }
-    const bool harvested = !done.empty();
-    if (harvested) update_gauges(active.size(), queued_count);
+    if (!done.empty()) update_gauges(active.size(), queued_count);
     for (auto& rec : done) {
-      bool was_cancelled = false;
-      {
+      RunState state = RunState::kFinished;
+      std::string error;
+      if (!rec->engine->finished()) {
+        state = RunState::kFailed;
+        error = rec->engine->deadlock_error();
+      } else {
         std::lock_guard<std::mutex> lock(rec->mu);
-        was_cancelled = rec->cancel_requested;
+        if (rec->cancel_requested) state = RunState::kCancelled;
       }
-      retire(std::move(rec), was_cancelled ? RunState::kCancelled : RunState::kFinished,
-             "");
+      retire(std::move(rec), state, std::move(error));
     }
 
     // --- Deliver cancellations into still-active runs exactly once.
@@ -479,26 +482,6 @@ void EngineShard::run_worker() {
       if (wanted) {
         rec->gated->cancel();
         rec->cancel_applied = true;
-      }
-    }
-
-    // --- Stall recovery: this shard's loop ran dry with unfinished runs.
-    if (!progressed && !harvested && !active.empty()) {
-      bool moved = false;
-      for (const auto& rec : active) {
-        if (rec->engine->try_unstall()) moved = true;
-      }
-      if (!moved) {
-        // No run can make progress: every active run of this shard is
-        // deadlocked (its event loop has no pending work for any of them).
-        // Same ordering rule as the harvest: gauges first, then retire.
-        update_gauges(0, queued_count);
-        for (auto& rec : active) {
-          const std::string stuck = rec->engine->stuck_processors();
-          retire(std::move(rec), RunState::kFailed,
-                 "workflow deadlocked; unfinished processors: " + stuck);
-        }
-        active.clear();
       }
     }
   }

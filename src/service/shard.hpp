@@ -165,8 +165,8 @@ struct ServiceCore {
 
 /// One shard of the enactment core: a worker thread owning a private event
 /// loop (its backend channel), a private AdmissionGate slice, and the runs
-/// pinned to it. The loop is the PR-4 single-worker loop verbatim — intake,
-/// admission, drive, harvest, cancellation delivery, stall recovery — so one
+/// pinned to it. The loop is the single-worker loop verbatim — intake,
+/// admission, drive, harvest of settled runs, cancellation delivery — so one
 /// shard over the root backend reproduces the pre-shard service exactly.
 ///
 /// With several shards, obs events are buffered shard-locally and flushed to
