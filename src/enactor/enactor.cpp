@@ -1,5 +1,6 @@
 #include "enactor/enactor.hpp"
 
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -103,6 +104,7 @@ EnactmentResult Enactor::run(const RunRequest& request) {
   try {
     engine->start();
     backend_.drive([&engine] { return engine->settled(); });
+    if (engine->failure() != nullptr) std::rethrow_exception(engine->failure());
     if (!engine->finished()) throw EnactmentError(engine->deadlock_error());
   } catch (...) {
     detach();

@@ -113,6 +113,16 @@ Engine::Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
   result_.run_id = run_id_;
 }
 
+template <typename Work>
+void Engine::contain(Work&& work) {
+  if (failure_ != nullptr) return;
+  try {
+    work();
+  } catch (...) {
+    failure_ = std::current_exception();
+  }
+}
+
 obs::RunEvent Engine::make_event(obs::RunEvent::Kind kind) const {
   obs::RunEvent event;
   event.kind = kind;
@@ -567,7 +577,9 @@ void Engine::start_attempt(const std::shared_ptr<Submission>& sub) {
                      // (run finished with clones still in flight, deadlock
                      // unwinding, cancellation): discard, don't touch it.
                      if (auto self = weak.lock()) {
-                       self->on_attempt_complete(sub, attempt, std::move(outcome));
+                       self->contain([&] {
+                         self->on_attempt_complete(sub, attempt, std::move(outcome));
+                       });
                      }
                    });
 }
@@ -598,7 +610,7 @@ void Engine::arm_watchdog(const std::shared_ptr<Submission>& sub) {
   const double deadline = sub->attempt_started_at + retry.timeout_multiplier * median_latency();
   const double remaining = std::max(0.0, deadline - backend_.now());
   sub->watchdog = backend_.schedule(remaining, [weak = weak_from_this(), sub] {
-    if (auto self = weak.lock()) self->on_watchdog(sub);
+    if (auto self = weak.lock()) self->contain([&] { self->on_watchdog(sub); });
   });
 }
 
@@ -766,7 +778,8 @@ void Engine::start_recovery(const std::shared_ptr<Recovery>& rec) {
   backend_.execute(state.service, std::move(bindings), std::move(exec_options),
                    [weak = weak_from_this(), rec](Outcome outcome) {
                      if (auto self = weak.lock()) {
-                       self->on_recovery_complete(rec, std::move(outcome));
+                       self->contain(
+                           [&] { self->on_recovery_complete(rec, std::move(outcome)); });
                      }
                    });
 }
@@ -1048,10 +1061,12 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
       backend_.schedule(delay, [weak = weak_from_this(), sub] {
         auto self = weak.lock();
         if (!self) return;
-        --sub->pending_resubmits;
-        if (sub->resolved) return;
-        self->start_attempt(sub);
-        self->pump();
+        self->contain([&] {
+          --sub->pending_resubmits;
+          if (sub->resolved) return;
+          self->start_attempt(sub);
+          self->pump();
+        });
       });
     }
   } else if (sub->attempts_in_flight > 0 || sub->pending_resubmits > 0) {

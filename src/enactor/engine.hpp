@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <map>
 #include <memory>
 #include <optional>
@@ -32,7 +33,8 @@ namespace moteur::enactor {
 /// backend (completions, watchdogs, backoff timers) holds only a weak_ptr,
 /// so attempts still in backend flight when the engine dies (watchdog-clone
 /// stragglers, deadlock unwinding, cancellation) are discarded instead of
-/// touching a dead engine. Destroy the engine before its backend.
+/// touching a dead engine. Destroy the engine before its backend. An
+/// exception a callback throws fails this run only (failure()).
 ///
 /// Protocol: start() once, then have the backend drive until settled();
 /// finish() exactly once to collect the result. A run that settles
@@ -72,13 +74,19 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// Whether every processor has finished (the run may be collected).
   bool finished() const;
 
-  /// Whether the run holds no unresolved submission, so it can move no
-  /// further: true once finished, and for a deadlocked run. O(1), for the
-  /// drivers' done-predicates.
-  bool settled() const { return tuples_in_flight_ == 0; }
+  /// Whether the run can move no further: it holds no unresolved
+  /// submission, or one of its callbacks threw (failure()). True once
+  /// finished, and for a deadlocked run. O(1), for the drivers'
+  /// done-predicates.
+  bool settled() const { return tuples_in_flight_ == 0 || failure_ != nullptr; }
 
-  /// The error of a run that settled unfinished: "workflow deadlocked;
-  /// unfinished processors: " and their names in name order.
+  /// The exception that escaped one of the run's backend callbacks, or
+  /// null. Once set, the run has settled and its later callbacks are
+  /// ignored.
+  const std::exception_ptr& failure() const { return failure_; }
+
+  /// The error of a run that settled unfinished: the deadlock, with the
+  /// unfinished processors in name order.
   std::string deadlock_error() const;
 
   /// Collect sinks and return the result. Call exactly once, after
@@ -205,6 +213,10 @@ class Engine : public std::enable_shared_from_this<Engine> {
     std::function<void(bool)> on_done;
   };
 
+  /// Run one backend callback's work: nothing once the run has failed, and
+  /// an exception it throws becomes the run's failure.
+  template <typename Work>
+  void contain(Work&& work);
   /// Build table_: processors in topological order, their services,
   /// buffers, inputs and outlets, and the stage and constraint waits.
   void build_states();
@@ -338,6 +350,7 @@ class Engine : public std::enable_shared_from_this<Engine> {
   std::vector<std::weak_ptr<Submission>> outstanding_;
   std::uint64_t next_submission_id_ = 1;
   std::size_t tuples_in_flight_ = 0;  // across all unresolved submissions
+  std::exception_ptr failure_;
   /// policy_.matchmaking and policy_.placement, parsed at construction.
   /// Unset matchmaking = the backend's default; `rematch` placement = no
   /// avoidance, the historical behavior.

@@ -1,6 +1,7 @@
 #include "service/shard.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <fstream>
 #include <utility>
 
@@ -13,6 +14,21 @@ namespace moteur::service {
 
 using detail::RunRecord;
 using detail::ServiceCore;
+
+namespace {
+
+/// The error a run whose engine failed with `failure` retires with.
+std::string failure_text(const std::exception_ptr& failure) {
+  try {
+    std::rethrow_exception(failure);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown error";
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // ServiceCore
@@ -461,7 +477,10 @@ void EngineShard::run_worker() {
     for (auto& rec : done) {
       RunState state = RunState::kFinished;
       std::string error;
-      if (!rec->engine->finished()) {
+      if (rec->engine->failure() != nullptr) {
+        state = RunState::kFailed;
+        error = failure_text(rec->engine->failure());
+      } else if (!rec->engine->finished()) {
         state = RunState::kFailed;
         error = rec->engine->deadlock_error();
       } else {

@@ -1,7 +1,6 @@
 #include "workflow/iteration_tree.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/error.hpp"
 
@@ -32,28 +31,34 @@ IterationNode IterationNode::cross(std::vector<IterationNode> children) {
   return node;
 }
 
-std::vector<std::string> IterationNode::ports() const {
-  if (kind == Kind::kPort) return {port};
-  std::vector<std::string> out;
-  for (const auto& child : children) {
-    const auto sub = child.ports();
-    out.insert(out.end(), sub.begin(), sub.end());
+namespace {
+
+/// Append the port names of the leaves under `node` to `out`, left to
+/// right, checking each node's structure on the way.
+void append_ports(const IterationNode& node, std::vector<std::string>& out) {
+  if (node.kind == IterationNode::Kind::kPort) {
+    MOTEUR_REQUIRE(!node.port.empty(), GraphError, "iteration tree leaf without a port name");
+    MOTEUR_REQUIRE(node.children.empty(), GraphError, "iteration tree leaf with children");
+    out.push_back(node.port);
+    return;
   }
+  MOTEUR_REQUIRE(!node.children.empty(), GraphError,
+                 "iteration tree combinator without children");
+  for (const auto& child : node.children) append_ports(child, out);
+}
+
+}  // namespace
+
+std::vector<std::string> IterationNode::ports() const {
+  std::vector<std::string> out;
+  append_ports(*this, out);
   return out;
 }
 
 void IterationNode::validate() const {
-  if (kind == Kind::kPort) {
-    MOTEUR_REQUIRE(!port.empty(), GraphError, "iteration tree leaf without a port name");
-    MOTEUR_REQUIRE(children.empty(), GraphError, "iteration tree leaf with children");
-  } else {
-    MOTEUR_REQUIRE(!children.empty(), GraphError,
-                   "iteration tree combinator without children");
-    for (const auto& child : children) child.validate();
-  }
-  const auto all = ports();
-  const std::set<std::string> unique(all.begin(), all.end());
-  MOTEUR_REQUIRE(unique.size() == all.size(), GraphError,
+  std::vector<std::string> all = ports();
+  std::sort(all.begin(), all.end());
+  MOTEUR_REQUIRE(std::adjacent_find(all.begin(), all.end()) == all.end(), GraphError,
                  "iteration tree references a port twice");
 }
 

@@ -28,11 +28,12 @@ struct IterationNode {
   static IterationNode dot(std::vector<IterationNode> children);
   static IterationNode cross(std::vector<IterationNode> children);
 
-  /// All leaf port names, left to right.
+  /// All leaf port names, left to right. Throws GraphError on a leaf
+  /// without a name or with children, or a combinator without children.
   std::vector<std::string> ports() const;
 
-  /// Structural checks: combinators have >= 2 children, leaves have names,
-  /// no port appears twice. Throws GraphError.
+  /// Structural checks: ports()'s, plus no port appears twice. Throws
+  /// GraphError.
   void validate() const;
 
   /// Compact text form, e.g. "cross(dot(a,b),c)".

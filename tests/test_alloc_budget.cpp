@@ -22,6 +22,7 @@
 #include "grid/overhead_model.hpp"
 #include "grid/resource_broker.hpp"
 #include "obs/recorder.hpp"
+#include "scripted_backend.hpp"
 #include "service/admission.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
@@ -277,24 +278,6 @@ TEST(AllocBudget, RecorderPerInvocation) {
                                << " per invocation)";
 }
 
-/// Keeps every completion callback in a vector reserved up front, so that
-/// recording a submission allocates nothing.
-class RecordingBackend final : public enactor::ExecutionBackend {
- public:
-  using enactor::ExecutionBackend::execute;
-  explicit RecordingBackend(std::size_t capacity) { callbacks.reserve(capacity); }
-  void execute(std::shared_ptr<services::Service>, std::vector<services::Inputs>,
-               Callback on_complete) override {
-    callbacks.push_back(std::move(on_complete));
-  }
-  double now() const override { return 0.0; }
-  TimerId schedule(double, std::function<void()>) override { return 0; }
-  void cancel(TimerId) override {}
-  bool drive(const std::function<bool()>&) override { return false; }
-
-  std::vector<Callback> callbacks;
-};
-
 TEST(AllocBudget, UngatedSubmissionAddsNothing) {
   // With no in-flight cap, a run's gated backend hands each submission
   // straight to the gate's backend: no queue entry, no wrapping callback.
@@ -311,10 +294,10 @@ TEST(AllocBudget, UngatedSubmissionAddsNothing) {
     });
   };
 
-  RecordingBackend direct(kSubmissions);
+  testkit::ScriptedBackend direct(kSubmissions);
   const std::size_t baseline = submit_all(direct);
 
-  RecordingBackend behind_gate(kSubmissions);
+  testkit::ScriptedBackend behind_gate(kSubmissions);
   const auto gate = std::make_shared<service::AdmissionGate>(
       behind_gate, service::AdmissionGate::Config{0, "weighted"});
   std::size_t grants = 0;
@@ -326,7 +309,7 @@ TEST(AllocBudget, UngatedSubmissionAddsNothing) {
   const auto run = gate->open(1);
   const std::size_t measured = submit_all(*run);
 
-  EXPECT_EQ(behind_gate.callbacks.size(), kSubmissions);
+  EXPECT_EQ(behind_gate.executions().size(), kSubmissions);
   EXPECT_EQ(grants, kSubmissions);  // every launch is still observed
   EXPECT_EQ(waited, 0.0);
   EXPECT_LE(measured, baseline + kBudgetPerSubmission * kSubmissions)
@@ -340,7 +323,9 @@ TEST(AllocBudget, EngineSetUp) {
   // set-up (validation, the workflow copy, the processor table) plus each
   // item's source token and first-stage submission.
   constexpr std::size_t kItems = 16;
-  constexpr std::size_t kBudget = 371;  // 494 with the name-keyed state map
+  // 371 while iteration trees were validated with a port walk per level,
+  // 494 with the name-keyed state map.
+  constexpr std::size_t kBudget = 351;
   services::ServiceRegistry registry;
   for (const char* name : {"P0", "P1", "P2", "P3"}) {
     registry.add(services::make_simulated_service(name, {"in"}, {"out"},
@@ -350,7 +335,7 @@ TEST(AllocBudget, EngineSetUp) {
   data::InputDataSet inputs;
   inputs.declare_input("src");
   for (std::size_t i = 0; i < kItems; ++i) inputs.add_item("src", "item" + std::to_string(i));
-  RecordingBackend backend(kItems);
+  testkit::ScriptedBackend backend(kItems);
   std::shared_ptr<enactor::Engine> engine;
   const std::size_t measured = allocations_in([&] {
     engine = std::make_shared<enactor::Engine>(
@@ -359,7 +344,7 @@ TEST(AllocBudget, EngineSetUp) {
         enactor::Engine::Options{.run_id = "chain"});
     engine->start();
   });
-  EXPECT_EQ(backend.callbacks.size(), kItems);
+  EXPECT_EQ(backend.executions().size(), kItems);
   EXPECT_LE(measured, kBudget) << "measured " << measured
                                << " allocations for Engine construction and start()";
 }

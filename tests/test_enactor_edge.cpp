@@ -1,7 +1,7 @@
 // Edge cases and less-traveled paths of the enactment engine: multi-branch
 // sinks, conditional outputs, cross->dot chains, barriers mid-workflow,
-// loops under every policy and in series, partial failures upstream of
-// barriers, deadlock diagnostics.
+// loops under every policy, in series and fed by a barrier, partial
+// failures upstream of barriers, engine errors, deadlock diagnostics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +15,11 @@
 #include "enactor/sim_backend.hpp"
 #include "enactor/threaded_backend.hpp"
 #include "grid/grid.hpp"
+#include "scripted_backend.hpp"
 #include "service/run_service.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
+#include "test_workflows.hpp"
 #include "util/error.hpp"
 #include "workflow/patterns.hpp"
 
@@ -181,25 +183,7 @@ TEST(EnactorEdge, LoopWorksUnderEveryPolicy) {
   const auto wf = workflow::make_optimization_loop();
   for (const auto& config : {"NOP", "SP", "DP", "SP+DP"}) {
     services::ServiceRegistry registry;
-    registry.add(services::make_simulated_service("P1", {"in"}, {"out"},
-                                                  JobProfile{1.0}));
-    registry.add(std::make_shared<FunctionalService>(
-        "P2", std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
-        [](const Inputs& in) {
-          const int count = in.at("in").holds<int>() ? in.at("in").as<int>() : 0;
-          Result r;
-          r.outputs["out"] = services::OutputValue{count + 1, "n"};
-          return r;
-        }));
-    registry.add(std::make_shared<FunctionalService>(
-        "P3", std::vector<std::string>{"in"},
-        std::vector<std::string>{"loop", "exit"},
-        [](const Inputs& in) {
-          const int count = in.at("in").as<int>();
-          Result r;
-          r.outputs[count >= 2 ? "exit" : "loop"] = services::OutputValue{count, "n"};
-          return r;
-        }));
+    testkit::add_loop_services(registry);
     ThreadedBackend backend(2);
     Enactor moteur(backend, registry, EnactmentPolicy::parse(config));
     const auto result = moteur.run({.workflow = wf, .inputs = items("Source", 2)});
@@ -214,57 +198,12 @@ TEST(EnactorEdge, LoopsInSeriesWaitForEachOtherButNotForTheirPartners) {
   // Source -> P1 -> loop(P2 <-> P3) -> B -> loop(Q2 <-> Q3) -> Sink. With
   // stage synchronization on (SP off), the second loop waits for the whole
   // first loop, while each loop member waits for no partner of its own loop.
-  // The barrier B joins the loops: a service fed straight from a loop would
-  // hold ready tuples while the loop's feedback ports wait for the whole
-  // workflow to quiesce, and the run would stall.
-  workflow::Workflow wf("two-loops");
-  wf.add_source("Source");
-  wf.add_processor("P1", {"in"}, {"out"});
-  wf.add_processor("P2", {"in"}, {"out"});
-  wf.add_processor("P3", {"in"}, {"loop", "exit"});
-  wf.add_processor("B", {"all"}, {"out"}).synchronization = true;
-  wf.add_processor("Q2", {"in"}, {"out"});
-  wf.add_processor("Q3", {"in"}, {"loop", "exit"});
-  wf.add_sink("Sink");
-  wf.link("Source", "out", "P1", "in");
-  wf.link("P1", "out", "P2", "in");
-  wf.link("P2", "out", "P3", "in");
-  wf.link("P3", "loop", "P2", "in", /*feedback=*/true);
-  wf.link("P3", "exit", "B", "all");
-  wf.link("B", "out", "Q2", "in");
-  wf.link("Q2", "out", "Q3", "in");
-  wf.link("Q3", "loop", "Q2", "in", /*feedback=*/true);
-  wf.link("Q3", "exit", "Sink", "in");
-  wf.validate();
-
-  const auto counter = [](const std::string& id) {
-    return std::make_shared<FunctionalService>(
-        id, std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
-        [](const Inputs& in) {
-          const int count = in.at("in").holds<int>() ? in.at("in").as<int>() : 0;
-          Result r;
-          r.outputs["out"] = services::OutputValue{count + 1, "n"};
-          return r;
-        });
-  };
-  const auto router = [](const std::string& id) {
-    return std::make_shared<FunctionalService>(
-        id, std::vector<std::string>{"in"}, std::vector<std::string>{"loop", "exit"},
-        [](const Inputs& in) {
-          const int count = in.at("in").as<int>();
-          Result r;
-          r.outputs[count >= 2 ? "exit" : "loop"] = services::OutputValue{count, "n"};
-          return r;
-        });
-  };
+  // The barrier B hands the second loop one aggregate of the first loop's
+  // items.
+  const workflow::Workflow wf = testkit::loops_in_series(/*barrier=*/true);
   for (const auto& config : {"NOP", "DP"}) {
     services::ServiceRegistry registry;
-    registry.add(services::make_simulated_service("P1", {"in"}, {"out"}, JobProfile{1.0}));
-    registry.add(services::make_simulated_service("B", {"all"}, {"out"}, JobProfile{1.0}));
-    registry.add(counter("P2"));
-    registry.add(router("P3"));
-    registry.add(counter("Q2"));
-    registry.add(router("Q3"));
+    testkit::add_loop_services(registry);
     ThreadedBackend backend(2);
     Enactor moteur(backend, registry, EnactmentPolicy::parse(config));
     const auto result = moteur.run({.workflow = wf, .inputs = items("Source", 3)});
@@ -288,23 +227,59 @@ TEST(EnactorEdge, LoopsInSeriesWaitForEachOtherButNotForTheirPartners) {
   }
 }
 
-/// Accepts every execution and never completes one: a run on it can only
-/// stall with work in flight.
-class StallingBackend final : public ExecutionBackend {
- public:
-  using ExecutionBackend::execute;
-  void execute(std::shared_ptr<services::Service>, std::vector<services::Inputs>,
-               Callback on_complete) override {
-    pending_.push_back(std::move(on_complete));
+TEST(EnactorEdge, LoopsJoinedDirectlyCloseOneAfterTheOther) {
+  // P3's exit feeds Q2 straight away. With SP off, Q2 holds its ready tuples
+  // until the first loop finishes, so the first loop must close while Q2 is
+  // still waiting on it: its closure looks only at what can reach P3.
+  const workflow::Workflow wf = testkit::loops_in_series(/*barrier=*/false);
+  for (const auto& config : {"NOP", "DP"}) {
+    services::ServiceRegistry registry;
+    testkit::add_loop_services(registry);
+    ThreadedBackend backend(2);
+    Enactor moteur(backend, registry, EnactmentPolicy::parse(config));
+    const auto result = moteur.run({.workflow = wf, .inputs = items("Source", 3)});
+    ASSERT_EQ(result.sink_outputs.at("Sink").size(), 3u) << config;
+    for (const auto& token : result.sink_outputs.at("Sink")) {
+      EXPECT_EQ(token.as<int>(), 3) << config;
+    }
+    EXPECT_EQ(result.timeline.for_processor("P2").size(), 6u) << config;
+    EXPECT_EQ(result.timeline.for_processor("Q2").size(), 3u) << config;
   }
-  double now() const override { return 0.0; }
-  TimerId schedule(double, std::function<void()>) override { return 0; }
-  void cancel(TimerId) override {}
-  bool drive(const std::function<bool()>&) override { return false; }
+}
 
- private:
-  std::vector<Callback> pending_;
-};
+TEST(EnactorEdge, LoopFedByABarrierStaysOpenUntilTheBarrierFinishes) {
+  // T = cross(x from H, y from Bar) closes the loop H <-> T, and Bar waits
+  // for the whole loop A2 <-> A3. H's feedback port must stay open until
+  // Bar has finished, although H and T sit idle while Bar waits: T's loop
+  // output arrives only after Bar fires.
+  const workflow::Workflow wf = testkit::loop_fed_by_barrier();
+  for (const auto& config : {"NOP", "SP+DP"}) {
+    services::ServiceRegistry registry;
+    testkit::add_loop_services(registry);
+    ThreadedBackend backend(2);
+    Enactor moteur(backend, registry, EnactmentPolicy::parse(config));
+    data::InputDataSet inputs = items("S0", 2);
+    inputs.declare_input("S2");
+    inputs.add_item("S2", "item0");
+    const auto result = moteur.run({.workflow = wf, .inputs = inputs});
+    ASSERT_EQ(result.sink_outputs.at("Sink").size(), 1u) << config;
+    EXPECT_EQ(result.sink_outputs.at("Sink")[0].as<int>(), 2) << config;
+  }
+}
+
+TEST(EnactorEdge, EngineErrorInACompletionFailsTheRunWithItsOwnText) {
+  // C = dot(a, b), with port a fed by source S2 at start and later by X,
+  // both with index [0]: X's completion pushes a duplicate token.
+  testkit::ConflictingFeeds conflict;
+  ThreadedBackend backend(2);
+  Enactor moteur(backend, conflict.registry, EnactmentPolicy::sp_dp());
+  try {
+    moteur.run({.workflow = conflict.workflow, .inputs = conflict.inputs()});
+    FAIL() << "expected EnactmentError";
+  } catch (const EnactmentError& e) {
+    EXPECT_EQ(e.what(), std::string(testkit::ConflictingFeeds::kError));
+  }
+}
 
 /// src -> zeta -> alpha -> sink: topological order differs from name order.
 struct StalledChain {
@@ -331,7 +306,7 @@ const char* const kDeadlockText =
 
 TEST(EnactorEdge, DeadlockNamesUnfinishedProcessorsInNameOrder) {
   StalledChain chain;
-  StallingBackend backend;
+  testkit::ScriptedBackend backend;  // never completes an execution
   Enactor moteur(backend, chain.registry, EnactmentPolicy::sp_dp());
   try {
     moteur.run({.workflow = chain.workflow, .inputs = items("src", 2)});
@@ -343,7 +318,7 @@ TEST(EnactorEdge, DeadlockNamesUnfinishedProcessorsInNameOrder) {
 
 TEST(EnactorEdge, DeadlockedServiceRunFailsWithTheSameText) {
   StalledChain chain;
-  StallingBackend backend;
+  testkit::ScriptedBackend backend;  // never completes an execution
   service::RunService svc(backend, chain.registry);
   const service::RunHandle handle =
       svc.submit({.workflow = chain.workflow, .inputs = items("src", 2)});

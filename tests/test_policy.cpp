@@ -3,7 +3,6 @@
 // bit-identical to the pre-policy-engine goldens (per-policy determinism on
 // the three-SE grid lives in test_transfer.cpp).
 #include <algorithm>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -23,6 +22,7 @@
 #include "enactor/timeline_csv.hpp"
 #include "grid/grid.hpp"
 #include "policy/policy.hpp"
+#include "scripted_backend.hpp"
 #include "service/admission.hpp"
 #include "services/catalog.hpp"
 #include "services/functional_service.hpp"
@@ -308,40 +308,10 @@ TEST(ReplicaPolicies, TargetsAndProbeOrder) {
   }
 }
 
-/// Launches executions in order and completes them only when told to.
-class ManualBackend final : public enactor::ExecutionBackend {
- public:
-  using enactor::ExecutionBackend::execute;
-  void execute(std::shared_ptr<services::Service> service, std::vector<services::Inputs>,
-               Callback on_complete) override {
-    launched += service->id();
-    pending_.push_back(std::move(on_complete));
-  }
-  double now() const override { return 0.0; }
-  TimerId schedule(double, std::function<void()>) override { return 0; }
-  void cancel(TimerId) override {}
-  bool drive(const std::function<bool()>&) override { return false; }
-
-  /// Complete every execution, oldest first, including those the
-  /// completions launch.
-  void complete_all() {
-    while (!pending_.empty()) {
-      Callback done = std::move(pending_.front());
-      pending_.pop_front();
-      done(enactor::Outcome::success({}));
-    }
-  }
-
-  std::string launched;  // one service id per launch
-
- private:
-  std::deque<Callback> pending_;
-};
-
 /// Launch order of four submissions each from runs H and L, both asking for
 /// weight 3, through a gate admitting one execution at a time.
 std::string grant_order(const std::string& gate_policy) {
-  ManualBackend backend;
+  testkit::ScriptedBackend backend;
   const auto gate = std::make_shared<service::AdmissionGate>(
       backend, service::AdmissionGate::Config{1, gate_policy});
   const auto heavy = gate->open(3);
@@ -357,8 +327,14 @@ std::string grant_order(const std::string& gate_policy) {
       run->execute(service, {services::Inputs{}}, [](enactor::Outcome) {});
     }
   }
-  backend.complete_all();
-  return backend.launched;
+  // One execution is pending at a time: each completion lets the gate grant
+  // the next.
+  std::string launched;
+  while (!backend.executions().empty()) {
+    launched += backend.executions().front().service->id();
+    backend.succeed(0);
+  }
+  return launched;
 }
 
 TEST(AdmissionPolicies, WeightMapping) {

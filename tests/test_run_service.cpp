@@ -1,7 +1,7 @@
 // Multi-tenant RunService: concurrent runs over one shared backend, fault
 // isolation between tenants, fair-share admission, cancellation mid-run,
-// and the threaded backend under real concurrency (run under TSan by the
-// tsan-enactor preset).
+// runs that settle beside a held tenant, and the threaded backend under
+// real concurrency (run under TSan by the tsan-enactor preset).
 #include <gtest/gtest.h>
 
 #include <any>
@@ -33,6 +33,7 @@
 #include "service/run_service.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
+#include "test_workflows.hpp"
 #include "util/error.hpp"
 #include "workflow/patterns.hpp"
 
@@ -653,6 +654,109 @@ TEST(RunService, FinishedRunsAreReleased) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(probe.use_count(), 1);
+}
+
+/// Holds every invocation of the services it makes until release(), which
+/// its destructor calls at the latest. Declared after the RunService, it
+/// frees a blocked worker on every path, failed assertions included, before
+/// the service shuts down and waits for that worker.
+class Hold {
+ public:
+  ~Hold() { release(); }
+
+  void release() {
+    if (released_) return;
+    released_ = true;
+    promise_.set_value();
+  }
+
+  /// A one-port service whose every invocation waits for release().
+  std::shared_ptr<services::Service> service(const std::string& id) const {
+    return std::make_shared<FunctionalService>(
+        id, std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
+        [future = future_](const Inputs&) {
+          future.wait();
+          Result r;
+          r.outputs["out"] = services::OutputValue{1, "x"};
+          return r;
+        });
+  }
+
+ private:
+  std::promise<void> promise_;
+  std::shared_future<void> future_ = promise_.get_future().share();
+  bool released_ = false;
+};
+
+/// The optimization loop of Figure 2 over `count` items.
+enactor::RunRequest loop_request(std::size_t count) {
+  enactor::RunRequest request;
+  request.name = "loop";
+  request.workflow = workflow::make_optimization_loop();
+  request.inputs = items("Source", count);
+  return request;
+}
+
+TEST(RunService, LoopRunFinishesBesideAHeldRun) {
+  // One shard holds a run whose only job is blocked. The loop beside it
+  // closes on its own run's state, not once the shard runs out of work.
+  enactor::ThreadedBackend backend(2);
+  services::ServiceRegistry registry;
+  testkit::add_loop_services(registry);
+  RunService service(backend, registry);
+  Hold hold;
+  registry.add(hold.service("held-p0"));
+  const RunHandle held = service.submit(make_request("held", prefixed_chain("held", 1), 1));
+  const RunHandle loop = service.submit(loop_request(2));
+
+  ASSERT_EQ(loop.wait_for(std::chrono::seconds(5)), RunState::kFinished);
+  EXPECT_EQ(held.poll(), RunState::kRunning);
+  ASSERT_EQ(loop.result().sink_outputs.at("Sink").size(), 2u);
+  for (const auto& token : loop.result().sink_outputs.at("Sink")) {
+    EXPECT_EQ(token.as<int>(), 2);
+  }
+}
+
+TEST(RunService, DeadlockedRunFailsBesideAHeldRun) {
+  // With a batch of 2 and one item, the loop head waits for a flush that
+  // only the loop's own closure would bring: the run deadlocks, and fails
+  // as soon as it settles, while the held run beside it still runs.
+  enactor::ThreadedBackend backend(2);
+  services::ServiceRegistry registry;
+  testkit::add_loop_services(registry);
+  RunService service(backend, registry);
+  Hold hold;
+  registry.add(hold.service("held-p0"));
+  const RunHandle held = service.submit(make_request("held", prefixed_chain("held", 1), 1));
+  enactor::RunRequest request = loop_request(1);
+  request.policy = enactor::EnactmentPolicy::sp_dp();
+  request.policy->batch_size = 2;
+  const RunHandle loop = service.submit(std::move(request));
+
+  ASSERT_EQ(loop.wait_for(std::chrono::seconds(5)), RunState::kFailed);
+  EXPECT_EQ(loop.error(), "workflow deadlocked; unfinished processors: P2, P3, Sink");
+  EXPECT_EQ(held.poll(), RunState::kRunning);
+}
+
+TEST(RunService, EngineErrorFailsOnlyItsRun) {
+  // A completion makes the engine throw (a duplicate token on C's port a).
+  // The run fails with the error's text; the shard goes on driving the run
+  // beside it, which finishes once its held job is released.
+  testkit::ConflictingFeeds conflict;
+  enactor::ThreadedBackend backend(2);
+  RunService service(backend, conflict.registry);
+  Hold hold;
+  conflict.registry.add(hold.service("held-p0"));
+  const RunHandle held = service.submit(make_request("held", prefixed_chain("held", 1), 1));
+  const RunHandle failing = service.submit(
+      {.name = "conflict", .workflow = conflict.workflow, .inputs = conflict.inputs()});
+
+  EXPECT_EQ(failing.wait(), RunState::kFailed);
+  EXPECT_EQ(failing.error(), testkit::ConflictingFeeds::kError);
+  EXPECT_EQ(held.poll(), RunState::kRunning);
+  hold.release();
+  EXPECT_EQ(held.wait(), RunState::kFinished);
+  EXPECT_EQ(held.result().sink_outputs.at("sink").size(), 1u);
 }
 
 }  // namespace

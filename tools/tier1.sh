@@ -416,7 +416,8 @@ if [ "${1:-}" = "--tsan" ]; then
   cmake -B build-tsan -S . -DMOTEUR_TSAN=ON >/dev/null
   cmake --build build-tsan -j --target test_enactor test_enactor_edge test_progress \
     test_retry test_obs test_run_service test_datastore test_shard test_telemetry \
-    test_policy test_transfer test_alloc_budget test_robustness moteur_cli
+    test_policy test_transfer test_alloc_budget test_robustness test_completion_orders \
+    moteur_cli
   (cd build-tsan && ctest --output-on-failure -L enactor)
   echo "== TSan multi-tenant smoke: concurrent runs through the RunService =="
   build-tsan/tools/moteur_cli run \
