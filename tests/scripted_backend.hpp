@@ -23,7 +23,6 @@ class ScriptedBackend final : public enactor::ExecutionBackend {
   };
   struct Timer {
     TimerId id = 0;
-    double delay = 0.0;
     std::function<void()> fn;
   };
 
@@ -37,8 +36,8 @@ class ScriptedBackend final : public enactor::ExecutionBackend {
     executions_.push_back({std::move(service), std::move(bindings), std::move(on_complete)});
   }
   double now() const override { return 0.0; }
-  TimerId schedule(double delay_seconds, std::function<void()> fn) override {
-    timers_.push_back({++last_timer_, delay_seconds, std::move(fn)});
+  TimerId schedule(double, std::function<void()> fn) override {
+    timers_.push_back({++last_timer_, std::move(fn)});
     return last_timer_;
   }
   void cancel(TimerId id) override {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <exception>
 #include <memory>
 #include <string>
 #include <utility>
@@ -63,6 +64,8 @@ std::size_t explore(const Scope& scope, const EnactmentPolicy& policy) {
       backend.succeed(choice[step]);
     }
     ++orders;
+    // An engine error ends the test with its own text.
+    if (engine->failure() != nullptr) std::rethrow_exception(engine->failure());
     EXPECT_TRUE(backend.timers().empty());
     EXPECT_TRUE(engine->settled());
     if (!engine->finished()) {
