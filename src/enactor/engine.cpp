@@ -8,7 +8,6 @@
 #include "data/replica_catalog.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
-#include "workflow/analysis.hpp"
 
 namespace moteur::enactor {
 
@@ -155,13 +154,16 @@ obs::Name Engine::ce_name(const std::string& ce) {
 }
 
 void Engine::build_states() {
-  const std::vector<std::string> order = workflow::topological_order(workflow_);
+  // The constructor validated the workflow, so the order is complete.
+  const std::vector<std::size_t> order = workflow_.topological_positions();
   const std::size_t n = order.size();
   // Names sorted with their topological positions: the one name lookup,
   // used only to wire links and constraints below.
   std::vector<std::pair<std::string_view, std::size_t>> by_name;
   by_name.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) by_name.emplace_back(order[i], i);
+  for (std::size_t i = 0; i < n; ++i) {
+    by_name.emplace_back(workflow_.processors()[order[i]].name, i);
+  }
   std::sort(by_name.begin(), by_name.end());
   const auto position = [&by_name](const std::string& name) {
     return std::lower_bound(by_name.begin(), by_name.end(),

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <queue>
 #include <sstream>
-#include <unordered_map>
 
 #include "util/strings.hpp"
 
@@ -55,16 +53,13 @@ CriticalPathReport critical_path(const Tracer& tracer, const std::string& run_id
   report.admission_wait = std::max(0.0, admission_wait);
 
   const Tracer::Spans& spans = tracer.spans();
-  std::unordered_map<SpanId, const Span*> by_id;
-  by_id.reserve(spans.size());
-  for (const Span& span : spans) by_id.emplace(span.id, &span);
 
   // Resolve the run root: "run"-category root whose run_id annotation (or,
   // failing that, name) matches; an empty id selects a sole run root.
   const Span* root = nullptr;
   std::size_t run_roots = 0;
   for (const Span& span : spans) {
-    if (span.category != "run" || by_id.count(span.parent) != 0) continue;
+    if (span.category != "run" || span.parent != 0) continue;
     ++run_roots;
     const std::string* id = tracer.args(span).find("run_id");
     const std::string& key = id ? *id : span.name;
@@ -80,26 +75,20 @@ CriticalPathReport critical_path(const Tracer& tracer, const std::string& run_id
   if (const std::string* id = tracer.args(*root).find("run_id")) report.run_id = *id;
   report.makespan = report.admission_wait + root->duration();
 
-  // Children index + membership: invocation spans descending from this root.
-  std::unordered_map<SpanId, std::vector<const Span*>> children;
-  for (const Span& span : spans) {
-    if (span.parent != 0) children[span.parent].push_back(&span);
-  }
-  std::unordered_map<SpanId, bool> in_run;
-  const std::function<bool(const Span&)> descends = [&](const Span& span) -> bool {
-    if (span.id == root->id) return true;
-    const auto memo = in_run.find(span.id);
-    if (memo != in_run.end()) return memo->second;
-    const auto parent = by_id.find(span.parent);
-    const bool yes = parent != by_id.end() && descends(*parent->second);
-    in_run.emplace(span.id, yes);
-    return yes;
-  };
+  // The run's spans by position from the root on (index = id - root id): a
+  // span's parent precedes it (Tracer::begin), so one pass finds every
+  // descendant of the root and files it under its parent, in id order.
+  const SpanId base = root->id;
+  std::vector<char> in_run(spans.size() - base + 1, 0);
+  std::vector<std::vector<const Span*>> children(in_run.size());
+  in_run[0] = 1;
   std::vector<const Span*> invocations;
-  for (const Span& span : spans) {
-    if (span.category == "invocation" && !span.open() && descends(span)) {
-      invocations.push_back(&span);
-    }
+  for (std::size_t i = base; i < spans.size(); ++i) {
+    const Span& span = spans[i];
+    if (span.parent < base || in_run[span.parent - base] == 0) continue;
+    in_run[span.id - base] = 1;
+    children[span.parent - base].push_back(&span);
+    if (span.category == "invocation" && !span.open()) invocations.push_back(&span);
   }
   std::sort(invocations.begin(), invocations.end(),
             [](const Span* a, const Span* b) {
@@ -149,12 +138,8 @@ CriticalPathReport critical_path(const Tracer& tracer, const std::string& run_id
     Coverage covered;
     const auto claim = [&](const char* phase) {
       double total = 0.0;
-      const auto attempts = children.find(pick->id);
-      if (attempts == children.end()) return total;
-      for (const Span* attempt : attempts->second) {
-        const auto phases = children.find(attempt->id);
-        if (phases == children.end()) continue;
-        for (const Span* p : phases->second) {
+      for (const Span* attempt : children[pick->id - base]) {
+        for (const Span* p : children[attempt->id - base]) {
           if (p->category != "phase" || p->name != phase) continue;
           total += covered.add(std::max(p->start, step.start), std::min(p->end, step.end));
         }

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <numeric>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "util/strings.hpp"
@@ -29,71 +27,58 @@ std::string format_number(double value) {
   return buf;
 }
 
+/// The span tree by position (span id - 1). A span's parent precedes it
+/// (Tracer::begin), so each entry derives from its parent's in one pass in
+/// id order.
+struct SpanTree {
+  std::vector<int> depth;
+  /// Deterministic span keys: the chain of names from the root down, with
+  /// the run id standing in for the root's name when recorded.
+  std::vector<std::string> key;
+  std::vector<int> pid;
+  std::vector<int> lane;  // -1 until assigned
+};
+
 /// Assign each span of ONE rendering group a lane (tid) so that spans
 /// sharing a lane are either disjoint in time or properly nested — Chrome
 /// draws exactly that as a stack. Children try their parent's lane first.
-/// Ties are broken by the caller-supplied deterministic span keys, never by
-/// span ids: ids follow event arrival order, which is run-to-run unstable
-/// when shards flush their event batches concurrently.
-std::unordered_map<SpanId, int> assign_lanes(
-    const std::vector<const Span*>& spans,
-    const std::unordered_map<SpanId, std::string>& key_of) {
-  std::unordered_map<SpanId, int> depth;
-  depth.reserve(spans.size());
-  std::unordered_map<SpanId, const Span*> by_id;
-  for (const Span* span : spans) by_id.emplace(span->id, span);
-  const std::function<int(const Span&)> depth_of = [&](const Span& span) -> int {
-    const auto it = depth.find(span.id);
-    if (it != depth.end()) return it->second;
-    const auto parent = by_id.find(span.parent);
-    const int d = parent == by_id.end() ? 0 : depth_of(*parent->second) + 1;
-    depth.emplace(span.id, d);
-    return d;
-  };
-
-  std::vector<const Span*> order(spans);
-  std::sort(order.begin(), order.end(), [&](const Span* a, const Span* b) {
-    if (a->start != b->start) return a->start < b->start;
-    const double da = a->end - a->start, db = b->end - b->start;
+/// Ties are broken by the span keys, never by span ids: ids follow event
+/// arrival order, which is run-to-run unstable when shards flush their
+/// event batches concurrently.
+void assign_lanes(const Tracer::Spans& spans, std::vector<std::size_t> members,
+                  SpanTree& tree) {
+  std::sort(members.begin(), members.end(), [&](std::size_t a, std::size_t b) {
+    const Span& sa = spans[a];
+    const Span& sb = spans[b];
+    if (sa.start != sb.start) return sa.start < sb.start;
+    const double da = sa.end - sa.start, db = sb.end - sb.start;
     if (da != db) return da > db;  // enclosing spans first
-    const int depth_a = depth_of(*a), depth_b = depth_of(*b);
-    if (depth_a != depth_b) return depth_a < depth_b;
-    const auto key_a = key_of.find(a->id), key_b = key_of.find(b->id);
-    if (key_a != key_of.end() && key_b != key_of.end() &&
-        key_a->second != key_b->second) {
-      return key_a->second < key_b->second;
-    }
-    return a->id < b->id;
+    if (tree.depth[a] != tree.depth[b]) return tree.depth[a] < tree.depth[b];
+    if (tree.key[a] != tree.key[b]) return tree.key[a] < tree.key[b];
+    return a < b;
   });
 
   std::vector<std::vector<double>> lanes;  // per lane: stack of open end times
-  std::unordered_map<SpanId, int> lane_of;
-  lane_of.reserve(spans.size());
   const auto fits = [](std::vector<double>& stack, const Span& span) {
     while (!stack.empty() && stack.back() <= span.start) stack.pop_back();
     return stack.empty() || stack.back() >= span.end;
   };
-  for (const Span* span : order) {
-    int lane = -1;
-    const auto parent_lane = lane_of.find(span->parent);
-    if (parent_lane != lane_of.end() && fits(lanes[parent_lane->second], *span)) {
-      lane = parent_lane->second;
-    } else {
-      for (std::size_t i = 0; i < lanes.size(); ++i) {
-        if (fits(lanes[i], *span)) {
-          lane = static_cast<int>(i);
-          break;
-        }
+  for (const std::size_t i : members) {
+    const Span& span = spans[i];
+    int lane = span.parent == 0 ? -1 : tree.lane[span.parent - 1];
+    if (lane < 0 || !fits(lanes[static_cast<std::size_t>(lane)], span)) {
+      lane = -1;
+      for (std::size_t l = 0; l < lanes.size() && lane < 0; ++l) {
+        if (fits(lanes[l], span)) lane = static_cast<int>(l);
       }
       if (lane < 0) {
         lane = static_cast<int>(lanes.size());
         lanes.emplace_back();
       }
     }
-    lanes[static_cast<std::size_t>(lane)].push_back(span->end);
-    lane_of.emplace(span->id, lane);
+    lanes[static_cast<std::size_t>(lane)].push_back(span.end);
+    tree.lane[i] = lane;
   }
-  return lane_of;
 }
 
 std::string label_suffix(const Labels& labels, const std::string& extra_key = "",
@@ -124,6 +109,24 @@ std::string label_suffix(const Labels& labels, const std::string& extra_key = ""
 
 std::string chrome_trace_json(const Tracer& tracer) {
   const Tracer::Spans& spans = tracer.spans();
+  const std::size_t n = spans.size();
+
+  // Span ids follow event arrival order — run-to-run unstable at shards>1
+  // where each shard flushes its event batch independently — so every
+  // ordering decision below ties on the span keys instead.
+  SpanTree tree{std::vector<int>(n), std::vector<std::string>(n), {}, std::vector<int>(n, -1)};
+  std::vector<std::size_t> run_roots;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Span& span = spans[i];
+    if (span.parent == 0) {
+      const std::string* run_id = tracer.args(span).find("run_id");
+      tree.key[i] = run_id ? *run_id : span.name;
+      if (span.category == "run") run_roots.push_back(i);
+    } else {
+      tree.depth[i] = tree.depth[span.parent - 1] + 1;
+      tree.key[i] = tree.key[span.parent - 1] + "/" + span.name;
+    }
+  }
 
   // Every "run"-category root becomes its own Chrome process (pid), numbered
   // 1..N in start order — concurrent runs recorded into one tracer render as
@@ -131,111 +134,56 @@ std::string chrome_trace_json(const Tracer& tracer) {
   // from a run root (hand-built traces, orphans) share one default group,
   // which is pid 1 when there are no run roots at all — so single-run and
   // synthetic traces keep the historical "pid":1 output.
-  std::unordered_map<SpanId, const Span*> by_id;
-  for (const Span& span : spans) by_id.emplace(span.id, &span);
-  std::unordered_map<SpanId, SpanId> root_memo;
-  const std::function<SpanId(const Span&)> find_root = [&](const Span& span) -> SpanId {
-    const auto it = root_memo.find(span.id);
-    if (it != root_memo.end()) return it->second;
-    const auto parent = by_id.find(span.parent);
-    const SpanId root = parent == by_id.end() ? span.id : find_root(*parent->second);
-    root_memo.emplace(span.id, root);
-    return root;
-  };
-  // Deterministic per-span keys: the chain of names from the root down, with
-  // the run id standing in for the root's name when recorded. Span ids follow
-  // event arrival order — run-to-run unstable at shards>1 where each shard
-  // flushes its event batch independently — so every ordering decision below
-  // ties on these keys instead.
-  std::unordered_map<SpanId, std::string> key_of;
-  key_of.reserve(spans.size());
-  const std::function<const std::string&(const Span&)> key_for = [&](const Span& span)
-      -> const std::string& {
-    const auto it = key_of.find(span.id);
-    if (it != key_of.end()) return it->second;
-    std::string key;
-    const auto parent = by_id.find(span.parent);
-    if (parent == by_id.end()) {
-      const std::string* run_id = tracer.args(span).find("run_id");
-      key = run_id ? *run_id : span.name;
-    } else {
-      key = key_for(*parent->second) + "/" + span.name;
-    }
-    return key_of.emplace(span.id, std::move(key)).first->second;
-  };
-  for (const Span& span : spans) key_for(span);
-
-  std::vector<const Span*> run_roots;
-  for (const Span& span : spans) {
-    if (span.category == "run" && by_id.find(span.parent) == by_id.end()) {
-      run_roots.push_back(&span);
-    }
-  }
-  std::sort(run_roots.begin(), run_roots.end(), [&](const Span* a, const Span* b) {
-    if (a->start != b->start) return a->start < b->start;
-    const std::string& key_a = key_of.at(a->id);
-    const std::string& key_b = key_of.at(b->id);
-    if (key_a != key_b) return key_a < key_b;
-    return a->id < b->id;
+  std::sort(run_roots.begin(), run_roots.end(), [&](std::size_t a, std::size_t b) {
+    if (spans[a].start != spans[b].start) return spans[a].start < spans[b].start;
+    if (tree.key[a] != tree.key[b]) return tree.key[a] < tree.key[b];
+    return a < b;
   });
-  std::unordered_map<SpanId, int> pid_of_root;
-  for (std::size_t i = 0; i < run_roots.size(); ++i) {
-    pid_of_root.emplace(run_roots[i]->id, static_cast<int>(i) + 1);
-  }
   const int default_pid = run_roots.empty() ? 1 : static_cast<int>(run_roots.size()) + 1;
-
-  std::map<int, std::vector<const Span*>> groups;
-  std::unordered_map<SpanId, int> pid_of;
-  pid_of.reserve(spans.size());
-  for (const Span& span : spans) {
-    const auto it = pid_of_root.find(find_root(span));
-    const int pid = it == pid_of_root.end() ? default_pid : it->second;
-    pid_of.emplace(span.id, pid);
-    groups[pid].push_back(&span);
+  tree.pid.assign(n, default_pid);
+  for (std::size_t r = 0; r < run_roots.size(); ++r) {
+    tree.pid[run_roots[r]] = static_cast<int>(r) + 1;
   }
-  std::unordered_map<SpanId, int> lane_of;
-  lane_of.reserve(spans.size());
-  for (const auto& [pid, members] : groups) {
-    for (const auto& [id, lane] : assign_lanes(members, key_of)) lane_of.emplace(id, lane);
+  std::vector<std::vector<std::size_t>> groups(static_cast<std::size_t>(default_pid));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (spans[i].parent != 0) tree.pid[i] = tree.pid[spans[i].parent - 1];
+    groups[static_cast<std::size_t>(tree.pid[i] - 1)].push_back(i);
   }
+  for (auto& members : groups) assign_lanes(spans, std::move(members), tree);
 
   // Emit in (start, enclosing-first) order — the same order lanes were
   // assigned in — so the file is stable and viewer-friendly. Ties fall to
   // (pid, span key) so the emission order, like the lanes, does not depend
   // on event arrival order.
-  std::vector<const Span*> order;
-  order.reserve(spans.size());
-  for (const Span& span : spans) order.push_back(&span);
-  std::sort(order.begin(), order.end(), [&](const Span* a, const Span* b) {
-    if (a->start != b->start) return a->start < b->start;
-    const double da = a->end - a->start, db = b->end - b->start;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const Span& sa = spans[a];
+    const Span& sb = spans[b];
+    if (sa.start != sb.start) return sa.start < sb.start;
+    const double da = sa.end - sa.start, db = sb.end - sb.start;
     if (da != db) return da > db;
-    const int pid_a = pid_of.at(a->id), pid_b = pid_of.at(b->id);
-    if (pid_a != pid_b) return pid_a < pid_b;
-    const std::string& key_a = key_of.at(a->id);
-    const std::string& key_b = key_of.at(b->id);
-    if (key_a != key_b) return key_a < key_b;
-    return a->id < b->id;
+    if (tree.pid[a] != tree.pid[b]) return tree.pid[a] < tree.pid[b];
+    if (tree.key[a] != tree.key[b]) return tree.key[a] < tree.key[b];
+    return a < b;
   });
 
   std::ostringstream out;
   out << "{\"traceEvents\":[";
   bool first = true;
-  for (const Span* span : order) {
+  for (const std::size_t i : order) {
+    const Span& span = spans[i];
     if (!first) out << ",\n";
     first = false;
-    const double ts = span->start * 1e6;  // backend seconds -> microseconds
-    const double dur = (span->open() ? 0.0 : span->end - span->start) * 1e6;
+    const double ts = span.start * 1e6;  // backend seconds -> microseconds
+    const double dur = (span.open() ? 0.0 : span.end - span.start) * 1e6;
     char numbers[96];
     std::snprintf(numbers, sizeof(numbers), "\"ts\":%.3f,\"dur\":%.3f", ts, dur);
-    const auto lane = lane_of.find(span->id);
-    const auto pid = pid_of.find(span->id);
-    out << "{\"name\":\"" << json_escape(span->name) << "\",\"cat\":\""
-        << json_escape(span->category) << "\",\"ph\":\"X\"," << numbers
-        << ",\"pid\":" << (pid == pid_of.end() ? 1 : pid->second)
-        << ",\"tid\":" << (lane == lane_of.end() ? 0 : lane->second + 1)
-        << ",\"args\":{\"id\":\"" << span->id << "\",\"parent\":\"" << span->parent << "\"";
-    for (const Annotation& arg : tracer.args(*span)) {
+    out << "{\"name\":\"" << json_escape(span.name) << "\",\"cat\":\""
+        << json_escape(span.category) << "\",\"ph\":\"X\"," << numbers
+        << ",\"pid\":" << tree.pid[i] << ",\"tid\":" << tree.lane[i] + 1
+        << ",\"args\":{\"id\":\"" << span.id << "\",\"parent\":\"" << span.parent << "\"";
+    for (const Annotation& arg : tracer.args(span)) {
       out << ",\"" << json_escape(arg.key) << "\":\"" << json_escape(arg.value) << "\"";
     }
     out << "}}";

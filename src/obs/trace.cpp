@@ -20,7 +20,7 @@ SpanId Tracer::begin(std::string name, std::string_view category, double start,
   const SpanId id = spans_.size() + 1;
   Span& span = spans_.emplace_back();
   span.id = id;
-  span.parent = parent;
+  span.parent = parent < id ? parent : 0;
   span.name = std::move(name);
   span.category = category;
   span.start = start;

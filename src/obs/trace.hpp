@@ -132,8 +132,10 @@ class Tracer {
     std::uint32_t first_;
   };
 
-  /// Open a span. `parent` = 0 makes it a root. `category` must be a static
-  /// name (a string literal): the span keeps a view of it.
+  /// Open a span. `parent` = 0 makes it a root, and so does a parent that is
+  /// not yet a span: a span's parent always precedes it, which lets the
+  /// exports derive the tree in one pass by position. `category` must be a
+  /// static name (a string literal): the span keeps a view of it.
   SpanId begin(std::string name, std::string_view category, double start,
                SpanId parent = 0);
 

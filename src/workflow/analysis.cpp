@@ -42,28 +42,12 @@ std::set<std::string> reach(const std::map<std::string, std::vector<std::string>
 }  // namespace
 
 std::vector<std::string> topological_order(const Workflow& workflow) {
-  const auto adj = forward_edges(workflow);
-  std::map<std::string, std::size_t> in_degree;
-  for (const auto& [name, targets] : adj) {
-    in_degree.emplace(name, 0);
-    for (const auto& t : targets) ++in_degree[t];
-  }
-  // std::map keeps the frontier ordering deterministic (name order).
-  std::vector<std::string> order;
-  std::deque<std::string> frontier;
-  for (const auto& [name, degree] : in_degree) {
-    if (degree == 0) frontier.push_back(name);
-  }
-  while (!frontier.empty()) {
-    const std::string current = frontier.front();
-    frontier.pop_front();
-    order.push_back(current);
-    for (const auto& next : adj.at(current)) {
-      if (--in_degree[next] == 0) frontier.push_back(next);
-    }
-  }
-  MOTEUR_REQUIRE(order.size() == workflow.processors().size(), GraphError,
+  const std::vector<std::size_t> positions = workflow.topological_positions();
+  MOTEUR_REQUIRE(positions.size() == workflow.processors().size(), GraphError,
                  "topological_order: workflow has a non-feedback cycle");
+  std::vector<std::string> order;
+  order.reserve(positions.size());
+  for (const std::size_t p : positions) order.push_back(workflow.processors()[p].name);
   return order;
 }
 

@@ -1,6 +1,7 @@
 #include "workflow/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "util/error.hpp"
@@ -190,14 +191,13 @@ void Workflow::validate() const {
       MOTEUR_REQUIRE(!p.input_ports.empty(), GraphError,
                      "service '" + p.name + "' has no input ports");
     }
-    std::set<std::string> seen;
-    for (const auto& port : p.input_ports) {
-      MOTEUR_REQUIRE(seen.insert("i:" + port).second, GraphError,
-                     "duplicate input port '" + port + "' on '" + p.name + "'");
+    for (auto port = p.input_ports.begin(); port != p.input_ports.end(); ++port) {
+      MOTEUR_REQUIRE(std::find(p.input_ports.begin(), port, *port) == port, GraphError,
+                     "duplicate input port '" + *port + "' on '" + p.name + "'");
     }
-    for (const auto& port : p.output_ports) {
-      MOTEUR_REQUIRE(seen.insert("o:" + port).second, GraphError,
-                     "duplicate output port '" + port + "' on '" + p.name + "'");
+    for (auto port = p.output_ports.begin(); port != p.output_ports.end(); ++port) {
+      MOTEUR_REQUIRE(std::find(p.output_ports.begin(), port, *port) == port, GraphError,
+                     "duplicate output port '" + *port + "' on '" + p.name + "'");
     }
     if (p.iteration_tree != nullptr) {
       p.iteration_tree->validate();
@@ -213,39 +213,56 @@ void Workflow::validate() const {
   // Every input port of every non-source processor is fed by some link.
   for (const auto& p : processors_) {
     for (const auto& port : p.input_ports) {
-      MOTEUR_REQUIRE(!links_into_port(p.name, port).empty(), GraphError,
+      const auto feeds = [&](const Link& l) {
+        return l.to_processor == p.name && l.to_port == port;
+      };
+      MOTEUR_REQUIRE(std::any_of(links_.begin(), links_.end(), feeds), GraphError,
                      "input port '" + p.name + "." + port + "' is not connected");
     }
   }
 
-  // Graph minus feedback links must be acyclic (Kahn's algorithm).
-  std::map<std::string, std::size_t> in_degree;
-  for (const auto& p : processors_) in_degree[p.name] = 0;
-  for (const auto& l : links_) {
-    if (!l.feedback) ++in_degree[l.to_processor];
-  }
-  for (const auto& c : constraints_) ++in_degree[c.after];
-
-  std::vector<std::string> frontier;
-  for (const auto& [name, degree] : in_degree) {
-    if (degree == 0) frontier.push_back(name);
-  }
-  std::size_t visited = 0;
-  while (!frontier.empty()) {
-    const std::string current = frontier.back();
-    frontier.pop_back();
-    ++visited;
-    for (const auto& l : links_) {
-      if (!l.feedback && l.from_processor == current && --in_degree[l.to_processor] == 0) {
-        frontier.push_back(l.to_processor);
-      }
-    }
-    for (const auto& c : constraints_) {
-      if (c.before == current && --in_degree[c.after] == 0) frontier.push_back(c.after);
-    }
-  }
-  MOTEUR_REQUIRE(visited == processors_.size(), GraphError,
+  MOTEUR_REQUIRE(topological_positions().size() == processors_.size(), GraphError,
                  "workflow contains a cycle not marked as feedback");
+}
+
+std::vector<std::size_t> Workflow::topological_positions() const {
+  const std::size_t n = processors_.size();
+  // Positions sorted by name: the one name lookup.
+  std::vector<std::size_t> by_name(n);
+  std::iota(by_name.begin(), by_name.end(), std::size_t{0});
+  std::sort(by_name.begin(), by_name.end(), [this](std::size_t a, std::size_t b) {
+    return processors_[a].name < processors_[b].name;
+  });
+  const auto position = [&](const std::string& name) {
+    const auto it = std::lower_bound(
+        by_name.begin(), by_name.end(), name,
+        [this](std::size_t p, const std::string& key) { return processors_[p].name < key; });
+    MOTEUR_REQUIRE(it != by_name.end() && processors_[*it].name == name, GraphError,
+                   "unknown processor '" + name + "'");
+    return *it;
+  };
+  // Edges as position pairs, in edge order.
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  edges.reserve(links_.size() + constraints_.size());
+  for (const auto& l : links_) {
+    if (!l.feedback) edges.emplace_back(position(l.from_processor), position(l.to_processor));
+  }
+  for (const auto& c : constraints_) edges.emplace_back(position(c.before), position(c.after));
+
+  std::vector<std::size_t> in_degree(n, 0);
+  for (const auto& edge : edges) ++in_degree[edge.second];
+  // The order doubles as the FIFO queue: positions from `next` on wait.
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  for (const std::size_t p : by_name) {
+    if (in_degree[p] == 0) order.push_back(p);
+  }
+  for (std::size_t next = 0; next < order.size(); ++next) {
+    for (const auto& [from, to] : edges) {
+      if (from == order[next] && --in_degree[to] == 0) order.push_back(to);
+    }
+  }
+  return order;
 }
 
 }  // namespace moteur::workflow

@@ -141,6 +141,14 @@ class Workflow {
   /// acyclic. Throws GraphError on the first violation.
   void validate() const;
 
+  /// Positions in processors() in a topological order of the non-feedback
+  /// links and the coordination constraints: one Kahn pass, seeded with the
+  /// zero-in-degree processors in name order, that visits each processor's
+  /// successors in edge order (links in declaration order, then
+  /// constraints). Returns fewer positions than there are processors when
+  /// a non-feedback cycle remains.
+  std::vector<std::size_t> topological_positions() const;
+
  private:
   std::string name_;
   std::vector<Processor> processors_;

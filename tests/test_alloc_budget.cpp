@@ -208,7 +208,9 @@ RunCount bronze_run(std::size_t pairs, const enactor::EnactmentPolicy& policy) {
 TEST(AllocBudget, BronzeRunPerInvocation) {
   // 4 pairs under the manifest policy (SP+DP+JG).
   constexpr std::size_t kPairs = 4;
-  constexpr std::size_t kBudget = 4307;  // 172.28 per invocation
+  // 4237 while validate() and topological_order() each ran a name-keyed
+  // Kahn pass.
+  constexpr std::size_t kBudget = 3772;  // 150.88 per invocation
   const RunCount run = bronze_run(kPairs, enactor::EnactmentPolicy::sp_dp_jg());
   ASSERT_EQ(run.invocations, 6 * kPairs + 1);
   EXPECT_LE(run.allocations, kBudget)
@@ -323,9 +325,10 @@ TEST(AllocBudget, EngineSetUp) {
   // set-up (validation, the workflow copy, the processor table) plus each
   // item's source token and first-stage submission.
   constexpr std::size_t kItems = 16;
-  // 371 while iteration trees were validated with a port walk per level,
-  // 494 with the name-keyed state map.
-  constexpr std::size_t kBudget = 351;
+  // 351 while validate() and topological_order() each ran a name-keyed
+  // Kahn pass, 371 while iteration trees were validated with a port walk per
+  // level, 494 with the name-keyed state map.
+  constexpr std::size_t kBudget = 314;
   services::ServiceRegistry registry;
   for (const char* name : {"P0", "P1", "P2", "P3"}) {
     registry.add(services::make_simulated_service(name, {"in"}, {"out"},
