@@ -96,7 +96,7 @@ std::string render_trace_table(const Timeline& timeline) {
        << pad_left(format_fixed(trace.span_seconds(), 1), 10)
        << pad_left(to_string(trace.status), 12) << "  "
        << (trace.job ? trace.job->computing_element : std::string("-"))
-       << (trace.failed ? "  FAILED" : "") << (trace.superseded ? "  superseded" : "")
+       << (trace.failed() ? "  FAILED" : "") << (trace.superseded ? "  superseded" : "")
        << '\n';
   }
   return os.str();

@@ -110,6 +110,7 @@ Engine::Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
                   ? workflow::group_sequential_processors(workflow, &result_.grouping)
                   : workflow;
   result_.run_id = run_id_;
+  blank_event_.run_id = run_id_;
 }
 
 template <typename Work>
@@ -122,20 +123,19 @@ void Engine::contain(Work&& work) {
   }
 }
 
-obs::RunEvent Engine::make_event(obs::RunEvent::Kind kind) const {
-  obs::RunEvent event;
-  event.kind = kind;
-  event.time = backend_.now();
-  event.run_id = run_id_;
-  event.total_invocations = result_.stats.invocations;
-  event.total_submissions = result_.stats.submissions;
-  event.tuples_in_flight = tuples_in_flight_;
-  return event;
+obs::RunEvent& Engine::make_event(obs::RunEvent::Kind kind) {
+  event_ = blank_event_;
+  event_.kind = kind;
+  event_.time = backend_.now();
+  event_.total_invocations = result_.stats.invocations;
+  event_.total_submissions = result_.stats.submissions;
+  event_.tuples_in_flight = tuples_in_flight_;
+  return event_;
 }
 
-obs::RunEvent Engine::make_event(obs::RunEvent::Kind kind, const Submission& sub,
-                                 std::size_t attempt) const {
-  obs::RunEvent event = make_event(kind);
+obs::RunEvent& Engine::make_event(obs::RunEvent::Kind kind, const Submission& sub,
+                                  std::size_t attempt) {
+  obs::RunEvent& event = make_event(kind);
   event.processor = sub.state->name;
   event.invocation = sub.id;
   event.attempt = attempt;
@@ -221,10 +221,12 @@ void Engine::build_states() {
     PState::Input& input = consumer.inputs[outlet.slot];
     if (!link.feedback) ++input.feeders;
     for (std::size_t p = 0; link.feedback && p < n; ++p) {
+      const bool in_loop = same_loop(p, to);
+      if (in_loop) table_[p].loop = &input.recirculators;
       const bool recirculates = p == from || reaches[p * n + from] != 0;
       if (recirculates && std::none_of(input.recirculators.begin(), input.recirculators.end(),
                                        [&](const auto& r) { return r.state == &table_[p]; })) {
-        input.recirculators.push_back({&table_[p], same_loop(p, to)});
+        input.recirculators.push_back({&table_[p], in_loop});
       }
     }
     if (outlet.stage) ++consumer.stage_waits;
@@ -408,6 +410,13 @@ bool Engine::try_serve_cached(PState& state, const Tuple& tuple) {
   return true;
 }
 
+bool Engine::loop_drained(const PState& state) const {
+  return state.loop != nullptr &&
+         std::all_of(state.loop->begin(), state.loop->end(), [](const PState::Recirculator& r) {
+           return r.in_loop ? r.state->in_flight == 0 : r.state->finished;
+         });
+}
+
 bool Engine::can_fire(const PState& state) const {
   std::size_t capacity = policy_.service_capacity();
   // A service may advertise a single-host concurrency limit (§3.3).
@@ -471,8 +480,9 @@ bool Engine::dispatch_pass() {
     }
     while (!state.ready.empty() && can_fire(state)) {
       const std::size_t batch = target_batch(state);
-      const bool flush = state.buffer->all_closed();
-      if (state.ready.size() < batch && !flush) break;
+      if (state.ready.size() < batch && !state.buffer->all_closed() && !loop_drained(state)) {
+        break;
+      }
       const std::size_t take = std::min<std::size_t>(batch, state.ready.size());
       std::vector<Tuple> tuples;
       tuples.reserve(take);
@@ -672,7 +682,7 @@ void Engine::resolve_failure(const std::shared_ptr<Submission>& sub, std::size_t
                                << "' failed definitively after " << sub->attempts_started
                                << " attempt(s): " << error;
   if (observing()) {
-    obs::RunEvent event = make_event(obs::RunEvent::Kind::kInvocationFailed, *sub, attempt);
+    obs::RunEvent& event = make_event(obs::RunEvent::Kind::kInvocationFailed, *sub, attempt);
     event.status = status_name(status);
     event.error = error;
     emit(event);
@@ -792,7 +802,7 @@ void Engine::on_recovery_complete(const std::shared_ptr<Recovery>& rec, Outcome 
     MOTEUR_LOG(kInfo, "enactor") << "re-derived lost file " << rec->lfn << " via '"
                                  << rec->state->proc->name << "'";
     if (observing()) {
-      obs::RunEvent event = make_event(obs::RunEvent::Kind::kReDerived);
+      obs::RunEvent& event = make_event(obs::RunEvent::Kind::kReDerived);
       event.processor = rec->state->name;
       event.logical_file = rec->lfn;
       event.status = status_name(OutcomeStatus::kOk);
@@ -882,12 +892,11 @@ void Engine::settle_without_job(PState& state, const Tuple& tuple, OutcomeStatus
   trace.start_time = now;
   trace.end_time = now;
   trace.status = status;
-  trace.skipped = status == OutcomeStatus::kSkipped;
   result_.timeline.add(std::move(trace));
   if (observing()) {
-    obs::RunEvent event = make_event(status == OutcomeStatus::kSkipped
-                                         ? obs::RunEvent::Kind::kInvocationSkipped
-                                         : obs::RunEvent::Kind::kCacheHit);
+    obs::RunEvent& event = make_event(status == OutcomeStatus::kSkipped
+                                          ? obs::RunEvent::Kind::kInvocationSkipped
+                                          : obs::RunEvent::Kind::kCacheHit);
     event.processor = state.name;
     event.invocation = id;
     event.tuples = 1;
@@ -908,7 +917,6 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
   trace.submit_time = outcome.submit_time;
   trace.start_time = outcome.start_time;
   trace.end_time = outcome.end_time;
-  trace.failed = !outcome.ok();
   trace.status = outcome.status;
   trace.attempt = attempt;
   trace.superseded = sub->resolved;
@@ -932,7 +940,7 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
   if (observing()) {
     // Every attempt reports, stragglers included: span consumers need the
     // real timings even when a racing clone already settled the submission.
-    obs::RunEvent event = make_event(obs::RunEvent::Kind::kAttemptEnded, *sub, attempt);
+    obs::RunEvent& event = make_event(obs::RunEvent::Kind::kAttemptEnded, *sub, attempt);
     event.ok = outcome.ok();
     event.superseded = sub->resolved;
     event.status = status_name(outcome.status);
@@ -948,9 +956,11 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
     if (outcome.job && outcome.job->replica_failovers > 0) {
       // Stage-in silently fell through to surviving replicas at least once:
       // surface it so operators can see degraded storage before jobs fail.
-      obs::RunEvent failover =
+      // The failover event reuses the same object, so keep the CE first.
+      const obs::Name ce = event.computing_element;
+      obs::RunEvent& failover =
           make_event(obs::RunEvent::Kind::kReplicaFailover, *sub, attempt);
-      failover.computing_element = event.computing_element;
+      failover.computing_element = ce;
       failover.count = static_cast<std::size_t>(outcome.job->replica_failovers);
       emit(failover);
     }
@@ -1030,7 +1040,7 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
     sub->lost_files = outcome.lost_files;
     if (observing()) {
       for (const auto& lfn : outcome.lost_files) {
-        obs::RunEvent event = make_event(obs::RunEvent::Kind::kReplicaLost, *sub, attempt);
+        obs::RunEvent& event = make_event(obs::RunEvent::Kind::kReplicaLost, *sub, attempt);
         event.status = status_name(outcome.status);
         event.logical_file = lfn;
         emit(event);
@@ -1050,7 +1060,7 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
                                  << attempt << " failed transiently (" << outcome.error
                                  << "); resubmitting";
     if (observing()) {
-      obs::RunEvent event = make_event(obs::RunEvent::Kind::kRetryScheduled, *sub, attempt);
+      obs::RunEvent& event = make_event(obs::RunEvent::Kind::kRetryScheduled, *sub, attempt);
       event.error = outcome.error;
       emit(event);
     }
@@ -1112,7 +1122,7 @@ bool Engine::closure_pass() {
                                     << "' finished after " << state.fired
                                     << " invocation(s)";
       if (state.service != nullptr && observing()) {  // services and barriers
-        obs::RunEvent event = make_event(obs::RunEvent::Kind::kProcessorFinished);
+        obs::RunEvent& event = make_event(obs::RunEvent::Kind::kProcessorFinished);
         event.processor = state.name;
         event.tuples = state.fired;
         emit(event);
@@ -1155,7 +1165,7 @@ void Engine::start() {
   result_.started_at = backend_.now();
   if (observing()) {
     workflow_name_ = obs::Name(workflow_.name());
-    obs::RunEvent event = make_event(obs::RunEvent::Kind::kRunStarted);
+    obs::RunEvent& event = make_event(obs::RunEvent::Kind::kRunStarted);
     event.run = workflow_name_;
     emit(event);
   }
@@ -1189,7 +1199,7 @@ EnactmentResult Engine::finish() {
   }
   result_.executed_workflow = workflow_;
   if (observing()) {
-    obs::RunEvent event = make_event(obs::RunEvent::Kind::kRunFinished);
+    obs::RunEvent& event = make_event(obs::RunEvent::Kind::kRunFinished);
     event.run = workflow_name_;
     emit(event);
   }

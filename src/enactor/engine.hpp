@@ -142,6 +142,9 @@ class Engine : public std::enable_shared_from_this<Engine> {
     std::unique_ptr<workflow::CompositeIterationBuffer> buffer;  // services
     std::vector<Input> inputs;    // by slot
     std::vector<Outlet> outlets;  // workflow link order
+    /// Loop members only: the recirculators of a feedback slot of the loop,
+    /// that is, the loop's members and the outside processors that reach it.
+    const std::vector<Recirculator>* loop = nullptr;
     /// Processors a coordination constraint holds back until this one
     /// finishes.
     std::vector<PState*> constrained;
@@ -240,6 +243,11 @@ class Engine : public std::enable_shared_from_this<Engine> {
   bool dispatch_pass();
   bool closure_pass();
   bool can_fire(const PState& state) const;
+  /// Whether loop member `state` may fire a partial batch: no member of its
+  /// loop has a submission in flight and every processor outside the loop
+  /// that reaches it has finished, so no further tuple can come before one
+  /// of the loop's own fires.
+  bool loop_drained(const PState& state) const;
   /// Data sets batched into the next submission of this service (§5.4
   /// adaptive granularity when enabled, else the static policy value).
   std::size_t target_batch(const PState& state) const;
@@ -312,9 +320,11 @@ class Engine : public std::enable_shared_from_this<Engine> {
   // Events carry the running totals at emission time, so emission points sit
   // strictly after the corresponding stats_ updates.
   bool observing() const { return !subscribers_.empty(); }
-  obs::RunEvent make_event(obs::RunEvent::Kind kind) const;
-  obs::RunEvent make_event(obs::RunEvent::Kind kind, const Submission& sub,
-                           std::size_t attempt) const;
+  /// The run's one event object, reset for `kind`: build an event in it,
+  /// emit it, and build no other before the emission.
+  obs::RunEvent& make_event(obs::RunEvent::Kind kind);
+  obs::RunEvent& make_event(obs::RunEvent::Kind kind, const Submission& sub,
+                            std::size_t attempt);
   void emit(const obs::RunEvent& event) const;
   /// A CE's interned name, interned once per run on first sight.
   obs::Name ce_name(const std::string& ce);
@@ -327,6 +337,11 @@ class Engine : public std::enable_shared_from_this<Engine> {
   workflow::Workflow workflow_{"empty"};
   data::InputDataSet inputs_;
   std::string run_id_;
+  /// A blank event carrying run_id_, and the event every emission is built
+  /// in. Resetting event_ from it copies the id into a string that already
+  /// has the capacity, which allocates nothing, so no event copies the id.
+  obs::RunEvent blank_event_;
+  obs::RunEvent event_;
   obs::Name workflow_name_;  // interned at start() while observing
   std::unordered_map<std::string, obs::Name> ce_names_;
   grid::CeHealth* health_ = nullptr;  // not owned; null = no breakers

@@ -44,9 +44,8 @@ class SimGridBackend : public ExecutionBackend {
     grid_.set_metrics(metrics);
   }
 
-  /// Hands the health ledger to the grid's resource broker, which excludes
+  /// Hands health ledgers to the grid's resource broker, which excludes
   /// open-breaker CEs during matchmaking.
-  void set_health(grid::CeHealth* health) override { grid_.set_health(health); }
   void add_health(grid::CeHealth* health) override { grid_.add_health(health); }
   void remove_health(grid::CeHealth* health) override { grid_.remove_health(health); }
 

@@ -29,12 +29,6 @@ void ThreadedBackend::set_host_failure_probability(const std::string& host, doub
   host_failure_[host] = p;
 }
 
-void ThreadedBackend::set_health(grid::CeHealth* health) {
-  std::lock_guard<std::mutex> lock(route_mu_);
-  health_.clear();
-  if (health != nullptr) health_.push_back(health);
-}
-
 void ThreadedBackend::add_health(grid::CeHealth* health) {
   std::lock_guard<std::mutex> lock(route_mu_);
   if (health != nullptr) health_.push_back(health);
@@ -243,7 +237,6 @@ class ThreadedBackend::Channel final : public ExecutionBackend {
   }
 
   void set_metrics(obs::MetricsRegistry* metrics) override { parent_.set_metrics(metrics); }
-  void set_health(grid::CeHealth* health) override { parent_.set_health(health); }
   void add_health(grid::CeHealth* health) override { parent_.add_health(health); }
   void remove_health(grid::CeHealth* health) override { parent_.remove_health(health); }
 

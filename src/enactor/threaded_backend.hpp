@@ -81,7 +81,6 @@ class ThreadedBackend : public ExecutionBackend {
   /// Breakers consulted when picking a host: a host is skipped when ANY
   /// attached ledger vetoes it. Only meaningful after configure_hosts().
   /// Guarded by the routing mutex (channels route concurrently).
-  void set_health(grid::CeHealth* health) override;
   void add_health(grid::CeHealth* health) override;
   void remove_health(grid::CeHealth* health) override;
 

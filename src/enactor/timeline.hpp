@@ -22,11 +22,8 @@ struct InvocationTrace {
   double submit_time = 0.0;  // enactor handed the call to the backend
   double start_time = 0.0;   // payload began (queue exit on the grid)
   double end_time = 0.0;     // results available
-  bool failed = false;
   /// Final status of this execution (kSkipped for poisoned-input skips).
   OutcomeStatus status = OutcomeStatus::kOk;
-  /// Never executed: a poisoned input token was consumed instead.
-  bool skipped = false;
   /// Which resubmission attempt this execution was (1 = first try).
   std::size_t attempt = 1;
   /// The submission was already resolved (by a racing clone or a definitive
@@ -35,6 +32,12 @@ struct InvocationTrace {
   /// Grid-level record when the simulated backend executed the call.
   std::optional<grid::JobRecord> job;
 
+  /// The execution ran and did not succeed.
+  bool failed() const {
+    return status != OutcomeStatus::kOk && status != OutcomeStatus::kCached && !skipped();
+  }
+  /// Never executed: a poisoned input token was consumed instead.
+  bool skipped() const { return status == OutcomeStatus::kSkipped; }
   double span_seconds() const { return end_time - submit_time; }
   /// Short label of the data processed, e.g. "D0" or "D0,D1".
   std::string data_label() const;

@@ -42,9 +42,9 @@ std::string timeline_to_csv(const Timeline& timeline, bool data_plane_columns) {
        << format_fixed(trace.span_seconds(), 3) << ','
        << (trace.job ? format_fixed(trace.job->overhead_seconds(), 3) : std::string())
        << ',' << csv_escape(trace.job ? trace.job->computing_element : std::string())
-       << ',' << (trace.failed ? "1" : "0") << ',' << trace.attempt << ','
+       << ',' << (trace.failed() ? "1" : "0") << ',' << trace.attempt << ','
        << (trace.superseded ? "1" : "0") << ',' << to_string(trace.status) << ','
-       << (trace.skipped ? "1" : "0");
+       << (trace.skipped() ? "1" : "0");
     if (data_plane_columns) {
       os << ',' << (trace.job ? format_fixed(trace.job->staged_in_megabytes, 3) : std::string())
          << ','

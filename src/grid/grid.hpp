@@ -64,13 +64,9 @@ class Grid {
   const GridConfig& config() const { return config_; }
   const ResourceBroker& broker() const { return broker_; }
 
-  /// Attach (or detach, with nullptr) the per-CE circuit-breaker ledger the
-  /// broker consults during matchmaking, displacing any already attached.
-  /// Not owned.
-  void set_health(CeHealth* health) { broker_.set_health(health); }
-
-  /// Shared-broker arbitration (see ResourceBroker): attach one more ledger
-  /// without displacing the others / detach exactly one.
+  /// Shared-broker arbitration (see ResourceBroker): attach one more
+  /// per-CE circuit-breaker ledger for matchmaking without displacing the
+  /// others / detach exactly one. Not owned.
   void add_health(CeHealth* health) { broker_.add_health(health); }
   void remove_health(CeHealth* health) { broker_.remove_health(health); }
 

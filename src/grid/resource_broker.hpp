@@ -72,18 +72,11 @@ class ResourceBroker {
   /// Per-policy decision counters land here when attached. Not owned.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  /// Attach (or detach, with nullptr) the per-CE circuit-breaker ledger
-  /// consulted during matchmaking, displacing any ledgers already attached.
-  /// Not owned; single-threaded access.
-  void set_health(CeHealth* health) {
-    health_.clear();
-    if (health != nullptr) health_.push_back(health);
-  }
-
-  /// Shared-broker arbitration: attach one more ledger without displacing
-  /// the others. Matchmaking excludes a CE when any attached ledger vetoes
-  /// it, and routing decisions are committed to every ledger — so a
-  /// service-owned ledger and run-owned ones can observe the same broker.
+  /// Shared-broker arbitration: attach one more per-CE circuit-breaker
+  /// ledger without displacing the others. Matchmaking excludes a CE when
+  /// any attached ledger vetoes it, and routing decisions are committed to
+  /// every ledger — so a service-owned ledger and run-owned ones can observe
+  /// the same broker. Not owned; single-threaded access.
   void add_health(CeHealth* health) {
     if (health != nullptr) health_.push_back(health);
   }

@@ -374,6 +374,12 @@ void RunService::shutdown() {
   // No shard drives the backend any more, so no transfer event can fire;
   // drop the sink before the core (and its recorder) go away.
   im.core.backend.set_event_sink(nullptr);
+  // Nor can a run record into the shared breaker ledger: detach it, since
+  // the backend outlives it.
+  if (im.core.shared_health != nullptr) {
+    im.core.backend.remove_health(im.core.shared_health.get());
+    im.core.shared_health.reset();
+  }
   // Shards are quiet: the hub's final frame sees the complete event stream.
   // Destroying it here keeps the telemetry() contract (valid until
   // shutdown) and releases the scrape socket with the service.

@@ -105,6 +105,19 @@ TEST(CompletionOrders, OptimizationLoop) {
   EXPECT_EQ(explore_policies(scope), (std::vector<std::size_t>{8, 140, 21, 252}));
 }
 
+TEST(CompletionOrders, OptimizationLoopInBatchesOfTwo) {
+  // Three items in batches of 2: P1 fires a full batch and flushes the
+  // third item; inside the loop a member fires its partial batch once
+  // nothing of the loop is in flight and P1 has finished.
+  const Scope scope{workflow::make_optimization_loop(), items({{"Source", 3}}), 3, 2};
+  std::vector<std::size_t> counts;
+  for (EnactmentPolicy policy : {EnactmentPolicy::dp(), EnactmentPolicy::sp_dp()}) {
+    policy.batch_size = 2;
+    counts.push_back(explore(scope, policy));
+  }
+  EXPECT_EQ(counts, (std::vector<std::size_t>{8, 14}));
+}
+
 TEST(CompletionOrders, LoopsJoinedDirectly) {
   const Scope scope{testkit::loops_in_series(/*barrier=*/false), items({{"Source", 2}}), 2,
                     3};

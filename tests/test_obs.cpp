@@ -73,6 +73,25 @@ TEST(Tracer, RecordAndAnnotate) {
   EXPECT_EQ(tracer.open_count(), 1u);
 }
 
+TEST(Tracer, AParentThatIsNotYetASpanMakesARoot) {
+  // A span's parent always precedes it: a parent id not yet given out,
+  // its own included, is stored as 0.
+  Tracer tracer;
+  const SpanId run = tracer.begin("run", "run", 0.0);
+  const SpanId orphan = tracer.begin("orphan", "phase", 1.0, run + 5);
+  const SpanId self = tracer.record("self", "phase", 1.0, 2.0, orphan + 1);
+  const SpanId child = tracer.begin("child", "phase", 1.0, orphan);
+  EXPECT_EQ(tracer.find(orphan)->parent, 0u);
+  EXPECT_EQ(tracer.find(self)->parent, 0u);
+  EXPECT_EQ(tracer.find(child)->parent, orphan);
+  // Roots of no run share the default pid, which follows the run's.
+  const std::string json = chrome_trace_json(tracer);
+  EXPECT_NE(json.find("\"name\":\"orphan\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":1000000.000,"
+                      "\"dur\":0.000,\"pid\":2"),
+            std::string::npos)
+      << json;
+}
+
 TEST(Tracer, CloseOpenSpansTagsStragglers) {
   Tracer tracer;
   const SpanId finished = tracer.begin("a", "attempt", 0.0);

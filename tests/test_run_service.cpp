@@ -501,6 +501,48 @@ std::shared_ptr<FunctionalService> sleeping_service(const std::string& name,
       });
 }
 
+/// A threaded backend that counts the breaker ledgers attached and detached.
+class LedgerCountingBackend : public enactor::ThreadedBackend {
+ public:
+  using ThreadedBackend::ThreadedBackend;
+  void add_health(grid::CeHealth* health) override {
+    ++added;
+    ThreadedBackend::add_health(health);
+  }
+  void remove_health(grid::CeHealth* health) override {
+    ++removed;
+    ThreadedBackend::remove_health(health);
+  }
+  std::atomic<int> added{0};
+  std::atomic<int> removed{0};
+};
+
+TEST(RunService, DetachesItsBreakerLedgerWhenDestroyed) {
+  // The service's shared ledger dies with the service; a run enacted on the
+  // backend afterwards must not route through it.
+  LedgerCountingBackend backend(2);
+  backend.configure_hosts({"h0", "h1"}, /*seed=*/7);
+  services::ServiceRegistry registry;
+  registry.add(sleeping_service("w-p0", std::chrono::milliseconds(0)));
+  enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
+  policy.breaker.enabled = true;
+  {
+    RunServiceConfig config;
+    config.defaults.policy = policy;
+    RunService service(backend, registry, config);
+    EXPECT_EQ(service.submit(make_request("w", prefixed_chain("w", 1), 1)).wait(),
+              RunState::kFinished);
+    service.shutdown();
+  }
+  EXPECT_EQ(backend.added, 1);
+  EXPECT_EQ(backend.removed, 1);
+  enactor::Enactor enactor(backend, registry, policy);
+  const enactor::EnactmentResult result =
+      enactor.run(make_request("w", prefixed_chain("w", 1), 2));
+  EXPECT_EQ(result.sink_outputs.at("sink").size(), 2u);
+  EXPECT_EQ(backend.added, backend.removed);
+}
+
 TEST(RunService, ThreadedBackendInterleavesRunsAndTagsEvents) {
   enactor::ThreadedBackend backend(4);
   services::ServiceRegistry registry;
@@ -717,10 +759,11 @@ TEST(RunService, LoopRunFinishesBesideAHeldRun) {
   }
 }
 
-TEST(RunService, DeadlockedRunFailsBesideAHeldRun) {
-  // With a batch of 2 and one item, the loop head waits for a flush that
-  // only the loop's own closure would bring: the run deadlocks, and fails
-  // as soon as it settles, while the held run beside it still runs.
+TEST(RunService, BatchedLoopFinishesBesideAHeldRun) {
+  // With a batch of 2 and one item, the loop head holds a partial batch
+  // that nothing else can fill. It fires it once nothing of its loop is in
+  // flight and P1 has finished, on its own run's state, while the held run
+  // beside it still runs.
   enactor::ThreadedBackend backend(2);
   services::ServiceRegistry registry;
   testkit::add_loop_services(registry);
@@ -733,9 +776,10 @@ TEST(RunService, DeadlockedRunFailsBesideAHeldRun) {
   request.policy->batch_size = 2;
   const RunHandle loop = service.submit(std::move(request));
 
-  ASSERT_EQ(loop.wait_for(std::chrono::seconds(5)), RunState::kFailed);
-  EXPECT_EQ(loop.error(), "workflow deadlocked; unfinished processors: P2, P3, Sink");
+  ASSERT_EQ(loop.wait_for(std::chrono::seconds(5)), RunState::kFinished);
   EXPECT_EQ(held.poll(), RunState::kRunning);
+  ASSERT_EQ(loop.result().sink_outputs.at("Sink").size(), 1u);
+  EXPECT_EQ(loop.result().sink_outputs.at("Sink")[0].as<int>(), 2);
 }
 
 TEST(RunService, EngineErrorFailsOnlyItsRun) {

@@ -60,6 +60,38 @@ TEST(Workflow, FeedbackLoopIsLegalOnlyWhenMarked) {
   EXPECT_THROW(bad.validate(), GraphError);
 }
 
+TEST(Workflow, TopologicalPositionsStopShortOfACycle) {
+  // Positions in processors(): s=0, A=1, B=2, C=3, sink=4. Seeds in name
+  // order, successors in link order; the feedback link is no edge.
+  Workflow wf("cycle");
+  wf.add_source("s");
+  wf.add_processor("A", {"in", "back"}, {"out"});
+  wf.add_processor("B", {"in"}, {"out"});
+  wf.add_processor("C", {"in"}, {"out"});
+  wf.add_sink("sink");
+  wf.link("s", "out", "A", "in");
+  wf.link("A", "out", "B", "in");
+  wf.link("s", "out", "C", "in");
+  wf.link("C", "out", "sink", "in");
+  wf.link("B", "out", "A", "back", /*feedback=*/true);
+  EXPECT_EQ(wf.topological_positions(), (std::vector<std::size_t>{0, 1, 3, 2, 4}));
+
+  wf.remove_processor("B");
+  wf.add_processor("B", {"in"}, {"out"});
+  wf.link("A", "out", "B", "in");
+  // The same loop unmarked (B is now position 4): the pass stops short of
+  // the cycle and of what only the cycle feeds.
+  wf.link("B", "out", "A", "back");
+  EXPECT_EQ(wf.topological_positions(), (std::vector<std::size_t>{0, 2, 3}));
+  try {
+    wf.validate();
+    FAIL() << "a non-feedback cycle validated";
+  } catch (const GraphError& e) {
+    EXPECT_STREQ(e.what(), "graph error: workflow contains a cycle not marked as feedback");
+  }
+  EXPECT_THROW(topological_order(wf), GraphError);
+}
+
 TEST(Workflow, RejectsStructuralErrors) {
   Workflow wf("w");
   wf.add_source("s");
