@@ -80,7 +80,7 @@ TEST(Workflow, TopologicalPositionsStopShortOfACycle) {
   wf.add_processor("B", {"in"}, {"out"});
   wf.link("A", "out", "B", "in");
   // The same loop unmarked (B is now position 4): the pass stops short of
-  // the cycle and of what only the cycle feeds.
+  // the cycle.
   wf.link("B", "out", "A", "back");
   EXPECT_EQ(wf.topological_positions(), (std::vector<std::size_t>{0, 2, 3}));
   try {
