@@ -8,6 +8,7 @@
 #include "data/replica_catalog.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "workflow/analysis.hpp"
 
 namespace moteur::enactor {
 
@@ -155,27 +156,18 @@ obs::Name Engine::ce_name(const std::string& ce) {
 
 void Engine::build_states() {
   // The constructor validated the workflow, so the order is complete.
-  const std::vector<std::size_t> order = workflow_.topological_positions();
-  const std::size_t n = order.size();
-  // Names sorted with their topological positions: the one name lookup,
-  // used only to wire links and constraints below.
-  std::vector<std::pair<std::string_view, std::size_t>> by_name;
-  by_name.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    by_name.emplace_back(workflow_.processors()[order[i]].name, i);
-  }
-  std::sort(by_name.begin(), by_name.end());
-  const auto position = [&by_name](const std::string& name) {
-    return std::lower_bound(by_name.begin(), by_name.end(),
-                            std::pair<std::string_view, std::size_t>(name, 0))
-        ->second;
-  };
+  const workflow::Topology topology = workflow_.topology();
+  const std::size_t n = topology.order.size();
+  // Each processor's topological position, by its position in processors().
+  std::vector<std::size_t> index(n);
+  for (std::size_t i = 0; i < n; ++i) index[topology.order[i]] = i;
 
   table_ = std::vector<PState>(n);
   // Declaration order, so the first unbound or mismatched processor is the
   // one reported.
-  for (const Processor& proc : workflow_.processors()) {
-    PState& state = table_[position(proc.name)];
+  for (std::size_t p = 0; p < n; ++p) {
+    const Processor& proc = workflow_.processors()[p];
+    PState& state = table_[index[p]];
     state.proc = &proc;
     if (observing()) state.name = obs::Name(proc.name);
     state.inputs.resize(proc.input_ports.size());
@@ -193,24 +185,18 @@ void Engine::build_states() {
   }
 
   // Loop membership: two processors share a loop when each reaches the
-  // other, feedback links included (Warshall's closure over positions).
-  std::vector<char> reaches(n * n, 0);
-  for (const Link& link : workflow_.links()) {
-    reaches[position(link.from_processor) * n + position(link.to_processor)] = 1;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (reaches[i * n + k] == 0) continue;
-      for (std::size_t j = 0; j < n; ++j) reaches[i * n + j] |= reaches[k * n + j];
-    }
-  }
-  const auto same_loop = [&reaches, n](std::size_t a, std::size_t b) {
-    return reaches[a * n + b] != 0 && reaches[b * n + a] != 0;
+  // other, feedback links included and coordination constraints not.
+  workflow::Reachability loops{n, std::vector<char>(n * n, 0)};
+  for (const auto& edge : topology.links) loops.cells[index[edge.from] * n + index[edge.to]] = 1;
+  loops.close();
+  const auto same_loop = [&loops](std::size_t a, std::size_t b) {
+    return loops.reaches(a, b) && loops.reaches(b, a);
   };
 
-  for (const Link& link : workflow_.links()) {
-    const std::size_t from = position(link.from_processor);
-    const std::size_t to = position(link.to_processor);
+  for (std::size_t l = 0; l < topology.links.size(); ++l) {
+    const Link& link = workflow_.links()[l];
+    const std::size_t from = index[topology.links[l].from];
+    const std::size_t to = index[topology.links[l].to];
     PState& consumer = table_[to];
     PState::Outlet outlet;
     outlet.port = position_of(table_[from].proc->output_ports, link.from_port);
@@ -223,7 +209,7 @@ void Engine::build_states() {
     for (std::size_t p = 0; link.feedback && p < n; ++p) {
       const bool in_loop = same_loop(p, to);
       if (in_loop) table_[p].loop = &input.recirculators;
-      const bool recirculates = p == from || reaches[p * n + from] != 0;
+      const bool recirculates = p == from || loops.reaches(p, from);
       if (recirculates && std::none_of(input.recirculators.begin(), input.recirculators.end(),
                                        [&](const auto& r) { return r.state == &table_[p]; })) {
         input.recirculators.push_back({&table_[p], in_loop});
@@ -232,9 +218,9 @@ void Engine::build_states() {
     if (outlet.stage) ++consumer.stage_waits;
     table_[from].outlets.push_back(outlet);
   }
-  for (const auto& constraint : workflow_.coordination_constraints()) {
-    PState& after = table_[position(constraint.after)];
-    table_[position(constraint.before)].constrained.push_back(&after);
+  for (const auto& constraint : topology.constraints) {
+    PState& after = table_[index[constraint.to]];
+    table_[index[constraint.from]].constrained.push_back(&after);
     ++after.constraint_waits;
   }
 }

@@ -41,8 +41,9 @@ double makespan_under(const Workflow& workflow,
 
     // Gather the (unique) predecessor processors.
     std::vector<const Processor*> preds;
-    for (const auto* link : workflow.links_into(name)) {
-      const Processor& pred = workflow.processor(link->from_processor);
+    for (const auto& link : workflow.links()) {
+      if (link.to_processor != name) continue;
+      const Processor& pred = workflow.processor(link.from_processor);
       if (std::find(preds.begin(), preds.end(), &pred) == preds.end()) {
         preds.push_back(&pred);
       }

@@ -1,7 +1,6 @@
 #include "workflow/analysis.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "util/error.hpp"
 
@@ -9,119 +8,116 @@ namespace moteur::workflow {
 
 namespace {
 
-/// Forward adjacency over data links (minus feedback) plus coordination
-/// constraints.
-std::map<std::string, std::vector<std::string>> forward_edges(const Workflow& workflow) {
-  std::map<std::string, std::vector<std::string>> adj;
-  for (const auto& p : workflow.processors()) adj[p.name];
-  for (const auto& l : workflow.links()) {
-    if (!l.feedback) adj[l.from_processor].push_back(l.to_processor);
-  }
-  for (const auto& c : workflow.coordination_constraints()) {
-    adj[c.before].push_back(c.after);
-  }
-  return adj;
+/// `topology.order`, which must cover every processor.
+const std::vector<std::size_t>& complete_order(const Workflow& workflow,
+                                               const Topology& topology) {
+  MOTEUR_REQUIRE(topology.order.size() == workflow.processors().size(), GraphError,
+                 "topological_order: workflow has a non-feedback cycle");
+  return topology.order;
 }
 
-std::set<std::string> reach(const std::map<std::string, std::vector<std::string>>& adj,
-                            const std::string& start) {
-  std::set<std::string> seen;
-  std::deque<std::string> frontier{start};
-  while (!frontier.empty()) {
-    const std::string current = frontier.front();
-    frontier.pop_front();
-    const auto it = adj.find(current);
-    if (it == adj.end()) continue;
-    for (const auto& next : it->second) {
-      if (seen.insert(next).second) frontier.push_back(next);
-    }
+/// The processors that reach `processor` (`upstream`) or that it reaches.
+std::set<std::string> reachable(const Workflow& workflow, const std::string& processor,
+                                bool upstream) {
+  const auto& all = workflow.processors();
+  const auto it = std::find_if(all.begin(), all.end(),
+                               [&](const Processor& p) { return p.name == processor; });
+  MOTEUR_REQUIRE(it != all.end(), GraphError,
+                 std::string(upstream ? "ancestors" : "descendants") +
+                     ": unknown processor '" + processor + "'");
+  const auto self = static_cast<std::size_t>(it - all.begin());
+  const Reachability reach = reachability(workflow, workflow.topology());
+  std::set<std::string> names;
+  for (std::size_t p = 0; p < all.size(); ++p) {
+    if (upstream ? reach.reaches(p, self) : reach.reaches(self, p)) names.insert(all[p].name);
   }
-  return seen;
+  return names;
 }
 
 }  // namespace
 
 std::vector<std::string> topological_order(const Workflow& workflow) {
-  const std::vector<std::size_t> positions = workflow.topological_positions();
-  MOTEUR_REQUIRE(positions.size() == workflow.processors().size(), GraphError,
-                 "topological_order: workflow has a non-feedback cycle");
+  const Topology topology = workflow.topology();
   std::vector<std::string> order;
-  order.reserve(positions.size());
-  for (const std::size_t p : positions) order.push_back(workflow.processors()[p].name);
+  order.reserve(topology.order.size());
+  for (const std::size_t p : complete_order(workflow, topology)) {
+    order.push_back(workflow.processors()[p].name);
+  }
   return order;
 }
 
+void Reachability::close() {
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (cells[i * n + k] == 0) continue;
+      for (std::size_t j = 0; j < n; ++j) cells[i * n + j] |= cells[k * n + j];
+    }
+  }
+}
+
+Reachability reachability(const Workflow& workflow, const Topology& topology) {
+  const std::size_t n = workflow.processors().size();
+  Reachability reach{n, std::vector<char>(n * n, 0)};
+  topology.for_each_edge(
+      [&](const Topology::Edge& edge) { reach.cells[edge.from * n + edge.to] = 1; });
+  reach.close();
+  return reach;
+}
+
 std::set<std::string> ancestors(const Workflow& workflow, const std::string& processor) {
-  // Reverse reachability.
-  std::map<std::string, std::vector<std::string>> reverse;
-  for (const auto& p : workflow.processors()) reverse[p.name];
-  for (const auto& l : workflow.links()) {
-    if (!l.feedback) reverse[l.to_processor].push_back(l.from_processor);
-  }
-  for (const auto& c : workflow.coordination_constraints()) {
-    reverse[c.after].push_back(c.before);
-  }
-  MOTEUR_REQUIRE(reverse.count(processor) != 0, GraphError,
-                 "ancestors: unknown processor '" + processor + "'");
-  return reach(reverse, processor);
+  return reachable(workflow, processor, true);
 }
 
 std::set<std::string> descendants(const Workflow& workflow, const std::string& processor) {
-  const auto adj = forward_edges(workflow);
-  MOTEUR_REQUIRE(adj.count(processor) != 0, GraphError,
-                 "descendants: unknown processor '" + processor + "'");
-  return reach(adj, processor);
+  return reachable(workflow, processor, false);
 }
 
 Path critical_path(const Workflow& workflow,
                    const std::map<std::string, double>* service_weights) {
-  const auto order = topological_order(workflow);
-  const auto adj = forward_edges(workflow);
+  const auto& processors = workflow.processors();
+  const Topology topology = workflow.topology();
+  const auto& order = complete_order(workflow, topology);
 
-  const auto weight_of = [&](const std::string& name) -> double {
-    const Processor& p = workflow.processor(name);
-    if (p.kind != ProcessorKind::kService) return 0.0;
-    if (service_weights != nullptr) {
-      const auto it = service_weights->find(name);
-      if (it != service_weights->end()) return it->second;
-    }
-    // Unit weights; a grouped processor stands for its members.
-    return p.is_grouped() ? static_cast<double>(p.group_members.size()) : 1.0;
-  };
-
-  // Longest path by dynamic programming over the topological order.
-  std::map<std::string, double> best;
-  std::map<std::string, std::string> predecessor;
-  for (const auto& name : order) {
-    best.emplace(name, weight_of(name));
+  // Unit weights unless given; a grouped processor stands for its members.
+  std::vector<double> weight(processors.size(), 0.0);
+  for (std::size_t p = 0; p < processors.size(); ++p) {
+    const Processor& proc = processors[p];
+    if (proc.kind != ProcessorKind::kService) continue;
+    weight[p] = proc.is_grouped() ? static_cast<double>(proc.group_members.size()) : 1.0;
+    if (service_weights == nullptr) continue;
+    const auto it = service_weights->find(proc.name);
+    if (it != service_weights->end()) weight[p] = it->second;
   }
-  for (const auto& name : order) {
-    for (const auto& next : adj.at(name)) {
-      const double via = best[name] + weight_of(next);
-      if (via > best[next]) {
-        best[next] = via;
-        predecessor[next] = name;
+
+  // Longest path by dynamic programming over the topological order; the
+  // predecessor is the first strict improvement, successors in edge order.
+  std::vector<double> best = weight;
+  std::vector<std::size_t> predecessor(processors.size(), processors.size());  // none
+  for (const std::size_t from : order) {
+    topology.for_each_edge([&](const Topology::Edge& edge) {
+      const double via = best[from] + weight[edge.to];
+      if (edge.from == from && via > best[edge.to]) {
+        best[edge.to] = via;
+        predecessor[edge.to] = from;
       }
-    }
+    });
   }
 
-  std::string tail;
+  // The heaviest processor ends the path; ties go to the smallest name.
+  std::size_t tail = processors.size();
   double tail_weight = -1.0;
-  for (const auto& [name, weight] : best) {
-    if (weight > tail_weight) {
-      tail_weight = weight;
-      tail = name;
+  for (std::size_t p = 0; p < processors.size(); ++p) {
+    if (best[p] > tail_weight || (best[p] == tail_weight && tail != processors.size() &&
+                                  processors[p].name < processors[tail].name)) {
+      tail = p;
+      tail_weight = best[p];
     }
   }
 
   Path path;
   path.weight = tail_weight < 0.0 ? 0.0 : tail_weight;
-  for (std::string current = tail; !current.empty();) {
-    if (workflow.processor(current).kind == ProcessorKind::kService) {
-      path.services.push_back(current);
-    }
-    const auto it = predecessor.find(current);
-    current = it == predecessor.end() ? std::string() : it->second;
+  for (std::size_t p = tail; p != processors.size(); p = predecessor[p]) {
+    if (processors[p].kind == ProcessorKind::kService) path.services.push_back(processors[p].name);
   }
   std::reverse(path.services.begin(), path.services.end());
   return path;
@@ -132,23 +128,26 @@ std::size_t critical_path_length(const Workflow& workflow) {
 }
 
 std::vector<std::vector<std::string>> synchronization_layers(const Workflow& workflow) {
-  std::map<std::string, std::size_t> barrier_depth;
-  for (const auto& p : workflow.processors()) {
-    if (p.kind != ProcessorKind::kService) continue;
-    std::size_t barriers = 0;
-    for (const auto& ancestor : ancestors(workflow, p.name)) {
-      const Processor& a = workflow.processor(ancestor);
-      if (a.kind == ProcessorKind::kService && a.synchronization) ++barriers;
-    }
-    barrier_depth[p.name] = barriers;
-  }
-  std::size_t max_depth = 0;
-  for (const auto& [name, depth] : barrier_depth) max_depth = std::max(max_depth, depth);
+  const auto& processors = workflow.processors();
+  const Topology topology = workflow.topology();
+  const auto& order = complete_order(workflow, topology);
+  const Reachability reach = reachability(workflow, topology);
+  const auto is_service = [&](std::size_t p) {
+    return processors[p].kind == ProcessorKind::kService;
+  };
 
-  std::vector<std::vector<std::string>> layers(max_depth + 1);
-  for (const auto& name : topological_order(workflow)) {
-    const auto it = barrier_depth.find(name);
-    if (it != barrier_depth.end()) layers[it->second].push_back(name);
+  // Per service, the synchronization barriers among its ancestors.
+  std::vector<std::size_t> barriers(processors.size(), 0);
+  std::size_t deepest = 0;
+  for (std::size_t p = 0; p < processors.size(); ++p) {
+    for (std::size_t a = 0; a < processors.size() && is_service(p); ++a) {
+      if (is_service(a) && processors[a].synchronization && reach.reaches(a, p)) ++barriers[p];
+    }
+    deepest = std::max(deepest, barriers[p]);
+  }
+  std::vector<std::vector<std::string>> layers(deepest + 1);
+  for (const std::size_t p : order) {
+    if (is_service(p)) layers[barriers[p]].push_back(processors[p].name);
   }
   return layers;
 }

@@ -17,6 +17,19 @@ namespace moteur::workflow {
 /// constraints are honored as edges.
 std::vector<std::string> topological_order(const Workflow& workflow);
 
+/// Reachability over positions in processors(): `reaches(a, b)` when a path
+/// of edges leads from a to b. A processor reaches itself only around a cycle.
+struct Reachability {
+  std::size_t n = 0;
+  std::vector<char> cells;  // row-major, from * n + to: the edges, then the paths
+
+  bool reaches(std::size_t from, std::size_t to) const { return cells[from * n + to] != 0; }
+  void close();  // Warshall's closure: the edges in `cells` become the paths
+};
+
+/// Over the non-feedback links and the constraints of `topology` of `workflow`.
+Reachability reachability(const Workflow& workflow, const Topology& topology);
+
 /// Strict ancestors of a processor (everything with a forward path to it,
 /// data links and coordination constraints included).
 std::set<std::string> ancestors(const Workflow& workflow, const std::string& processor);

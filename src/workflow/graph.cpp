@@ -155,22 +155,6 @@ std::vector<const Link*> Workflow::links_into_port(const std::string& processor,
   return out;
 }
 
-std::vector<const Link*> Workflow::links_into(const std::string& processor) const {
-  std::vector<const Link*> out;
-  for (const auto& l : links_) {
-    if (l.to_processor == processor) out.push_back(&l);
-  }
-  return out;
-}
-
-std::vector<const Link*> Workflow::links_out_of(const std::string& processor) const {
-  std::vector<const Link*> out;
-  for (const auto& l : links_) {
-    if (l.from_processor == processor) out.push_back(&l);
-  }
-  return out;
-}
-
 void Workflow::validate() const {
   // Kind-specific shape.
   for (const auto& p : processors_) {
@@ -221,11 +205,11 @@ void Workflow::validate() const {
     }
   }
 
-  MOTEUR_REQUIRE(topological_positions().size() == processors_.size(), GraphError,
+  MOTEUR_REQUIRE(topology().order.size() == processors_.size(), GraphError,
                  "workflow contains a cycle not marked as feedback");
 }
 
-std::vector<std::size_t> Workflow::topological_positions() const {
+Topology Workflow::topology() const {
   const std::size_t n = processors_.size();
   // Positions sorted by name: the one name lookup.
   std::vector<std::size_t> by_name(n);
@@ -241,28 +225,30 @@ std::vector<std::size_t> Workflow::topological_positions() const {
                    "unknown processor '" + name + "'");
     return *it;
   };
-  // Edges as position pairs, in edge order.
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  edges.reserve(links_.size() + constraints_.size());
+  Topology topology;
+  topology.links.reserve(links_.size());
   for (const auto& l : links_) {
-    if (!l.feedback) edges.emplace_back(position(l.from_processor), position(l.to_processor));
+    topology.links.push_back({position(l.from_processor), position(l.to_processor), l.feedback});
   }
-  for (const auto& c : constraints_) edges.emplace_back(position(c.before), position(c.after));
+  topology.constraints.reserve(constraints_.size());
+  for (const auto& c : constraints_) {
+    topology.constraints.push_back({position(c.before), position(c.after), false});
+  }
 
   std::vector<std::size_t> in_degree(n, 0);
-  for (const auto& edge : edges) ++in_degree[edge.second];
+  topology.for_each_edge([&](const Topology::Edge& edge) { ++in_degree[edge.to]; });
   // The order doubles as the FIFO queue: positions from `next` on wait.
-  std::vector<std::size_t> order;
+  std::vector<std::size_t>& order = topology.order;
   order.reserve(n);
   for (const std::size_t p : by_name) {
     if (in_degree[p] == 0) order.push_back(p);
   }
   for (std::size_t next = 0; next < order.size(); ++next) {
-    for (const auto& [from, to] : edges) {
-      if (from == order[next] && --in_degree[to] == 0) order.push_back(to);
-    }
+    topology.for_each_edge([&](const Topology::Edge& edge) {
+      if (edge.from == order[next] && --in_degree[edge.to] == 0) order.push_back(edge.to);
+    });
   }
-  return order;
+  return topology;
 }
 
 }  // namespace moteur::workflow

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,6 +86,30 @@ struct CoordinationConstraint {
   std::string after;
 };
 
+/// The workflow graph by position in Workflow::processors().
+struct Topology {
+  struct Edge {
+    std::size_t from;
+    std::size_t to;
+    bool feedback;
+  };
+  /// Kahn's order of the edges below, seeded with the zero-in-degree
+  /// processors in name order. Shorter than processors() when a non-feedback
+  /// cycle remains.
+  std::vector<std::size_t> order;
+  std::vector<Edge> links;        // every link, in declaration order
+  std::vector<Edge> constraints;  // every coordination constraint, in order
+
+  /// The edges of the order, in edge order: non-feedback links, then constraints.
+  template <typename Visit>
+  void for_each_edge(Visit&& visit) const {
+    for (const Edge& edge : links) {
+      if (!edge.feedback) visit(edge);
+    }
+    for (const Edge& edge : constraints) visit(edge);
+  }
+};
+
 /// The application workflow: a directed graph of processors (paper Figure 1)
 /// with ports, data links, optional feedback links and control constraints.
 class Workflow {
@@ -130,24 +153,18 @@ class Workflow {
   std::vector<const Processor*> sinks() const;
   std::vector<const Processor*> services() const;
 
-  /// Links entering an input port / a processor / leaving a processor.
+  /// Links entering an input port.
   std::vector<const Link*> links_into_port(const std::string& processor,
                                            const std::string& port) const;
-  std::vector<const Link*> links_into(const std::string& processor) const;
-  std::vector<const Link*> links_out_of(const std::string& processor) const;
 
   /// Structural validation: unique names, resolvable link endpoints, sources
   /// and sinks well-formed, every input port fed, graph minus feedback links
   /// acyclic. Throws GraphError on the first violation.
   void validate() const;
 
-  /// Positions in processors() in a topological order of the non-feedback
-  /// links and the coordination constraints: one Kahn pass, seeded with the
-  /// zero-in-degree processors in name order, that visits each processor's
-  /// successors in edge order (links in declaration order, then
-  /// constraints). Returns fewer positions than there are processors when
-  /// a non-feedback cycle remains.
-  std::vector<std::size_t> topological_positions() const;
+  /// The graph by position: the one place where a processor name becomes a
+  /// position. Throws GraphError naming an endpoint that is no processor.
+  Topology topology() const;
 
  private:
   std::string name_;

@@ -24,14 +24,6 @@ std::pair<std::string, std::string> split_grouped_port(const std::string& qualif
 
 namespace {
 
-bool touched_by_feedback(const Workflow& workflow, const std::string& processor) {
-  return std::any_of(workflow.links().begin(), workflow.links().end(),
-                     [&](const Link& l) {
-                       return l.feedback && (l.from_processor == processor ||
-                                             l.to_processor == processor);
-                     });
-}
-
 std::vector<std::string> members_of(const Processor& p) {
   return p.is_grouped() ? p.group_members : std::vector<std::string>{p.name};
 }
@@ -41,50 +33,54 @@ std::vector<std::string> member_services_of(const Processor& p) {
   return {p.service_id.empty() ? p.name : p.service_id};
 }
 
+/// The merge rule for positions `a` and `b` of `workflow`, whose topology is
+/// `topology` and whose reachability is `reach`.
+bool mergeable(const Workflow& workflow, const Topology& topology, const Reachability& reach,
+               std::size_t a, std::size_t b) {
+  if (a == b) return false;
+  for (const std::size_t p : {a, b}) {
+    const Processor& proc = workflow.processors()[p];
+    if (proc.kind != ProcessorKind::kService || proc.synchronization) return false;
+    // Composed strategies are conservatively excluded from grouping.
+    if (proc.iteration != IterationStrategy::kDot || proc.iteration_tree != nullptr) return false;
+  }
+  bool linked = false;  // a data link A -> B must exist
+  for (const auto& [from, to, feedback] : topology.links) {
+    if (feedback) {
+      if (from == a || to == a || from == b || to == b) return false;
+    } else if (from == a && to == b) {
+      linked = true;
+    } else if (to == b && !reach.reaches(from, a)) {
+      // Every other input of B must come from A or a strict ancestor of A.
+      return false;
+    } else if (from == a && !reach.reaches(b, to)) {
+      // Grouping must not delay third parties: a grouped job registers its
+      // outputs only when the whole chain completes, so every consumer of A
+      // other than B must already be waiting on B's subtree anyway. This is
+      // what keeps the Bronze-Standard groups at {crestLines, crestMatch}
+      // and {PFMatchICP, PFRegister} instead of swallowing the entire
+      // critical path (crestMatch's output initializes Yasmina and Baladin,
+      // which are NOT descendants of PFMatchICP).
+      return false;
+    }
+  }
+  return linked;
+}
+
 }  // namespace
 
 bool can_group(const Workflow& workflow, const std::string& from, const std::string& to) {
-  if (!workflow.has_processor(from) || !workflow.has_processor(to)) return false;
-  if (from == to) return false;
-  const Processor& a = workflow.processor(from);
-  const Processor& b = workflow.processor(to);
-
-  if (a.kind != ProcessorKind::kService || b.kind != ProcessorKind::kService) return false;
-  if (a.synchronization || b.synchronization) return false;
-  if (a.iteration != IterationStrategy::kDot || b.iteration != IterationStrategy::kDot) {
-    return false;
-  }
-  // Composed strategies are conservatively excluded from grouping.
-  if (a.iteration_tree != nullptr || b.iteration_tree != nullptr) return false;
-  if (touched_by_feedback(workflow, from) || touched_by_feedback(workflow, to)) return false;
-
-  // A data link A -> B must exist.
-  const auto outgoing = workflow.links_out_of(from);
-  const bool linked = std::any_of(outgoing.begin(), outgoing.end(), [&](const Link* l) {
-    return !l->feedback && l->to_processor == to;
-  });
-  if (!linked) return false;
-
-  // Every other input of B must come from A or a strict ancestor of A.
-  const auto up = ancestors(workflow, from);
-  for (const Link* l : workflow.links_into(to)) {
-    if (l->from_processor == from) continue;
-    if (up.count(l->from_processor) == 0) return false;
-  }
-
-  // Grouping must not delay third parties: a grouped job registers its
-  // outputs only when the whole chain completes, so every consumer of A
-  // other than B must already be waiting on B's subtree anyway. This is
-  // what keeps the Bronze-Standard groups at {crestLines, crestMatch} and
-  // {PFMatchICP, PFRegister} instead of swallowing the entire critical path
-  // (crestMatch's output initializes Yasmina and Baladin, which are NOT
-  // descendants of PFMatchICP).
-  const auto down_of_b = descendants(workflow, to);
-  for (const Link* l : workflow.links_out_of(from)) {
-    if (l->feedback || l->to_processor == to) continue;
-    if (down_of_b.count(l->to_processor) == 0) return false;
-  }
-  return true;
+  const auto& all = workflow.processors();
+  const auto position = [&](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find_if(all.begin(), all.end(), [&](const Processor& p) { return p.name == name; }) -
+        all.begin());
+  };
+  const std::size_t a = position(from);
+  const std::size_t b = position(to);
+  if (a == all.size() || b == all.size()) return false;
+  const Topology topology = workflow.topology();
+  return mergeable(workflow, topology, reachability(workflow, topology), a, b);
 }
 
 namespace {
@@ -191,25 +187,23 @@ void merge_pair(Workflow& workflow, const std::string& from, const std::string& 
 
 Workflow group_sequential_processors(const Workflow& input, GroupingReport* report) {
   Workflow workflow = input;  // value semantics: rewrite a copy
-  bool merged = true;
   std::size_t merges = 0;
-  while (merged) {
+  for (bool merged = true; merged;) {
     merged = false;
-    // Scan pairs in topological order for determinism.
-    const auto order = topological_order(workflow);
-    for (const auto& name : order) {
-      if (!workflow.has_processor(name)) continue;
-      for (const Link* l : workflow.links_out_of(name)) {
-        if (l->feedback) continue;
-        const std::string to = l->to_processor;
-        if (can_group(workflow, name, to)) {
-          merge_pair(workflow, name, to);
-          ++merges;
-          merged = true;
-          break;
-        }
+    const Topology topology = workflow.topology();
+    MOTEUR_REQUIRE(topology.order.size() == workflow.processors().size(), GraphError,
+                   "topological_order: workflow has a non-feedback cycle");
+    const Reachability reach = reachability(workflow, topology);
+    // Scan pairs in topological order, then in link order, for determinism.
+    for (const std::size_t p : topology.order) {
+      for (const auto& [from, to, feedback] : topology.links) {
+        if (merged || from != p || !mergeable(workflow, topology, reach, from, to)) continue;
+        // Copies: the merge invalidates references into the workflow.
+        merge_pair(workflow, std::string(workflow.processors()[from].name),
+                   std::string(workflow.processors()[to].name));
+        ++merges;
+        merged = true;
       }
-      if (merged) break;
     }
   }
   workflow.validate();

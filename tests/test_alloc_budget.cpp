@@ -27,6 +27,7 @@
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "workflow/grouping.hpp"
 #include "workflow/iteration_tree.hpp"
 #include "workflow/patterns.hpp"
 
@@ -208,15 +209,33 @@ RunCount bronze_run(std::size_t pairs, const enactor::EnactmentPolicy& policy) {
 TEST(AllocBudget, BronzeRunPerInvocation) {
   // 4 pairs under the manifest policy (SP+DP+JG).
   constexpr std::size_t kPairs = 4;
-  // 4237 while validate() and topological_order() each ran a name-keyed
-  // Kahn pass.
-  constexpr std::size_t kBudget = 3772;  // 150.88 per invocation
+  // 3772 while the JG merge rule walked name-keyed maps and sets, 4237
+  // while validate() and topological_order() each ran a name-keyed Kahn
+  // pass.
+  constexpr std::size_t kBudget = 1804;  // 72.16 per invocation
   const RunCount run = bronze_run(kPairs, enactor::EnactmentPolicy::sp_dp_jg());
   ASSERT_EQ(run.invocations, 6 * kPairs + 1);
   EXPECT_LE(run.allocations, kBudget)
       << "measured " << run.allocations << " allocations over " << run.invocations
       << " invocations (" << static_cast<double>(run.allocations) / run.invocations
       << " per invocation)";
+}
+
+TEST(AllocBudget, GroupingRewrite) {
+  // The JG rewrite of the Bronze Standard alone, which the Engine of every
+  // run under JG makes: the workflow copy, two merges and the validation.
+  // 2180 while the merge rule walked name-keyed maps and sets through
+  // ancestors() and descendants() for every candidate pair.
+  constexpr std::size_t kBudget = 212;
+  const workflow::Workflow workflow = app::bronze_standard_workflow();
+  workflow::GroupingReport report;
+  workflow::Workflow grouped;
+  const std::size_t measured = allocations_in([&] {
+    grouped = workflow::group_sequential_processors(workflow, &report);
+  });
+  ASSERT_EQ(report.merges, 2u);
+  EXPECT_LE(measured, kBudget) << "measured " << measured
+                               << " allocations for the Bronze grouping rewrite";
 }
 
 TEST(AllocBudget, ContinuePolicyCostsNothingWithoutFaults) {

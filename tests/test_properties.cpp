@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 
+#include "app/bronze_standard.hpp"
 #include "data/dataset.hpp"
 #include "enactor/enactor.hpp"
 #include "enactor/sim_backend.hpp"
@@ -232,6 +235,77 @@ TEST_P(RandomWorkflows, CapacityCapIsRespected) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomWorkflows,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
+
+/// The static analyses of `wf`, one fact a line: the topological order, the
+/// ancestors and descendants of every processor, the critical path (under
+/// `weights` too, when given), the synchronization layers and the merge rule
+/// on every data link.
+void describe_analyses(std::ostream& out, const workflow::Workflow& wf,
+                       const std::map<std::string, double>* weights) {
+  const auto names = [](const auto& list) {
+    std::string joined;
+    for (const auto& name : list) joined += " " + name;
+    return joined;
+  };
+  out << "topological_order:" << names(workflow::topological_order(wf)) << "\n";
+  for (const auto& p : wf.processors()) {
+    out << "ancestors " << p.name << ":" << names(workflow::ancestors(wf, p.name)) << "\n";
+    out << "descendants " << p.name << ":" << names(workflow::descendants(wf, p.name))
+        << "\n";
+  }
+  const workflow::Path path = workflow::critical_path(wf);
+  out << "critical_path " << path.weight << ":" << names(path.services) << "\n";
+  if (weights != nullptr) {
+    const workflow::Path weighted = workflow::critical_path(wf, weights);
+    out << "weighted_critical_path " << weighted.weight << ":" << names(weighted.services)
+        << "\n";
+  }
+  out << "synchronization_layers:";
+  for (const auto& layer : workflow::synchronization_layers(wf)) {
+    out << " [" << names(layer) << " ]";
+  }
+  out << "\n";
+  for (const auto& l : wf.links()) {
+    out << "can_group " << l.from_processor << " " << l.to_processor << ": "
+        << workflow::can_group(wf, l.from_processor, l.to_processor) << "\n";
+  }
+}
+
+/// `describe_analyses` of `wf`, then its grouping rewrite (report and Scufl
+/// text) and the analyses of the rewritten workflow.
+std::string describe(const std::string& title, const workflow::Workflow& wf,
+                     const std::map<std::string, double>* weights) {
+  std::ostringstream out;
+  out << "== " << title << "\n";
+  describe_analyses(out, wf, weights);
+  workflow::GroupingReport report;
+  const workflow::Workflow grouped = workflow::group_sequential_processors(wf, &report);
+  out << "== " << title << " grouped: " << report.merges << " merge(s)\n";
+  for (const auto& group : report.groups) {
+    out << "group:";
+    for (const auto& member : group) out << " " << member;
+    out << "\n";
+  }
+  out << workflow::to_scufl(grouped);
+  describe_analyses(out, grouped, nullptr);
+  return out.str();
+}
+
+TEST(WorkflowAnalyses, BronzeAndRandomWorkflowsMatchTheGolden) {
+  // The Bronze Standard and the 12 workflows the grouping property rewrites.
+  std::string text = describe("bronze", app::bronze_standard_workflow(), nullptr);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 131 + 3);
+    const RandomApplication app = make_random_application(rng);
+    std::map<std::string, double> weights;
+    for (const auto& [name, profile] : app.profiles) weights[name] = profile.compute_seconds;
+    text += describe("random " + std::to_string(seed), app.workflow, &weights);
+  }
+  std::ifstream in(std::string(MOTEUR_GOLDEN_DIR) + "/workflow_analyses.txt");
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(text, golden.str());
+}
 
 }  // namespace
 }  // namespace moteur

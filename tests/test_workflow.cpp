@@ -74,7 +74,7 @@ TEST(Workflow, TopologicalPositionsStopShortOfACycle) {
   wf.link("s", "out", "C", "in");
   wf.link("C", "out", "sink", "in");
   wf.link("B", "out", "A", "back", /*feedback=*/true);
-  EXPECT_EQ(wf.topological_positions(), (std::vector<std::size_t>{0, 1, 3, 2, 4}));
+  EXPECT_EQ(wf.topology().order, (std::vector<std::size_t>{0, 1, 3, 2, 4}));
 
   wf.remove_processor("B");
   wf.add_processor("B", {"in"}, {"out"});
@@ -82,7 +82,7 @@ TEST(Workflow, TopologicalPositionsStopShortOfACycle) {
   // The same loop unmarked (B is now position 4): the pass stops short of
   // the cycle.
   wf.link("B", "out", "A", "back");
-  EXPECT_EQ(wf.topological_positions(), (std::vector<std::size_t>{0, 2, 3}));
+  EXPECT_EQ(wf.topology().order, (std::vector<std::size_t>{0, 2, 3}));
   try {
     wf.validate();
     FAIL() << "a non-feedback cycle validated";
@@ -120,13 +120,16 @@ TEST(Workflow, AccessorsAndRemoval) {
   EXPECT_EQ(wf.sources().size(), 1u);
   EXPECT_EQ(wf.sinks().size(), 1u);
   EXPECT_EQ(wf.services().size(), 3u);
-  EXPECT_EQ(wf.links_out_of("P1").size(), 2u);
-  EXPECT_EQ(wf.links_into("sink").size(), 2u);
+  const auto links_where = [&](auto touches) {
+    return std::count_if(wf.links().begin(), wf.links().end(), touches);
+  };
+  EXPECT_EQ(links_where([](const Link& l) { return l.from_processor == "P1"; }), 2);
+  EXPECT_EQ(links_where([](const Link& l) { return l.to_processor == "sink"; }), 2);
   EXPECT_EQ(wf.links_into_port("P2", "in").size(), 1u);
 
   wf.remove_processor("P3");
   EXPECT_FALSE(wf.has_processor("P3"));
-  EXPECT_EQ(wf.links_into("sink").size(), 1u);
+  EXPECT_EQ(links_where([](const Link& l) { return l.to_processor == "sink"; }), 1);
 }
 
 TEST(Analysis, TopologicalOrderRespectsEdges) {
@@ -178,6 +181,98 @@ TEST(Analysis, CriticalPathWithWeights) {
   const Path path = critical_path(wf, &weights);
   EXPECT_EQ(path.services, (std::vector<std::string>{"P1", "P2"}));
   EXPECT_DOUBLE_EQ(path.weight, 11.0);
+}
+
+TEST(Analysis, CriticalPathTieGoesToTheSmallerName) {
+  // Two equal branches: s -> Zeta -> Omega and s -> Beta -> Alpha, both into
+  // the sink. Omega, Alpha and the sink all weigh 2; the path ends at the
+  // smallest name, not at the first declared.
+  Workflow wf("tie");
+  wf.add_source("s");
+  for (const char* name : {"Zeta", "Omega", "Beta", "Alpha"}) {
+    wf.add_processor(name, {"in"}, {"out"});
+  }
+  wf.add_sink("sink");
+  wf.link("s", "out", "Zeta", "in");
+  wf.link("Zeta", "out", "Omega", "in");
+  wf.link("Omega", "out", "sink", "in");
+  wf.link("s", "out", "Beta", "in");
+  wf.link("Beta", "out", "Alpha", "in");
+  wf.link("Alpha", "out", "sink", "in");
+  Path path = critical_path(wf);
+  EXPECT_EQ(path.services, (std::vector<std::string>{"Beta", "Alpha"}));
+  EXPECT_DOUBLE_EQ(path.weight, 2.0);
+
+  // Joined instead of sunk, the branches tie at the join: its predecessor is
+  // the first strict improvement in topological order, Omega before Alpha.
+  Workflow joined("join");
+  joined.add_source("s");
+  for (const char* name : {"Zeta", "Omega", "Beta", "Alpha"}) {
+    joined.add_processor(name, {"in"}, {"out"});
+  }
+  joined.add_processor("Join", {"x", "y"}, {"out"});
+  joined.add_sink("sink");
+  joined.link("s", "out", "Zeta", "in");
+  joined.link("Zeta", "out", "Omega", "in");
+  joined.link("s", "out", "Beta", "in");
+  joined.link("Beta", "out", "Alpha", "in");
+  joined.link("Alpha", "out", "Join", "y");
+  joined.link("Omega", "out", "Join", "x");
+  joined.link("Join", "out", "sink", "in");
+  path = critical_path(joined);
+  EXPECT_EQ(path.services, (std::vector<std::string>{"Zeta", "Omega", "Join"}));
+  EXPECT_DOUBLE_EQ(path.weight, 3.0);
+}
+
+TEST(Analysis, ReachabilitySkipsFeedbackAndFollowsConstraints) {
+  // s -> A -> B -> C -> sink with the feedback link C -> A, and s -> D ->
+  // sink with the constraint "D before B".
+  Workflow wf("loop");
+  wf.add_source("s");
+  wf.add_processor("A", {"in", "back"}, {"out"});
+  wf.add_processor("B", {"in"}, {"out"});
+  wf.add_processor("C", {"in"}, {"loop", "exit"});
+  wf.add_processor("D", {"in"}, {"out"});
+  wf.add_sink("sink");
+  wf.link("s", "out", "A", "in");
+  wf.link("A", "out", "B", "in");
+  wf.link("B", "out", "C", "in");
+  wf.link("C", "loop", "A", "back", /*feedback=*/true);
+  wf.link("C", "exit", "sink", "in");
+  wf.link("s", "out", "D", "in");
+  wf.link("D", "out", "sink", "in");
+  wf.add_coordination_constraint("D", "B");
+  ASSERT_NO_THROW(wf.validate());
+
+  const Reachability reach = reachability(wf, wf.topology());
+  ASSERT_EQ(reach.n, 6u);
+  // Rows and columns in declaration order: s, A, B, C, D, sink.
+  const std::vector<std::string> expected = {
+      "011111",  // s
+      "001101",  // A
+      "000101",  // B
+      "000001",  // C: the feedback link to A is no edge
+      "001101",  // D: B by the constraint, then C
+      "000000",  // sink
+  };
+  for (std::size_t from = 0; from < reach.n; ++from) {
+    std::string row;
+    for (std::size_t to = 0; to < reach.n; ++to) row += reach.reaches(from, to) ? '1' : '0';
+    EXPECT_EQ(row, expected[from]) << wf.processors()[from].name;
+  }
+  EXPECT_EQ(ancestors(wf, "C"), (std::set<std::string>{"s", "A", "B", "D"}));
+  EXPECT_EQ(descendants(wf, "D"), (std::set<std::string>{"B", "C", "sink"}));
+
+  // Around a cycle not marked as feedback, a processor reaches itself.
+  Workflow cycle("cycle");
+  cycle.add_processor("X", {"in"}, {"out"});
+  cycle.add_processor("Y", {"in"}, {"out"});
+  cycle.link("X", "out", "Y", "in");
+  cycle.link("Y", "out", "X", "in");
+  const Reachability around = reachability(cycle, cycle.topology());
+  EXPECT_TRUE(around.reaches(0, 0));
+  EXPECT_TRUE(around.reaches(1, 0));
+  EXPECT_EQ(ancestors(cycle, "X"), (std::set<std::string>{"X", "Y"}));
 }
 
 TEST(Analysis, BronzeStandardCriticalPathIs5) {
