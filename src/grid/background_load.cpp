@@ -24,7 +24,6 @@ void BackgroundLoad::schedule_next() {
   simulator_.schedule(gap, [this] {
     const double duration = rng_.exponential(mean_duration_);
     broker_.match().occupy_slot(duration);
-    ++generated_;
     schedule_next();
   });
 }

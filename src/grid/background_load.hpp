@@ -19,8 +19,6 @@ class BackgroundLoad {
                  double jobs_per_hour, double mean_duration_seconds,
                  double horizon_seconds, const Rng& base);
 
-  std::size_t jobs_generated() const { return generated_; }
-
  private:
   void schedule_next();
 
@@ -30,7 +28,6 @@ class BackgroundLoad {
   double mean_duration_;
   double horizon_;
   Rng rng_;
-  std::size_t generated_ = 0;
 };
 
 }  // namespace moteur::grid

@@ -99,7 +99,6 @@ void CeHealth::on_routed(const std::string& ce, double now) {
 
 void CeHealth::note_rerouted(double now) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++reroutes_;
   if (on_reroute_) on_reroute_(now);
 }
 
@@ -131,11 +130,6 @@ std::size_t CeHealth::closes() const {
 std::size_t CeHealth::probes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return probes_;
-}
-
-std::size_t CeHealth::reroutes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reroutes_;
 }
 
 }  // namespace moteur::grid

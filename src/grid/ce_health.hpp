@@ -90,7 +90,6 @@ class CeHealth {
   std::size_t opens() const;
   std::size_t closes() const;
   std::size_t probes() const;
-  std::size_t reroutes() const;
 
  private:
   struct Entry {
@@ -111,7 +110,6 @@ class CeHealth {
   std::size_t opens_ = 0;
   std::size_t closes_ = 0;
   std::size_t probes_ = 0;
-  std::size_t reroutes_ = 0;
 };
 
 }  // namespace moteur::grid

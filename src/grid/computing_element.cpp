@@ -19,7 +19,6 @@ void ComputingElement::schedule_next_outage() {
   const double gap = outage_rng_.exponential(config_.outage_mean_interval);
   if (simulator_.now() + gap > config_.outage_horizon) return;
   simulator_.schedule(gap, [this] {
-    ++outages_;
     // The whole site stops taking payloads: every slot is occupied for the
     // outage duration (running work drains first — a graceful downtime).
     const double duration = outage_rng_.exponential(config_.outage_mean_duration);

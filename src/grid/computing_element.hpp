@@ -37,8 +37,6 @@ class ComputingElement {
   /// local batch latency.
   void occupy_slot(double seconds);
 
-  std::size_t outages_started() const { return outages_; }
-
   std::size_t slots() const { return config_.worker_slots; }
   std::size_t busy_slots() const { return workers_.in_use(); }
   std::size_t queue_length() const { return workers_.queue_length(); }
@@ -58,7 +56,6 @@ class ComputingElement {
   sim::Slab<sim::Function<void()>> arriving_;
   Rng latency_rng_;
   Rng outage_rng_;
-  std::size_t outages_ = 0;
 };
 
 }  // namespace moteur::grid

@@ -59,12 +59,6 @@ double LatencyModel::mean() const {
   return 0.0;
 }
 
-std::size_t GridConfig::total_slots() const {
-  std::size_t total = 0;
-  for (const auto& ce : computing_elements) total += ce.worker_slots;
-  return total;
-}
-
 GridConfig GridConfig::egee2006(std::uint64_t seed) {
   GridConfig cfg;
   cfg.seed = seed;

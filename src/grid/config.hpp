@@ -203,9 +203,6 @@ struct GridConfig {
   /// than this see an unloaded grid afterwards).
   double background_horizon_seconds = 10.0 * 86400.0;
 
-  /// Total worker slots across all CEs.
-  std::size_t total_slots() const;
-
   // --- presets ---------------------------------------------------------
 
   /// EGEE-like 2006 production infrastructure: many sites, large stochastic

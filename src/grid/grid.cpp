@@ -400,14 +400,14 @@ Grid::StagePlan Grid::plan_stage_in(const JobRequest& request,
   const std::string& se_name =
       close == close_storage_.end() ? storage_.name() : close->second->name();
   for (const auto& ref : request.input_refs) {
-    if (catalog_->has(ref.logical_name, se_name)) {
-      plan.effective_megabytes += ref.megabytes;
-    } else {
-      plan.effective_megabytes += ref.megabytes * config_.remote_transfer_penalty;
-      plan.remote_megabytes += ref.megabytes;
-    }
+    price_ref(plan, ref.megabytes, !catalog_->has(ref.logical_name, se_name));
   }
   return plan;
+}
+
+void Grid::price_ref(StagePlan& plan, double megabytes, bool remote) const {
+  plan.effective_megabytes += remote ? megabytes * config_.remote_transfer_penalty : megabytes;
+  if (remote) plan.remote_megabytes += megabytes;
 }
 
 double Grid::stage_in_estimate_seconds(const JobRequest& request,
@@ -437,13 +437,7 @@ Grid::StageResolution Grid::resolve_stage_in(const JobRequest& request,
   }
   for (const auto& ref : request.input_refs) {
     if (!storage_faults_enabled_) {
-      // Fault-free pricing, identical to plan_stage_in.
-      if (catalog_->has(ref.logical_name, se_name)) {
-        res.effective_megabytes += ref.megabytes;
-      } else {
-        res.effective_megabytes += ref.megabytes * config_.remote_transfer_penalty;
-        res.remote_megabytes += ref.megabytes;
-      }
+      price_ref(res, ref.megabytes, !catalog_->has(ref.logical_name, se_name));
       catalog_->touch(ref.logical_name);
       continue;
     }
@@ -495,8 +489,6 @@ Grid::StageResolution Grid::resolve_stage_in(const JobRequest& request,
         continue;
       }
       const bool remote = candidate != se_name;
-      const double cost =
-          remote ? ref.megabytes * config_.remote_transfer_penalty : ref.megabytes;
       const double corruption = candidate_se != nullptr
                                     ? candidate_se->replica_corruption_probability()
                                     : config_.replica_corruption_probability;
@@ -504,15 +496,13 @@ Grid::StageResolution Grid::resolve_stage_in(const JobRequest& request,
         // The transfer completes but the DataRef digest check fails: the
         // bytes are wasted, the bad copy is dropped, and the next replica
         // is tried.
-        res.effective_megabytes += cost;
-        if (remote) res.remote_megabytes += ref.megabytes;
+        price_ref(res, ref.megabytes, remote);
         catalog_->invalidate_replica(ref.logical_name, candidate);
         ++res.faults;
         ++skipped;
         continue;
       }
-      res.effective_megabytes += cost;
-      if (remote) res.remote_megabytes += ref.megabytes;
+      price_ref(res, ref.megabytes, remote);
       if (skipped > 0) ++res.failovers;
       catalog_->touch(ref.logical_name);
       staged = true;

@@ -163,14 +163,15 @@ class Grid {
     double remote_megabytes = 0.0;     // pre-penalty size of remote refs
   };
   StagePlan plan_stage_in(const JobRequest& request, const std::string& ce_name) const;
+  /// Adds one input of `megabytes` to `plan`, with the remote penalty when it
+  /// is read from another SE.
+  void price_ref(StagePlan& plan, double megabytes, bool remote) const;
 
   /// Like StagePlan, but resolved against live replica state with SE fault
   /// injection applied: down SEs are skipped, lost/corrupt replicas are
   /// invalidated in the catalog and failed over, and inputs with no
   /// surviving replica land in lost_files.
-  struct StageResolution {
-    double effective_megabytes = 0.0;
-    double remote_megabytes = 0.0;
+  struct StageResolution : StagePlan {
     int faults = 0;
     int failovers = 0;
     std::vector<std::string> lost_files;

@@ -36,10 +36,4 @@ double OverheadModel::sample_compute_factor() {
   return std::max(0.05, 1.0 + compute_rng_.normal(0.0, config_.compute_noise_stddev));
 }
 
-double OverheadModel::transfer_seconds(double megabytes) const {
-  if (megabytes <= 0.0) return 0.0;
-  return config_.transfer_latency_seconds +
-         megabytes / config_.transfer_bandwidth_mb_per_s;
-}
-
 }  // namespace moteur::grid

@@ -20,9 +20,6 @@ class OverheadModel {
   /// Multiplicative payload-duration factor, >= 0.05.
   double sample_compute_factor();
 
-  /// Wide-area transfer duration for a payload of the given size.
-  double transfer_seconds(double megabytes) const;
-
   bool sample_failure() { return sample_failure(config_.failure_probability); }
   /// Per-site override: a negative probability inherits the grid-wide value.
   bool sample_failure(double probability) {

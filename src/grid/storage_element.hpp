@@ -66,9 +66,6 @@ class StorageElement {
   double replica_loss_probability() const { return replica_loss_probability_; }
   double replica_corruption_probability() const { return replica_corruption_probability_; }
 
-  std::size_t active_transfers() const { return channels_.in_use(); }
-  std::size_t queued_transfers() const { return channels_.queue_length(); }
-
  private:
   /// One transfer between its request and its completion.
   struct Transfer {

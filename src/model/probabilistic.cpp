@@ -93,20 +93,4 @@ double approx_sigma_dp_lognormal(std::size_t n_w, std::size_t n_d, double mu,
   return static_cast<double>(n_w) * expected_max_lognormal(n_d, mu, sigma);
 }
 
-double approx_sigma_dsp_lognormal(std::size_t n_w, std::size_t n_d, double mu,
-                                  double sigma) {
-  MOTEUR_REQUIRE(n_w > 0 && n_d > 0, InternalError,
-                 "approx_sigma_dsp_lognormal: degenerate sizes");
-  // Each pipeline sum of nW lognormals: mean m, variance v (independence).
-  const double single_mean = std::exp(mu + 0.5 * sigma * sigma);
-  const double single_var =
-      (std::exp(sigma * sigma) - 1.0) * std::exp(2.0 * mu + sigma * sigma);
-  const double sum_mean = static_cast<double>(n_w) * single_mean;
-  const double sum_sd = std::sqrt(static_cast<double>(n_w) * single_var);
-  if (n_d == 1) return sum_mean;
-  // Expected max of nD approximately-normal sums via the quantile heuristic.
-  const double p = static_cast<double>(n_d) / static_cast<double>(n_d + 1);
-  return sum_mean + sum_sd * inverse_normal_cdf(p);
-}
-
 }  // namespace moteur::model

@@ -48,9 +48,4 @@ double expected_max_lognormal(std::size_t n, double mu, double sigma);
 double approx_sigma_dp_lognormal(std::size_t n_w, std::size_t n_d, double mu,
                                  double sigma);
 
-/// Approximate E[Sigma_DSP]: max over nD of per-pipeline sums, treating each
-/// sum as normal by CLT (moment matching of the lognormal components).
-double approx_sigma_dsp_lognormal(std::size_t n_w, std::size_t n_d, double mu,
-                                  double sigma);
-
 }  // namespace moteur::model

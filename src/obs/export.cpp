@@ -14,19 +14,6 @@ namespace moteur::obs {
 
 namespace {
 
-/// Shortest-round-trip-ish number: integers without a fraction, the rest
-/// with enough digits to be stable across platforms.
-std::string format_number(double value) {
-  char buf[32];
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::abs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.10g", value);
-  }
-  return buf;
-}
-
 /// The span tree by position (span id - 1). A span's parent precedes it
 /// (Tracer::begin), so each entry derives from its parent's in one pass in
 /// id order.

@@ -25,16 +25,9 @@ double wall_now() {
       .count();
 }
 
+/// format_number, with NaN and infinities written as 0.
 std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[32];
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::abs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.10g", value);
-  }
-  return buf;
+  return std::isfinite(value) ? format_number(value) : "0";
 }
 
 void append_labels(std::ostringstream& out, const Labels& labels) {

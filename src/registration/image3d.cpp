@@ -117,14 +117,6 @@ Image3D Image3D::downsampled() const {
   return out;
 }
 
-double Image3D::min_value() const {
-  return static_cast<double>(*std::min_element(voxels_.begin(), voxels_.end()));
-}
-
-double Image3D::max_value() const {
-  return static_cast<double>(*std::max_element(voxels_.begin(), voxels_.end()));
-}
-
 double Image3D::mean_value() const {
   double sum = 0.0;
   for (float v : voxels_) sum += static_cast<double>(v);

@@ -44,8 +44,6 @@ class Image3D {
   /// coordinates are preserved (the basis of coarse-to-fine registration).
   Image3D downsampled() const;
 
-  double min_value() const;
-  double max_value() const;
   double mean_value() const;
 
   const std::vector<float>& voxels() const { return voxels_; }

@@ -51,9 +51,6 @@ class AsyncInvoker {
   /// Blocking call in the caller's thread (no pool hop).
   Result call(Service& service, const Inputs& inputs) { return service.invoke(inputs); }
 
-  /// Wait until every outstanding asynchronous call completed.
-  void wait_all() { pool_.wait_idle(); }
-
  private:
   ThreadPool pool_;
 };

@@ -29,20 +29,6 @@ std::string Access::resolve(const std::string& value) const {
   return path + "/" + value;
 }
 
-const InputDescriptor* Descriptor::input(const std::string& name) const {
-  for (const auto& in : inputs) {
-    if (in.name == name) return &in;
-  }
-  return nullptr;
-}
-
-const OutputDescriptor* Descriptor::output(const std::string& name) const {
-  for (const auto& out : outputs) {
-    if (out.name == name) return &out;
-  }
-  return nullptr;
-}
-
 std::vector<std::string> Descriptor::input_names() const {
   std::vector<std::string> names;
   names.reserve(inputs.size());

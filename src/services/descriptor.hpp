@@ -66,9 +66,6 @@ class Descriptor {
   std::vector<OutputDescriptor> outputs;
   std::vector<SandboxDescriptor> sandbox;
 
-  const InputDescriptor* input(const std::string& name) const;
-  const OutputDescriptor* output(const std::string& name) const;
-
   /// Input port names in declaration order (both files and parameters).
   std::vector<std::string> input_names() const;
   std::vector<std::string> output_names() const;

@@ -88,10 +88,4 @@ double mean_of(const std::vector<double>& values) {
   return s.mean();
 }
 
-double stddev_of(const std::vector<double>& values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.stddev();
-}
-
 }  // namespace moteur

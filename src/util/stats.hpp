@@ -48,6 +48,5 @@ LinearFit linear_fit(const std::vector<double>& xs, const std::vector<double>& y
 double percentile(std::vector<double> values, double p);
 
 double mean_of(const std::vector<double>& values);
-double stddev_of(const std::vector<double>& values);
 
 }  // namespace moteur

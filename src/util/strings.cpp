@@ -68,6 +68,18 @@ std::string format_fixed(double value, int decimals) {
   return buf;
 }
 
+std::string format_number(double value) {
+  char buf[32];
+  // The range test comes first: converting NaN, an infinity or a value past
+  // long long's range is undefined.
+  if (std::abs(value) < 1e15 && value == static_cast<double>(static_cast<long long>(value))) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.10g", value);
+  }
+  return buf;
+}
+
 std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());

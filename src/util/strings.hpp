@@ -24,6 +24,10 @@ std::string format_duration(double seconds);
 /// Fixed-point formatting with the given number of decimals.
 std::string format_fixed(double value, int decimals);
 
+/// Integers without a fraction, the rest with ten significant digits, so the
+/// text is stable across platforms.
+std::string format_number(double value);
+
 /// `text` escaped for the inside of a JSON string: quote, backslash and
 /// control characters.
 std::string json_escape(std::string_view text);

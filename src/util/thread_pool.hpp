@@ -49,8 +49,6 @@ class ThreadPool {
   /// Tasks must not throw.
   void post_all(std::vector<std::function<void()>>& tasks);
 
-  std::size_t thread_count() const { return workers_.size(); }
-
   /// Block until the queue is empty and all workers are idle.
   void wait_idle();
 

@@ -17,15 +17,6 @@ const char* to_string(IterationStrategy s) {
   return "?";
 }
 
-const char* to_string(ProcessorKind k) {
-  switch (k) {
-    case ProcessorKind::kSource: return "source";
-    case ProcessorKind::kSink: return "sink";
-    case ProcessorKind::kService: return "service";
-  }
-  return "?";
-}
-
 bool Processor::has_input_port(const std::string& port) const {
   return std::find(input_ports.begin(), input_ports.end(), port) != input_ports.end();
 }

@@ -23,8 +23,6 @@ enum class ProcessorKind {
   kService,  // an application component invoked through a service interface
 };
 
-const char* to_string(ProcessorKind k);
-
 /// A link between two members of a grouped processor (see grouping.hpp);
 /// carried on the grouped processor itself so the service layer can wire
 /// member invocations without consulting the original graph.

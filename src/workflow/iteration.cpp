@@ -134,7 +134,6 @@ void IterationBuffer::push_dot(std::size_t slot, data::Token token) {
     tuple.index = token.indices();
     tuple.tokens.push_back(std::move(token));
     ready_.push_back(std::move(tuple));
-    ++emitted_;
     return;
   }
   const auto [it, inserted] = partial_.try_emplace(token.indices());
@@ -149,7 +148,6 @@ void IterationBuffer::push_dot(std::size_t slot, data::Token token) {
   check_causality(partial.tokens);
   auto node = partial_.extract(it);
   ready_.push_back(Tuple{std::move(node.mapped().tokens), std::move(node.key())});
-  ++emitted_;
 }
 
 void IterationBuffer::push_cross(std::size_t slot, data::Token token) {
@@ -180,7 +178,6 @@ void IterationBuffer::push_cross(std::size_t slot, data::Token token) {
     // different items of the same source (e.g. registering every image
     // against every other image).
     ready_.push_back(std::move(tuple));
-    ++emitted_;
   }
   retained_[slot].push_back(std::move(token));
 }

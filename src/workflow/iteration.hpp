@@ -74,9 +74,6 @@ class IterationBuffer {
   /// partial tuples; under cross, retained operands.
   std::size_t pending_tokens() const;
 
-  /// Total tuples emitted so far.
-  std::size_t emitted_tuples() const { return emitted_; }
-
   const std::vector<std::string>& ports() const { return ports_; }
   IterationStrategy strategy() const { return strategy_; }
 
@@ -105,7 +102,6 @@ class IterationBuffer {
   std::vector<std::vector<data::Token>> retained_;
 
   std::vector<Tuple> ready_;
-  std::size_t emitted_ = 0;
 };
 
 }  // namespace moteur::workflow

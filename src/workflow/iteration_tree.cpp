@@ -257,8 +257,6 @@ bool CompositeIterationBuffer::all_closed() const {
   return std::all_of(closed_.begin(), closed_.end(), [](bool c) { return c; });
 }
 
-bool CompositeIterationBuffer::has_ready() const { return !ready_.empty(); }
-
 std::size_t CompositeIterationBuffer::pending_tokens() const {
   std::size_t total = 0;
   for (const auto& stage : stages_) total += stage->buffer.pending_tokens();

@@ -74,7 +74,6 @@ class CompositeIterationBuffer {
     drain_ready_into(out);
     return out;
   }
-  bool has_ready() const;
   std::size_t pending_tokens() const;
 
   const IterationNode& tree() const { return tree_; }
