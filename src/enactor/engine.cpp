@@ -510,7 +510,10 @@ void Engine::fire(PState& state, std::vector<Tuple> tuples) {
   ++state.in_flight;
   state.fired += sub->tuples.size();
   tuples_in_flight_ += sub->tuples.size();
-  if (policy_.retry.timeout_enabled()) outstanding_.push_back(sub);
+  if (policy_.retry.timeout_enabled() &&
+      latency_samples_.size() < policy_.retry.timeout_min_samples) {
+    late_watchdogs_.push_back(sub);
+  }
   MOTEUR_LOG(kDebug, "enactor") << "fire '" << state.proc->name << "' on "
                                 << sub->tuples.size() << " tuple(s)";
   if (observing()) emit(make_event(obs::RunEvent::Kind::kInvocationStarted, *sub, 0));
@@ -612,20 +615,15 @@ void Engine::arm_watchdog(const std::shared_ptr<Submission>& sub) {
   });
 }
 
-void Engine::arm_pending_watchdogs() {
-  if (!policy_.retry.timeout_enabled() ||
-      latency_samples_.size() < policy_.retry.timeout_min_samples) {
+void Engine::arm_late_watchdogs() {
+  if (late_watchdogs_.empty() || latency_samples_.size() < policy_.retry.timeout_min_samples) {
     return;
   }
-  std::vector<std::weak_ptr<Submission>> live;
-  live.reserve(outstanding_.size());
-  for (auto& weak : outstanding_) {
-    auto sub = weak.lock();
-    if (!sub || sub->resolved) continue;
-    if (!sub->watchdog) arm_watchdog(sub);
-    live.push_back(std::move(weak));
+  for (const auto& weak : late_watchdogs_) {
+    const auto sub = weak.lock();
+    if (sub && !sub->resolved && !sub->watchdog) arm_watchdog(sub);
   }
-  outstanding_ = std::move(live);
+  late_watchdogs_.clear();
 }
 
 void Engine::on_watchdog(const std::shared_ptr<Submission>& sub) {
@@ -966,7 +964,7 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
     if (outcome.job) observed_overhead_.add(outcome.job->overhead_seconds());
     latency_samples_.push_back(outcome.end_time - outcome.submit_time);
     resolve(sub);
-    arm_pending_watchdogs();
+    arm_late_watchdogs();
     MOTEUR_REQUIRE(outcome.results.size() == sub->tuples.size(), InternalError,
                    "backend returned " + std::to_string(outcome.results.size()) +
                        " results for " + std::to_string(sub->tuples.size()) + " bindings");

@@ -258,9 +258,10 @@ class Engine : public std::enable_shared_from_this<Engine> {
   void fire_barrier(PState& state);
   void start_attempt(const std::shared_ptr<Submission>& sub);
   void arm_watchdog(const std::shared_ptr<Submission>& sub);
-  /// Arm watchdogs on outstanding submissions that predate the median (a DP
-  /// burst submits everything before any sample exists).
-  void arm_pending_watchdogs();
+  /// Arm watchdogs on the submissions fired before the median had its
+  /// samples (a DP burst submits everything before any sample exists), once,
+  /// when it first has them.
+  void arm_late_watchdogs();
   void on_watchdog(const std::shared_ptr<Submission>& sub);
   void on_attempt_complete(const std::shared_ptr<Submission>& sub, std::size_t attempt,
                            Outcome outcome);
@@ -360,9 +361,9 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// Latencies of successful submissions — the running-median base of the
   /// timeout-resubmission watchdog.
   std::vector<double> latency_samples_;
-  /// Unresolved submissions, for late watchdog arming (pruned lazily).
-  /// Recorded only while the timeout watchdog is on; nothing else reads it.
-  std::vector<std::weak_ptr<Submission>> outstanding_;
+  /// Submissions fired while the timeout watchdog is on and the median
+  /// lacks its samples, in fire order; later attempts arm their own.
+  std::vector<std::weak_ptr<Submission>> late_watchdogs_;
   std::uint64_t next_submission_id_ = 1;
   std::size_t tuples_in_flight_ = 0;  // across all unresolved submissions
   std::exception_ptr failure_;
