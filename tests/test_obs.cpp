@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "app/bronze_standard.hpp"
 #include "data/dataset.hpp"
+#include "data/replica_catalog.hpp"
 #include "enactor/enactor.hpp"
 #include "enactor/policy.hpp"
 #include "enactor/sim_backend.hpp"
@@ -933,6 +935,97 @@ TEST(FlightRecorder, DumpCarriesStateAndEventPayloads) {
 
 TEST(FlightRecorder, RejectsZeroCapacity) {
   EXPECT_THROW(FlightRecorder(0), Error);
+}
+
+/// The value of one series of a recorder family; 0 when it is absent.
+double series_value(const RunRecorder& recorder, const std::string& name,
+                    const Labels& labels = {}) {
+  const MetricsRegistry::Family* family = recorder.metrics().find(name);
+  if (family == nullptr) return 0.0;
+  const auto it = family->series.find(labels);
+  if (it == family->series.end()) return 0.0;
+  return it->second.counter ? it->second.counter->value() : it->second.gauge->value();
+}
+
+TEST(RunRecorder, DataPlaneCountersMatchTheRunsAndTheGrid) {
+  // A cold and a warm Bronze pass through one Enactor on a seeded 3-SE grid
+  // that loses replicas and pushes outputs to their consumers' SEs: the
+  // recorder sees cache hits, lineage re-derivations and SE-to-SE transfers.
+  constexpr const char* kStorageElements[] = {"se-north", "se-south", "se-east"};
+  grid::GridConfig config = grid::GridConfig::egee2006(20060619);
+  for (const char* name : kStorageElements) {
+    grid::StorageElementConfig se;
+    se.name = name;
+    se.transfer_latency_seconds = 2.0;
+    se.transfer_bandwidth_mb_per_s = 10.0;
+    config.storage_elements.push_back(se);
+  }
+  for (std::size_t i = 0; i < config.computing_elements.size(); ++i) {
+    config.computing_elements[i].close_storage_element = kStorageElements[i % 3];
+  }
+  config.remote_transfer_penalty = 3.0;
+  config.matchmaking_policy = "data-gravity";
+  config.replication_policy = "push-to-consumer";
+  config.replica_loss_probability = 0.1;
+
+  sim::Simulator simulator;
+  grid::Grid grid(simulator, config);
+  enactor::SimGridBackend backend(grid);
+  data::ReplicaCatalog catalog;
+  backend.set_catalog(&catalog);
+  services::ServiceRegistry registry;
+  app::register_simulated_services(registry);
+  enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
+  policy.cache = true;
+  policy.failure_policy = enactor::FailurePolicy::kContinue;
+  enactor::Enactor moteur(backend, registry, policy);
+  RunRecorder recorder;
+  moteur.set_recorder(&recorder);
+
+  std::size_t cache_hits = 0;
+  std::size_t rederived = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    const enactor::EnactmentResult result =
+        moteur.run({.workflow = app::bronze_standard_workflow(),
+                    .inputs = app::bronze_standard_dataset(8)});
+    cache_hits += result.cache_hits();
+    rederived += result.rederived();
+  }
+  const grid::Grid::Stats& stats = grid.stats();
+  ASSERT_GT(cache_hits, 0u);
+  ASSERT_GT(rederived, 0u);
+  ASSERT_GT(stats.transfers_completed, 0u);
+
+  EXPECT_EQ(series_value(recorder, "moteur_cache_hits_total"), cache_hits);
+  EXPECT_EQ(series_value(recorder, "moteur_replica_rederived_total"), rederived);
+  EXPECT_GE(series_value(recorder, "moteur_replica_lost_total"), stats.data_lost_jobs);
+  EXPECT_EQ(series_value(recorder, "moteur_transfer_started_total"), stats.transfers_started);
+  EXPECT_EQ(series_value(recorder, "moteur_transfer_done_total"), stats.transfers_completed);
+  EXPECT_DOUBLE_EQ(series_value(recorder, "moteur_transfer_observed_megabytes_total"),
+                   stats.transfer_megabytes);
+}
+
+TEST(RunRecorder, BreakerClosingResetsTheGaugeAndCountsTheTransition) {
+  RunRecorder recorder;
+  const auto transition = [&](RunEvent::Kind kind) {
+    RunEvent event;
+    event.kind = kind;
+    event.computing_element = Name("ce-a");
+    recorder.on_event(event);
+  };
+  const Labels ce{{"ce", "ce-a"}};
+  transition(RunEvent::Kind::kBreakerOpened);
+  EXPECT_EQ(series_value(recorder, "moteur_breaker_open", ce), 1.0);
+  transition(RunEvent::Kind::kBreakerHalfOpen);
+  EXPECT_EQ(series_value(recorder, "moteur_breaker_open", ce), 0.5);
+  transition(RunEvent::Kind::kBreakerClosed);
+  EXPECT_EQ(series_value(recorder, "moteur_breaker_open", ce), 0.0);
+  for (const char* to : {"open", "half-open", "closed"}) {
+    EXPECT_EQ(series_value(recorder, "moteur_breaker_transitions_total",
+                           Labels{{"ce", "ce-a"}, {"to", to}}),
+              1.0)
+        << to;
+  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "enactor/sim_backend.hpp"
 #include "enactor/threaded_backend.hpp"
 #include "grid/grid.hpp"
+#include "obs/recorder.hpp"
 #include "service/run_service.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
@@ -253,6 +254,84 @@ TEST(ShardedRunService, FourShardsMatchSingleShardRunForRun) {
   EXPECT_EQ(totals(stats1), totals(stats4));
   EXPECT_EQ(totals(stats4).first, kRuns);
   EXPECT_EQ(totals(stats4).second, kRuns * kStages * kItems);
+}
+
+TEST(ShardedRunService, TwoShardsDeliverEveryRunInOrderToSubscribersAndTheRecorder) {
+  // Two shards batch their events; delivery interleaves runs but keeps each
+  // run's events in order, and the recorder sees every one of them.
+  constexpr std::size_t kRuns = 6, kStages = 2, kItems = 5;
+  enactor::ThreadedBackend backend(2);
+  services::ServiceRegistry registry;
+  add_chain_services(registry, kStages);
+  RunServiceConfig config;
+  config.admission.max_active = 4;
+  config.sharding.shards = 2;
+  config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
+  RunService service(backend, registry, config);
+  ASSERT_EQ(service.shards(), 2u);
+  std::map<std::string, std::vector<obs::RunEvent>> events;  // by run id
+  service.add_event_subscriber([&events](const obs::RunEvent& event) {
+    if (!event.run_id.empty()) events[event.run_id].push_back(event);
+  });
+  obs::RunRecorder recorder;
+  service.set_recorder(&recorder);
+
+  std::vector<enactor::RunRequest> requests;
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    enactor::RunRequest request;
+    request.name = "run-" + std::to_string(i);
+    request.workflow = chain(kStages);
+    request.inputs = items(kItems);
+    requests.push_back(std::move(request));
+  }
+  const auto handles = service.submit_all(std::move(requests));
+  service.wait_idle();
+
+  std::size_t invocations = 0;
+  std::size_t submissions = 0;
+  for (const auto& handle : handles) {
+    ASSERT_EQ(handle.wait(), RunState::kFinished) << handle.id() << ": " << handle.error();
+    const enactor::EnactmentResult& result = handle.result();
+    invocations += result.invocations();
+    submissions += result.submissions();
+    const std::vector<obs::RunEvent>& run = events[handle.id()];
+    ASSERT_GE(run.size(), 2u) << handle.id();
+    EXPECT_EQ(run.front().kind, obs::RunEvent::Kind::kRunStarted) << handle.id();
+    EXPECT_EQ(run.back().kind, obs::RunEvent::Kind::kRunFinished) << handle.id();
+    // Each invocation starts before its attempt, which starts before it ends.
+    std::map<std::uint64_t, std::vector<obs::RunEvent::Kind>> by_invocation;
+    std::size_t attempts = 0;
+    for (std::size_t i = 1; i + 1 < run.size(); ++i) {
+      EXPECT_NE(run[i].kind, obs::RunEvent::Kind::kRunStarted) << handle.id();
+      EXPECT_NE(run[i].kind, obs::RunEvent::Kind::kRunFinished) << handle.id();
+      if (run[i].invocation != 0) by_invocation[run[i].invocation].push_back(run[i].kind);
+      if (run[i].kind == obs::RunEvent::Kind::kAttemptStarted) ++attempts;
+    }
+    EXPECT_EQ(attempts, result.submissions()) << handle.id();
+    for (const auto& [id, kinds] : by_invocation) {
+      EXPECT_EQ(kinds, (std::vector<obs::RunEvent::Kind>{
+                           obs::RunEvent::Kind::kInvocationStarted,
+                           obs::RunEvent::Kind::kAttemptStarted,
+                           obs::RunEvent::Kind::kAttemptEnded,
+                           obs::RunEvent::Kind::kInvocationCompleted}))
+          << handle.id() << " invocation " << id;
+    }
+  }
+  EXPECT_EQ(invocations, kRuns * kStages * kItems);
+
+  service.with_observability([&](obs::RunRecorder& r) {
+    const auto value = [&r](const std::string& name, const obs::Labels& labels) {
+      const obs::MetricsRegistry::Family* family = r.metrics().find(name);
+      return family == nullptr ? -1.0 : family->series.at(labels).counter->value();
+    };
+    EXPECT_EQ(value("moteur_invocations_total", {}), invocations);
+    EXPECT_EQ(value("moteur_submissions_total", {}), submissions);
+    for (const auto& handle : handles) {
+      const obs::Labels run{{"run", handle.id()}};
+      EXPECT_EQ(value("moteur_run_invocations_total", run), handle.result().invocations());
+      EXPECT_EQ(value("moteur_run_submissions_total", run), handle.result().submissions());
+    }
+  });
 }
 
 TEST(ShardedRunService, BackendWithoutChannelsClampsToOneShard) {
