@@ -27,7 +27,8 @@ struct Reachability {
   void close();  // Warshall's closure: the edges in `cells` become the paths
 };
 
-/// Over the non-feedback links and the constraints of `topology` of `workflow`.
+/// Forward reachability of `workflow` (non-feedback links and coordination
+/// constraints), from its `topology()`.
 Reachability reachability(const Workflow& workflow, const Topology& topology);
 
 /// Strict ancestors of a processor (everything with a forward path to it,

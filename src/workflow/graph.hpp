@@ -87,9 +87,9 @@ struct CoordinationConstraint {
 /// The workflow graph by position in Workflow::processors().
 struct Topology {
   struct Edge {
-    std::size_t from;
-    std::size_t to;
-    bool feedback;
+    std::size_t from = 0;
+    std::size_t to = 0;
+    bool feedback = false;
   };
   /// Kahn's order of the edges below, seeded with the zero-in-degree
   /// processors in name order. Shorter than processors() when a non-feedback
