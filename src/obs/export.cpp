@@ -1,7 +1,6 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <numeric>

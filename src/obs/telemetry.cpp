@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
