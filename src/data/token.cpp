@@ -18,7 +18,7 @@ namespace {
 
 Provenance::Ptr derived_provenance(const std::string& processor, const std::string& port,
                                    const std::vector<Token>& inputs) {
-  std::vector<Provenance::Ptr> input_histories;
+  Provenance::Inputs input_histories;
   input_histories.reserve(inputs.size());
   for (const auto& input : inputs) input_histories.push_back(input.provenance());
   return Provenance::derived(processor, port, std::move(input_histories));

@@ -8,6 +8,7 @@
 
 #include "data/dataref.hpp"
 #include "data/provenance.hpp"
+#include "util/small_vector.hpp"
 
 namespace moteur::data {
 
@@ -16,7 +17,12 @@ namespace moteur::data {
 /// the operand indices. Equal index vectors identify "the k-th result" no
 /// matter the completion order — the mechanism that keeps dot products
 /// causally correct under data/service parallelism (paper §4.1).
-using IndexVector = std::vector<std::size_t>;
+///
+/// Three entries live inline, with no allocation: a source item's index and
+/// the dot products over it are one entry deep, and a cross of a cross is
+/// three. Deeper indices (a feedback link appends one entry per loop pass)
+/// spill to the heap.
+using IndexVector = SmallVector<std::size_t, 3>;
 
 std::string to_string(const IndexVector& v);
 

@@ -9,6 +9,7 @@
 #include "enactor/backend.hpp"
 #include "grid/ce_health.hpp"
 #include "grid/job.hpp"
+#include "util/small_vector.hpp"
 
 namespace moteur::enactor {
 
@@ -17,8 +18,9 @@ namespace moteur::enactor {
 struct InvocationTrace {
   std::string processor;
   /// Iteration indices of the data sets processed (one entry per binding;
-  /// batched submissions carry several).
-  std::vector<data::IndexVector> indices;
+  /// batched submissions carry several). One lives inline: most rows record
+  /// an unbatched submission.
+  SmallVector<data::IndexVector, 1> indices;
   double submit_time = 0.0;  // enactor handed the call to the backend
   double start_time = 0.0;   // payload began (queue exit on the grid)
   double end_time = 0.0;     // results available

@@ -77,12 +77,39 @@ TEST(AllocBudget, TokenCopyAllocatesNothing) {
   EXPECT_EQ(copies.back().as<std::string>(), kGridFile);
 }
 
+TEST(AllocBudget, DerivedTokenCostsTwoAllocations) {
+  // Deriving a token makes its shared body and its provenance node, whose
+  // control block and parents live in the same block; the one-entry index
+  // lives in the body. The key is rendered only when first asked for: the
+  // first id() call makes the key string, too long for a string's inline
+  // buffer.
+  constexpr std::size_t kBudget = 2;
+  const data::Token a = data::Token::from_source("A", 0, 1, "1");
+  const data::Token b = data::Token::from_source("B", 1, 2, "2");
+  const std::vector<data::Token> one_parent{a};
+  const std::vector<data::Token> two_parents{a, b};
+  for (const auto* inputs : {&one_parent, &two_parents}) {
+    data::Token token;
+    const std::size_t measured = allocations_in([&] {
+      token = data::Token::derived("register", "out", *inputs, data::IndexVector{0}, 3, "3");
+    });
+    EXPECT_EQ(measured, kBudget) << "measured " << measured << " allocations for a token of "
+                                 << inputs->size() << " parent(s)";
+    std::size_t key_length = 0;
+    const std::size_t rendering = allocations_in([&] { key_length = token.id().size(); });
+    EXPECT_EQ(rendering, 1u) << "the key was rendered before it was asked for";
+    EXPECT_GT(key_length, std::string().capacity());
+  }
+  EXPECT_EQ(data::Token::derived("register", "out", two_parents, {0}, 3, "3").id(),
+            "register.out(A[0],B[1])");
+}
+
 TEST(AllocBudget, OnePortBufferPushAndDrain) {
   // The engine's buffer for a one-port service: each token is its own tuple.
   constexpr std::size_t kTokens = 100;
-  // Two per token (the tuple's token vector and its index), plus four
-  // vectors that grow once.
-  constexpr std::size_t kBudgetPerHundredTokens = 204;
+  // One per token (the tuple's token vector; its index lives inline), plus
+  // four vectors that grow once. 204 while an index was a std::vector.
+  constexpr std::size_t kBudgetPerHundredTokens = 104;
   std::vector<data::Token> tokens;
   for (std::size_t i = 0; i < kTokens; ++i) {
     tokens.push_back(data::Token::from_source("src", i, kGridFile, kGridFile));
@@ -209,10 +236,11 @@ RunCount bronze_run(std::size_t pairs, const enactor::EnactmentPolicy& policy) {
 TEST(AllocBudget, BronzeRunPerInvocation) {
   // 4 pairs under the manifest policy (SP+DP+JG).
   constexpr std::size_t kPairs = 4;
-  // 3772 while the JG merge rule walked name-keyed maps and sets, 4237
-  // while validate() and topological_order() each ran a name-keyed Kahn
-  // pass.
-  constexpr std::size_t kBudget = 1804;  // 72.16 per invocation
+  // 1804 while indices were std::vectors and provenance nodes three
+  // allocations with their keys built eagerly, 3772 while the JG merge rule
+  // walked name-keyed maps and sets, 4237 while validate() and
+  // topological_order() each ran a name-keyed Kahn pass.
+  constexpr std::size_t kBudget = 1541;  // 61.64 per invocation
   const RunCount run = bronze_run(kPairs, enactor::EnactmentPolicy::sp_dp_jg());
   ASSERT_EQ(run.invocations, 6 * kPairs + 1);
   EXPECT_LE(run.allocations, kBudget)
@@ -386,10 +414,11 @@ TEST(AllocBudget, EngineSetUp) {
   // set-up (validation, the workflow copy, the processor table) plus each
   // item's source token and first-stage submission.
   constexpr std::size_t kItems = 16;
-  // 351 while validate() and topological_order() each ran a name-keyed
-  // Kahn pass, 371 while iteration trees were validated with a port walk per
-  // level, 494 with the name-keyed state map.
-  constexpr std::size_t kBudget = 314;
+  // 314 while indices were std::vectors and provenance nodes three
+  // allocations, 351 while validate() and topological_order() each ran a
+  // name-keyed Kahn pass, 371 while iteration trees were validated with a
+  // port walk per level, 494 with the name-keyed state map.
+  constexpr std::size_t kBudget = 267;
   services::ServiceRegistry registry;
   for (const char* name : {"P0", "P1", "P2", "P3"}) {
     registry.add(services::make_simulated_service(name, {"in"}, {"out"},

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+
 #include "data/dataset.hpp"
 #include "data/provenance.hpp"
 #include "data/token.hpp"
@@ -47,6 +51,37 @@ TEST(Provenance, SharedSubtreesCountedOnce) {
   const auto shared = Provenance::source("s", 0);
   const auto tree = Provenance::derived("P", "o", {shared, shared});
   EXPECT_EQ(tree->node_count(), 2u);  // P node + one shared leaf
+}
+
+TEST(Provenance, KeyIsRenderedOnceWhenTwoThreadsAskTogether) {
+  // The first key() call renders the key, whichever thread makes it: both
+  // callers must read the same complete text. Every round races on a fresh
+  // tree, and the long name keeps the render going while the second caller
+  // arrives.
+  const std::string name(4096, 'x');
+  const std::string bottom = name + ".o(s[0])";
+  const std::string expected = "C.out(B.o(" + bottom + ",t[1])," + bottom + ")";
+  for (int round = 0; round < 200; ++round) {
+    const auto a = Provenance::derived(name, "o", {Provenance::source("s", 0)});
+    const auto b = Provenance::derived("B", "o", {a, Provenance::source("t", 1)});
+    const auto c = Provenance::derived("C", "out", {b, a});
+    ASSERT_EQ(c->depth(), 3u);
+    std::atomic<int> arrived{0};
+    std::string seen[2];
+    const auto ask = [&](int i) {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) {
+      }
+      seen[i] = c->key();
+    };
+    std::thread first(ask, 0);
+    std::thread second(ask, 1);
+    first.join();
+    second.join();
+    ASSERT_EQ(seen[0], expected) << "round " << round;
+    ASSERT_EQ(seen[1], expected) << "round " << round;
+    ASSERT_EQ(&c->key(), &c->key());
+  }
 }
 
 TEST(Provenance, RejectsEmptyOrNullInputs) {

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <compare>
 #include <functional>
+#include <map>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/small_vector.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -244,6 +249,141 @@ TEST(ThreadPool, PostAllRunsTheBatchInOrderAndEmptiesIt) {
   EXPECT_TRUE(tasks.empty());
   pool.wait_idle();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+// ---------------------------------------------------------------------------
+// SmallVector
+// ---------------------------------------------------------------------------
+
+using Small = SmallVector<std::size_t, 3>;
+
+TEST(SmallVector, HoldsNInlineThenSpillsToTheHeap) {
+  Small v{1, 2};
+  EXPECT_TRUE(v.is_inline());
+  v.push_back(3);
+  EXPECT_TRUE(v.is_inline());
+  v.push_back(v[0]);  // grows while the argument refers to an element
+  EXPECT_FALSE(v.is_inline());
+  v.emplace_back(5);
+  EXPECT_EQ(std::vector<std::size_t>(v.begin(), v.end()),
+            (std::vector<std::size_t>{1, 2, 3, 1, 5}));
+  EXPECT_EQ(v.size(), 5u);
+  EXPECT_EQ(v.back(), 5u);
+  EXPECT_EQ(v.at(3), 1u);
+  EXPECT_THROW((void)v.at(5), std::out_of_range);
+
+  Small appended;
+  appended.insert(appended.end(), v.begin(), v.end());
+  EXPECT_EQ(appended, v);
+  EXPECT_THROW(appended.insert(appended.begin(), v.begin(), v.end()), InternalError);
+  const std::size_t raw[] = {7, 8};
+  EXPECT_EQ(Small(raw, raw + 2), (Small{7, 8}));
+
+  Small reserved;
+  reserved.reserve(3);
+  EXPECT_TRUE(reserved.is_inline());
+  reserved.reserve(8);
+  EXPECT_FALSE(reserved.is_inline());
+  EXPECT_TRUE(reserved.empty());
+}
+
+TEST(SmallVector, CopiesAndMovesFromBothStates) {
+  // shared_ptr elements count their owners, so a leaked or doubled element
+  // shows in use_count().
+  using Owners = SmallVector<std::shared_ptr<int>, 2>;
+  const auto item = std::make_shared<int>(7);
+  for (const std::size_t size : {std::size_t{2}, std::size_t{5}}) {
+    SCOPED_TRACE(size);
+    Owners source;
+    for (std::size_t i = 0; i < size; ++i) source.push_back(item);
+    EXPECT_EQ(source.is_inline(), size <= 2);
+    EXPECT_EQ(item.use_count(), static_cast<long>(1 + size));
+
+    Owners copy(source);
+    EXPECT_EQ(copy, source);
+    EXPECT_EQ(item.use_count(), static_cast<long>(1 + 2 * size));
+
+    const std::shared_ptr<int>* block = source.data();
+    Owners moved(std::move(source));
+    EXPECT_EQ(moved, copy);
+    EXPECT_TRUE(source.empty());
+    EXPECT_TRUE(source.is_inline());
+    EXPECT_EQ(moved.data() == block, size > 2);  // a spilled block is stolen
+    EXPECT_EQ(item.use_count(), static_cast<long>(1 + 2 * size));
+
+    // Assignment into a target that is inline, and into one that spilled.
+    for (const std::size_t target_size : {std::size_t{1}, std::size_t{4}}) {
+      Owners assigned;
+      for (std::size_t i = 0; i < target_size; ++i) assigned.push_back(std::make_shared<int>(0));
+      assigned = copy;
+      EXPECT_EQ(assigned, copy);
+      Owners move_assigned;
+      for (std::size_t i = 0; i < target_size; ++i) {
+        move_assigned.push_back(std::make_shared<int>(0));
+      }
+      move_assigned = std::move(assigned);
+      EXPECT_EQ(move_assigned, copy);
+      EXPECT_TRUE(assigned.empty());
+    }
+    EXPECT_EQ(item.use_count(), static_cast<long>(1 + 2 * size));
+  }
+  EXPECT_EQ(item.use_count(), 1);
+}
+
+TEST(SmallVector, SelfAssignmentKeepsTheElements) {
+  for (const std::size_t size : {std::size_t{2}, std::size_t{6}}) {
+    Small v;
+    for (std::size_t i = 0; i < size; ++i) v.push_back(i);
+    const Small expected = v;
+    Small& alias = v;
+    v = alias;
+    EXPECT_EQ(v, expected);
+    v = std::move(alias);
+    EXPECT_EQ(v, expected);
+  }
+}
+
+TEST(SmallVector, OrdersLikeStdVector) {
+  // Short vectors over a small alphabet, so prefixes and ties are common.
+  Rng rng(2006);
+  const auto random_vector = [&rng] {
+    std::vector<std::size_t> v(static_cast<std::size_t>(rng.uniform_int(0, 5)));
+    for (auto& x : v) x = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    return v;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const std::vector<std::size_t> a = random_vector();
+    const std::vector<std::size_t> b = random_vector();
+    const Small sa(a.begin(), a.end());
+    const Small sb(b.begin(), b.end());
+    EXPECT_EQ(sa < sb, a < b);
+    EXPECT_EQ(sa == sb, a == b);
+    EXPECT_EQ(sa <=> sb, a <=> b);
+  }
+}
+
+TEST(SmallVector, KeysOrderedContainersInStdVectorOrder) {
+  Rng rng(19);
+  std::set<std::vector<std::size_t>> reference;
+  std::set<Small> keys;
+  std::map<Small, std::size_t> counts;
+  for (int i = 0; i < 500; ++i) {
+    std::vector<std::size_t> v(static_cast<std::size_t>(rng.uniform_int(0, 5)));
+    for (auto& x : v) x = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    reference.insert(v);
+    keys.insert(Small(v.begin(), v.end()));
+    ++counts[Small(v.begin(), v.end())];
+  }
+  ASSERT_EQ(keys.size(), reference.size());
+  ASSERT_EQ(counts.size(), reference.size());
+  auto key = keys.begin();
+  auto count = counts.begin();
+  for (const auto& v : reference) {
+    EXPECT_EQ(std::vector<std::size_t>(key->begin(), key->end()), v);
+    EXPECT_EQ(count->first, *key);
+    ++key;
+    ++count;
+  }
 }
 
 }  // namespace

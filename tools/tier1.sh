@@ -13,7 +13,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cmake -B build -S . >/dev/null
-cmake --build build -j
+# One compiler per core: every compile at once can exhaust memory on a cold
+# tree.
+cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j)
 
 # Observability smoke: a Bronze-Standard run must produce a parseable Chrome
@@ -414,10 +416,10 @@ echo "decentralized smoke OK"
 if [ "${1:-}" = "--tsan" ]; then
   echo "== TSan stage: enactor/retry/run-service tests under -fsanitize=thread =="
   cmake -B build-tsan -S . -DMOTEUR_TSAN=ON >/dev/null
-  cmake --build build-tsan -j --target test_enactor test_enactor_edge test_progress \
-    test_retry test_obs test_run_service test_datastore test_shard test_telemetry \
-    test_policy test_transfer test_alloc_budget test_robustness test_completion_orders \
-    moteur_cli
+  cmake --build build-tsan -j "$(nproc)" --target test_enactor test_enactor_edge \
+    test_progress test_retry test_obs test_run_service test_datastore test_shard \
+    test_telemetry test_policy test_transfer test_alloc_budget test_robustness \
+    test_completion_orders test_data moteur_cli
   (cd build-tsan && ctest --output-on-failure -L enactor)
   echo "== TSan multi-tenant smoke: concurrent runs through the RunService =="
   build-tsan/tools/moteur_cli run \
