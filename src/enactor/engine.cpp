@@ -781,6 +781,15 @@ void Engine::start_recovery(const std::shared_ptr<Recovery>& rec) {
 }
 
 void Engine::on_recovery_complete(const std::shared_ptr<Recovery>& rec, Outcome outcome) {
+  if (observing() && outcome.job && outcome.job->replica_failovers > 0) {
+    // A recovery job's stage-in fails over like any attempt's, whether or
+    // not the job then succeeds.
+    obs::RunEvent& failover = make_event(obs::RunEvent::Kind::kReplicaFailover);
+    failover.processor = rec->state->name;
+    failover.computing_element = ce_name(outcome.job->computing_element);
+    failover.count = static_cast<std::size_t>(outcome.job->replica_failovers);
+    emit(failover);
+  }
   if (outcome.ok()) {
     ++result_.stats.rederived;
     MOTEUR_LOG(kInfo, "enactor") << "re-derived lost file " << rec->lfn << " via '"

@@ -999,6 +999,7 @@ TEST(RunRecorder, DataPlaneCountersMatchTheRunsAndTheGrid) {
   EXPECT_EQ(series_value(recorder, "moteur_cache_hits_total"), cache_hits);
   EXPECT_EQ(series_value(recorder, "moteur_replica_rederived_total"), rederived);
   EXPECT_GE(series_value(recorder, "moteur_replica_lost_total"), stats.data_lost_jobs);
+  EXPECT_EQ(series_value(recorder, "moteur_replica_failovers_total"), stats.replica_failovers);
   EXPECT_EQ(series_value(recorder, "moteur_transfer_started_total"), stats.transfers_started);
   EXPECT_EQ(series_value(recorder, "moteur_transfer_done_total"), stats.transfers_completed);
   EXPECT_DOUBLE_EQ(series_value(recorder, "moteur_transfer_observed_megabytes_total"),

@@ -485,6 +485,69 @@ TEST(RunService, LineageRecoveryReachesTheReplicaCatalog) {
             data::export_provenance(alone.sink_outputs));
 }
 
+TEST(RunService, BackendTransferEventsReachSubscribersAndTheRecorder) {
+  // A 3-SE grid that pushes outputs to their consumers' SEs: the simulated
+  // backend reports each SE-to-SE transfer to the service's event stream,
+  // outside any run.
+  constexpr const char* kStorageElements[] = {"se-north", "se-south", "se-east"};
+  grid::GridConfig config = grid::GridConfig::egee2006(20060619);
+  for (const char* name : kStorageElements) {
+    grid::StorageElementConfig se;
+    se.name = name;
+    se.transfer_latency_seconds = 2.0;
+    se.transfer_bandwidth_mb_per_s = 10.0;
+    config.storage_elements.push_back(se);
+  }
+  for (std::size_t i = 0; i < config.computing_elements.size(); ++i) {
+    config.computing_elements[i].close_storage_element = kStorageElements[i % 3];
+  }
+  config.remote_transfer_penalty = 3.0;
+  config.replication_policy = "push-to-consumer";
+  ServiceRig rig(config);
+  app::register_simulated_services(rig.registry);
+  data::ReplicaCatalog catalog;
+  rig.backend.set_catalog(&catalog);
+
+  RunService service(rig.backend, rig.registry, RunServiceConfig{});
+  std::mutex mu;
+  std::size_t started = 0;
+  std::size_t done = 0;
+  std::vector<std::string> run_ids;  // of the transfer events
+  service.add_event_subscriber([&](const obs::RunEvent& event) {
+    if (event.kind != obs::RunEvent::Kind::kTransferStarted &&
+        event.kind != obs::RunEvent::Kind::kTransferDone) {
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    ++(event.kind == obs::RunEvent::Kind::kTransferStarted ? started : done);
+    run_ids.push_back(event.run_id);
+  });
+  obs::RunRecorder recorder;
+  service.set_recorder(&recorder);
+
+  enactor::RunRequest request;
+  request.name = "bronze";
+  request.workflow = app::bronze_standard_workflow();
+  request.inputs = app::bronze_standard_dataset(4);
+  const RunHandle handle = service.submit(std::move(request));
+  ASSERT_EQ(handle.wait(), RunState::kFinished);
+  service.shutdown();  // the shard is joined: the grid and the recorder are quiet
+
+  const grid::Grid::Stats& stats = rig.grid.stats();
+  ASSERT_GT(stats.transfers_completed, 0u);
+  EXPECT_EQ(started, stats.transfers_started);
+  EXPECT_EQ(done, stats.transfers_completed);
+  for (const std::string& id : run_ids) EXPECT_EQ(id, "");
+  const auto counter = [&](const std::string& name) {
+    const obs::MetricsRegistry::Family* family = recorder.metrics().find(name);
+    if (family == nullptr) return 0.0;
+    const auto it = family->series.find(obs::Labels{});
+    return it == family->series.end() ? 0.0 : it->second.counter->value();
+  };
+  EXPECT_EQ(counter("moteur_transfer_started_total"), stats.transfers_started);
+  EXPECT_EQ(counter("moteur_transfer_done_total"), stats.transfers_completed);
+}
+
 // ---------------------------------------------------------------------------
 // Threaded backend: real concurrency (TSan target)
 // ---------------------------------------------------------------------------

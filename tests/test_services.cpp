@@ -117,6 +117,22 @@ TEST(WrapperService, InvokeComposesCommandLineAndNamesOutputs) {
   EXPECT_EQ(argv[2], "gfn://flo0");
 }
 
+TEST(WrapperService, UnnamedOutputsCarryTheInputLineage) {
+  // Without an output namer, an output argument names the service, the
+  // port and the provenance keys of the inputs, which a derived input
+  // renders on first use.
+  Descriptor d;
+  d.executable_name = "tool";
+  d.inputs.push_back({"in", "-i", Access{AccessType::kGfn, ""}});
+  d.outputs.push_back({"out", "-o", Access{AccessType::kGfn, ""}});
+  WrapperService service("svc", d, {});
+  const data::Token source = data::Token::from_source("src", 0, std::string("a"), "a");
+  Inputs in;
+  in.emplace("in", data::Token::derived("P", "o", {source}, {0}, std::string("b"), "gfn://b"));
+  EXPECT_EQ(service.compose_command_line(in),
+            (std::vector<std::string>{"tool", "-i", "gfn://b", "-o", "svc.out(P.o(src[0]))"}));
+}
+
 TEST(WrapperService, ExecutorRunsAndFailurePropagates) {
   WrapperService::Options options;
   int calls = 0;
