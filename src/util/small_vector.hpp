@@ -42,7 +42,7 @@ class SmallVector {
 
   SmallVector() noexcept {}  // user-provided: a const SmallVector may be default-initialized
   SmallVector(std::initializer_list<T> items) { append(items.begin(), items.end()); }
-  template <std::input_iterator It>
+  template <std::forward_iterator It>
   SmallVector(It first, It last) {
     append(first, last);
   }
@@ -99,7 +99,7 @@ class SmallVector {
   }
 
   /// Appends [first, last): the end is the only position it accepts.
-  template <std::input_iterator It>
+  template <std::forward_iterator It>
   iterator insert(const_iterator pos, It first, It last) {
     MOTEUR_REQUIRE(pos == end(), InternalError, "SmallVector::insert only appends");
     const size_type at = size_;
@@ -140,17 +140,13 @@ class SmallVector {
 
   template <typename It>
   void append(It first, It last) {
-    if constexpr (std::forward_iterator<It>) {
-      const auto count = static_cast<size_type>(std::distance(first, last));
-      if (size_ + count <= capacity_) {
-        std::uninitialized_copy(first, last, data_ + size_);
-      } else {
-        grow_building(size_ + count, [&](T* slot) { std::uninitialized_copy(first, last, slot); });
-      }
-      size_ += count;
+    const auto count = static_cast<size_type>(std::distance(first, last));
+    if (size_ + count <= capacity_) {
+      std::uninitialized_copy(first, last, data_ + size_);
     } else {
-      for (; first != last; ++first) emplace_back(*first);
+      grow_building(size_ + count, [&](T* slot) { std::uninitialized_copy(first, last, slot); });
     }
+    size_ += count;
   }
 
   /// Grows to hold at least `needed` elements (at least doubling), building
