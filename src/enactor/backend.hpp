@@ -187,9 +187,9 @@ class ExecutionBackend {
   /// completion queue, timer wheel, and drive() loop, so several engine
   /// shards can each run their own event loop against one shared execution
   /// substrate. Work submitted through a channel completes on THAT channel's
-  /// drive() thread; channels share the backend's workers, routing state,
-  /// and clock. Each channel is driven by exactly one thread; the channel
-  /// must not outlive its parent. Returns nullptr when the backend cannot be
+  /// drive() thread; channels share the backend's workers and clock. Each
+  /// channel is driven by exactly one thread; the channel must not outlive
+  /// its parent. Returns nullptr when the backend cannot be
   /// multi-driven (the single-threaded simulator) — callers then fall back
   /// to one shard driving the backend directly.
   virtual std::unique_ptr<ExecutionBackend> make_channel() { return nullptr; }

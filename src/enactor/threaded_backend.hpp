@@ -1,18 +1,13 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "enactor/backend.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace moteur::enactor {
@@ -34,8 +29,11 @@ namespace moteur::enactor {
 /// with one wake-up, after each batch of completions it dispatches and
 /// before it returns. Each lane owns an MPSC completion queue and a timer
 /// wheel, so N engine shards can each run a private event loop while sharing
-/// the workers, the host-routing state (guarded by a routing mutex), and the
-/// clock.
+/// the workers and the clock.
+///
+/// It models no sites: outcomes carry no JobRecord, and an attached breaker
+/// ledger routes nothing. Sites, their faults and the broker that routes
+/// around them live on the simulated grid (SimGridBackend).
 ///
 /// A service exception is reported as a kTransient outcome: the enactor's
 /// RetryPolicy decides whether to re-invoke (default: no retries, so the
@@ -66,24 +64,6 @@ class ThreadedBackend : public ExecutionBackend {
   /// the registry. Set before enacting.
   void set_metrics(obs::MetricsRegistry* metrics) override { metrics_ = metrics; }
 
-  /// Name logical execution hosts so this backend participates in per-CE
-  /// health routing: each execution is pinned to one host (round-robin,
-  /// skipping hosts whose breaker is open) and the host lands in the
-  /// outcome's JobRecord. `seed` feeds the deterministic fault-injection
-  /// stream used by set_host_failure_probability(). Without configured
-  /// hosts every execution is anonymous ("local") and routing is untouched.
-  void configure_hosts(std::vector<std::string> hosts, std::uint64_t seed);
-
-  /// Inject faults: executions routed to `host` fail (kTransient) with
-  /// probability `p`, drawn deterministically on the submitting drive thread.
-  void set_host_failure_probability(const std::string& host, double p);
-
-  /// Breakers consulted when picking a host: a host is skipped when ANY
-  /// attached ledger vetoes it. Only meaningful after configure_hosts().
-  /// Guarded by the routing mutex (channels route concurrently).
-  void add_health(grid::CeHealth* health) override;
-  void remove_health(grid::CeHealth* health) override;
-
   /// Thread-safe: wakes a drive() blocked on the completion queue so its
   /// done() predicate is re-evaluated (RunService pushes commands this way).
   void notify() override { lane_->notify(); }
@@ -96,38 +76,17 @@ class ThreadedBackend : public ExecutionBackend {
  private:
   class Channel;
 
-  /// One routing decision, taken on the submitting thread under route_mu_ so
-  /// host assignment and fault draws stay deterministic per submission order.
-  struct Routed {
-    std::string host;
-    bool inject_fault = false;
-  };
-
-  Routed route_submission();
   /// Run the payload on a worker thread; shared by every lane.
   Outcome run_payload(const std::shared_ptr<services::Service>& service,
-                      const std::vector<services::Inputs>& bindings, double submit_time,
-                      const std::string& host, bool inject_fault);
+                      const std::vector<services::Inputs>& bindings, double submit_time);
   void record_metrics(const Outcome& outcome);
-  /// Round-robin over admissible hosts (requires route_mu_); falls back to
-  /// plain round-robin when every breaker is open.
-  const std::string& pick_host();
 
   obs::MetricsRegistry* metrics_ = nullptr;  // set before enacting
   std::mutex metrics_mu_;                    // serializes recording across drive threads
-  std::mutex route_mu_;                      // guards hosts_/health_/fault state
-  /// True once configure_hosts() named hosts; lets the (very common) hostless
-  /// case skip route_mu_ entirely on the submission hot path.
-  std::atomic<bool> routing_enabled_{false};
-  std::vector<grid::CeHealth*> health_;
-  std::vector<std::string> hosts_;
-  std::map<std::string, double> host_failure_;
-  std::unique_ptr<Rng> fault_rng_;  // drawn in route_submission(), under route_mu_
-  std::size_t next_host_ = 0;
   std::chrono::steady_clock::time_point epoch_;
   std::unique_ptr<ExecutionBackend> lane_;  // the backend's own completion lane
   /// Declared last, so destroyed first: the pool runs every queued task and
-  /// joins its workers while the lane and the routing state are still alive.
+  /// joins its workers while the lane and the clock are still alive.
   ThreadPool pool_;
 };
 

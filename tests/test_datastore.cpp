@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "enactor/run_request.hpp"
 #include "enactor/sim_backend.hpp"
 #include "enactor/threaded_backend.hpp"
+#include "failing_site_grid.hpp"
 #include "grid/grid.hpp"
 #include "service/run_service.hpp"
 #include "services/functional_service.hpp"
@@ -325,30 +327,39 @@ TEST(EngineCache, PolicyOffMeansNoCacheAtAll) {
 // Cache x fault containment
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<FunctionalService> increment_service(const std::string& name) {
+Result increment(const Inputs& in) {
+  const int v = std::stoi(in.at("in").as<std::string>());
+  Result r;
+  r.outputs["out"] = services::OutputValue{v + 1, std::to_string(v + 1)};
+  return r;
+}
+
+/// The increment as a job on the simulated grid, whose results are the
+/// service's synthesize_outputs().
+class GridIncrement final : public FunctionalService {
+ public:
+  explicit GridIncrement(const std::string& name)
+      : FunctionalService(name, {"in"}, {"out"}, increment) {}
+  Result synthesize_outputs(const Inputs& in) const override { return increment(in); }
+};
+
+std::shared_ptr<FunctionalService> failing_service(const std::string& name) {
   return std::make_shared<FunctionalService>(
       name, std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
-      [](const Inputs& in) {
-        const int v = std::stoi(in.at("in").as<std::string>());
-        Result r;
-        r.outputs["out"] = services::OutputValue{v + 1, std::to_string(v + 1)};
-        return r;
-      });
+      [](const Inputs&) -> Result { throw std::runtime_error("service down"); });
 }
 
 TEST(CacheFaults, PoisonedResultsAreNeverCached) {
-  // Every attempt on the only host fails: under kContinue the run drains
+  // Every call of every service throws: under kContinue the run drains
   // with poisoned sinks, and not a single entry may reach the cache — a
   // poisoned token has no content to memoize.
   services::ServiceRegistry registry;
-  registry.add(increment_service("P0"));
-  registry.add(increment_service("P1"));
+  registry.add(failing_service("P0"));
+  registry.add(failing_service("P1"));
   data::InputDataSet ds;
   for (int j = 0; j < 10; ++j) ds.add_item("src", std::to_string(j));
 
   enactor::ThreadedBackend backend(4);
-  backend.configure_hosts({"h0"}, /*seed=*/3);
-  backend.set_host_failure_probability("h0", 1.0);
 
   enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
   policy.retry = enactor::RetryPolicy::resubmit(2);
@@ -368,18 +379,16 @@ TEST(CacheFaults, PoisonedResultsAreNeverCached) {
 }
 
 TEST(CacheFaults, BreakerReroutedSuccessIsCachedAndReplayed) {
-  // Host h0 fails every attempt and trips its breaker; every invocation
+  // Site h0 fails every attempt and trips its breaker; every invocation
   // eventually succeeds on h1. Those rerouted successes are ordinary
   // complete results: a second pass must be served entirely from the cache.
   services::ServiceRegistry registry;
-  registry.add(increment_service("P0"));
+  registry.add(std::make_shared<GridIncrement>("P0"));
   data::InputDataSet ds;
   constexpr int kItems = 20;
   for (int j = 0; j < kItems; ++j) ds.add_item("src", std::to_string(j));
 
-  enactor::ThreadedBackend backend(4);
-  backend.configure_hosts({"h0", "h1"}, /*seed=*/7);
-  backend.set_host_failure_probability("h0", 1.0);
+  testkit::FailingSiteGrid sites;
 
   enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
   policy.retry = enactor::RetryPolicy::resubmit(8);
@@ -390,7 +399,7 @@ TEST(CacheFaults, BreakerReroutedSuccessIsCachedAndReplayed) {
   policy.breaker.cooldown_seconds = 1e9;
   policy.cache = true;
 
-  enactor::Enactor moteur(backend, registry, policy);
+  enactor::Enactor moteur(sites.backend, registry, policy);
   const auto wf = workflow::make_chain(1);
   const auto first = moteur.run({.workflow = wf, .inputs = ds});
   EXPECT_EQ(first.failures(), 0u);

@@ -15,6 +15,7 @@
 #include "enactor/policy.hpp"
 #include "enactor/sim_backend.hpp"
 #include "enactor/threaded_backend.hpp"
+#include "failing_site_grid.hpp"
 #include "grid/grid.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
@@ -407,9 +408,9 @@ TEST(ThreadedBackendTest, ServiceExceptionBecomesCountedFailure) {
 }
 
 TEST(Enactor, RunLedgerIsDetachedAfterTheRun) {
-  // Two hosts, h0 failing every attempt. A breaker-enabled run opens h0's
+  // Two sites, h0 failing every attempt. A breaker-enabled run opens h0's
   // breaker in its own ledger; once that run returns, the ledger must be off
-  // the backend, so a later run with breakers off is routed to h0 again.
+  // the broker, so a later run with breakers off is routed to h0 again.
   services::ServiceRegistry registry;
   registry.add(std::make_shared<FunctionalService>(
       "P0", std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
@@ -418,9 +419,7 @@ TEST(Enactor, RunLedgerIsDetachedAfterTheRun) {
         r.outputs["out"] = services::OutputValue{1, "1"};
         return r;
       }));
-  ThreadedBackend backend(2);
-  backend.configure_hosts({"h0", "h1"}, /*seed=*/7);
-  backend.set_host_failure_probability("h0", 1.0);
+  testkit::FailingSiteGrid sites;
 
   EnactmentPolicy guarded = EnactmentPolicy::sp_dp();
   guarded.retry = RetryPolicy::resubmit(8);
@@ -429,7 +428,7 @@ TEST(Enactor, RunLedgerIsDetachedAfterTheRun) {
   guarded.breaker.window = 4;
   guarded.breaker.threshold = 2;
   guarded.breaker.cooldown_seconds = 1e9;  // stays open for good
-  Enactor enactor(backend, registry, guarded);
+  Enactor enactor(sites.backend, registry, guarded);
   const auto first =
       enactor.run({.workflow = chain_workflow(1), .inputs = items("src", 20)});
   bool h0_opened = false;

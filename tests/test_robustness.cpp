@@ -6,11 +6,13 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 
 #include "data/dataset.hpp"
 #include "enactor/enactor.hpp"
 #include "enactor/sim_backend.hpp"
 #include "enactor/threaded_backend.hpp"
+#include "failing_site_grid.hpp"
 #include "grid/ce_health.hpp"
 #include "grid/grid.hpp"
 #include "services/functional_service.hpp"
@@ -158,12 +160,12 @@ TEST(ThreadedStress, ConcurrentInvocationsOfOneServiceAreThreadSafe) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault containment on the threaded backend
+// Fault containment: a failing site, and services that always throw
 // ---------------------------------------------------------------------------
 
 TEST(ThreadedStress, BreakerRoutesAroundAFailingHost) {
-  // Two logical hosts, one failing every attempt: the per-CE breaker must
-  // trip on the bad host and converge the run to zero lost tuples.
+  // Two sites, h0 failing every attempt: the per-CE breaker must trip on
+  // the bad site and converge the run to zero lost tuples.
   services::ServiceRegistry registry;
   registry.add(std::make_shared<services::FunctionalService>(
       "P0", std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
@@ -177,9 +179,7 @@ TEST(ThreadedStress, BreakerRoutesAroundAFailingHost) {
   constexpr int kItems = 40;
   for (int j = 0; j < kItems; ++j) ds.add_item("src", std::to_string(j));
 
-  enactor::ThreadedBackend backend(4);
-  backend.configure_hosts({"h0", "h1"}, /*seed=*/7);
-  backend.set_host_failure_probability("h0", 1.0);
+  testkit::FailingSiteGrid sites;
 
   enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
   policy.retry = enactor::RetryPolicy::resubmit(8);
@@ -189,7 +189,7 @@ TEST(ThreadedStress, BreakerRoutesAroundAFailingHost) {
   policy.breaker.threshold = 2;
   policy.breaker.cooldown_seconds = 1e9;  // stays open for the whole run
 
-  enactor::Enactor moteur(backend, registry, policy);
+  enactor::Enactor moteur(sites.backend, registry, policy);
   const auto result =
       moteur.run({.workflow = workflow::make_chain(1), .inputs = ds});
 
@@ -209,24 +209,20 @@ TEST(ThreadedStress, BreakerRoutesAroundAFailingHost) {
 }
 
 TEST(ThreadedStress, ContinuePolicySurvivesATotalHostFailure) {
-  // Every host fails every attempt: under kContinue the run terminates with
-  // an empty sink and a complete loss accounting instead of hanging.
+  // Every call of every service throws: under kContinue the run terminates
+  // with an empty sink and a complete loss accounting instead of hanging.
   services::ServiceRegistry registry;
   for (const char* name : {"P0", "P1"}) {
     registry.add(std::make_shared<services::FunctionalService>(
         name, std::vector<std::string>{"in"}, std::vector<std::string>{"out"},
-        [](const services::Inputs&) {
-          services::Result r;
-          r.outputs["out"] = services::OutputValue{1, "1"};
-          return r;
+        [](const services::Inputs&) -> services::Result {
+          throw std::runtime_error("service down");
         }));
   }
   data::InputDataSet ds;
   for (int j = 0; j < 10; ++j) ds.add_item("src", std::to_string(j));
 
   enactor::ThreadedBackend backend(4);
-  backend.configure_hosts({"h0"}, /*seed=*/3);
-  backend.set_host_failure_probability("h0", 1.0);
 
   enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
   policy.retry = enactor::RetryPolicy::resubmit(2);

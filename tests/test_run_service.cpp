@@ -564,17 +564,18 @@ std::shared_ptr<FunctionalService> sleeping_service(const std::string& name,
       });
 }
 
-/// A threaded backend that counts the breaker ledgers attached and detached.
-class LedgerCountingBackend : public enactor::ThreadedBackend {
+/// A simulated-grid backend that counts the breaker ledgers attached to and
+/// detached from its broker.
+class LedgerCountingBackend : public enactor::SimGridBackend {
  public:
-  using ThreadedBackend::ThreadedBackend;
+  using SimGridBackend::SimGridBackend;
   void add_health(grid::CeHealth* health) override {
     ++added;
-    ThreadedBackend::add_health(health);
+    SimGridBackend::add_health(health);
   }
   void remove_health(grid::CeHealth* health) override {
     ++removed;
-    ThreadedBackend::remove_health(health);
+    SimGridBackend::remove_health(health);
   }
   std::atomic<int> added{0};
   std::atomic<int> removed{0};
@@ -583,8 +584,9 @@ class LedgerCountingBackend : public enactor::ThreadedBackend {
 TEST(RunService, DetachesItsBreakerLedgerWhenDestroyed) {
   // The service's shared ledger dies with the service; a run enacted on the
   // backend afterwards must not route through it.
-  LedgerCountingBackend backend(2);
-  backend.configure_hosts({"h0", "h1"}, /*seed=*/7);
+  sim::Simulator simulator;
+  grid::Grid grid(simulator, grid::GridConfig::constant(0.0));
+  LedgerCountingBackend backend(grid);
   services::ServiceRegistry registry;
   registry.add(sleeping_service("w-p0", std::chrono::milliseconds(0)));
   enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();
