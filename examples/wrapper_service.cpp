@@ -8,6 +8,9 @@
 #include <array>
 #include <cstdio>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "enactor/enactor.hpp"
@@ -60,10 +63,24 @@ int main() {
            (indices.empty() ? "agg" : std::to_string(indices[0]));
   };
 
+  // step1's executor records each command line before running it. Worker
+  // threads call it concurrently, so the record is kept under a lock.
+  std::mutex step1_mu;
+  std::vector<std::vector<std::string>> step1_command_lines;
+  services::WrapperService::Options step1_options = options;
+  step1_options.executor = [&](const std::vector<std::string>& argv,
+                               std::string& captured) {
+    {
+      std::lock_guard<std::mutex> lock(step1_mu);
+      step1_command_lines.push_back(argv);
+    }
+    return run_locally(argv, captured);
+  };
+
   services::ServiceRegistry registry;
   registry.add(std::make_shared<services::WrapperService>("step1",
                                                           echo_descriptor("step1"),
-                                                          options));
+                                                          step1_options));
   registry.add(std::make_shared<services::WrapperService>("step2",
                                                           echo_descriptor("step2"),
                                                           options));
@@ -86,10 +103,8 @@ int main() {
   enactor::Enactor moteur(backend, registry, enactor::EnactmentPolicy::sp_dp());
   const auto result = moteur.run({.workflow = wf, .inputs = inputs});
 
-  const auto step1 =
-      std::dynamic_pointer_cast<services::WrapperService>(registry.get("step1"));
   std::puts("command lines composed dynamically by the wrapper for step1:");
-  for (const auto& argv : step1->invocation_log()) {
+  for (const auto& argv : step1_command_lines) {
     std::printf("  $ %s\n", join(argv, " ").c_str());
   }
   std::printf("\nsink received %zu results, e.g. %s\n",

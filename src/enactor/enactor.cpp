@@ -37,19 +37,17 @@ Enactor::Enactor(ExecutionBackend& backend, services::ServiceRegistry& registry,
 Enactor::~Enactor() = default;
 
 EnactmentResult Enactor::run(const RunRequest& request) {
-  // Assemble this run's subscriber set: explicit subscribers, then the
-  // recorder — all fed from one stream.
-  std::vector<EventSubscriber> subscribers = subscribers_;
+  // One subscriber list per run, built once: explicit subscribers, then the
+  // recorder. The engine, the backend sink (SE→SE transfers) and the ledger
+  // listeners all publish through it.
+  auto subscribers = std::make_shared<std::vector<EventSubscriber>>(subscribers_);
   if (recorder_ != nullptr) {
-    subscribers.push_back(
+    subscribers->push_back(
         [recorder = recorder_](const obs::RunEvent& e) { recorder->on_event(e); });
   }
-  const bool observed = !subscribers.empty();
-  // Service-scope backend events (SE→SE transfers) and the run's breaker
-  // events feed the same stream as run events.
-  const auto publish = [shared = std::make_shared<std::vector<EventSubscriber>>(
-                            subscribers)](const obs::RunEvent& e) {
-    for (const auto& subscriber : *shared) subscriber(e);
+  const bool observed = !subscribers->empty();
+  const auto publish = [subscribers](const obs::RunEvent& e) {
+    for (const auto& subscriber : *subscribers) subscriber(e);
   };
 
   const EnactmentPolicy& effective = request.policy ? *request.policy : policy_;
@@ -90,8 +88,9 @@ EnactmentResult Enactor::run(const RunRequest& request) {
   // backend guards a weak_ptr, so stragglers completing after this run
   // cannot touch a dead engine (see engine.hpp).
   const auto engine = std::make_shared<Engine>(
-      backend_, registry_, effective, request.resolver, std::move(subscribers),
-      request.workflow, request.inputs, std::move(options));
+      backend_, registry_, effective, request.resolver,
+      observed ? EventSubscriber(publish) : EventSubscriber{}, request.workflow,
+      request.inputs, std::move(options));
   // The sink and the ledger are the run's only while it drives: both are
   // detached on every exit path, the deadlock throw included. With nobody
   // reading events, no sink is installed, so the backend builds none.

@@ -121,10 +121,10 @@ class Enactor {
   /// Enact one RunRequest to completion. The workflow is validated,
   /// optionally rewritten by the grouping optimizer, and driven until every
   /// processor finishes. Request fields that are unset (policy, resolver)
-  /// fall back to this enactor's defaults; `weight` and `labels` are
-  /// RunService concerns and are ignored here. When the effective policy
-  /// enables breakers, the run gets a fresh breaker ledger of its own,
-  /// attached to the backend only while the run drives; its transitions
+  /// fall back to this enactor's defaults; `weight` is a RunService concern
+  /// and is ignored here. When the effective policy enables breakers, the
+  /// run gets a fresh breaker ledger of its own, attached to the backend
+  /// only while the run drives; its transitions
   /// reach the event stream and the result's timeline. Throws ParseError on
   /// an unknown policy name, before anything is submitted, and
   /// EnactmentError on deadlock or missing bindings.

@@ -86,14 +86,13 @@ const std::vector<std::string>& Engine::PState::slot_ports() const {
 
 Engine::Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
                EnactmentPolicy policy, PayloadResolver resolver,
-               std::vector<EventSubscriber> subscribers,
-               const workflow::Workflow& workflow, data::InputDataSet inputs,
-               Options options)
+               EventSubscriber subscriber, const workflow::Workflow& workflow,
+               data::InputDataSet inputs, Options options)
     : backend_(backend),
       registry_(registry),
       policy_(std::move(policy)),
       resolver_(std::move(resolver)),
-      subscribers_(std::move(subscribers)),
+      subscriber_(std::move(subscriber)),
       inputs_(std::move(inputs)),
       run_id_(std::move(options.run_id)),
       health_(options.health),
@@ -144,9 +143,7 @@ obs::RunEvent& Engine::make_event(obs::RunEvent::Kind kind, const Submission& su
   return event;
 }
 
-void Engine::emit(const obs::RunEvent& event) const {
-  for (const auto& subscriber : subscribers_) subscriber(event);
-}
+void Engine::emit(const obs::RunEvent& event) const { subscriber_(event); }
 
 obs::Name Engine::ce_name(const std::string& ce) {
   const auto [it, inserted] = ce_names_.try_emplace(ce);

@@ -60,8 +60,7 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// ParseError on an unknown policy name, EnactmentError on an invalid
   /// workflow or binding mismatch.
   Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
-         EnactmentPolicy policy, PayloadResolver resolver,
-         std::vector<EventSubscriber> subscribers,
+         EnactmentPolicy policy, PayloadResolver resolver, EventSubscriber subscriber,
          const workflow::Workflow& workflow, data::InputDataSet inputs,
          Options options);
 
@@ -320,7 +319,7 @@ class Engine : public std::enable_shared_from_this<Engine> {
   // recorder, metrics, progress monitors) subscribes to.
   // Events carry the running totals at emission time, so emission points sit
   // strictly after the corresponding stats_ updates.
-  bool observing() const { return !subscribers_.empty(); }
+  bool observing() const { return static_cast<bool>(subscriber_); }
   /// The run's one event object, reset for `kind`: build an event in it,
   /// emit it, and build no other before the emission.
   obs::RunEvent& make_event(obs::RunEvent::Kind kind);
@@ -334,7 +333,7 @@ class Engine : public std::enable_shared_from_this<Engine> {
   services::ServiceRegistry& registry_;
   EnactmentPolicy policy_;
   PayloadResolver resolver_;
-  std::vector<EventSubscriber> subscribers_;
+  EventSubscriber subscriber_;  // empty: nobody observes the run
   workflow::Workflow workflow_{"empty"};
   data::InputDataSet inputs_;
   std::string run_id_;

@@ -3,7 +3,6 @@
 #include <any>
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -50,10 +49,6 @@ struct RunRequest {
   /// granted weighted-round-robin over active runs, `weight` grants per
   /// visit. Ignored by the single-run Enactor path.
   std::size_t weight = 1;
-
-  /// Free-form annotations (tenant, experiment tag, ...). Carried on the
-  /// RunHandle for bookkeeping; not interpreted by the enactor.
-  std::map<std::string, std::string> labels;
 };
 
 }  // namespace moteur::enactor

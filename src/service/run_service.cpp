@@ -49,11 +49,6 @@ const std::string& RunHandle::id() const {
   return rec_ != nullptr ? rec_->id : kEmpty;
 }
 
-const std::map<std::string, std::string>& RunHandle::labels() const {
-  static const std::map<std::string, std::string> kEmpty;
-  return rec_ != nullptr ? rec_->labels : kEmpty;
-}
-
 RunState RunHandle::poll() const {
   std::lock_guard<std::mutex> lock(rec_->mu);
   return rec_->state;
@@ -265,7 +260,6 @@ std::vector<RunHandle> RunService::submit_all(std::vector<enactor::RunRequest> r
     for (auto& request : requests) {
       auto rec = std::make_shared<RunRecord>();
       rec->id = im.make_id(request.name);
-      rec->labels = request.labels;
       rec->request = std::move(request);
       const std::size_t shard = im.pick_shard(rec->id, tentative);
       ++tentative[shard];

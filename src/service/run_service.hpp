@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -36,9 +35,8 @@ struct RunRecord;
 
 /// Caller-side view of one submitted run. Cheap to copy; all methods are
 /// thread-safe and may be called from any thread while the service's shards
-/// advance the run. A default-constructed handle is invalid: id() and
-/// labels() return empty sentinels, the blocking accessors must not be
-/// called on it.
+/// advance the run. A default-constructed handle is invalid: id() returns
+/// an empty sentinel, the blocking accessors must not be called on it.
 class RunHandle {
  public:
   RunHandle() = default;
@@ -46,8 +44,6 @@ class RunHandle {
   bool valid() const { return rec_ != nullptr; }
   /// The run id; empty for an invalid handle.
   const std::string& id() const;
-  /// The request's labels; empty for an invalid handle.
-  const std::map<std::string, std::string>& labels() const;
 
   /// Current state, without blocking.
   RunState poll() const;

@@ -349,11 +349,11 @@ bool EngineShard::admit(RunRecordPtr& rec) {
     // its own.
     rec->state = RunState::kRunning;
   }
-  std::vector<enactor::EventSubscriber> subs;
+  enactor::EventSubscriber subscriber;
   // The flight recorder needs the event stream even with no recorder or
   // subscriber attached (delivery is then a cheap no-op).
   if (!core_.subscribers.empty() || core_.recorder != nullptr || flight_ != nullptr) {
-    subs.push_back([this](const obs::RunEvent& e) { obs_emit(e); });
+    subscriber = [this](const obs::RunEvent& e) { obs_emit(e); };
   }
   enactor::Engine::Options options;
   options.run_id = rec->id;
@@ -362,7 +362,7 @@ bool EngineShard::admit(RunRecordPtr& rec) {
   rec->gated = gate_->open(rec->request.weight);
   try {
     rec->engine = std::make_shared<enactor::Engine>(
-        *rec->gated, core_.registry, policy, rec->request.resolver, std::move(subs),
+        *rec->gated, core_.registry, policy, rec->request.resolver, std::move(subscriber),
         rec->request.workflow, rec->request.inputs, std::move(options));
     rec->engine->start();
   } catch (const Error& e) {

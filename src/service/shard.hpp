@@ -41,7 +41,6 @@ namespace detail {
 struct RunRecord {
   // Immutable after submit.
   std::string id;
-  std::map<std::string, std::string> labels;
   std::size_t shard = 0;  // pinned shard index
 
   // Caller-visible, guarded by mu.

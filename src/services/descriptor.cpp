@@ -23,7 +23,7 @@ AccessType access_type_from_string(const std::string& s) {
   throw ParseError("unknown access type '" + s + "'");
 }
 
-std::string Access::resolve(const std::string& value) const {
+std::string Access::resolve(std::string value) const {
   if (path.empty()) return value;
   if (!path.empty() && path.back() == '/') return path + value;
   return path + "/" + value;

@@ -21,7 +21,7 @@ struct Access {
   std::string path;  // e.g. "http://colors.unice.fr"; empty for GFN/local
 
   /// Concrete location of `value` under this access method.
-  std::string resolve(const std::string& value) const;
+  std::string resolve(std::string value) const;
 };
 
 /// An input of the wrapped executable. Inputs with an access method are

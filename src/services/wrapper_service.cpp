@@ -1,17 +1,10 @@
 #include "services/wrapper_service.hpp"
 
-#include <mutex>
-
 #include "data/dataref.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace moteur::services {
-
-namespace {
-// Invocation logs are mutated from enactor worker threads.
-std::mutex g_log_mutex;
-}  // namespace
 
 WrapperService::WrapperService(std::string id, Descriptor descriptor, Options options)
     : Service(std::move(id)),
@@ -34,18 +27,33 @@ std::map<std::string, std::string> WrapperService::bind_values(const Inputs& inp
                    "wrapper '" + id() + "': missing input '" + in.name + "'");
     values[in.name] = it->second.repr();
   }
-  for (const auto& out : descriptor_.outputs) {
-    if (options_.output_namer) {
+  if (options_.output_namer) {
+    for (const auto& out : descriptor_.outputs) {
       values[out.name] = options_.output_namer(id(), out, inputs);
-    } else {
-      // Stable destination derived from the input lineage.
-      std::string lineage;
-      for (const auto& [port, token] : inputs) {
-        if (!lineage.empty()) lineage += ",";
-        lineage += token.id();
-      }
-      values[out.name] = out.access.resolve(id() + "." + out.name + "(" + lineage + ")");
     }
+    return values;
+  }
+  // Stable destinations derived from the input lineage,
+  // "<service>.<port>(<input id>,<input id>,...)": the lineage is built once
+  // per invocation, and each name in one string reserved to its length.
+  std::size_t lineage_length = inputs.empty() ? 0 : inputs.size() - 1;  // the commas
+  for (const auto& [port, token] : inputs) lineage_length += token.id().size();
+  std::string lineage;
+  lineage.reserve(lineage_length);
+  for (const auto& [port, token] : inputs) {
+    if (!lineage.empty()) lineage += ',';
+    lineage += token.id();
+  }
+  for (const auto& out : descriptor_.outputs) {
+    std::string name;
+    name.reserve(id().size() + 1 + out.name.size() + 1 + lineage.size() + 1);
+    name += id();
+    name += '.';
+    name += out.name;
+    name += '(';
+    name += lineage;
+    name += ')';
+    values[out.name] = out.access.resolve(std::move(name));
   }
   return values;
 }
@@ -55,14 +63,9 @@ std::vector<std::string> WrapperService::compose_command_line(const Inputs& inpu
 }
 
 Result WrapperService::invoke(const Inputs& inputs) {
-  const auto values = bind_values(inputs);
-  const auto argv = descriptor_.compose_command_line(values);
-  {
-    std::lock_guard<std::mutex> lock(g_log_mutex);
-    invocation_log_.push_back(argv);
-  }
-
+  auto values = bind_values(inputs);
   if (options_.executor) {
+    const auto argv = descriptor_.compose_command_line(values);
     std::string captured;
     const int status = options_.executor(argv, captured);
     MOTEUR_REQUIRE(status == 0, ExecutionError,
@@ -75,7 +78,7 @@ Result WrapperService::invoke(const Inputs& inputs) {
   Result result;
   for (const auto& out : descriptor_.outputs) {
     OutputValue value;
-    value.repr = values.at(out.name);
+    value.repr = std::move(values.at(out.name));
     value.payload = value.repr;
     result.outputs.emplace(out.name, std::move(value));
   }

@@ -57,17 +57,11 @@ class WrapperService : public Service {
   /// invalidates any memoized invocations of the wrapped code.
   std::uint64_t content_digest() const override;
 
-  /// Command lines of every invocation run so far (testing/inspection).
-  const std::vector<std::vector<std::string>>& invocation_log() const {
-    return invocation_log_;
-  }
-
  private:
   std::map<std::string, std::string> bind_values(const Inputs& inputs) const;
 
   Descriptor descriptor_;
   Options options_;
-  std::vector<std::vector<std::string>> invocation_log_;
 };
 
 }  // namespace moteur::services

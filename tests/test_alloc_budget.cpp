@@ -25,6 +25,7 @@
 #include "scripted_backend.hpp"
 #include "service/admission.hpp"
 #include "services/functional_service.hpp"
+#include "services/wrapper_service.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "workflow/grouping.hpp"
@@ -434,13 +435,48 @@ TEST(AllocBudget, EngineSetUp) {
   const std::size_t measured = allocations_in([&] {
     engine = std::make_shared<enactor::Engine>(
         backend, registry, enactor::EnactmentPolicy::sp_dp(), enactor::PayloadResolver{},
-        std::vector<enactor::EventSubscriber>{}, workflow, inputs,
+        enactor::EventSubscriber{}, workflow, inputs,
         enactor::Engine::Options{.run_id = "chain"});
     engine->start();
   });
   EXPECT_EQ(backend.executions().size(), kItems);
   EXPECT_LE(measured, kBudget) << "measured " << measured
                                << " allocations for Engine construction and start()";
+}
+
+TEST(AllocBudget, WrapperInvocation) {
+  // One invocation of a wrapped code with two derived inputs and two
+  // unnamed outputs, whose destinations name the input lineage. No executor
+  // is bound, as in a simulated run. The input keys are rendered
+  // beforehand, as the engine's first read of them would. 41 while every
+  // invocation composed and logged its argv and rebuilt the lineage for
+  // each output.
+  constexpr std::size_t kBudget = 15;
+  const services::Access gfn{services::AccessType::kGfn, ""};
+  services::Descriptor descriptor;
+  descriptor.executable_name = "CrestLines.pl";
+  descriptor.inputs.push_back({"floating_image", "-im1", gfn});
+  descriptor.inputs.push_back({"reference_image", "-im2", gfn});
+  descriptor.outputs.push_back({"crest_reference", "-c1", gfn});
+  descriptor.outputs.push_back({"crest_floating", "-c2", gfn});
+  services::WrapperService service("crestLines", descriptor, {});
+  const data::Token floating =
+      data::Token::from_source("floating", 0, kGridFile, kGridFile);
+  const data::Token reference =
+      data::Token::from_source("reference", 0, kGridFile, kGridFile);
+  services::Inputs inputs;
+  inputs.emplace("floating_image", data::Token::derived("convert", "out", {floating},
+                                                        {0}, kGridFile, kGridFile));
+  inputs.emplace("reference_image", data::Token::derived("convert", "out", {reference},
+                                                         {0}, kGridFile, kGridFile));
+  for (const auto& [port, token] : inputs) ASSERT_FALSE(token.id().empty());
+  services::Result result;
+  const std::size_t measured = allocations_in([&] { result = service.invoke(inputs); });
+  EXPECT_LE(measured, kBudget) << "measured " << measured
+                               << " allocations for one wrapper invocation";
+  EXPECT_EQ(
+      result.outputs.at("crest_floating").repr,
+      "crestLines.crest_floating(convert.out(floating[0]),convert.out(reference[0]))");
 }
 
 }  // namespace

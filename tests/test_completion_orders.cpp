@@ -53,7 +53,7 @@ std::size_t explore(const Scope& scope, const EnactmentPolicy& policy) {
   for (;;) {
     ScriptedBackend backend;
     const auto engine = std::make_shared<Engine>(
-        backend, registry, policy, PayloadResolver{}, std::vector<EventSubscriber>{},
+        backend, registry, policy, PayloadResolver{}, EventSubscriber{},
         scope.workflow, scope.inputs, Engine::Options{.run_id = scope.workflow.name()});
     engine->start();
     for (std::size_t step = 0; !backend.executions().empty(); ++step) {
@@ -139,7 +139,7 @@ TEST(CompletionOrders, ARunWaitingForItsBackoffHasNotSettled) {
   policy.retry.backoff_initial_seconds = 1.0;
   ScriptedBackend backend;
   const auto engine = std::make_shared<Engine>(
-      backend, registry, policy, PayloadResolver{}, std::vector<EventSubscriber>{},
+      backend, registry, policy, PayloadResolver{}, EventSubscriber{},
       workflow::make_optimization_loop(), items({{"Source", 1}}),
       Engine::Options{.run_id = "backoff"});
   engine->start();

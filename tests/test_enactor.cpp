@@ -296,6 +296,44 @@ TEST(Enactor, EmptyInputProducesEmptyRun) {
   EXPECT_DOUBLE_EQ(result.makespan(), 0.0);
 }
 
+TEST(SimGridBackendTest, PlainExecuteIsTheDefaultOptionsOverload) {
+  // The three-argument execute submits exactly what the ExecOptions{}
+  // overload does: on two identical grids both give the same outcome.
+  const auto service =
+      services::make_simulated_service("P0", {"in"}, {"out"}, JobProfile{30.0, 1.0, 1.0});
+  Inputs inputs;
+  inputs.emplace("in", data::Token::from_source("src", 0, std::string("item0"), "item0"));
+  const auto execute = [&](bool with_options) {
+    sim::Simulator simulator;
+    grid::Grid grid(simulator, grid::GridConfig::egee2006(7));
+    SimGridBackend backend(grid);
+    std::optional<Outcome> outcome;
+    const auto deliver = [&outcome](Outcome delivered) {
+      outcome = std::move(delivered);
+    };
+    if (with_options) {
+      backend.execute(service, {inputs}, ExecOptions{}, deliver);
+    } else {
+      backend.execute(service, {inputs}, deliver);
+    }
+    EXPECT_TRUE(backend.drive([&outcome] { return outcome.has_value(); }));
+    return std::move(*outcome);
+  };
+  const Outcome plain = execute(false);
+  const Outcome with_options = execute(true);
+  EXPECT_EQ(plain.status, with_options.status);
+  EXPECT_EQ(plain.submit_time, with_options.submit_time);
+  EXPECT_EQ(plain.start_time, with_options.start_time);
+  EXPECT_EQ(plain.end_time, with_options.end_time);
+  ASSERT_TRUE(plain.job.has_value() && with_options.job.has_value());
+  EXPECT_EQ(plain.job->computing_element, with_options.job->computing_element);
+  EXPECT_EQ(plain.job->attempts, with_options.job->attempts);
+  ASSERT_EQ(plain.results.size(), 1u);
+  ASSERT_EQ(with_options.results.size(), 1u);
+  EXPECT_EQ(plain.results[0].outputs.at("out").repr,
+            with_options.results[0].outputs.at("out").repr);
+}
+
 // ---------------------------------------------------------------------------
 // Optimization loop (Figure 2): impossible task-based, enacted here
 // ---------------------------------------------------------------------------

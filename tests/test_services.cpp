@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "services/descriptor.hpp"
 #include "services/functional_service.hpp"
@@ -106,12 +108,19 @@ TEST(WrapperService, PortsComeFromDescriptor) {
 }
 
 TEST(WrapperService, InvokeComposesCommandLineAndNamesOutputs) {
-  WrapperService service("crestLines", crest_lines_descriptor(), {});
+  std::vector<std::vector<std::string>> command_lines;
+  WrapperService::Options options;
+  options.executor = [&command_lines](const std::vector<std::string>& argv,
+                                      std::string&) {
+    command_lines.push_back(argv);
+    return 0;
+  };
+  WrapperService service("crestLines", crest_lines_descriptor(), options);
   const Result result = service.invoke(crest_inputs());
   ASSERT_EQ(result.outputs.size(), 2u);
   EXPECT_FALSE(result.outputs.at("crest_reference").repr.empty());
-  ASSERT_EQ(service.invocation_log().size(), 1u);
-  const auto& argv = service.invocation_log()[0];
+  ASSERT_EQ(command_lines.size(), 1u);
+  const auto& argv = command_lines[0];
   EXPECT_EQ(argv[0], "CrestLines.pl");
   EXPECT_EQ(argv[1], "-im1");
   EXPECT_EQ(argv[2], "gfn://flo0");
@@ -148,6 +157,18 @@ TEST(WrapperService, ExecutorRunsAndFailurePropagates) {
   options.executor = [](const std::vector<std::string>&, std::string&) { return 7; };
   WrapperService bad("crestLines", crest_lines_descriptor(), options);
   EXPECT_THROW(bad.invoke(crest_inputs()), ExecutionError);
+}
+
+TEST(WrapperService, ContentDigestFollowsTheDescriptor) {
+  // Memoized invocations are keyed by this digest: the same descriptor
+  // gives the same digest, an edited one a different digest.
+  const WrapperService service("crestLines", crest_lines_descriptor(), {});
+  const WrapperService same("crestLines", crest_lines_descriptor(), {});
+  EXPECT_EQ(service.content_digest(), same.content_digest());
+  Descriptor edited_descriptor = crest_lines_descriptor();
+  edited_descriptor.inputs[2].option = "-scale";
+  const WrapperService edited("crestLines", edited_descriptor, {});
+  EXPECT_NE(service.content_digest(), edited.content_digest());
 }
 
 TEST(WrapperService, JobProfileCountsOnlyFileTransfers) {

@@ -126,8 +126,7 @@ TEST(MpscQueue, WaitHonorsDeadline) {
 TEST(RunHandle, DefaultConstructedHandleHasEmptySentinels) {
   RunHandle handle;
   EXPECT_FALSE(handle.valid());
-  EXPECT_TRUE(handle.id().empty());       // used to dereference a null record
-  EXPECT_TRUE(handle.labels().empty());   // likewise
+  EXPECT_TRUE(handle.id().empty());  // used to dereference a null record
 }
 
 // ---------------------------------------------------------------------------

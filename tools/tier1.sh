@@ -2,9 +2,9 @@
 # Tier-1 verification: configure, build, run the full test suite.
 #
 #   tools/tier1.sh          build + ctest (the ROADMAP tier-1 command)
-#   tools/tier1.sh --tsan   additionally rebuild the enactor-labelled tests
-#                           under -fsanitize=thread and run them
-#                           (ThreadedBackend races surface here)
+#   tools/tier1.sh --tsan   additionally build every target under
+#                           -fsanitize=thread and run the enactor-labelled
+#                           tests (ThreadedBackend races surface here)
 #   tools/tier1.sh --asan   additionally rebuild everything under
 #                           -fsanitize=address,undefined (undefined
 #                           behaviour fatal) and run the whole suite
@@ -416,10 +416,8 @@ echo "decentralized smoke OK"
 if [ "${1:-}" = "--tsan" ]; then
   echo "== TSan stage: enactor/retry/run-service tests under -fsanitize=thread =="
   cmake -B build-tsan -S . -DMOTEUR_TSAN=ON >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target test_enactor test_enactor_edge \
-    test_progress test_retry test_obs test_run_service test_datastore test_shard \
-    test_telemetry test_policy test_transfer test_alloc_budget test_robustness \
-    test_completion_orders test_data moteur_cli
+  # Every target, so no hand-kept list has to track the enactor label.
+  cmake --build build-tsan -j "$(nproc)"
   (cd build-tsan && ctest --output-on-failure -L enactor)
   echo "== TSan multi-tenant smoke: concurrent runs through the RunService =="
   build-tsan/tools/moteur_cli run \
