@@ -7,6 +7,11 @@
 //   2. Real registration services (ThreadedBackend): crest extraction, ICP,
 //      block matching actually compute, so the relative overhead against a
 //      realistic workload is visible — the headline number, expected <5%.
+//
+// The recorder logs records per event and builds the spans when its tracer
+// is read, so every timed section ends with that read: an observed run's
+// cost includes deriving its spans, and the derive time prints on its own
+// line.
 #include <chrono>
 #include <cstdio>
 
@@ -24,10 +29,16 @@ namespace {
 using namespace moteur;
 
 struct Row {
-  double wall_seconds = 0.0;
+  double wall_seconds = 0.0;    // the run plus reading its spans
+  double derive_seconds = 0.0;  // reading the spans: derived from the records
   double makespan = 0.0;
   std::size_t spans = 0;
 };
+
+double seconds_between(std::chrono::steady_clock::time_point from,
+                       std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
 
 Row run_simulated(std::size_t n_pairs, std::uint64_t seed, bool observe) {
   sim::Simulator simulator;
@@ -48,8 +59,9 @@ Row run_simulated(std::size_t n_pairs, std::uint64_t seed, bool observe) {
   const auto result = moteur.run({.workflow = app::bronze_standard_workflow(),
                                   .inputs = app::bronze_standard_dataset(n_pairs)});
   const auto t1 = std::chrono::steady_clock::now();
-  return Row{std::chrono::duration<double>(t1 - t0).count(), result.makespan(),
-             recorder.tracer().spans().size()};
+  const std::size_t spans = recorder.tracer().spans().size();
+  const auto t2 = std::chrono::steady_clock::now();
+  return Row{seconds_between(t0, t2), seconds_between(t1, t2), result.makespan(), spans};
 }
 
 Row run_real(std::size_t n_pairs, bool observe) {
@@ -77,8 +89,9 @@ Row run_real(std::size_t n_pairs, bool observe) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto result = moteur.run(std::move(request));
   const auto t1 = std::chrono::steady_clock::now();
-  return Row{std::chrono::duration<double>(t1 - t0).count(), result.makespan(),
-             recorder.tracer().spans().size()};
+  const std::size_t spans = recorder.tracer().spans().size();
+  const auto t2 = std::chrono::steady_clock::now();
+  return Row{seconds_between(t0, t2), seconds_between(t1, t2), result.makespan(), spans};
 }
 
 /// Real services through the RunService, with or without the live telemetry
@@ -117,8 +130,12 @@ Row run_service_real(std::size_t n_pairs, bool hub) {
   handle.wait();
   service.wait_idle();
   const auto t1 = std::chrono::steady_clock::now();
-  const Row row{std::chrono::duration<double>(t1 - t0).count(),
-                handle.result().makespan(), recorder.tracer().spans().size()};
+  std::size_t spans = 0;
+  service.with_observability(
+      [&spans](obs::RunRecorder& observed) { spans = observed.tracer().spans().size(); });
+  const auto t2 = std::chrono::steady_clock::now();
+  const Row row{seconds_between(t0, t2), seconds_between(t1, t2), handle.result().makespan(),
+                spans};
   service.shutdown();
   return row;
 }
@@ -159,6 +176,8 @@ int main() {
         obs.spans > 0 ? (obs.wall_seconds - bare.wall_seconds) / obs.spans * 1e6 : 0.0;
     std::printf("  %6zu | %10.2f | %10.2f %7zu | %9.2f us\n", n_pairs,
                 bare.wall_seconds * 1e3, obs.wall_seconds * 1e3, obs.spans, per_span);
+    std::printf("  %6s   of which deriving the spans on read: %.2f ms\n", "",
+                obs.derive_seconds * 1e3);
   }
 
   std::puts("\n-- real registration services, 4 worker threads: relative overhead --");
@@ -174,6 +193,8 @@ int main() {
             : 0.0;
     std::printf("  %6zu | %10.3f | %10.3f %7zu | %+7.1f%%\n", n_pairs, bare.wall_seconds,
                 obs.wall_seconds, obs.spans, overhead);
+    std::printf("  %6s   of which deriving the spans on read: %.2f ms\n", "",
+                obs.derive_seconds * 1e3);
     if (overhead >= 5.0) under_budget = false;
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <memory>
 
 namespace moteur::obs {
 
@@ -159,27 +160,6 @@ void RunRecorder::Tables::clear() {
   far_attempts.clear();
 }
 
-RunRecorder::RunCtx& RunRecorder::ctx(const std::string& run_id) {
-  if (last_ctx_ != nullptr && run_id == *last_run_id_) return *last_ctx_;
-  auto [it, inserted] = runs_.try_emplace(run_id);
-  if (inserted && !spare_tables_.empty()) {
-    it->second.tables = std::move(spare_tables_.back());
-    spare_tables_.pop_back();
-  }
-  last_run_id_ = &it->first;
-  last_ctx_ = &it->second;
-  return it->second;
-}
-
-SpanId RunRecorder::processor_span(RunCtx& c, Name processor, double time) {
-  for (const auto& [name, span] : c.tables.processors) {
-    if (name == processor) return span;
-  }
-  const SpanId span = tracer_.begin(processor.str(), "processor", time, c.run_span);
-  c.tables.processors.emplace_back(processor, span);
-  return span;
-}
-
 RunRecorder::CeSeries& RunRecorder::ce_series(Name ce) {
   const auto [it, inserted] = ce_series_.try_emplace(ce);
   if (inserted) {
@@ -243,122 +223,98 @@ Counter& RunRecorder::processor_tuples(Name processor) {
   return *it->second;
 }
 
-void RunRecorder::count_invocations(RunCtx& c, const RunEvent& event) {
+RunRecorder::RunMetrics& RunRecorder::run_metrics(const std::string& run_id) {
+  if (last_metrics_ != nullptr && run_id == *last_run_id_) return *last_metrics_;
+  auto [it, inserted] = runs_.try_emplace(run_id);
+  if (inserted) it->second.ordinal = next_ordinal_++;
+  last_run_id_ = &it->first;
+  last_metrics_ = &it->second;
+  return it->second;
+}
+
+RunRecorder::Record& RunRecorder::append(const RunEvent& event, const RunMetrics& m) {
+  Record& record = log_.emplace_back().record;
+  record.kind_ = static_cast<std::uint8_t>(event.kind);
+  record.run = m.ordinal;
+  record.attempt = event.attempt;
+  record.invocation = event.invocation;
+  record.time = event.time;
+  record.name = event.kind == RunEvent::Kind::kRunStarted ? event.run : event.processor;
+  record.tuples = event.tuples;
+  return record;
+}
+
+void RunRecorder::append_text(Record& record, const std::string& text) {
+  if (text.empty()) return;
+  record.flags |= Record::kText;
+  texts_.emplace_back() = text;
+}
+
+void RunRecorder::count_invocations(RunMetrics& m, const RunEvent& event) {
   const auto delta =
-      static_cast<double>(event.total_invocations - c.last_total_invocations);
+      static_cast<double>(event.total_invocations - m.last_total_invocations);
   invocations_->inc(delta);
-  if (c.invocations != nullptr) c.invocations->inc(delta);
-  c.last_total_invocations = event.total_invocations;
+  if (m.invocations != nullptr) m.invocations->inc(delta);
+  m.last_total_invocations = event.total_invocations;
   processor_tuples(event.processor).inc(static_cast<double>(event.tuples));
 }
 
 void RunRecorder::on_event(const RunEvent& event) {
   switch (event.kind) {
     case RunEvent::Kind::kRunStarted: {
-      // A fresh context per run id; a re-used id (sequential runs through one
-      // Enactor) starts over, its per-run counters accumulating.
-      RunCtx& c = ctx(event.run_id);
-      c.tables.clear();
-      c.last_total_invocations = event.total_invocations;
-      c.run_span = tracer_.begin(event.run.str(), "run", event.time);
-      tracer_.annotate(c.run_span, "run_id", event.run_id);
+      // A re-used run id (sequential runs through one Enactor) starts over,
+      // its per-run counters accumulating.
+      RunMetrics& m = run_metrics(event.run_id);
+      m.started = true;
+      m.start = event.time;
+      m.last_total_invocations = event.total_invocations;
       const Labels by_run{{"run", event.run_id}};
-      c.invocations = &metrics_.counter("moteur_run_invocations_total",
+      m.invocations = &metrics_.counter("moteur_run_invocations_total",
                                         "Logical invocations completed, per run", by_run);
-      c.submissions = &metrics_.counter("moteur_run_submissions_total",
+      m.submissions = &metrics_.counter("moteur_run_submissions_total",
                                         "Backend executions launched, per run", by_run);
-      c.makespan = &metrics_.gauge("moteur_run_makespan_seconds",
+      m.makespan = &metrics_.gauge("moteur_run_makespan_seconds",
                                    "Total execution time Sigma, per run", by_run);
-      c.cache_hits = &metrics_.counter("moteur_run_cache_hits_total",
+      m.cache_hits = &metrics_.counter("moteur_run_cache_hits_total",
                                        "Invocations served from the cache, per run", by_run);
+      append_text(append(event, m), event.run_id);
       break;
     }
 
     case RunEvent::Kind::kRunFinished: {
-      RunCtx& c = ctx(event.run_id);
-      const Span* run = tracer_.find(c.run_span);
-      if (run != nullptr) {
-        makespan_->set(event.time - run->start);
-        if (c.makespan != nullptr) c.makespan->set(event.time - run->start);
+      RunMetrics& m = run_metrics(event.run_id);
+      if (m.started) {
+        makespan_->set(event.time - m.start);
+        m.makespan->set(event.time - m.start);
       }
-      tracer_.end(c.run_span, event.time);
-      // Stragglers whose completions were never dispatched stay open; close
-      // THIS run's leftovers so exports always hold a consistent tree — other
-      // runs still in flight keep their open spans untouched.
-      const auto close_leftover = [&](SpanId id) {
-        const Span* span = tracer_.find(id);
-        if (span == nullptr || !span->open()) return;
-        tracer_.annotate(id, "unfinished", "true");
-        tracer_.end(id, event.time);
-      };
-      Tables& t = c.tables;
-      for (const Slot& slot : t.slots) close_leftover(slot.attempt);
-      for (const LaterAttempt& entry : t.later) close_leftover(entry.span);
-      for (const auto& [key, id] : t.far_attempts) close_leftover(id);
-      for (const Slot& slot : t.slots) close_leftover(slot.invocation);
-      for (const auto& [key, id] : t.far_invocations) close_leftover(id);
-      for (const auto& [name, id] : t.processors) close_leftover(id);
       tuples_in_flight_->set(static_cast<double>(event.tuples_in_flight));
-      t.clear();
-      spare_tables_.push_back(std::move(t));
-      last_ctx_ = nullptr;  // the node dies with the erase
+      append(event, m);
+      last_metrics_ = nullptr;  // the node dies with the erase
       runs_.erase(event.run_id);
       break;
     }
 
     case RunEvent::Kind::kInvocationStarted: {
-      RunCtx& c = ctx(event.run_id);
-      const SpanId parent = processor_span(c, event.processor, event.time);
-      const SpanId span =
-          tracer_.begin(numbered(event.processor.view(), " #", event.invocation),
-                        "invocation", event.time, parent);
-      tracer_.annotate(span, "tuples", numbered({}, {}, event.tuples));
-      c.tables.invocation(event.invocation) = span;
+      append(event, run_metrics(event.run_id));
       tuples_in_flight_->set(static_cast<double>(event.tuples_in_flight));
       break;
     }
 
     case RunEvent::Kind::kAttemptStarted: {
-      RunCtx& c = ctx(event.run_id);
-      const SpanId invocation = c.tables.find_invocation(event.invocation);
-      const SpanId span =
-          tracer_.begin(numbered("attempt", " ", event.attempt), "attempt", event.time,
-                        invocation != 0 ? invocation : c.run_span);
-      c.tables.attempt(event.invocation, event.attempt) = span;
+      RunMetrics& m = run_metrics(event.run_id);
+      append(event, m);
       submissions_->inc();
-      if (c.submissions != nullptr) c.submissions->inc();
+      if (m.submissions != nullptr) m.submissions->inc();
       break;
     }
 
     case RunEvent::Kind::kAttemptEnded: {
-      RunCtx& c = ctx(event.run_id);
-      if (const SpanId span = c.tables.take_attempt(event.invocation, event.attempt)) {
-        tracer_.end(span, event.time);
-        tracer_.annotate(span, "status", event.status.str());
-        if (!event.computing_element.empty()) {
-          tracer_.annotate(span, "ce", event.computing_element.str());
-        }
-        if (event.superseded) tracer_.annotate(span, "superseded", "true");
-        if (!event.error.empty()) tracer_.annotate(span, "error", event.error);
-        // Queue-wait, stage-in, and running phases from the backend's attempt
-        // timings. Payload start follows input staging, so the staging time
-        // (when the backend reports one) is carved off the tail of the
-        // submit->start window: queued | stage-in | running.
-        if (event.start_time >= event.submit_time && event.submit_time >= 0.0) {
-          const double stage =
-              std::clamp(event.stage_in_seconds, 0.0, event.start_time - event.submit_time);
-          const double stage_begin = event.start_time - stage;
-          if (stage_begin > event.submit_time || stage == 0.0) {
-            tracer_.record("queued", "phase", event.submit_time, stage_begin, span);
-          }
-          if (stage > 0.0) {
-            tracer_.record("stage-in", "phase", stage_begin, event.start_time, span);
-          }
-          if (event.end_time >= event.start_time) {
-            tracer_.record("running", "phase", event.start_time, event.end_time, span);
-          }
-        }
-      }
+      Record& record = append(event, run_metrics(event.run_id));
+      if (event.superseded) record.flags |= Record::kSuperseded;
+      append_text(record, event.error);
+      std::construct_at(&log_.emplace_back().end,
+                        AttemptEnd{event.status, event.computing_element, event.submit_time,
+                                   event.start_time, event.end_time, event.stage_in_seconds});
       if (event.ok) {
         CeSeries& series = ce_series(event.computing_element.empty()
                                          ? local_ce()
@@ -374,21 +330,15 @@ void RunRecorder::on_event(const RunEvent& event) {
     }
 
     case RunEvent::Kind::kInvocationCompleted: {
-      RunCtx& c = ctx(event.run_id);
-      if (const SpanId span = c.tables.take_invocation(event.invocation)) {
-        tracer_.end(span, event.time);
-      }
-      count_invocations(c, event);
+      RunMetrics& m = run_metrics(event.run_id);
+      append(event, m);
+      count_invocations(m, event);
       tuples_in_flight_->set(static_cast<double>(event.tuples_in_flight));
       break;
     }
 
     case RunEvent::Kind::kInvocationFailed: {
-      RunCtx& c = ctx(event.run_id);
-      if (const SpanId span = c.tables.take_invocation(event.invocation)) {
-        tracer_.annotate(span, "failed", "true");
-        tracer_.end(span, event.time);
-      }
+      append(event, run_metrics(event.run_id));
       tuples_lost_->inc(static_cast<double>(event.tuples));
       tuples_in_flight_->set(static_cast<double>(event.tuples_in_flight));
       break;
@@ -405,22 +355,12 @@ void RunRecorder::on_event(const RunEvent& event) {
     }
 
     case RunEvent::Kind::kProcessorFinished: {
-      RunCtx& c = ctx(event.run_id);
-      for (const auto& [name, span] : c.tables.processors) {
-        if (name == event.processor) tracer_.end(span, event.time);
-      }
+      append(event, run_metrics(event.run_id));
       break;
     }
 
     case RunEvent::Kind::kInvocationSkipped: {
-      RunCtx& c = ctx(event.run_id);
-      // Zero-length span under the processor, so skips show up in the tree.
-      const SpanId parent = processor_span(c, event.processor, event.time);
-      const SpanId span = tracer_.record(
-          numbered(event.processor.view(), " #", event.invocation, " (skipped)"),
-          "invocation", event.time, event.time, parent);
-      if (!event.error.empty()) tracer_.annotate(span, "cause", event.error);
-      tracer_.annotate(span, "skipped", "true");
+      append_text(append(event, run_metrics(event.run_id)), event.error);
       skipped_->inc(static_cast<double>(event.tuples));
       break;
     }
@@ -468,35 +408,203 @@ void RunRecorder::on_event(const RunEvent& event) {
     }
 
     case RunEvent::Kind::kReDerived: {
-      RunCtx& c = ctx(event.run_id);
-      // Zero-length span under the producing processor, so re-derivations
-      // show up in the tree next to the invocations they replay.
-      const SpanId parent = processor_span(c, event.processor, event.time);
-      const SpanId span = tracer_.record(event.processor.str() + " (re-derived)",
-                                         "invocation", event.time, event.time, parent);
-      if (!event.logical_file.empty()) {
-        tracer_.annotate(span, "file", event.logical_file);
-      }
+      append_text(append(event, run_metrics(event.run_id)), event.logical_file);
       rederived_->inc();
       break;
     }
 
     case RunEvent::Kind::kCacheHit: {
-      RunCtx& c = ctx(event.run_id);
-      // Zero-length span under the processor, so hits show up in the tree
-      // without a backend attempt beneath them.
-      const SpanId parent = processor_span(c, event.processor, event.time);
-      const SpanId span = tracer_.record(
-          numbered(event.processor.view(), " #", event.invocation, " (cached)"),
-          "invocation", event.time, event.time, parent);
-      tracer_.annotate(span, "cached", "true");
+      RunMetrics& m = run_metrics(event.run_id);
+      append(event, m);
       // A hit completes logical invocations without a kInvocationCompleted:
       // fold the delta into the invocation counters here.
-      count_invocations(c, event);
+      count_invocations(m, event);
       cache_hits_->inc();
-      if (c.cache_hits != nullptr) c.cache_hits->inc();
+      if (m.cache_hits != nullptr) m.cache_hits->inc();
       break;
     }
+  }
+}
+
+const Tracer& RunRecorder::tracer() {
+  std::size_t next_text = 0;
+  for (std::size_t i = 0; i < log_.size(); ++i) {
+    const Record& record = log_[i].record;
+    const AttemptEnd* end =
+        record.kind() == RunEvent::Kind::kAttemptEnded ? &log_[++i].end : nullptr;
+    std::string text;
+    if ((record.flags & Record::kText) != 0) text = std::move(texts_[next_text++]);
+    build(record, end, std::move(text));
+  }
+  log_ = {};
+  texts_ = {};
+  return tracer_;
+}
+
+RunRecorder::RunSpans& RunRecorder::run_spans(std::uint32_t ordinal) {
+  if (last_spans_ != nullptr && ordinal == last_ordinal_) return *last_spans_;
+  auto [it, inserted] = spans_.try_emplace(ordinal);
+  if (inserted && !spare_tables_.empty()) {
+    it->second.tables = std::move(spare_tables_.back());
+    spare_tables_.pop_back();
+  }
+  last_ordinal_ = ordinal;
+  last_spans_ = &it->second;
+  return it->second;
+}
+
+SpanId RunRecorder::processor_span(RunSpans& c, Name processor, double time) {
+  for (const auto& [name, span] : c.tables.processors) {
+    if (name == processor) return span;
+  }
+  const SpanId span = tracer_.begin(processor.str(), "processor", time, c.run_span);
+  c.tables.processors.emplace_back(processor, span);
+  return span;
+}
+
+void RunRecorder::build(const Record& record, const AttemptEnd* end, std::string text) {
+  RunSpans& c = run_spans(record.run);
+  switch (record.kind()) {
+    case RunEvent::Kind::kRunStarted: {
+      c.tables.clear();
+      c.run_span = tracer_.begin(record.name.str(), "run", record.time);
+      tracer_.annotate(c.run_span, "run_id", std::move(text));
+      break;
+    }
+
+    case RunEvent::Kind::kRunFinished: {
+      tracer_.end(c.run_span, record.time);
+      // Stragglers whose completions were never dispatched stay open; close
+      // THIS run's leftovers so exports always hold a consistent tree — other
+      // runs still in flight keep their open spans untouched.
+      const auto close_leftover = [&](SpanId id) {
+        const Span* span = tracer_.find(id);
+        if (span == nullptr || !span->open()) return;
+        tracer_.annotate(id, "unfinished", "true");
+        tracer_.end(id, record.time);
+      };
+      Tables& t = c.tables;
+      for (const Slot& slot : t.slots) close_leftover(slot.attempt);
+      for (const LaterAttempt& entry : t.later) close_leftover(entry.span);
+      for (const auto& [key, id] : t.far_attempts) close_leftover(id);
+      for (const Slot& slot : t.slots) close_leftover(slot.invocation);
+      for (const auto& [key, id] : t.far_invocations) close_leftover(id);
+      for (const auto& [name, id] : t.processors) close_leftover(id);
+      t.clear();
+      spare_tables_.push_back(std::move(t));
+      last_spans_ = nullptr;  // the node dies with the erase
+      spans_.erase(record.run);
+      break;
+    }
+
+    case RunEvent::Kind::kInvocationStarted: {
+      const SpanId parent = processor_span(c, record.name, record.time);
+      const SpanId span =
+          tracer_.begin(numbered(record.name.view(), " #", record.invocation), "invocation",
+                        record.time, parent);
+      tracer_.annotate(span, "tuples", numbered({}, {}, record.tuples));
+      c.tables.invocation(record.invocation) = span;
+      break;
+    }
+
+    case RunEvent::Kind::kAttemptStarted: {
+      const SpanId invocation = c.tables.find_invocation(record.invocation);
+      const SpanId span =
+          tracer_.begin(numbered("attempt", " ", record.attempt), "attempt", record.time,
+                        invocation != 0 ? invocation : c.run_span);
+      c.tables.attempt(record.invocation, record.attempt) = span;
+      break;
+    }
+
+    case RunEvent::Kind::kAttemptEnded: {
+      const SpanId span = c.tables.take_attempt(record.invocation, record.attempt);
+      if (span == 0) break;
+      tracer_.end(span, record.time);
+      tracer_.annotate(span, "status", end->status.str());
+      if (!end->computing_element.empty()) {
+        tracer_.annotate(span, "ce", end->computing_element.str());
+      }
+      if ((record.flags & Record::kSuperseded) != 0) {
+        tracer_.annotate(span, "superseded", "true");
+      }
+      if (!text.empty()) tracer_.annotate(span, "error", std::move(text));
+      // Queue-wait, stage-in, and running phases from the backend's attempt
+      // timings. Payload start follows input staging, so the staging time
+      // (when the backend reports one) is carved off the tail of the
+      // submit->start window: queued | stage-in | running.
+      if (end->start_time >= end->submit_time && end->submit_time >= 0.0) {
+        const double stage =
+            std::clamp(end->stage_in_seconds, 0.0, end->start_time - end->submit_time);
+        const double stage_begin = end->start_time - stage;
+        if (stage_begin > end->submit_time || stage == 0.0) {
+          tracer_.record("queued", "phase", end->submit_time, stage_begin, span);
+        }
+        if (stage > 0.0) {
+          tracer_.record("stage-in", "phase", stage_begin, end->start_time, span);
+        }
+        if (end->end_time >= end->start_time) {
+          tracer_.record("running", "phase", end->start_time, end->end_time, span);
+        }
+      }
+      break;
+    }
+
+    case RunEvent::Kind::kInvocationCompleted: {
+      if (const SpanId span = c.tables.take_invocation(record.invocation)) {
+        tracer_.end(span, record.time);
+      }
+      break;
+    }
+
+    case RunEvent::Kind::kInvocationFailed: {
+      if (const SpanId span = c.tables.take_invocation(record.invocation)) {
+        tracer_.annotate(span, "failed", "true");
+        tracer_.end(span, record.time);
+      }
+      break;
+    }
+
+    case RunEvent::Kind::kProcessorFinished: {
+      for (const auto& [name, span] : c.tables.processors) {
+        if (name == record.name) tracer_.end(span, record.time);
+      }
+      break;
+    }
+
+    case RunEvent::Kind::kInvocationSkipped: {
+      // Zero-length span under the processor, so skips show up in the tree.
+      const SpanId parent = processor_span(c, record.name, record.time);
+      const SpanId span = tracer_.record(
+          numbered(record.name.view(), " #", record.invocation, " (skipped)"), "invocation",
+          record.time, record.time, parent);
+      if (!text.empty()) tracer_.annotate(span, "cause", std::move(text));
+      tracer_.annotate(span, "skipped", "true");
+      break;
+    }
+
+    case RunEvent::Kind::kReDerived: {
+      // Zero-length span under the producing processor, so re-derivations
+      // show up in the tree next to the invocations they replay.
+      const SpanId parent = processor_span(c, record.name, record.time);
+      const SpanId span = tracer_.record(record.name.str() + " (re-derived)", "invocation",
+                                         record.time, record.time, parent);
+      if (!text.empty()) tracer_.annotate(span, "file", std::move(text));
+      break;
+    }
+
+    case RunEvent::Kind::kCacheHit: {
+      // Zero-length span under the processor, so hits show up in the tree
+      // without a backend attempt beneath them.
+      const SpanId parent = processor_span(c, record.name, record.time);
+      const SpanId span = tracer_.record(
+          numbered(record.name.view(), " #", record.invocation, " (cached)"), "invocation",
+          record.time, record.time, parent);
+      tracer_.annotate(span, "cached", "true");
+      break;
+    }
+
+    default:  // the counter-only kinds log no record
+      break;
   }
 }
 

@@ -14,36 +14,46 @@
 namespace moteur::obs {
 
 /// The standard observability consumer: subscribes to an enactment's
-/// RunEvent stream and materializes (1) the span tree — run -> processor ->
+/// RunEvent stream and materializes (1) the run's metrics: submission/retry/
+/// timeout counters, per-CE latency and queue-wait histograms, and
+/// tuples-in-flight gauges, and (2) the span tree — run -> processor ->
 /// invocation -> attempt, with queued/running phase sub-spans derived from
-/// the attempt timings — and (2) the run's metrics: submission/retry/timeout
-/// counters, per-CE latency and queue-wait histograms, and tuples-in-flight
-/// gauges. Feed it via Enactor::set_recorder; export with obs/export.hpp.
+/// the attempt timings. Feed it via Enactor::set_recorder; export with
+/// obs/export.hpp.
+///
+/// Record now, build spans on read: on_event keeps every metric live and
+/// appends one 48-byte record per span-bearing event (two for an attempt's
+/// end) to a chunked log. tracer() replays the records no read has replayed
+/// yet into the span tree, then forgets them. The span tables persist
+/// between reads, so a read in the middle of a run and a read at its end give
+/// the same spans, and memory holds a run's records or its spans, not both.
 ///
 /// Reusable across runs AND across concurrently interleaved runs: the span
-/// tables are kept per `RunEvent::run_id`, so a RunService can fan many runs'
-/// events into one recorder and each run still gets its own coherent
-/// run -> processor -> invocation subtree. Besides the service-wide totals,
-/// each run contributes labelled per-run series (moteur_run_*_total{run=...},
+/// tables are kept per run, so a RunService can fan many runs' events into
+/// one recorder and each run still gets its own coherent run -> processor ->
+/// invocation subtree. Besides the service-wide totals, each run contributes
+/// labelled per-run series (moteur_run_*_total{run=...},
 /// moteur_run_makespan_seconds{run=...}).
 ///
-/// Not thread-safe by itself: callers must serialize on_event, which both the
-/// single-run Enactor (one drive thread) and the RunService (under its obs
-/// lock) do by construction.
+/// Not thread-safe by itself: callers must serialize on_event and tracer(),
+/// which writes the spans it derives. The single-run Enactor (one drive
+/// thread) does so by construction; the RunService delivers events and runs
+/// with_observability under one obs lock.
 ///
-/// Recording costs copies, not allocations: each run's invocation and attempt
-/// spans sit in flat tables indexed by the invocation id (dense within a
-/// run), processor spans and cached instruments are found by interned Name,
-/// and a finished run's tables serve the next run. Every span is still built
-/// when its event arrives.
+/// Recording costs copies, not allocations: a record names its run by an
+/// ordinal and its processor by interned Name, the run id is logged once per
+/// run, and error or file text only when there is some. Replaying costs
+/// copies too: each run's invocation and attempt spans sit in flat tables
+/// indexed by the invocation id (dense within a run), processor spans are
+/// found by Name, and a finished run's tables serve the next run.
 class RunRecorder {
  public:
   RunRecorder();
 
   void on_event(const RunEvent& event);
 
-  Tracer& tracer() { return tracer_; }
-  const Tracer& tracer() const { return tracer_; }
+  /// The span tree of every event so far: replays the unread records first.
+  const Tracer& tracer();
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
@@ -58,6 +68,55 @@ class RunRecorder {
     Gauge* state = nullptr;
     Counter* transitions[3] = {};
   };
+
+  /// A live run's metric state, keyed by RunEvent::run_id. Created at
+  /// kRunStarted (or the first span-bearing event naming the run), erased at
+  /// kRunFinished.
+  struct RunMetrics {
+    std::uint32_t ordinal = 0;  // names the run in the record log
+    bool started = false;       // a kRunStarted arrived at `start`
+    double start = 0.0;
+    std::size_t last_total_invocations = 0;
+    // Per-run labelled series, resolved once at kRunStarted.
+    Counter* invocations = nullptr;
+    Counter* submissions = nullptr;
+    Counter* cache_hits = nullptr;
+    Gauge* makespan = nullptr;
+  };
+
+  /// One span-bearing event, as the span builder reads it.
+  struct Record {
+    static constexpr std::uint8_t kSuperseded = 1;  // kAttemptEnded
+    static constexpr std::uint8_t kText = 2;        // the next side-table text is ours
+
+    RunEvent::Kind kind() const { return static_cast<RunEvent::Kind>(kind_); }
+
+    std::uint8_t kind_ = 0;
+    std::uint8_t flags = 0;
+    std::uint32_t run = 0;  // RunMetrics::ordinal
+    std::uint64_t attempt = 0;
+    std::uint64_t invocation = 0;
+    double time = 0.0;
+    Name name;  // the processor; the workflow at kRunStarted
+    std::uint64_t tuples = 0;
+  };
+  /// The slot after a kAttemptEnded record: the attempt's outcome.
+  struct AttemptEnd {
+    Name status;
+    Name computing_element;
+    double submit_time = -1.0;
+    double start_time = -1.0;
+    double end_time = -1.0;
+    double stage_in_seconds = 0.0;
+  };
+  union Entry {
+    Entry() : record() {}
+    Record record;
+    AttemptEnd end;
+  };
+  static_assert(sizeof(Entry) == 48, "a record is 48 bytes");
+  static constexpr std::size_t kEntriesPerChunk = 1024;
+  static constexpr std::size_t kTextsPerChunk = 64;
 
   /// One invocation's open spans, at index invocation - 1 of its run's table.
   struct Slot {
@@ -96,42 +155,55 @@ class RunRecorder {
     void clear();
   };
 
-  /// Everything scoped to one live run, keyed by RunEvent::run_id. Created
-  /// at kRunStarted (or the first event naming the run), discarded at
-  /// kRunFinished; its tables go back to the spare pool.
-  struct RunCtx {
+  /// A run's spans under construction, keyed by its ordinal. Created by its
+  /// first record, discarded at its kRunFinished record; its tables go back
+  /// to the spare pool.
+  struct RunSpans {
     SpanId run_span = 0;
     Tables tables;
-    std::size_t last_total_invocations = 0;
-    // Per-run labelled series, resolved once at kRunStarted.
-    Counter* invocations = nullptr;
-    Counter* submissions = nullptr;
-    Counter* cache_hits = nullptr;
-    Gauge* makespan = nullptr;
   };
 
   /// One-entry memo over the per-run map: consecutive events almost always
   /// belong to the same run, so the hot path skips the string-keyed lookup.
   /// std::map nodes are stable, so the cached pointers survive unrelated
   /// insertions; they are dropped when their run is erased at kRunFinished.
-  RunCtx& ctx(const std::string& run_id);
-  /// The processor's span under the run, opened at `time` on first use.
-  SpanId processor_span(RunCtx& c, Name processor, double time);
+  RunMetrics& run_metrics(const std::string& run_id);
+  /// A new record of `event` in the log, for the run `m`.
+  Record& append(const RunEvent& event, const RunMetrics& m);
+  /// Give `record` the text `text` in the side table, when there is any.
+  void append_text(Record& record, const std::string& text);
   CeSeries& ce_series(Name ce);
   Counter& failure_counter(Name status);
   Counter& processor_tuples(Name processor);
   void breaker(Name ce, double state, std::size_t to);
-  void count_invocations(RunCtx& c, const RunEvent& event);
+  void count_invocations(RunMetrics& m, const RunEvent& event);
 
-  Tracer tracer_;
+  /// Build the spans of one record; `end` is its outcome slot at
+  /// kAttemptEnded, `text` its side-table text.
+  void build(const Record& record, const AttemptEnd* end, std::string text);
+  /// The run's span state, same memo scheme as run_metrics.
+  RunSpans& run_spans(std::uint32_t ordinal);
+  /// The processor's span under the run, opened at `time` on first use.
+  SpanId processor_span(RunSpans& c, Name processor, double time);
+
   MetricsRegistry metrics_;
-
-  std::map<std::string, RunCtx> runs_;
+  std::map<std::string, RunMetrics> runs_;
   const std::string* last_run_id_ = nullptr;
-  RunCtx* last_ctx_ = nullptr;
-  std::vector<Tables> spare_tables_;
+  RunMetrics* last_metrics_ = nullptr;
+  std::uint32_t next_ordinal_ = 0;
   Name last_processor_;
   Counter* last_processor_tuples_ = nullptr;
+
+  // The records no read has replayed, and their texts in record order.
+  ChunkedVector<Entry, kEntriesPerChunk> log_;
+  ChunkedVector<std::string, kTextsPerChunk> texts_;
+
+  // The spans replayed so far, and the tables of the runs still open.
+  Tracer tracer_;
+  std::map<std::uint32_t, RunSpans> spans_;
+  std::uint32_t last_ordinal_ = 0;
+  RunSpans* last_spans_ = nullptr;
+  std::vector<Tables> spare_tables_;
 
   // Cached instruments (stable for the registry's lifetime).
   Counter* submissions_ = nullptr;

@@ -19,13 +19,14 @@ std::vector<std::string> WrapperService::output_ports() const {
   return descriptor_.output_names();
 }
 
-std::map<std::string, std::string> WrapperService::bind_values(const Inputs& inputs) const {
+std::map<std::string, std::string> WrapperService::bind_values(const Inputs& inputs,
+                                                               bool input_values) const {
   std::map<std::string, std::string> values;
   for (const auto& in : descriptor_.inputs) {
     const auto it = inputs.find(in.name);
     MOTEUR_REQUIRE(it != inputs.end(), EnactmentError,
                    "wrapper '" + id() + "': missing input '" + in.name + "'");
-    values[in.name] = it->second.repr();
+    if (input_values) values[in.name] = it->second.repr();
   }
   if (options_.output_namer) {
     for (const auto& out : descriptor_.outputs) {
@@ -59,11 +60,12 @@ std::map<std::string, std::string> WrapperService::bind_values(const Inputs& inp
 }
 
 std::vector<std::string> WrapperService::compose_command_line(const Inputs& inputs) const {
-  return descriptor_.compose_command_line(bind_values(inputs));
+  return descriptor_.compose_command_line(bind_values(inputs, true));
 }
 
 Result WrapperService::invoke(const Inputs& inputs) {
-  auto values = bind_values(inputs);
+  // Only a command line reads the input values.
+  auto values = bind_values(inputs, static_cast<bool>(options_.executor));
   if (options_.executor) {
     const auto argv = descriptor_.compose_command_line(values);
     std::string captured;

@@ -58,7 +58,10 @@ class WrapperService : public Service {
   std::uint64_t content_digest() const override;
 
  private:
-  std::map<std::string, std::string> bind_values(const Inputs& inputs) const;
+  /// Every output's destination, plus every input's repr when
+  /// `input_values`. Throws EnactmentError when an input is missing.
+  std::map<std::string, std::string> bind_values(const Inputs& inputs,
+                                                 bool input_values) const;
 
   Descriptor descriptor_;
   Options options_;

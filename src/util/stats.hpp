@@ -47,6 +47,7 @@ LinearFit linear_fit(const std::vector<double>& xs, const std::vector<double>& y
 /// statistics. Requires a non-empty input; the input vector is copied.
 double percentile(std::vector<double> values, double p);
 
+/// Arithmetic mean; 0 for an empty input.
 double mean_of(const std::vector<double>& values);
 
 }  // namespace moteur

@@ -1,8 +1,11 @@
 // A simulated grid of two sites, h0 and h1, where every attempt on h0 fails:
 // the fault the breaker tests route around. The grid makes one attempt per
 // job, so each enactor attempt is one grid attempt and every failure on h0
-// reaches the run's breaker ledger.
+// reaches the run's breaker ledger. Its backend counts the ledgers attached
+// to and detached from the grid's broker.
 #pragma once
+
+#include <atomic>
 
 #include "enactor/sim_backend.hpp"
 #include "grid/config.hpp"
@@ -10,6 +13,23 @@
 #include "sim/simulator.hpp"
 
 namespace moteur::testkit {
+
+/// A simulated-grid backend that counts the breaker ledgers attached to and
+/// detached from its broker.
+class LedgerCountingBackend : public enactor::SimGridBackend {
+ public:
+  using SimGridBackend::SimGridBackend;
+  void add_health(grid::CeHealth* health) override {
+    ++added;
+    SimGridBackend::add_health(health);
+  }
+  void remove_health(grid::CeHealth* health) override {
+    ++removed;
+    SimGridBackend::remove_health(health);
+  }
+  std::atomic<int> added{0};
+  std::atomic<int> removed{0};
+};
 
 struct FailingSiteGrid {
   static grid::GridConfig config() {
@@ -28,7 +48,7 @@ struct FailingSiteGrid {
 
   sim::Simulator simulator;
   grid::Grid grid{simulator, config()};
-  enactor::SimGridBackend backend{grid};
+  LedgerCountingBackend backend{grid};
 };
 
 }  // namespace moteur::testkit

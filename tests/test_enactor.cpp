@@ -5,6 +5,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "enactor/threaded_backend.hpp"
 #include "failing_site_grid.hpp"
 #include "grid/grid.hpp"
+#include "obs/metrics.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
@@ -476,6 +478,11 @@ TEST(Enactor, RunLedgerIsDetachedAfterTheRun) {
     }
   }
   ASSERT_TRUE(h0_opened);
+  // A ledger left attached dies with the first run while the broker still
+  // reads it: the second run would lock a freed mutex, and hang rather than
+  // fail in a build without sanitizers. So count before it starts.
+  ASSERT_EQ(sites.backend.added, 1);
+  ASSERT_EQ(sites.backend.removed, 1);
 
   EnactmentPolicy unguarded = guarded;
   unguarded.breaker.enabled = false;
@@ -580,6 +587,39 @@ TEST(ThreadedBackendTest, DriveStallsOnlyWithNothingStagedInFlightOrArmed) {
   backend.schedule(0.001, [&fired] { fired = true; });
   EXPECT_FALSE(backend.drive(never));
   EXPECT_TRUE(fired);
+}
+
+TEST(ThreadedBackendTest, WorkerMetricsCountTheTasksOfEveryLane) {
+  // Completions are recorded by outcome as they are delivered, on the
+  // backend's own lane and on a shard's channel alike; a channel hands
+  // set_metrics to its backend.
+  ThreadedBackend backend(2);
+  const std::unique_ptr<ExecutionBackend> channel = backend.make_channel();
+  obs::MetricsRegistry metrics;
+  channel->set_metrics(&metrics);
+  const std::shared_ptr<services::Service> failing = std::make_shared<FunctionalService>(
+      "failing", std::vector<std::string>{}, std::vector<std::string>{},
+      [](const Inputs&) -> Result { throw std::runtime_error("synthetic fault"); });
+  for (ExecutionBackend* lane : {static_cast<ExecutionBackend*>(&backend), channel.get()}) {
+    int delivered = 0;
+    for (const auto& service : {noop_service(), noop_service(), failing}) {
+      lane->execute(service, {Inputs{}}, [&delivered](Outcome) { ++delivered; });
+    }
+    EXPECT_TRUE(lane->drive([&delivered] { return delivered == 3; }));
+  }
+
+  const auto tasks = [&metrics](const char* status) {
+    const obs::MetricsRegistry::Family* family = metrics.find("moteur_worker_tasks_total");
+    if (family == nullptr) return 0.0;
+    const auto it = family->series.find(obs::Labels{{"status", status}});
+    return it == family->series.end() ? 0.0 : it->second.counter->value();
+  };
+  EXPECT_EQ(tasks("Ok"), 4.0);
+  EXPECT_EQ(tasks("Transient"), 2.0);
+  const obs::MetricsRegistry::Family* wait = metrics.find("moteur_worker_queue_wait_seconds");
+  ASSERT_NE(wait, nullptr);
+  ASSERT_EQ(wait->series.size(), 1u);
+  EXPECT_EQ(wait->series.begin()->second.histogram->count(), 6u);
 }
 
 // ---------------------------------------------------------------------------

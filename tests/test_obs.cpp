@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -1027,6 +1028,176 @@ TEST(RunRecorder, BreakerClosingResetsTheGaugeAndCountsTheTransition) {
               1.0)
         << to;
   }
+}
+
+/// `stream` with every time moved `by` seconds later.
+std::vector<RunEvent> shifted(std::vector<RunEvent> stream, double by) {
+  for (RunEvent& event : stream) {
+    event.time += by;
+    for (double* t : {&event.submit_time, &event.start_time, &event.end_time}) {
+      if (*t >= 0.0) *t += by;
+    }
+  }
+  return stream;
+}
+
+/// Three two-stage chain runs starting at different times, fed one event of
+/// each at a time: run a is clean, run b retries transient failures, and run
+/// c leaves stragglers open at its end. Run c's last attempt never reports
+/// back, and c also carries a hand-built cache hit, skip, re-derivation and
+/// an invocation far past its table whose superseded attempt 2 failed.
+/// Run b's stream then plays again under the finished id "a".
+std::vector<RunEvent> mixed_stream() {
+  std::vector<std::vector<RunEvent>> streams = {shifted(capture_run("a", 0.0, 1), 0.0),
+                                                shifted(capture_run("b", 0.3, 2), 100.0),
+                                                shifted(capture_run("c", 0.0, 3), 250.0)};
+  std::vector<RunEvent>& c = streams[2];
+  const auto last_of = [&c](RunEvent::Kind kind) {
+    return std::find_if(c.rbegin(), c.rend(), [kind](const RunEvent& e) {
+             return e.kind == kind;
+           }).base() - 1;
+  };
+  c.erase(last_of(RunEvent::Kind::kAttemptEnded));
+  c.erase(last_of(RunEvent::Kind::kInvocationCompleted));
+  const RunEvent finished = c.back();
+  const auto extra = [&](RunEvent::Kind kind, std::uint64_t invocation, std::size_t attempt) {
+    RunEvent event = finished;
+    event.kind = kind;
+    event.time -= 1.0;
+    event.processor = Name("P1");
+    event.invocation = invocation;
+    event.attempt = attempt;
+    event.tuples = 1;
+    return event;
+  };
+  std::vector<RunEvent> hand_built = {
+      extra(RunEvent::Kind::kCacheHit, 900, 0),
+      extra(RunEvent::Kind::kInvocationSkipped, 901, 0),
+      extra(RunEvent::Kind::kReDerived, 0, 0),
+      extra(RunEvent::Kind::kInvocationStarted, 1000000, 0),
+      extra(RunEvent::Kind::kAttemptStarted, 1000000, 1),
+      extra(RunEvent::Kind::kAttemptStarted, 1000000, 2),
+      extra(RunEvent::Kind::kAttemptEnded, 1000000, 2)};
+  hand_built[1].error = "poisoned input";
+  hand_built[2].logical_file = "lfn://c/lost";
+  RunEvent& failed = hand_built.back();
+  failed.superseded = true;
+  failed.status = Name("Transient");
+  failed.error = "lost contact";
+  failed.computing_element = Name("ce-x");
+  failed.submit_time = failed.time - 40.0;
+  failed.start_time = failed.time - 20.0;
+  failed.end_time = failed.time - 0.5;
+  failed.stage_in_seconds = 5.0;
+  c.insert(c.end() - 1, hand_built.begin(), hand_built.end());
+
+  std::vector<RunEvent> stream;
+  for (std::size_t i = 0;; ++i) {
+    bool fed = false;
+    for (const auto& run : streams) {
+      if (i < run.size()) {
+        stream.push_back(run[i]);
+        fed = true;
+      }
+    }
+    if (!fed) break;
+  }
+  for (RunEvent event : shifted(streams[1], 400.0)) {
+    event.run_id = "a";
+    stream.push_back(std::move(event));
+  }
+  return stream;
+}
+
+/// Every span in id order, as a row of its id, parent, name, category, exact
+/// times and annotations.
+std::vector<std::string> span_rows(const Tracer& tracer) {
+  std::vector<std::string> rows;
+  for (const Span& span : tracer.spans()) {
+    char times[64];
+    std::snprintf(times, sizeof(times), "%.17g..%.17g", span.start, span.end);
+    std::string row = std::to_string(span.id) + " <" + std::to_string(span.parent) + "> " +
+                      span.name + " [" + std::string(span.category) + "] " + times;
+    for (const Annotation& arg : tracer.args(span)) {
+      row += " " + std::string(arg.key) + "=" + arg.value;
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(RunRecorder, SpansReadMidRunMatchSpansReadAtTheEnd) {
+  const std::vector<RunEvent> stream = mixed_stream();
+  // One recorder derives its spans after every event, in the middle of every
+  // run; the other derives them once, after the last event.
+  RunRecorder every_event;
+  RunRecorder at_the_end;
+  for (const RunEvent& event : stream) {
+    every_event.on_event(event);
+    every_event.tracer();
+    at_the_end.on_event(event);
+  }
+  const std::vector<std::string> rows = span_rows(at_the_end.tracer());
+  EXPECT_EQ(span_rows(every_event.tracer()), rows);
+  EXPECT_EQ(every_event.tracer().open_count(), 0u);
+
+  // The stream reaches every record the log keeps.
+  const auto rows_with = [&rows](const char* what) {
+    return std::count_if(rows.begin(), rows.end(), [what](const std::string& row) {
+      return row.find(what) != std::string::npos;
+    });
+  };
+  EXPECT_EQ(rows_with("[run]"), 4);
+  EXPECT_EQ(rows_with("run_id=a"), 2);
+  for (const char* what : {"attempt 2 [attempt]", "unfinished=true", "superseded=true",
+                           "error=lost contact", "cause=poisoned input", "file=lfn://c/lost",
+                           "cached=true", "#1000000 [invocation]", "stage-in [phase]"}) {
+    EXPECT_GT(rows_with(what), 0) << what;
+  }
+}
+
+TEST(RunRecorder, MetricsDoNotWaitForAReader) {
+  const std::vector<RunEvent> stream = mixed_stream();
+  RunRecorder never_read;
+  RunRecorder read_mid_stream;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    never_read.on_event(stream[i]);
+    read_mid_stream.on_event(stream[i]);
+    if (i % 7 == 0) read_mid_stream.tracer();
+  }
+  EXPECT_EQ(prometheus_text(never_read.metrics()), prometheus_text(read_mid_stream.metrics()));
+
+  // Each run's makespan runs from its own start, whoever read what: the
+  // service-wide gauge holds the run that finished last.
+  std::map<std::string, double> started;
+  std::map<std::string, double> makespan;
+  std::string last;
+  for (const RunEvent& event : stream) {
+    if (event.kind == RunEvent::Kind::kRunStarted) started[event.run_id] = event.time;
+    if (event.kind == RunEvent::Kind::kRunFinished) {
+      makespan[event.run_id] = event.time - started.at(event.run_id);
+      last = event.run_id;
+    }
+  }
+  ASSERT_EQ(makespan.size(), 3u);
+  ASSERT_GT(makespan[last], 0.0);
+  for (const RunRecorder* recorder : {&never_read, &read_mid_stream}) {
+    EXPECT_EQ(series_value(*recorder, "moteur_makespan_seconds"), makespan[last]);
+    for (const auto& [run, seconds] : makespan) {
+      EXPECT_EQ(series_value(*recorder, "moteur_run_makespan_seconds", Labels{{"run", run}}),
+                seconds)
+          << run;
+    }
+  }
+}
+
+TEST(Name, AnEmptyNameReadsAsEmptyText) {
+  const Name empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.str(), "");
+  EXPECT_EQ(empty.view(), "");
+  EXPECT_EQ(empty, Name(""));
+  EXPECT_FALSE(Name("P0").empty());
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <any>
-#include <atomic>
 #include <chrono>
 #include <future>
 #include <map>
@@ -25,6 +24,7 @@
 #include "enactor/run_request.hpp"
 #include "enactor/sim_backend.hpp"
 #include "enactor/threaded_backend.hpp"
+#include "failing_site_grid.hpp"
 #include "grid/grid.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -564,29 +564,12 @@ std::shared_ptr<FunctionalService> sleeping_service(const std::string& name,
       });
 }
 
-/// A simulated-grid backend that counts the breaker ledgers attached to and
-/// detached from its broker.
-class LedgerCountingBackend : public enactor::SimGridBackend {
- public:
-  using SimGridBackend::SimGridBackend;
-  void add_health(grid::CeHealth* health) override {
-    ++added;
-    SimGridBackend::add_health(health);
-  }
-  void remove_health(grid::CeHealth* health) override {
-    ++removed;
-    SimGridBackend::remove_health(health);
-  }
-  std::atomic<int> added{0};
-  std::atomic<int> removed{0};
-};
-
 TEST(RunService, DetachesItsBreakerLedgerWhenDestroyed) {
   // The service's shared ledger dies with the service; a run enacted on the
   // backend afterwards must not route through it.
   sim::Simulator simulator;
   grid::Grid grid(simulator, grid::GridConfig::constant(0.0));
-  LedgerCountingBackend backend(grid);
+  testkit::LedgerCountingBackend backend(grid);
   services::ServiceRegistry registry;
   registry.add(sleeping_service("w-p0", std::chrono::milliseconds(0)));
   enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp();

@@ -159,6 +159,22 @@ TEST(WrapperService, ExecutorRunsAndFailurePropagates) {
   EXPECT_THROW(bad.invoke(crest_inputs()), ExecutionError);
 }
 
+TEST(WrapperService, MissingInputFailsWithoutAnExecutor) {
+  // A simulated invocation reads no input value, but it still refuses an
+  // invocation that lacks one of the descriptor's inputs.
+  WrapperService service("crestLines", crest_lines_descriptor(), {});
+  EXPECT_NO_THROW(service.invoke(crest_inputs()));
+  Inputs partial = crest_inputs();
+  partial.erase("scale");
+  try {
+    service.invoke(partial);
+    FAIL() << "an invocation without input 'scale' succeeded";
+  } catch (const EnactmentError& e) {
+    EXPECT_NE(std::string(e.what()).find("missing input 'scale'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(WrapperService, ContentDigestFollowsTheDescriptor) {
   // Memoized invocations are keyed by this digest: the same descriptor
   // gives the same digest, an edited one a different digest.

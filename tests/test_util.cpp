@@ -165,6 +165,12 @@ TEST(Percentile, InterpolatesAndBounds) {
   EXPECT_THROW(percentile({}, 50.0), InternalError);
 }
 
+TEST(MeanOf, AveragesTheValuesAndReadsZeroWhenEmpty) {
+  EXPECT_DOUBLE_EQ(mean_of({2.0, 4.0, 9.0}), 5.0);
+  EXPECT_DOUBLE_EQ(mean_of({-1.5}), -1.5);
+  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Strings
 // ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ std::string cache_stats_json(const data::InvocationCache* cache) {
 
 /// The observability exports of a run set: --trace-out, --metrics-out,
 /// --cache-stats-out and --obs-summary.
-void write_observability(const Args& args, const obs::RunRecorder& recorder,
+void write_observability(const Args& args, obs::RunRecorder& recorder,
                          const data::InvocationCache* cache) {
   if (const auto out = args.get("trace-out")) {
     write_file(*out, obs::chrome_trace_json(recorder.tracer()));

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification: configure, build, run the full test suite.
 #
-#   tools/tier1.sh          build + ctest (the ROADMAP tier-1 command)
+#   tools/tier1.sh          build + ctest (the ROADMAP tier-1 command), then
+#                           the perfbench and CLI smokes
 #   tools/tier1.sh --tsan   additionally build every target under
 #                           -fsanitize=thread and run the enactor-labelled
 #                           tests (ThreadedBackend races surface here)
@@ -17,6 +18,15 @@ cmake -B build -S . >/dev/null
 # tree.
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j)
+
+# Benchmark smoke: perfbench compiles against src/ and runs every workload on
+# a tiny load, so a change that breaks an API it uses fails here.
+echo "== perfbench smoke: every workload on a tiny load =="
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/smoke_test.py
+else
+  echo "python3 unavailable; skipping the perfbench smoke"
+fi
 
 # Observability smoke: a Bronze-Standard run must produce a parseable Chrome
 # trace and a metrics snapshot carrying the core series.
