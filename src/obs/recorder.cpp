@@ -265,7 +265,6 @@ void RunRecorder::on_event(const RunEvent& event) {
       // A re-used run id (sequential runs through one Enactor) starts over,
       // its per-run counters accumulating.
       RunMetrics& m = run_metrics(event.run_id);
-      m.started = true;
       m.start = event.time;
       m.last_total_invocations = event.total_invocations;
       const Labels by_run{{"run", event.run_id}};
@@ -283,7 +282,7 @@ void RunRecorder::on_event(const RunEvent& event) {
 
     case RunEvent::Kind::kRunFinished: {
       RunMetrics& m = run_metrics(event.run_id);
-      if (m.started) {
+      if (m.makespan != nullptr) {
         makespan_->set(event.time - m.start);
         m.makespan->set(event.time - m.start);
       }

@@ -74,10 +74,10 @@ class RunRecorder {
   /// kRunFinished.
   struct RunMetrics {
     std::uint32_t ordinal = 0;  // names the run in the record log
-    bool started = false;       // a kRunStarted arrived at `start`
-    double start = 0.0;
+    double start = 0.0;         // the kRunStarted's time
     std::size_t last_total_invocations = 0;
-    // Per-run labelled series, resolved once at kRunStarted.
+    // Per-run labelled series, resolved once at kRunStarted (so a run whose
+    // start never arrived has no makespan).
     Counter* invocations = nullptr;
     Counter* submissions = nullptr;
     Counter* cache_hits = nullptr;

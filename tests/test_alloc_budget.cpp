@@ -167,7 +167,7 @@ TEST(AllocBudget, SimulatorEventsAllocateNothing) {
   // pending events, an event whose callback fits the inline buffer costs no
   // allocation: not for its callback, its slot or its heap entry.
   constexpr std::size_t kEvents = 1000;
-  constexpr std::size_t kBudget = 15;
+  constexpr std::size_t kBudget = 0;
   sim::Simulator simulator;
   EventChain chain(simulator);
   chain.run(kEvents, 64);  // warm-up
@@ -182,7 +182,7 @@ TEST(AllocBudget, BrokerMatchAllocatesNothing) {
   // The broker's candidate pool and ranks are member scratch, and the tie
   // break counts and rescans rather than collecting the tied CEs.
   constexpr std::size_t kMatches = 100;
-  constexpr std::size_t kBudget = 15;
+  constexpr std::size_t kBudget = 0;
   const grid::GridConfig config = grid::GridConfig::egee2006(7);
   sim::Simulator simulator;
   Rng rng(config.seed);
